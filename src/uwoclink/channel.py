@@ -204,23 +204,6 @@ def pointing_loss_db(geometry: LinkGeometry) -> tuple[float, bool]:
     return -10.0 * math.log10(frac), False
 
 
-def nlos_excess_loss_db(reflectance: float, unfolded: LinkGeometry,
-                        los: LinkGeometry) -> tuple[float, bool]:
-    """Excess of the seabed-bounce path over the direct path.
-
-    Lambertian reflection penalty plus the extra beam-spread of the unfolded
-    path relative to ``los``. Returns ``(excess_db, link_dark)``; a zero
-    reflectance yields the dark flag rather than an infinite loss.
-    """
-    if not 0.0 <= reflectance <= 1.0:
-        raise ValueError("reflectance must be in [0, 1]")
-    if reflectance == 0.0:
-        return 0.0, True
-    penalty = -10.0 * math.log10(reflectance)
-    geo_delta = geometric_loss_db(unfolded) - geometric_loss_db(los)
-    return penalty + max(0.0, geo_delta), False
-
-
 def total_loss_db(geometry: LinkGeometry, water: WaterOptics,
                   nlos: NlosPath | None = None,
                   fading_db: float = 0.0) -> LossBreakdown:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agc import CalibrationError, ReceiverChain, fit_calibration
-from .config import ConfigError, load_preset, parse_scenario
+from .config import ConfigError, load_preset, parse_scenario, preset_names
 from .engine import LinkSpec, SimReport, inject_errors_run, long_term_monitor, run_scenario
 from .fec import STATUS_OK, default_codec
 from .planner import (
@@ -29,7 +29,6 @@ from .planner import (
     distance_curve,
     max_distance_m,
 )
-from .presets import PRESETS
 
 
 @dataclass(frozen=True)
@@ -278,10 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Underwater optical link simulator, codec, and planner",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    presets = preset_names()
 
     def add_common(p, needs_seed=True):
         p.add_argument("--config", help="scenario file path")
-        p.add_argument("--preset", choices=sorted(PRESETS),
+        p.add_argument("--preset", choices=presets,
                        help="named base configuration")
         p.add_argument("--out", help="write output to this path")
         if needs_seed:

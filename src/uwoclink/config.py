@@ -2,17 +2,23 @@
 
 Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments, blank
 lines ignored. Unknown sections or keys are hard errors that name the
-offender and its line. A preset supplies base values; file keys override.
-render/parse round-trip exactly for any config-expressible spec.
+offender and its line. A preset, one of the ``presets/<name>.cfg`` files
+shipped in the package, supplies base values; file keys override. A key
+that neither gives takes its dataclass default. render/parse round-trip
+exactly for any config-expressible spec.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from importlib import resources
+
 from .agc import ReceiverChain
 from .channel import FadingSpec, LinkGeometry, NlosPath, WaterOptics
 from .engine import LinkSpec
-from .modem import ModulationScheme
-from .presets import preset_mapping
+from .modem import OOK, ModulationScheme
+
+_PRESET_DIR = resources.files(__package__) / "presets"
 
 
 class ConfigError(ValueError):
@@ -84,31 +90,6 @@ _REQUIRED = (
     ("geometry", "rx_aperture_m"),
 )
 
-_DEFAULTS = {
-    ("link", "sync_overhead_fraction"): 0.0,
-    ("link", "iface_cap_bps"): 100e6,
-    ("link", "frame_payload_bytes"): 1500,
-    ("link", "snr_offset_db"): 0.0,
-    ("link", "sim_frames_per_second"): 6,
-    ("geometry", "tx_exit_diameter_m"): 0.0,
-    ("geometry", "pointing_offset_m"): 0.0,
-    ("codec", "interleaver_depth"): 8,
-    ("codec", "outer_words_per_frame"): 4,
-    ("fading", "sigma_db"): 0.0,
-    ("fading", "burst_probability"): 0.0,
-    ("fading", "burst_depth_db"): 0.0,
-    ("agc", "pmt_gain_min"): 1e2,
-    ("agc", "pmt_gain_max"): 1e6,
-    ("agc", "lc_voltage_min"): 0.0,
-    ("agc", "lc_voltage_max"): 5.0,
-    ("agc", "responsivity_v_per_w"): 50.0,
-    ("agc", "lc_attenuation_range_db"): 20.0,
-    ("agc", "lc_steepness"): 1.5,
-    ("agc", "window_low_v"): 0.5,
-    ("agc", "window_high_v"): 5.0,
-}
-
-
 def parse_mapping(text: str) -> dict:
     """Parse sectioned key-value text into {section: {key: value}}."""
     mapping: dict[str, dict] = {}
@@ -161,6 +142,18 @@ def _overlay(base: dict, extra: dict) -> dict:
     return merged
 
 
+def _dataclass_defaults() -> dict:
+    """Every optional key's default, read back from the dataclass fields.
+
+    The placeholders fill only the required keys, which ``build_spec``
+    checks before it reads a default.
+    """
+    placeholder = LinkSpec(name="", tx_power_w=1.0, water=WaterOptics(0.0, 0.0),
+                           geometry=LinkGeometry(1.0, 1.0),
+                           modulation=ModulationScheme(OOK, 1.0), budget_db=1.0)
+    return spec_to_mapping(placeholder)
+
+
 def build_spec(mapping: dict) -> LinkSpec:
     """Validate a merged mapping and materialize the LinkSpec."""
     missing = [
@@ -174,10 +167,12 @@ def build_spec(mapping: dict) -> LinkSpec:
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
+    defaults = _dataclass_defaults()
+
     def get(sec: str, key: str):
         value = mapping.get(sec, {}).get(key)
         if value is None:
-            value = _DEFAULTS.get((sec, key))
+            value = defaults[sec].get(key)
         return value
 
     try:
@@ -204,16 +199,8 @@ def build_spec(mapping: dict) -> LinkSpec:
                 raise ConfigError(
                     "NLOS needs both nlos_reflectance and nlos_unfolded_distance_m"
                 )
-            nlos = NlosPath(
-                reflectance=reflectance,
-                unfolded=LinkGeometry(
-                    distance_m=unfolded_z,
-                    half_angle_deg=geometry.half_angle_deg,
-                    tx_exit_diameter_m=geometry.tx_exit_diameter_m,
-                    rx_aperture_m=geometry.rx_aperture_m,
-                    pointing_offset_m=geometry.pointing_offset_m,
-                ),
-            )
+            unfolded = replace(geometry, distance_m=unfolded_z, k_override_m2=None)
+            nlos = NlosPath(reflectance=reflectance, unfolded=unfolded)
 
         receiver = ReceiverChain(
             pmt_gain_range=(get("agc", "pmt_gain_min"), get("agc", "pmt_gain_max")),
@@ -246,6 +233,7 @@ def build_spec(mapping: dict) -> LinkSpec:
             agc_window_v=(get("agc", "window_low_v"), get("agc", "window_high_v")),
             interleaver_depth=get("codec", "interleaver_depth"),
             outer_words_per_frame=get("codec", "outer_words_per_frame"),
+            sim_frames_per_second=get("link", "sim_frames_per_second"),
         )
     except ConfigError:
         raise
@@ -253,14 +241,23 @@ def build_spec(mapping: dict) -> LinkSpec:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
+def preset_names() -> tuple[str, ...]:
+    """Names of the shipped presets, one per ``presets/<name>.cfg`` file."""
+    return tuple(sorted(entry.name.removesuffix(".cfg")
+                        for entry in _PRESET_DIR.iterdir()
+                        if entry.name.endswith(".cfg")))
+
+
 def parse_scenario(text: str, preset: str | None = None) -> LinkSpec:
     """Parse scenario text, optionally overlaid on a named preset."""
     mapping = parse_mapping(text)
     if preset is not None:
-        try:
-            mapping = _overlay(preset_mapping(preset), mapping)
-        except KeyError as exc:
-            raise ConfigError(str(exc.args[0])) from None
+        names = preset_names()
+        if preset not in names:
+            raise ConfigError(
+                f"unknown preset {preset!r} (known: {', '.join(names)})")
+        preset_text = (_PRESET_DIR / f"{preset}.cfg").read_text(encoding="utf-8")
+        mapping = _overlay(parse_mapping(preset_text), mapping)
     return build_spec(mapping)
 
 

@@ -11,8 +11,11 @@ the field system never published.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -114,27 +117,9 @@ class SimReport:
     margin_trace_db: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "duration_s": self.duration_s,
-            "frames_sent": self.frames_sent,
-            "bits_simulated": self.bits_simulated,
-            "payload_bits_simulated": self.payload_bits_simulated,
-            "pre_fec_bit_errors": self.pre_fec_bit_errors,
-            "pre_fec_ber": self.pre_fec_ber,
-            "post_fec_bit_errors": self.post_fec_bit_errors,
-            "post_fec_ber": self.post_fec_ber,
-            "packet_loss_count": self.packet_loss_count,
-            "decode_failures": self.decode_failures,
-            "goodput_bps": self.goodput_bps,
-            "agc_saturated_seconds": self.agc_saturated_seconds,
-            "link_dark_seconds": self.link_dark_seconds,
-            "beps_series": list(self.beps_series),
-            "loss_series": list(self.loss_series),
-            "margin_trace_db": list(self.margin_trace_db),
-        }
+        """Fields in declaration order; tuples become lists, as in JSON."""
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
 
 
 def goodput_bps(line_rate_bps: float, fec_rate: float,
@@ -182,36 +167,35 @@ def margin_to_snr(margin_db: float, snr_offset_db: float) -> float:
     return 10.0 ** ((margin_db + snr_offset_db) / 20.0)
 
 
-def run_scenario(spec: LinkSpec, duration_s: int, seed: int) -> SimReport:
-    """Simulate ``duration_s`` seconds of the link; deterministic per seed."""
-    if duration_s <= 0:
-        raise ValueError("duration_s must be > 0")
-    rng = np.random.default_rng(seed)
-    codec = spec.codec
-    kind = spec.modulation.kind
+@dataclass
+class _AnalogLog:
+    """What the slot channel recorded per simulated second; empty for flips."""
+
+    margins: list[float] = field(default_factory=list)
+    saturated_seconds: int = 0
+    dark_seconds: int = 0
+
+
+def _slot_chain(kind: str, params: DetectionParams, rng: np.random.Generator,
+                frame: np.ndarray) -> np.ndarray:
+    """One frame through modulation, additive slot noise and demodulation."""
+    noisy = modem.add_noise(modem.modulate(kind, frame), params.noise_sigma, rng)
+    return modem.demodulate(kind, noisy, params)
+
+
+def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
+                  log: _AnalogLog) -> Iterator[Callable]:
+    """Per simulated second: one fading draw and AGC update, then the slot
+    chain at the noise level the resulting margin sets."""
     static = total_loss_db(spec.geometry, spec.water, spec.nlos)
-
     agc = initial_agc_state(spec)
-    beps = []
-    loss_series = []
-    margins = []
-    frames_sent = 0
-    bits_sim = 0
-    payload_bits_sim = 0
-    pre_err_total = 0
-    post_err_total = 0
-    losses = 0
-    failures = 0
-    saturated_seconds = 0
-    dark_seconds = 0
-
-    for _ in range(duration_s):
+    while True:
         fading = sample_fading_db(spec.fading, rng)
         total = static.total_db + fading
         margin = spec.budget_db - total
-        margins.append(margin)
+        log.margins.append(margin)
         if static.link_dark:
-            dark_seconds += 1
+            log.dark_seconds += 1
             snr = 0.0
         else:
             snr = margin_to_snr(margin, spec.snr_offset_db)
@@ -219,104 +203,57 @@ def run_scenario(spec: LinkSpec, duration_s: int, seed: int) -> SimReport:
             measured = spec.receiver.amplitude_v(p_rx, agc.lc_voltage, agc.pmt_gain)
             if measured > 0:
                 agc = agc_step(spec.receiver, agc, measured)
-                saturated_seconds += int(agc.saturated)
-        sigma = 1.0 / max(snr, 1e-9)
-        params = DetectionParams(noise_sigma=sigma)
+                log.saturated_seconds += int(agc.saturated)
+        params = DetectionParams(noise_sigma=1.0 / max(snr, 1e-9))
+        yield partial(_slot_chain, spec.modulation.kind, params, rng)
 
+
+def _flip_channel(ber: float, rng: np.random.Generator,
+                  log: _AnalogLog) -> Iterator[Callable]:
+    """Every second, flip each line bit i.i.d. with probability ``ber``; the
+    analog chain is bypassed."""
+    def flip(frame: np.ndarray) -> np.ndarray:
+        if ber == 0:
+            return frame
+        return frame ^ (rng.random(len(frame)) < ber).astype(np.uint8)
+
+    return itertools.repeat(flip)
+
+
+def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
+    """The frame loop: random payload -> encode -> corrupt -> decode -> tally.
+
+    ``channel(rng, log)`` yields, at the start of each simulated second of
+    ``sim_frames_per_second`` frames, the function that corrupts that
+    second's frames. A last partial second is tallied as its own entry.
+    """
+    rng = np.random.default_rng(seed)
+    codec = spec.codec
+    fps = spec.sim_frames_per_second
+    log = _AnalogLog()
+    seconds = channel(rng, log)
+    beps = []
+    loss_series = []
+    post_err_total = 0
+    failures = 0
+    for start in range(0, n_frames, fps):
+        corrupt = next(seconds)
         second_errors = 0
         second_losses = 0
-        for _ in range(spec.sim_frames_per_second):
+        for _ in range(min(fps, n_frames - start)):
             payload = rng.integers(0, 2, codec.frame_payload_bits).astype(np.uint8)
             frame = codec.encode(payload)
-            stream = modem.modulate(kind, frame, spec.modulation.slot_rate_hz)
-            noisy = modem.add_noise(stream, sigma, rng)
-            received = modem.demodulate(kind, noisy, params)
-            pre_err = int(np.count_nonzero(received != frame))
+            received = corrupt(frame)
             outcome = codec.decode(received)
             post_err = int(np.count_nonzero(outcome.message_bits != payload))
-
-            frames_sent += 1
-            bits_sim += codec.frame_bits
-            payload_bits_sim += codec.frame_payload_bits
-            second_errors += pre_err
+            second_errors += int(np.count_nonzero(received != frame))
             post_err_total += post_err
             failures += int(not outcome.ok)
             second_losses += int((not outcome.ok) or post_err > 0)
-        pre_err_total += second_errors
-        losses += second_losses
         beps.append(second_errors)
         loss_series.append(second_losses)
 
-    return SimReport(
-        name=spec.name,
-        seed=seed,
-        config_hash=spec.fingerprint(),
-        duration_s=duration_s,
-        frames_sent=frames_sent,
-        bits_simulated=bits_sim,
-        payload_bits_simulated=payload_bits_sim,
-        pre_fec_bit_errors=pre_err_total,
-        pre_fec_ber=pre_err_total / bits_sim if bits_sim else 0.0,
-        post_fec_bit_errors=post_err_total,
-        post_fec_ber=post_err_total / payload_bits_sim if payload_bits_sim else 0.0,
-        packet_loss_count=losses,
-        decode_failures=failures,
-        goodput_bps=goodput_for(spec),
-        agc_saturated_seconds=saturated_seconds,
-        link_dark_seconds=dark_seconds,
-        beps_series=tuple(beps),
-        loss_series=tuple(loss_series),
-        margin_trace_db=tuple(margins),
-    )
-
-
-def inject_errors_run(spec: LinkSpec, pre_fec_ber_target: float, n_bits: int,
-                      seed: int = 0) -> SimReport:
-    """Flip line bits i.i.d. at the target rate, bypassing the analog chain."""
-    if not 0.0 <= pre_fec_ber_target < 0.5:
-        raise ValueError("pre_fec_ber_target must be in [0, 0.5)")
-    if n_bits <= 0:
-        raise ValueError("n_bits must be > 0")
-    rng = np.random.default_rng(seed)
-    codec = spec.codec
-    n_frames = -(-n_bits // codec.frame_bits)
-
-    beps = []
-    loss_series = []
-    pre_err_total = 0
-    post_err_total = 0
-    losses = 0
-    failures = 0
-    second_errors = 0
-    second_losses = 0
-    for i in range(n_frames):
-        payload = rng.integers(0, 2, codec.frame_payload_bits).astype(np.uint8)
-        frame = codec.encode(payload)
-        if pre_fec_ber_target > 0:
-            flips = rng.random(codec.frame_bits) < pre_fec_ber_target
-            received = frame ^ flips.astype(np.uint8)
-            pre_err = int(np.count_nonzero(flips))
-        else:
-            received = frame
-            pre_err = 0
-        outcome = codec.decode(received)
-        post_err = int(np.count_nonzero(outcome.message_bits != payload))
-        pre_err_total += pre_err
-        post_err_total += post_err
-        failures += int(not outcome.ok)
-        lost = int((not outcome.ok) or post_err > 0)
-        losses += lost
-        second_errors += pre_err
-        second_losses += lost
-        if (i + 1) % spec.sim_frames_per_second == 0:
-            beps.append(second_errors)
-            loss_series.append(second_losses)
-            second_errors = 0
-            second_losses = 0
-    if n_frames % spec.sim_frames_per_second:
-        beps.append(second_errors)
-        loss_series.append(second_losses)
-
+    pre_err_total = sum(beps)
     bits_sim = n_frames * codec.frame_bits
     payload_bits_sim = n_frames * codec.frame_payload_bits
     return SimReport(
@@ -331,15 +268,35 @@ def inject_errors_run(spec: LinkSpec, pre_fec_ber_target: float, n_bits: int,
         pre_fec_ber=pre_err_total / bits_sim,
         post_fec_bit_errors=post_err_total,
         post_fec_ber=post_err_total / payload_bits_sim,
-        packet_loss_count=losses,
+        packet_loss_count=sum(loss_series),
         decode_failures=failures,
         goodput_bps=goodput_for(spec),
-        agc_saturated_seconds=0,
-        link_dark_seconds=0,
+        agc_saturated_seconds=log.saturated_seconds,
+        link_dark_seconds=log.dark_seconds,
         beps_series=tuple(beps),
         loss_series=tuple(loss_series),
-        margin_trace_db=(),
+        margin_trace_db=tuple(log.margins),
     )
+
+
+def run_scenario(spec: LinkSpec, duration_s: int, seed: int) -> SimReport:
+    """Simulate ``duration_s`` seconds of the link; deterministic per seed."""
+    if duration_s <= 0:
+        raise ValueError("duration_s must be > 0")
+    return _simulate(spec, seed, duration_s * spec.sim_frames_per_second,
+                     partial(_slot_channel, spec))
+
+
+def inject_errors_run(spec: LinkSpec, pre_fec_ber_target: float, n_bits: int,
+                      seed: int = 0) -> SimReport:
+    """Flip line bits i.i.d. at the target rate, bypassing the analog chain."""
+    if not 0.0 <= pre_fec_ber_target < 0.5:
+        raise ValueError("pre_fec_ber_target must be in [0, 0.5)")
+    if n_bits <= 0:
+        raise ValueError("n_bits must be > 0")
+    n_frames = -(-n_bits // spec.codec.frame_bits)
+    return _simulate(spec, seed, n_frames,
+                     partial(_flip_channel, pre_fec_ber_target))
 
 
 def epoch_seed(master_seed: int, epoch_index: int) -> int:

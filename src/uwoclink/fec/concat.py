@@ -85,10 +85,6 @@ class ConcatCodecSpec:
     def code_rate(self) -> float:
         return (self.inner.k / self.inner.n) * (self.outer.k / self.outer.n)
 
-    def frame_rate(self) -> float:
-        """Exact payload/frame ratio including any tail padding."""
-        return self.frame_payload_bits / self.frame_bits
-
     def encode(self, payload_bits: np.ndarray) -> np.ndarray:
         payload = np.asarray(payload_bits, dtype=np.uint8)
         if payload.shape != (self.frame_payload_bits,):

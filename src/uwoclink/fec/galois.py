@@ -42,21 +42,13 @@ class FieldSpec:
             )
         self.exp = exp
         self.log = log
-        # numpy mirrors for vectorized syndrome/Chien evaluation
+        # numpy mirror for vectorized syndrome/Chien evaluation
         self.exp_np = np.array(exp, dtype=np.int64)
-        self.log_np = np.array(log, dtype=np.int64)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % self.order]
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero field element")
-        if a == 0:
-            return 0
-        return self.exp[(self.log[a] - self.log[b]) % self.order]
 
     def inv(self, a: int) -> int:
         if a == 0:

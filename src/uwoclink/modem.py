@@ -41,15 +41,10 @@ class ModulationScheme:
     def __post_init__(self):
         slot_rate_for(self.kind, self.bit_rate_bps)  # validates both fields
 
-    @property
-    def slot_rate_hz(self) -> float:
-        return slot_rate_for(self.kind, self.bit_rate_bps)
-
 
 @dataclass(frozen=True)
 class SlotStream:
     amplitudes: np.ndarray
-    slot_rate_hz: float
     pad_bits: int = 0
 
 
@@ -63,9 +58,9 @@ class DetectionParams:
             raise ValueError("noise_sigma must be >= 0")
 
 
-def ook_modulate(bits: np.ndarray, slot_rate_hz: float = 1.0) -> SlotStream:
+def ook_modulate(bits: np.ndarray) -> SlotStream:
     amps = np.asarray(bits, dtype=np.float64)
-    return SlotStream(amps, slot_rate_hz)
+    return SlotStream(amps)
 
 
 def ook_demodulate(stream: SlotStream, params: DetectionParams) -> np.ndarray:
@@ -74,7 +69,7 @@ def ook_demodulate(stream: SlotStream, params: DetectionParams) -> np.ndarray:
     return (stream.amplitudes > params.ook_threshold).astype(np.uint8)
 
 
-def ppm4_modulate(bits: np.ndarray, slot_rate_hz: float = 1.0) -> SlotStream:
+def ppm4_modulate(bits: np.ndarray) -> SlotStream:
     """One pulse per 4-slot symbol; odd bit counts are zero-padded."""
     b = np.asarray(bits, dtype=np.uint8)
     pad = len(b) % _PPM4_BITS_PER_SYMBOL
@@ -84,7 +79,7 @@ def ppm4_modulate(bits: np.ndarray, slot_rate_hz: float = 1.0) -> SlotStream:
     slots = pairs[:, 0] * 2 + pairs[:, 1]
     amps = np.zeros((len(slots), _PPM4_SLOTS_PER_SYMBOL), dtype=np.float64)
     amps[np.arange(len(slots)), slots] = 1.0
-    return SlotStream(amps.ravel(), slot_rate_hz, pad_bits=pad)
+    return SlotStream(amps.ravel(), pad_bits=pad)
 
 
 def ppm4_demodulate(stream: SlotStream) -> np.ndarray:
@@ -105,7 +100,7 @@ def add_noise(stream: SlotStream, sigma: float,
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     noisy = stream.amplitudes + rng.standard_normal(len(stream.amplitudes)) * sigma
-    return SlotStream(noisy, stream.slot_rate_hz, stream.pad_bits)
+    return SlotStream(noisy, stream.pad_bits)
 
 
 def qfunc(x: float) -> float:
@@ -147,11 +142,11 @@ def mean_optical_power(stream: SlotStream) -> float:
     return float(np.mean(stream.amplitudes))
 
 
-def modulate(kind: str, bits: np.ndarray, slot_rate_hz: float = 1.0) -> SlotStream:
+def modulate(kind: str, bits: np.ndarray) -> SlotStream:
     if kind == OOK:
-        return ook_modulate(bits, slot_rate_hz)
+        return ook_modulate(bits)
     if kind == PPM4:
-        return ppm4_modulate(bits, slot_rate_hz)
+        return ppm4_modulate(bits)
     raise ValueError(f"unknown modulation kind {kind!r}")
 
 

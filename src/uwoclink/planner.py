@@ -8,7 +8,7 @@ inverse-square constant k when the geometry carries an override.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .channel import LinkGeometry, WaterOptics, attenuation_db, geometric_loss_db
 from .engine import LinkSpec
@@ -32,12 +32,7 @@ class RangeSolution:
     k_used_m2: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "max_distance_m": self.max_distance_m,
-            "residual_db": self.residual_db,
-            "mode": self.mode,
-            "k_used_m2": self.k_used_m2,
-        }
+        return asdict(self)
 
 
 def _aligned_at(geometry: LinkGeometry, z: float) -> LinkGeometry:
@@ -145,14 +140,3 @@ def distance_curve(spec: LinkSpec, z_min: float, z_max: float, n_points: int,
                 spec.water, spec.geometry, z, include_geometry=False)
         rows.append(row)
     return rows
-
-
-def plan_link(spec: LinkSpec) -> dict[str, RangeSolution]:
-    """Both range estimates for one link spec."""
-    solutions = {
-        WITHOUT_GEOMETRY: max_distance_m(
-            spec.budget_db, spec.water, mode=WITHOUT_GEOMETRY),
-        WITH_GEOMETRY: max_distance_m(
-            spec.budget_db, spec.water, spec.geometry, WITH_GEOMETRY),
-    }
-    return solutions

@@ -12,7 +12,6 @@ from uwoclink.channel import (
     collected_fraction,
     disc_overlap_fraction,
     geometric_loss_db,
-    nlos_excess_loss_db,
     pointing_loss_db,
     sample_fading_db,
     spot_diameter_m,
@@ -176,26 +175,34 @@ class TestPointing:
 
 
 class TestNlosExcess:
+    """total_loss_db's NLOS excess is the reflection penalty alone; the
+    bounce's extra spread is part of the unfolded path's geometric loss."""
+
     def test_perfect_mirror_equal_path_has_no_excess(self):
-        excess, dark = nlos_excess_loss_db(1.0, BLUE_GEO, BLUE_GEO)
-        assert excess == 0.0 and not dark
+        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(1.0, BLUE_GEO))
+        assert bd.nlos_excess_db == 0.0 and not bd.link_dark
+        assert bd.total_db == total_loss_db(BLUE_GEO, BLUE_WATER).total_db
 
     def test_reflectance_penalty_is_log10(self):
         unfolded = LinkGeometry(34.0, 3.83, 0.0, 0.008)
-        excess, dark = nlos_excess_loss_db(0.1, unfolded, BLUE_GEO)
-        geo_delta = geometric_loss_db(unfolded) - geometric_loss_db(BLUE_GEO)
-        assert excess == pytest.approx(10.0 + geo_delta)
+        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(0.1, unfolded))
+        assert bd.nlos_excess_db == pytest.approx(10.0)
+        assert bd.geometric_db == geometric_loss_db(unfolded)
+        assert not bd.link_dark
 
     def test_deep_sea_preset_value(self):
-        # reflectance 0.05 over a 34 m bounce vs the 30 m direct path:
-        # 13.0103 + (55.103 - 54.018) dB, evaluated by hand
+        # reflectance 0.05 over a 34 m bounce vs the 30 m direct path: a
+        # 13.0103 dB excess, and 55.103 - 54.018 dB of extra spread,
+        # evaluated by hand, inside the geometric term
         unfolded = LinkGeometry(34.0, 3.83, 0.0, 0.008)
-        excess, _ = nlos_excess_loss_db(0.05, unfolded, BLUE_GEO)
-        assert excess == pytest.approx(14.095, abs=0.01)
+        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(0.05, unfolded))
+        assert bd.nlos_excess_db == pytest.approx(13.0103, abs=1e-3)
+        assert bd.geometric_db - geometric_loss_db(BLUE_GEO) == \
+            pytest.approx(1.085, abs=0.01)
 
     def test_zero_reflectance_flags_dark(self):
-        _, dark = nlos_excess_loss_db(0.0, BLUE_GEO, BLUE_GEO)
-        assert dark
+        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(0.0, BLUE_GEO))
+        assert bd.link_dark
 
 
 class TestTotalLoss:

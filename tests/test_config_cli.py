@@ -1,18 +1,83 @@
+import argparse
 import io
 import json
+import pathlib
+import string
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uwoclink.cli import _bits_to_hex, _hex_to_bits, main, render_report
+import uwoclink
+from uwoclink.agc import ReceiverChain
+from uwoclink.channel import FadingSpec, LinkGeometry, NlosPath, WaterOptics
+from uwoclink.cli import _bits_to_hex, _hex_to_bits, build_parser, main, render_report
 from uwoclink.config import (
     ConfigError,
     load_preset,
     parse_scenario,
     render_scenario,
 )
-from uwoclink.engine import run_scenario
+from uwoclink.engine import LinkSpec, run_scenario
 from uwoclink.fec import default_codec
+from uwoclink.modem import OOK, PPM4, ModulationScheme
+
+PRESET_DIR = pathlib.Path(uwoclink.__file__).parent / "presets"
+SHIPPED = sorted(path.stem for path in PRESET_DIR.glob("*.cfg"))
+
+
+@st.composite
+def config_specs(draw):
+    """Any LinkSpec the config format can express, NLOS and k override
+    included; the unfolded NLOS path shares the direct path's optics."""
+    f = st.floats
+    geometry = LinkGeometry(
+        distance_m=draw(f(0.0, 500.0)),
+        half_angle_deg=draw(f(0.01, 89.0)),
+        tx_exit_diameter_m=draw(f(0.0, 0.1)),
+        rx_aperture_m=draw(f(1e-3, 0.5)),
+        pointing_offset_m=draw(f(0.0, 1.0)),
+        k_override_m2=draw(st.none() | f(1e-3, 10.0)),
+    )
+    nlos = None
+    if draw(st.booleans()):
+        unfolded = replace(geometry, distance_m=draw(f(0.0, 500.0)),
+                           k_override_m2=None)
+        nlos = NlosPath(draw(f(0.0, 1.0)), unfolded)
+    gain_min = draw(f(1.0, 1e4))
+    v_min = draw(f(-5.0, 5.0))
+    window_low = draw(f(0.01, 5.0))
+    receiver = ReceiverChain(
+        pmt_gain_range=(gain_min, gain_min * draw(f(1.5, 1e4))),
+        lc_voltage_range=(v_min, v_min + draw(f(0.5, 10.0))),
+        responsivity_v_per_w=draw(f(1e-3, 1e3)),
+        lc_attenuation_range_db=draw(f(0.0, 40.0)),
+        lc_steepness=draw(f(-5.0, 5.0)),
+    )
+    return LinkSpec(
+        name=draw(st.text(string.ascii_letters + string.digits + "-_.",
+                          min_size=1, max_size=20)),
+        tx_power_w=draw(f(1e-3, 100.0)),
+        water=WaterOptics.from_per_m(draw(f(0.0, 2.0))),
+        geometry=geometry,
+        modulation=ModulationScheme(draw(st.sampled_from([OOK, PPM4])),
+                                    draw(f(1e3, 1e9))),
+        budget_db=draw(f(1.0, 200.0)),
+        receiver=receiver,
+        fading=FadingSpec(draw(f(0.0, 5.0)), draw(f(0.0, 1.0)),
+                          draw(f(0.0, 20.0))),
+        nlos=nlos,
+        sync_overhead_fraction=draw(f(0.0, 0.99)),
+        iface_cap_bps=draw(f(1e3, 1e9)),
+        frame_payload_bytes=draw(st.integers(46, 1500)),
+        snr_offset_db=draw(f(-60.0, 60.0)),
+        agc_window_v=(window_low, window_low * draw(f(1.5, 10.0))),
+        interleaver_depth=draw(st.integers(1, 64)),
+        outer_words_per_frame=draw(st.integers(1, 16)),
+        sim_frames_per_second=draw(st.integers(1, 60)),
+    )
 
 
 class TestPresets:
@@ -40,8 +105,18 @@ class TestPresets:
         assert blue_nlos.nlos.unfolded.distance_m == 34.0
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError, match="unknown preset"):
+        known = ", ".join(SHIPPED)
+        with pytest.raises(ConfigError,
+                           match=f"unknown preset 'violet-1G' \\(known: {known}\\)"):
             load_preset("violet-1G")
+
+    def test_unknown_preset_cli_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plan", "--preset", "violet-1G"])
+        assert exit_info.value.code == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len([line for line in err_lines if "error:" in line]) == 1
+        assert "violet-1G" in err_lines[-1]
 
 
 class TestParsing:
@@ -104,31 +179,29 @@ class TestRoundtrip:
         spec = load_preset(preset)
         assert parse_scenario(render_scenario(spec)) == spec
 
-    def test_randomized_specs_roundtrip(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            overrides = (
-                f"[link]\n"
-                f"tx_power_w = {rng.uniform(0.5, 5.0)}\n"
-                f"budget_db = {rng.uniform(50.0, 120.0)}\n"
-                f"snr_offset_db = {rng.uniform(-40.0, 0.0)}\n"
-                f"[geometry]\n"
-                f"distance_m = {rng.uniform(1.0, 100.0)}\n"
-                f"pointing_offset_m = {rng.uniform(0.0, 0.2)}\n"
-                f"[fading]\n"
-                f"sigma_db = {rng.uniform(0.0, 2.0)}\n"
-            )
-            spec = parse_scenario(overrides, preset="blue-6M25")
-            assert parse_scenario(render_scenario(spec)) == spec
+    @given(config_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_randomized_specs_roundtrip(self, spec):
+        assert parse_scenario(render_scenario(spec)) == spec
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize("name", ["green-125M", "blue-6M25",
-                                      "blue-6M25-nlos"])
-    def test_config_files_match_presets(self, name):
-        import pathlib
-        path = pathlib.Path(__file__).parent.parent / "configs" / f"{name}.cfg"
-        spec = parse_scenario(path.read_text())
+    def test_cli_preset_choices_are_the_shipped_files(self):
+        assert SHIPPED == ["blue-6M25", "blue-6M25-nlos", "green-125M"]
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        choices = {
+            command: list(action.choices)
+            for command, sub in commands.choices.items()
+            for action in sub._actions if "--preset" in action.option_strings
+        }
+        assert choices == dict.fromkeys(
+            ["plan", "simulate", "monitor", "calibrate"], SHIPPED)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_parses_without_overlay(self, name):
+        spec = parse_scenario((PRESET_DIR / f"{name}.cfg").read_text())
+        assert spec.name == name
         assert spec == load_preset(name)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -132,6 +133,13 @@ class TestInjectErrors:
         assert report.post_fec_bit_errors > 0
         assert report.decode_failures > 0
         assert report.packet_loss_count > 0
+        # 50 frames at 6 per second: the last of the 9 seconds holds 2 frames
+        fps = green.sim_frames_per_second
+        assert report.frames_sent % fps != 0
+        assert len(report.beps_series) == math.ceil(report.frames_sent / fps)
+        assert report.duration_s == len(report.loss_series) == len(report.beps_series)
+        assert sum(report.beps_series) == report.pre_fec_bit_errors
+        assert sum(report.loss_series) == report.packet_loss_count
 
     def test_target_rate_reproduced(self, green):
         report = inject_errors_run(green, 1e-3, 100 * 16320, seed=3)
