@@ -15,7 +15,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -36,6 +36,12 @@ from .modem import DetectionParams, ModulationScheme
 ETHERNET_OVERHEAD_BYTES = 38
 MIN_PAYLOAD_BYTES = 46
 MAX_PAYLOAD_BYTES = 1500
+
+
+@lru_cache(maxsize=32)
+def _codec(interleaver_depth: int, outer_words_per_frame: int) -> ConcatCodecSpec:
+    return ConcatCodecSpec(interleaver_depth=interleaver_depth,
+                           outer_words_per_frame=outer_words_per_frame)
 
 
 @dataclass(frozen=True)
@@ -82,10 +88,7 @@ class LinkSpec:
 
     @property
     def codec(self) -> ConcatCodecSpec:
-        return ConcatCodecSpec(
-            interleaver_depth=self.interleaver_depth,
-            outer_words_per_frame=self.outer_words_per_frame,
-        )
+        return _codec(self.interleaver_depth, self.outer_words_per_frame)
 
     def fingerprint(self) -> str:
         """Stable short hash of the full configuration."""

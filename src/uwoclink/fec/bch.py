@@ -80,14 +80,14 @@ class BchCodeSpec:
         degrees = n - 1 - np.arange(self.k)
         self._parity_matrix = mods[degrees]
 
-        # Syndrome table: row j-1, column i holds alpha^(j * deg(i)).
+        # Syndrome table over the parity positions only (see syndromes):
+        # row j-1, column i holds alpha^(j * deg), deg = r-1-i of parity bit i.
         order = self.field.order
         exp_np = self.field.exp_np
-        degs = (n - 1 - np.arange(n, dtype=np.int64)) % order
-        twot = 2 * self.t
-        self._syndrome_table = np.empty((twot, n), dtype=np.int64)
-        for j in range(1, twot + 1):
-            self._syndrome_table[j - 1] = exp_np[(j * degs) % order]
+        degs = np.arange(r - 1, -1, -1, dtype=np.int64)
+        self._syndrome_table = np.stack(
+            [exp_np[(j * degs) % order] for j in range(1, 2 * self.t + 1)]
+        )
 
         # Chien search support: for candidate error degree d, x = alpha^-d
         # and x^j = alpha^(j * (order - d)); precompute j*(order-d) mod order.
@@ -97,21 +97,35 @@ class BchCodeSpec:
 
     # --- encoding -----------------------------------------------------
 
+    def _parity(self, msg: np.ndarray) -> np.ndarray:
+        return (np.asarray(msg, dtype=np.float32) @ self._parity_matrix) % 2.0
+
     def encode(self, message_bits: np.ndarray) -> np.ndarray:
-        """Systematic codeword: message followed by n-k parity bits."""
+        """Systematic codeword: message followed by n-k parity bits.
+
+        A 2-D array is encoded row by row in one matmul, one message per row.
+        """
         msg = np.asarray(message_bits, dtype=np.uint8)
-        if msg.shape != (self.k,):
-            raise ValueError(f"message must be {self.k} bits, got {msg.shape}")
-        parity = (msg.astype(np.float32) @ self._parity_matrix) % 2.0
-        return np.concatenate([msg, parity.astype(np.uint8)])
+        if msg.ndim not in (1, 2) or msg.shape[-1] != self.k:
+            raise ValueError(
+                f"message must be {self.k} bits (or rows of them), got {msg.shape}"
+            )
+        parity = self._parity(msg).astype(np.uint8)
+        return np.concatenate([msg, parity], axis=-1)
 
     # --- decoding -----------------------------------------------------
 
     def syndromes(self, word: np.ndarray) -> np.ndarray:
-        ones = np.nonzero(word)[0]
-        if len(ones) == 0:
+        """S_1 .. S_2t of the received word.
+
+        Re-encoding the received message gives a codeword, and syndromes are
+        linear, so the word's syndromes are those of its difference from
+        that codeword: the parity bits that disagree. A clean word has none.
+        """
+        wrong = np.flatnonzero(self._parity(word[: self.k]) != word[self.k:])
+        if len(wrong) == 0:
             return np.zeros(2 * self.t, dtype=np.int64)
-        return np.bitwise_xor.reduce(self._syndrome_table[:, ones], axis=1)
+        return np.bitwise_xor.reduce(self._syndrome_table[:, wrong], axis=1)
 
     def _berlekamp_massey(self, synd: np.ndarray) -> tuple[list[int], int]:
         exp, log, order = self.field.exp, self.field.log, self.field.order

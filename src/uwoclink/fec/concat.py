@@ -24,19 +24,23 @@ DEFAULT_INTERLEAVER_DEPTH = 8
 DEFAULT_OUTER_WORDS_PER_FRAME = 4
 
 
+@lru_cache(maxsize=64)
 def interleave_indices(length: int, depth: int) -> np.ndarray:
     """Permutation for a row-major-write / column-major-read block interleaver.
 
     ``out[j] = data[perm[j]]``. Handles lengths that are not a multiple of
     ``depth`` by skipping the vacant tail cells, so the permutation is a
-    bijection for every length.
+    bijection for every length. The array is cached per (length, depth) and
+    read-only.
     """
     if depth < 1:
         raise ValueError("interleaver depth must be >= 1")
     width = -(-length // depth)
     idx = np.arange(depth * width, dtype=np.int64).reshape(depth, width)
     flat = idx.T.ravel()  # column-major read of row-major indices
-    return flat[flat < length]
+    perm = flat[flat < length]
+    perm.flags.writeable = False
+    return perm
 
 
 def interleave(bits: np.ndarray, depth: int) -> np.ndarray:
@@ -92,13 +96,13 @@ class ConcatCodecSpec:
                 f"payload must be {self.frame_payload_bits} bits, got {payload.shape}"
             )
         words = payload.reshape(self.outer_words_per_frame, self.outer.k)
-        stream = np.concatenate([self.outer.encode(w) for w in words])
+        stream = self.outer.encode(words).ravel()
         if self.tail_pad_bits:
             stream = np.concatenate(
                 [stream, np.zeros(self.tail_pad_bits, dtype=np.uint8)]
             )
         chunks = stream.reshape(self.inner_words_per_frame, self.inner.k)
-        frame = np.concatenate([self.inner.encode(c) for c in chunks])
+        frame = self.inner.encode(chunks).ravel()
         return interleave(frame, self.interleaver_depth)
 
     def decode(self, frame_bits: np.ndarray) -> DecodeOutcome:

@@ -8,10 +8,12 @@ sigma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import norm
 
 OOK = "ook"
@@ -111,14 +113,25 @@ def qfunc(x: float) -> float:
 def ppm4_symbol_error_rate(snr_amplitude: float) -> float:
     """Order-statistics SER: pulse slot vs three noise-only slots.
 
-    P(correct) = E_u[ Phi(u + snr)^3 ] with u the pulse slot's noise.
+    P(correct) = E_u[ Phi(u + snr)^3 ] with u the pulse slot's noise. The
+    error probability is integrated directly, as
+    E_u[ Q(u + snr) (1 + Phi + Phi^2) ], since 1 - P(correct) cancels to 0
+    in the far tail. The integrand peaks near u = -snr/2, so the window
+    follows it.
     """
     if snr_amplitude < 0:
         raise ValueError("snr must be >= 0")
-    p_correct, _ = integrate.quad(
-        lambda u: norm.pdf(u) * norm.cdf(u + snr_amplitude) ** 3, -12.0, 12.0
-    )
-    return min(1.0, max(0.0, 1.0 - p_correct))
+    s = snr_amplitude
+
+    def integrand(u: float) -> float:
+        cdf = ndtr(u + s)
+        pdf = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        return pdf * ndtr(-u - s) * (1.0 + cdf + cdf * cdf)
+
+    centre = -s / 2.0
+    p_error, _ = integrate.quad(integrand, centre - 12.0, centre + 12.0,
+                                points=[centre], epsabs=0.0, epsrel=1e-10)
+    return min(1.0, p_error)
 
 
 def theoretical_ber(kind: str, snr_amplitude: float) -> float:

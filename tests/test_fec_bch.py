@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwoclink.fec import STATUS_FAILURE, STATUS_OK, BchCodeSpec, generator_polynomial
 
@@ -12,6 +14,23 @@ def bits_to_poly(bits):
     for b in bits:
         value = (value << 1) | int(b)
     return value
+
+
+def reference_syndromes(code, word):
+    """Oracle: S_j = XOR over the 1-bits i of alpha^(j * (n-1-i)), j = 1..2t."""
+    order = code.field.order
+    degrees = code.n - 1 - np.nonzero(word)[0]
+    return np.array([
+        np.bitwise_xor.reduce(code.field.exp_np[(j * degrees) % order], initial=0)
+        for j in range(1, 2 * code.t + 1)
+    ])
+
+
+def named_code(request, codec, name):
+    """The production codec's ``inner``/``outer`` code, or a code fixture."""
+    if name in ("inner", "outer"):
+        return getattr(codec, name)
+    return request.getfixturevalue(name)
 
 
 def poly_long_division(dividend, divisor):
@@ -91,6 +110,38 @@ class TestEncode:
             assert not code.syndromes(code.encode(msg)).any()
 
 
+class TestSyndromes:
+    @pytest.mark.parametrize("name", ["bch15_7", "bch15_5", "inner", "outer"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_syndromes_match_reference_gather(self, request, codec, name, data):
+        # words with 0 .. 2t+2 flips: clean, correctable and beyond t
+        code = named_code(request, codec, name)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        flips = data.draw(st.integers(0, 2 * code.t + 2))
+        word = code.encode(rng.integers(0, 2, code.k).astype(np.uint8))
+        word[rng.choice(code.n, flips, replace=False)] ^= 1
+        assert np.array_equal(code.syndromes(word), reference_syndromes(code, word))
+
+
+class TestBatchedEncode:
+    @pytest.mark.parametrize("name", ["bch15_7", "inner", "outer"])
+    @given(rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_rows_match_one_word_encode(self, request, codec, name, rows, seed):
+        code = named_code(request, codec, name)
+        msgs = np.random.default_rng(seed).integers(0, 2, (rows, code.k)).astype(np.uint8)
+        batch = code.encode(msgs)
+        assert batch.shape == (rows, code.n)
+        for msg, cw in zip(msgs, batch):
+            assert np.array_equal(cw, code.encode(msg))
+
+    @pytest.mark.parametrize("shape", [(3, 8), (3, 6), (2, 3, 7), ()])
+    def test_wrong_shapes_rejected(self, bch15_7, shape):
+        with pytest.raises(ValueError):
+            bch15_7.encode(np.zeros(shape, dtype=np.uint8))
+
+
 class TestDecode:
     def test_clean_word(self, bch15_7):
         rng = np.random.default_rng(4)
@@ -150,6 +201,27 @@ class TestDecode:
                 outcomes["miscorrect"] += 1
                 assert out.corrected_count > 0
         assert outcomes["failure"] + outcomes["miscorrect"] > 0
+
+    @pytest.mark.parametrize("n_err", [4, 5, 6, 7])
+    def test_outer_beyond_t_miscorrects_but_never_passes_clean(self, codec, n_err):
+        # t+1 .. 2t+1 flips on the t = 3 outer code: each word is flagged, or
+        # decoded to a wrong payload with 1 .. t corrections; never returned
+        # as the sent payload, and miscorrections do occur
+        code = codec.outer
+        rng = np.random.default_rng(1000 + n_err)
+        miscorrections = 0
+        for _ in range(100):
+            msg = rng.integers(0, 2, code.k).astype(np.uint8)
+            rx = code.encode(msg)
+            rx[rng.choice(code.n, n_err, replace=False)] ^= 1
+            out = code.decode(rx)
+            if out.status == STATUS_FAILURE:
+                continue
+            assert out.status == STATUS_OK
+            assert not np.array_equal(out.message_bits, msg)
+            assert 1 <= out.corrected_count <= code.t
+            miscorrections += 1
+        assert miscorrections >= 1
 
     def test_wrong_length_rejected(self, bch15_7):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from uwoclink.fec import (
     code_rate,
     deinterleave,
     interleave,
+    interleave_indices,
 )
 
 
@@ -43,6 +46,23 @@ class TestInterleaver:
     def test_depth_one_is_identity(self):
         data = np.arange(37)
         assert np.array_equal(interleave(data, 1), data)
+
+    def test_indices_are_read_only(self):
+        perm = interleave_indices(16320, 8)
+        with pytest.raises(ValueError):
+            perm[0] = 1
+        assert perm[0] == 0
+
+
+class TestCodecCache:
+    def test_spec_codec_is_shared(self, green):
+        assert green.codec is green.codec
+
+    def test_other_depth_gets_other_codec(self, green):
+        other = dataclasses.replace(green, interleaver_depth=4)
+        assert other.codec is not green.codec
+        assert other.codec.interleaver_depth == 4
+        assert green.codec.interleaver_depth == 8
 
 
 class TestFraming:

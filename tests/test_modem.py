@@ -19,6 +19,7 @@ from uwoclink.modem import (
     ppm4_demodulate,
     ppm4_modulate,
     ppm4_symbol_error_rate,
+    qfunc,
     slot_rate_for,
     theoretical_ber,
 )
@@ -118,6 +119,17 @@ class TestTheory:
 
     def test_ppm4_symbol_rate_at_zero(self):
         assert ppm4_symbol_error_rate(0.0) == pytest.approx(0.75, abs=1e-9)
+
+    @pytest.mark.parametrize("snr", np.linspace(10.0, 30.0, 11))
+    def test_ppm4_tail_matches_union_bound(self, snr):
+        # pairwise errors dominate in the tail: SER -> 3 Q(snr / sqrt 2)
+        union = 3.0 * qfunc(snr / math.sqrt(2.0))
+        assert abs(ppm4_symbol_error_rate(snr) / union - 1.0) < 0.01
+
+    def test_ppm4_positive_and_decreasing_to_snr_30(self):
+        values = [ppm4_symbol_error_rate(s) for s in np.linspace(0.0, 30.0, 121)]
+        assert all(v > 0 for v in values)
+        assert all(b < a for a, b in zip(values, values[1:]))
 
 
 class TestMonteCarlo:
