@@ -9,6 +9,7 @@ measured amplitude sits inside the target window.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,6 +146,11 @@ def fit_calibration(samples, chain: ReceiverChain) -> CalibrationMap:
     deficient and rejected.
     """
     rows = [tuple(map(float, s)) for s in samples]
+    fields = ("p_watts", "lc_volts", "gain", "measured_volts")
+    for index, row in enumerate(rows, start=1):
+        for field, value in zip(fields, row):
+            if not math.isfinite(value):
+                raise CalibrationError(f"sample {index}: {field} is {value}, not finite")
     if len(rows) < 8:
         raise CalibrationError(f"need at least 8 samples, got {len(rows)}")
     if any(p <= 0 or g <= 0 or v_meas <= 0 for p, _, g, v_meas in rows):
@@ -165,6 +171,10 @@ def fit_calibration(samples, chain: ReceiverChain) -> CalibrationMap:
     y = np.array([_db(vm) - _db(p) - _db(g) for p, _, g, vm in rows])
     design = np.column_stack([np.ones(len(rows)), -shape])
     theta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    if theta[0] >= 10.0 * math.log10(sys.float_info.max):
+        raise CalibrationError(
+            f"fitted responsivity {theta[0]:.1f} dB overflows a float in V/W"
+        )
     resid = y - design @ theta
     return CalibrationMap(
         chain=chain,

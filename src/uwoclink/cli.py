@@ -182,16 +182,19 @@ def _bits_to_hex(bits: np.ndarray) -> str:
     return "".join(f"{v:x}" for v in values)
 
 
+# ASCII only: int(c, 16) also reads other scripts' digits, such as '٣' or '１'.
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def _hex_to_bits(text: str, n_bits: int) -> np.ndarray:
     expected = -(-n_bits // 4)
     if len(text) != expected:
         raise ConfigError(
             f"expected {expected} hex digits for {n_bits} bits, got {len(text)}"
         )
-    try:
-        values = [int(c, 16) for c in text]
-    except ValueError:
-        raise ConfigError(f"invalid hex block {text!r}") from None
+    if not set(text) <= _HEX_DIGITS:
+        raise ConfigError(f"invalid hex block {text!r}")
+    values = [int(c, 16) for c in text]
     bits = np.zeros(expected * 4, dtype=np.uint8)
     for i, v in enumerate(values):
         bits[4 * i:4 * i + 4] = [(v >> 3) & 1, (v >> 2) & 1, (v >> 1) & 1, v & 1]

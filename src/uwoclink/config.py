@@ -10,6 +10,7 @@ exactly for any config-expressible spec.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from importlib import resources
 
@@ -131,6 +132,10 @@ def parse_mapping(text: str) -> dict:
             raise ConfigError(
                 f"line {lineno}: key '{key}' expects {kind}, got {value!r}"
             ) from None
+        if kind == _FLOAT and not math.isfinite(parsed):
+            raise ConfigError(
+                f"line {lineno}: key '{key}' expects a finite float, got {value!r}"
+            )
         mapping[section][key] = parsed
     return mapping
 

@@ -41,6 +41,14 @@ def generator_polynomial(field: FieldSpec, t: int) -> int:
     return g
 
 
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """0/1 bits along the last axis as uint64 words, MSB-first, zero-filled."""
+    n = bits.shape[-1]
+    packed = np.zeros(bits.shape[:-1] + (8 * -(-n // 64),), dtype=np.uint8)
+    packed[..., : -(-n // 8)] = np.packbits(bits, axis=-1)
+    return packed.view(np.uint64)
+
+
 class BchCodeSpec:
     """A (possibly shortened) t-error-correcting binary BCH code."""
 
@@ -66,19 +74,22 @@ class BchCodeSpec:
 
     def _build_tables(self):
         n, r, g = self.n, self.parity_bits, self.generator
-        # Parity contribution of message bit i is x^(n-1-i) mod g; float32
-        # rows keep the encode matmul in BLAS while sums stay exact.
-        mods = np.zeros((n, r), dtype=np.float32)
-        cur = (1 << r) ^ g  # x^r mod g
-        for d in range(r, n):
-            bits = [(cur >> (r - 1 - j)) & 1 for j in range(r)]
-            mods[d] = bits
+        # Column i of the parity-check matrix H = [P^T | I_r] is x^(n-1-i)
+        # mod g: the parity contribution of message bit i, and the unit
+        # vector of parity bit i - k. H.word is the word's parity disagreement.
+        width = -(-r // 8)
+        buf = bytearray()
+        cur = 1  # x^d mod g for d = 0 .. n-1, as big-endian bytes
+        for _ in range(n):
+            buf += cur.to_bytes(width, "big")
             cur <<= 1
-            if (cur >> r) & 1:
+            if cur >> r:
                 cur ^= g
-            cur &= (1 << r) - 1
-        degrees = n - 1 - np.arange(self.k)
-        self._parity_matrix = mods[degrees]
+        powers = np.frombuffer(buf, dtype=np.uint8).reshape(n, width)
+        check = np.unpackbits(powers, axis=1)[::-1, -r:].T  # r x n
+        # Bit-sliced: row c holds the r rows' bits 64c .. 64c+63 as packed
+        # by _pack_words, so a word's chunk c meets all r rows at once.
+        self._check_table = np.ascontiguousarray(_pack_words(check).T)
 
         # Syndrome table over the parity positions only (see syndromes):
         # row j-1, column i holds alpha^(j * deg), deg = r-1-i of parity bit i.
@@ -97,20 +108,27 @@ class BchCodeSpec:
 
     # --- encoding -----------------------------------------------------
 
-    def _parity(self, msg: np.ndarray) -> np.ndarray:
-        return (np.asarray(msg, dtype=np.float32) @ self._parity_matrix) % 2.0
+    def _parity_check(self, bits: np.ndarray) -> np.ndarray:
+        """H.bits over GF(2): r bits per word, for a word or rows of words.
+
+        Bits past the end of the input count as zero, so a message alone
+        gives its parity.
+        """
+        words = _pack_words(bits)
+        terms = words[..., None] & self._check_table[: words.shape[-1]]
+        return np.bitwise_count(np.bitwise_xor.reduce(terms, axis=-2)) & 1
 
     def encode(self, message_bits: np.ndarray) -> np.ndarray:
         """Systematic codeword: message followed by n-k parity bits.
 
-        A 2-D array is encoded row by row in one matmul, one message per row.
+        A 2-D array is encoded in one call, one message per row.
         """
         msg = np.asarray(message_bits, dtype=np.uint8)
         if msg.ndim not in (1, 2) or msg.shape[-1] != self.k:
             raise ValueError(
                 f"message must be {self.k} bits (or rows of them), got {msg.shape}"
             )
-        parity = self._parity(msg).astype(np.uint8)
+        parity = self._parity_check(msg)
         return np.concatenate([msg, parity], axis=-1)
 
     # --- decoding -----------------------------------------------------
@@ -120,9 +138,10 @@ class BchCodeSpec:
 
         Re-encoding the received message gives a codeword, and syndromes are
         linear, so the word's syndromes are those of its difference from
-        that codeword: the parity bits that disagree. A clean word has none.
+        that codeword: the parity bits that disagree, which H.word marks.
+        A clean word has none.
         """
-        wrong = np.flatnonzero(self._parity(word[: self.k]) != word[self.k:])
+        wrong = np.flatnonzero(self._parity_check(np.asarray(word, dtype=np.uint8)))
         if len(wrong) == 0:
             return np.zeros(2 * self.t, dtype=np.int64)
         return np.bitwise_xor.reduce(self._syndrome_table[:, wrong], axis=1)

@@ -134,6 +134,24 @@ class TestFit:
         with pytest.raises(CalibrationError):
             fit_calibration([(1e-4, 0.0, 1e3, 1.0)] * 4, CHAIN)
 
+    def test_responsivity_beyond_float_range_rejected(self):
+        # finite samples whose fit is 8000 dB (10^800 V/W), which no float holds
+        samples = [(p, v, g, 1e300) for p in (1e-300, 1e-200)
+                   for v in (0.0, 2.0) for g in (1e-300, 1e-200)]
+        with pytest.raises(CalibrationError, match="overflows a float in V/W"):
+            fit_calibration(samples, CHAIN)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("column, field", [
+        (0, "p_watts"), (1, "lc_volts"), (2, "gain"), (3, "measured_volts"),
+    ])
+    def test_non_finite_field_rejected(self, column, field, bad):
+        # one bad row among valid ones used to fit to NaN or stop in the SVD
+        samples = [list(row) for row in TestPredict._grid(None, 0.0)]
+        samples[6][column] = bad
+        with pytest.raises(CalibrationError, match=f"^sample 7: {field} is "):
+            fit_calibration(samples, CHAIN)
+
 
 class TestStep:
     def test_in_window_is_fixed_point(self):

@@ -1,8 +1,11 @@
 import argparse
+import contextlib
 import io
 import json
+import math
 import pathlib
 import string
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +18,10 @@ from uwoclink.agc import ReceiverChain
 from uwoclink.channel import FadingSpec, LinkGeometry, NlosPath, WaterOptics
 from uwoclink.cli import _bits_to_hex, _hex_to_bits, build_parser, main, render_report
 from uwoclink.config import (
+    SCHEMA,
     ConfigError,
     load_preset,
+    parse_mapping,
     parse_scenario,
     render_scenario,
 )
@@ -26,6 +31,13 @@ from uwoclink.modem import OOK, PPM4, ModulationScheme
 
 PRESET_DIR = pathlib.Path(uwoclink.__file__).parent / "presets"
 SHIPPED = sorted(path.stem for path in PRESET_DIR.glob("*.cfg"))
+FLOAT_KEYS = [(section, key) for section, keys in SCHEMA.items()
+              for key, kind in keys.items() if kind == "float"]
+NON_FINITE = ["nan", "NaN", "inf", "-inf", "+Infinity", "1e999"]
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
 
 
 @st.composite
@@ -165,6 +177,46 @@ class TestParsing:
     def test_invariant_violation_surfaces_as_config_error(self):
         with pytest.raises(ConfigError):
             parse_scenario("[link]\nbudget_db = -5\n", preset="green-125M")
+
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, section, key):
+        for value in NON_FINITE:
+            text = f"[{section}]\n{key} = {value}\n"
+            message = f"line 2: key '{key}' expects a finite float, got '{value}'"
+            with pytest.raises(ConfigError) as err:
+                parse_mapping(text)
+            assert str(err.value) == message
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_parses_or_raises_config_error(self, data):
+        # assignments to one section's own keys reach the value parsing;
+        # other headers and free text, put in anywhere, reach the rest
+        section = data.draw(st.sampled_from(list(SCHEMA)))
+        keys = data.draw(st.lists(st.sampled_from(list(SCHEMA[section])),
+                                  unique=True, max_size=5))
+        value = st.one_of(st.text(max_size=12), st.sampled_from(
+            NON_FINITE + ["1", "-2.5e3", "0x10", "1_000", "\u0661\u0662"]))
+        lines = [f"{key}{data.draw(st.sampled_from([' = ', '=']))}{data.draw(value)}"
+                 for key in keys]
+        noise = st.one_of(
+            st.text(max_size=20),
+            st.sampled_from([*SCHEMA, "reactor", ""]).map(lambda sec: f"[{sec}]"),
+        )
+        for extra in data.draw(st.lists(noise, max_size=2)):
+            lines.insert(data.draw(st.integers(0, len(lines))), extra)
+        if data.draw(st.booleans()):
+            lines.insert(0, f"[{section}]")
+        text = "\n".join(lines)
+        try:
+            mapping = parse_mapping(text)
+        except ConfigError:
+            return
+        for sec, values in mapping.items():
+            for key, parsed in values.items():
+                kind = SCHEMA[sec][key]
+                assert type(parsed).__name__ == kind
+                assert kind != "float" or math.isfinite(parsed)
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\n[geometry]\n# inline note\ndistance_m = 42.0\n"
@@ -320,6 +372,64 @@ class TestCliCommands:
         assert payload["n_samples"] == 12
         assert payload["samples_hash"]
 
+    @pytest.mark.parametrize("section, key, command", [
+        ("link", "budget_db", ["simulate", "--duration-s", "2"]),
+        ("geometry", "distance_m", ["simulate", "--duration-s", "2"]),
+        ("link", "budget_db", ["plan"]),
+        ("water", "c_per_m", ["plan"]),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_config_exit_2(self, tmp_path, capsys, section, key, command,
+                                      value):
+        # nan used to run to exit 0 (pre_fec_ber 0.4995), inf to a math error
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            f"error: line 2: key '{key}' expects a finite float, got '{value}'"
+        ]
+
+    @pytest.mark.parametrize("row", [
+        "nan 1 1 1", "1e-4 2.0 1e3 inf", "1e-6 nan 1e5 1", "1e-5 0 -inf 0.5",
+    ])
+    def test_calibrate_non_finite_exit_2(self, tmp_path, capsys, row):
+        valid = pathlib.Path(__file__).parent.parent / "configs" / "calibration-example.txt"
+        lines = valid.read_text().splitlines()
+        samples = tmp_path / "cal.txt"
+        samples.write_text("\n".join([*lines[:4], row, *lines[4:]]) + "\n")
+        assert main(["calibrate", "--samples", str(samples)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(error_lines(captured.err)) == 1
+        assert "error: sample 4: " in captured.err
+        assert "not finite" in captured.err
+
+    @given(rows=st.lists(st.lists(st.one_of(
+        st.sampled_from(["1e-5", "1e-4", "0", "2.0", "4.0", "1e3", "1e5", "0.5", "-1",
+                         "nan", "inf", "1e308", "1e-308", "x", "#"]),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.text(max_size=6),
+    ), min_size=3, max_size=5).map(" ".join), max_size=14))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzz_calibrate_reports_or_exits_2(self, rows):
+        # any samples file gives strict JSON with exit 0, or exit 2 with one
+        # error line; never a traceback
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            samples = pathlib.Path(tmp) / "cal.txt"
+            samples.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["calibrate", "--samples", str(samples)])
+        if code == 0:
+            payload = json.loads(out.getvalue(), parse_constant=pytest.fail)
+            assert payload["n_samples"] >= 8
+        else:
+            assert code == 2
+            assert out.getvalue() == ""
+            assert len(error_lines(err.getvalue())) == 1
+
     def test_calibrate_degenerate_exit_2(self, tmp_path, capsys):
         samples = tmp_path / "cal.txt"
         samples.write_text("\n".join(["1e-4 2.0 1e3 1.0"] * 10) + "\n")
@@ -339,6 +449,35 @@ class TestFecCli:
             _hex_to_bits("zz", 8)
         with pytest.raises(ConfigError):
             _hex_to_bits("ff", 7)  # nonzero pad bit
+
+    @pytest.mark.parametrize("text", ["\u0663f", "\uff11f", "f\uff41", " f", "+f", "_f"])
+    def test_non_ascii_hex_digits_rejected(self, text):
+        # int(c, 16) reads Arabic-Indic and full-width digits as hex digits
+        with pytest.raises(ConfigError, match="invalid hex block"):
+            _hex_to_bits(text, 8)
+
+    @given(text=st.one_of(st.text(max_size=12),
+                          st.text(alphabet="0123456789abcdefABCDEF\u0663\uff11g ",
+                                  max_size=12)),
+           slack=st.integers(-4, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_hex_roundtrips_or_raises_config_error(self, text, slack):
+        n_bits = max(0, 4 * len(text) + slack)
+        try:
+            bits = _hex_to_bits(text, n_bits)
+        except ConfigError:
+            return
+        assert bits.shape == (n_bits,)
+        assert _bits_to_hex(bits) == text.lower()
+
+    def test_non_ascii_hex_cli_exit_2(self, monkeypatch, capsys):
+        block = "\u0663" * 965  # 3860 bits, one outer word
+        monkeypatch.setattr("sys.stdin", io.StringIO(block + "\n"))
+        assert main(["fec", "decode", "--code", "outer"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(error_lines(captured.err)) == 1
+        assert "invalid hex block" in captured.err
 
     def test_encode_decode_pipeline(self, monkeypatch, capsys):
         codec = default_codec()

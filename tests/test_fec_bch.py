@@ -41,6 +41,18 @@ def poly_long_division(dividend, divisor):
     return dividend
 
 
+CODE_NAMES = st.sampled_from(["bch15_7", "bch15_5", "inner", "outer"])
+
+
+def assert_encodes_like_oracle(code, msgs):
+    """Each row's codeword is msg * x^r plus its remainder mod the generator."""
+    batch = code.encode(msgs)
+    assert batch.shape == msgs.shape[:-1] + (code.n,)
+    for msg, cw in zip(np.atleast_2d(msgs), np.atleast_2d(batch)):
+        shifted = bits_to_poly(msg) << code.parity_bits
+        assert bits_to_poly(cw) == shifted ^ poly_long_division(shifted, code.generator)
+
+
 class TestGeneratorPolynomials:
     def test_bch15_7_generator(self, gf16):
         # m1(x) * m3(x) = x^8 + x^7 + x^6 + x^4 + 1
@@ -81,13 +93,31 @@ class TestEncode:
         cw = bch15_7.encode(msg)
         assert np.array_equal(cw[:7], msg)
 
-    def test_against_long_division_oracle(self, bch15_7):
-        # message 1000000: parity must equal msg * x^8 mod g
-        msg = np.array([1, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
-        cw = bch15_7.encode(msg)
-        shifted = bits_to_poly(msg) << 8
-        remainder = poly_long_division(shifted, 0b111010001)
-        assert bits_to_poly(cw) == shifted ^ remainder
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_against_long_division_oracle(self, request, codec, data):
+        # one message or rows of them; parity must equal msg * x^r mod g
+        code = named_code(request, codec, data.draw(CODE_NAMES))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = data.draw(st.sampled_from([(code.k,), (1, code.k), (5, code.k)]))
+        msgs = rng.integers(0, 2, shape).astype(np.uint8)
+        assert_encodes_like_oracle(code, msgs)
+
+    @pytest.mark.parametrize("name", ["bch15_7", "bch15_5", "inner", "outer"])
+    @pytest.mark.parametrize("pattern", ["zeros", "ones", "first", "last"])
+    def test_edge_messages_against_oracle(self, request, codec, name, pattern):
+        # k = 1930 and 3824 are not multiples of 64: the last message bit
+        # sits in a partial byte of a partial packed word
+        code = named_code(request, codec, name)
+        msg = np.zeros(code.k, dtype=np.uint8)
+        if pattern == "ones":
+            msg[:] = 1
+        elif pattern == "first":
+            msg[0] = 1
+        elif pattern == "last":
+            msg[-1] = 1
+        assert_encodes_like_oracle(code, msg)
+        assert_encodes_like_oracle(code, np.stack([msg, 1 - msg, msg]))
 
     def test_every_codeword_divisible_by_generator(self, bch15_7):
         rng = np.random.default_rng(1)
