@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agc import CalibrationError, ReceiverChain, fit_calibration
-from .config import ConfigError, load_preset, parse_scenario, preset_names
+from .config import ConfigError, load_preset, parse_number, parse_scenario, preset_names
 from .engine import LinkSpec, SimReport, inject_errors_run, long_term_monitor, run_scenario
 from .fec import STATUS_OK, default_codec
 from .planner import (
@@ -248,7 +248,7 @@ def _cmd_calibrate(args, manifest: RunManifest) -> int:
                     f"(P_watts lc_volts gain measured_volts), got {len(parts)}"
                 )
             try:
-                rows.append(tuple(float(p) for p in parts))
+                rows.append(tuple(parse_number(p) for p in parts))
             except ValueError:
                 raise ConfigError(
                     f"{args.samples}:{lineno}: non-numeric field in {line!r}"

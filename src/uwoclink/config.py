@@ -91,6 +91,19 @@ _REQUIRED = (
     ("geometry", "rx_aperture_m"),
 )
 
+
+def parse_number(text: str, convert=float):
+    """``convert(text)`` for plain ASCII numbers only.
+
+    ``float()`` and ``int()`` also read other scripts' digits ('\u0661\u0662'
+    is 12) and underscore digit separators ('1_0' is 10); both raise
+    ``ValueError`` here.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return convert(text)
+
+
 def parse_mapping(text: str) -> dict:
     """Parse sectioned key-value text into {section: {key: value}}."""
     mapping: dict[str, dict] = {}
@@ -123,9 +136,9 @@ def parse_mapping(text: str) -> dict:
         kind = SCHEMA[section][key]
         try:
             if kind == _FLOAT:
-                parsed = float(value)
+                parsed = parse_number(value, float)
             elif kind == _INT:
-                parsed = int(value)
+                parsed = parse_number(value, int)
             else:
                 parsed = value
         except ValueError:

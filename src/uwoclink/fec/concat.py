@@ -108,52 +108,47 @@ class ConcatCodecSpec:
     def decode(self, frame_bits: np.ndarray) -> DecodeOutcome:
         """Inner decode, reassemble, outer decode; failures pass bits through.
 
-        An outer word fed by a failed inner word is not trusted to the outer
-        corrector (its error count is far beyond t); its received message
-        bits pass through and the frame is flagged.
+        One syndrome call per code screens every word of the frame; only
+        words with a nonzero syndrome go to the corrector. An outer word fed
+        by a failed inner word is not trusted to the outer corrector (its
+        error count is far beyond t); its received message bits pass through
+        and the frame is flagged.
         """
         frame = np.asarray(frame_bits, dtype=np.uint8)
         if frame.shape != (self.frame_bits,):
             raise ValueError(
                 f"frame must be {self.frame_bits} bits, got {frame.shape}"
             )
+        inner, outer = self.inner, self.outer
         raw = deinterleave(frame, self.interleaver_depth)
-        inner_words = raw.reshape(self.inner_words_per_frame, self.inner.n)
+        inner_words = raw.reshape(self.inner_words_per_frame, inner.n)
 
         corrected = 0
-        any_failure = False
-        payload_chunks = []
-        inner_failed = []
-        for word in inner_words:
-            outcome = self.inner.decode(word)
+        chunks = inner_words[:, : inner.k].copy()
+        inner_failed = np.zeros(self.inner_words_per_frame, dtype=bool)
+        for i in np.flatnonzero(inner.syndromes(inner_words).any(axis=1)):
+            outcome = inner.decode(inner_words[i])
             corrected += outcome.corrected_count
-            inner_failed.append(not outcome.ok)
-            any_failure |= not outcome.ok
-            payload_chunks.append(outcome.message_bits)
-        stream = np.concatenate(payload_chunks)
+            inner_failed[i] = not outcome.ok
+            chunks[i] = outcome.message_bits
+        any_failure = bool(inner_failed.any())
+        stream = chunks.ravel()
         if self.tail_pad_bits:
             stream = stream[: -self.tail_pad_bits]
 
-        inner_k = self.inner.k
-        messages = []
-        for w in range(self.outer_words_per_frame):
-            start = w * self.outer.n
-            stop = start + self.outer.n
-            word = stream[start:stop]
-            tainted = any(
-                inner_failed[i] for i in range(start // inner_k,
-                                               (stop - 1) // inner_k + 1)
-            )
-            if tainted:
-                messages.append(word[: self.outer.k].copy())
-                continue
-            outcome = self.outer.decode(word)
+        outer_words = stream.reshape(self.outer_words_per_frame, outer.n)
+        payload = outer_words[:, : outer.k].copy()
+        for w in np.flatnonzero(outer.syndromes(outer_words).any(axis=1)):
+            start = w * outer.n
+            stop = start + outer.n
+            if inner_failed[start // inner.k:(stop - 1) // inner.k + 1].any():
+                continue  # tainted: received message bits pass through
+            outcome = outer.decode(outer_words[w])
             corrected += outcome.corrected_count
             any_failure |= not outcome.ok
-            messages.append(outcome.message_bits)
-        payload = np.concatenate(messages)
+            payload[w] = outcome.message_bits
         status = STATUS_FAILURE if any_failure else STATUS_OK
-        return DecodeOutcome(payload, corrected, status)
+        return DecodeOutcome(payload.ravel(), corrected, status)
 
 
 def code_rate(codec: ConcatCodecSpec | None) -> float:

@@ -34,6 +34,9 @@ SHIPPED = sorted(path.stem for path in PRESET_DIR.glob("*.cfg"))
 FLOAT_KEYS = [(section, key) for section, keys in SCHEMA.items()
               for key, kind in keys.items() if kind == "float"]
 NON_FINITE = ["nan", "NaN", "inf", "-inf", "+Infinity", "1e999"]
+# numbers float() or int() accept that a config must not: other scripts'
+# digits (Arabic-Indic, full-width) and underscore digit separators
+NOT_PLAIN_NUMBERS = ["\u0661\u0662", "\uff11\uff10", "1_000", "1_0", "\u0668"]
 
 
 def error_lines(err):
@@ -187,6 +190,20 @@ class TestParsing:
                 parse_mapping(text)
             assert str(err.value) == message
 
+    @pytest.mark.parametrize("value", NOT_PLAIN_NUMBERS)
+    @pytest.mark.parametrize("section, key, kind", [
+        ("geometry", "distance_m", "float"),
+        ("link", "budget_db", "float"),
+        ("codec", "interleaver_depth", "int"),
+        ("link", "sim_frames_per_second", "int"),
+    ])
+    def test_not_plain_number_rejected(self, section, key, kind, value):
+        # float() and int() read these as numbers
+        text = f"[{section}]\n{key} = {value}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_mapping(text)
+        assert str(err.value) == f"line 2: key '{key}' expects {kind}, got {value!r}"
+
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_fuzz_parses_or_raises_config_error(self, data):
@@ -196,9 +213,10 @@ class TestParsing:
         keys = data.draw(st.lists(st.sampled_from(list(SCHEMA[section])),
                                   unique=True, max_size=5))
         value = st.one_of(st.text(max_size=12), st.sampled_from(
-            NON_FINITE + ["1", "-2.5e3", "0x10", "1_000", "\u0661\u0662"]))
-        lines = [f"{key}{data.draw(st.sampled_from([' = ', '=']))}{data.draw(value)}"
-                 for key in keys]
+            NON_FINITE + ["1", "-2.5e3", "0x10", *NOT_PLAIN_NUMBERS]))
+        values = [data.draw(value) for _ in keys]
+        lines = [f"{key}{data.draw(st.sampled_from([' = ', '=']))}{text}"
+                 for key, text in zip(keys, values)]
         noise = st.one_of(
             st.text(max_size=20),
             st.sampled_from([*SCHEMA, "reactor", ""]).map(lambda sec: f"[{sec}]"),
@@ -212,11 +230,18 @@ class TestParsing:
             mapping = parse_mapping(text)
         except ConfigError:
             return
-        for sec, values in mapping.items():
-            for key, parsed in values.items():
+        for sec, parsed_values in mapping.items():
+            for key, parsed in parsed_values.items():
                 kind = SCHEMA[sec][key]
                 assert type(parsed).__name__ == kind
                 assert kind != "float" or math.isfinite(parsed)
+        # every assignment reached its numeric parse: each number was plain
+        # ASCII without digit separators (the rest of a value's text after
+        # a line break is a line of its own)
+        for key, text in zip(keys, values):
+            if SCHEMA[section][key] != "str":
+                number = (text.splitlines() or [""])[0].strip()
+                assert number.isascii() and "_" not in number
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\n[geometry]\n# inline note\ndistance_m = 42.0\n"
@@ -390,6 +415,40 @@ class TestCliCommands:
         assert error_lines(captured.err) == [
             f"error: line 2: key '{key}' expects a finite float, got '{value}'"
         ]
+
+    @pytest.mark.parametrize("section, key, kind, value, command", [
+        ("geometry", "distance_m", "float", "\u0661\u0662", ["plan"]),
+        ("geometry", "distance_m", "float", "1_0", ["simulate", "--duration-s", "2"]),
+        ("codec", "interleaver_depth", "int", "1_0", ["simulate", "--duration-s", "2"]),
+        ("codec", "interleaver_depth", "int", "\u0668", ["plan"]),
+    ])
+    def test_not_plain_number_config_exit_2(self, tmp_path, capsys, section, key,
+                                            kind, value, command):
+        # each used to parse: distance_m = 12.0, interleaver_depth = 10 or 8
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            f"error: line 2: key '{key}' expects {kind}, got {value!r}"
+        ]
+
+    @pytest.mark.parametrize("field", [0, 3])
+    @pytest.mark.parametrize("value", ["\u0661e-4", "1_000", "\uff12.0"])
+    def test_calibrate_not_plain_number_exit_2(self, tmp_path, capsys, field, value):
+        valid = pathlib.Path(__file__).parent.parent / "configs" / "calibration-example.txt"
+        lines = valid.read_text().splitlines()
+        parts = ["1e-4", "2.0", "1e3", "1.0"]
+        parts[field] = value
+        samples = tmp_path / "cal.txt"
+        samples.write_text("\n".join([*lines, " ".join(parts)]) + "\n",
+                           encoding="utf-8")
+        assert main(["calibrate", "--samples", str(samples)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(error_lines(captured.err)) == 1
+        assert f":{len(lines) + 1}: non-numeric field in" in captured.err
 
     @pytest.mark.parametrize("row", [
         "nan 1 1 1", "1e-4 2.0 1e3 inf", "1e-6 nan 1e5 1", "1e-5 0 -inf 0.5",

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,17 @@ class TestSyndromes:
         word[rng.choice(code.n, flips, replace=False)] ^= 1
         assert np.array_equal(code.syndromes(word), reference_syndromes(code, word))
 
+        # rows of words, clean and dirty mixed: each row as its 1-D reference
+        rows = code.encode(rng.integers(0, 2, (data.draw(st.integers(1, 6)), code.k))
+                           .astype(np.uint8))
+        for row in rows:
+            row[rng.choice(code.n, data.draw(st.integers(0, 2 * code.t + 2)),
+                           replace=False)] ^= 1
+        batch = code.syndromes(rows)
+        assert batch.shape == (len(rows), 2 * code.t)
+        for row, synd in zip(rows, batch):
+            assert np.array_equal(synd, reference_syndromes(code, row))
+
 
 class TestBatchedEncode:
     @pytest.mark.parametrize("name", ["bch15_7", "inner", "outer"])
@@ -170,6 +182,17 @@ class TestBatchedEncode:
     def test_wrong_shapes_rejected(self, bch15_7, shape):
         with pytest.raises(ValueError):
             bch15_7.encode(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(14,), (16,), (3, 14), (2, 3, 15), ()])
+    def test_syndromes_wrong_shapes_rejected(self, bch15_7, shape):
+        with pytest.raises(ValueError, match=rf"15 bits .*got {re.escape(str(shape))}"):
+            bch15_7.syndromes(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("n", [2039, 2041, 2100])
+    def test_inner_syndromes_wrong_length_rejected(self, codec, n):
+        # 2039 bits used to give wrong syndromes, 2100 a broadcast error
+        with pytest.raises(ValueError, match=rf"2040 bits .*got \({n},\)"):
+            codec.inner.syndromes(np.ones(n, dtype=np.uint8))
 
 
 class TestDecode:

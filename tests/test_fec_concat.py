@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,55 @@ def mini(gf16):
     inner = BchCodeSpec(15, 7, 2, gf16)
     return ConcatCodecSpec(outer=outer, inner=inner, interleaver_depth=3,
                            outer_words_per_frame=1)
+
+
+@pytest.fixture(scope="module")
+def small(gf16):
+    """Four 15-bit outer words over nine 7-bit inner payloads: outer words
+    straddle inner words, and t = 2 inner words miscorrect often enough to
+    hand the outer code errors to correct."""
+    return ConcatCodecSpec(outer=BchCodeSpec(15, 5, 3, gf16),
+                           inner=BchCodeSpec(15, 7, 2, gf16),
+                           interleaver_depth=3, outer_words_per_frame=4)
+
+
+def reference_decode(codec, frame):
+    """Oracle: every inner word through ``inner.decode``, outer words under a
+    failed inner word passed through, every other outer word through
+    ``outer.decode``. Also returns what happened, by kind."""
+    inner, outer = codec.inner, codec.outer
+    raw = deinterleave(frame, codec.interleaver_depth)
+    inner_outcomes = [inner.decode(word) for word in raw.reshape(-1, inner.n)]
+    stream = np.concatenate([o.message_bits for o in inner_outcomes])
+    corrected = sum(o.corrected_count for o in inner_outcomes)
+    ok = all(o.ok for o in inner_outcomes)
+    seen = Counter(inner_failed=sum(not o.ok for o in inner_outcomes))
+    messages = []
+    for w in range(codec.outer_words_per_frame):
+        start, stop = w * outer.n, (w + 1) * outer.n
+        word = stream[start:stop]
+        under = inner_outcomes[start // inner.k:(stop - 1) // inner.k + 1]
+        if not all(o.ok for o in under):
+            seen["outer_tainted"] += 1
+            messages.append(word[: outer.k])
+            continue
+        outcome = outer.decode(word)
+        corrected += outcome.corrected_count
+        ok &= outcome.ok
+        seen["outer_corrected"] += outcome.corrected_count > 0
+        messages.append(outcome.message_bits)
+    status = STATUS_OK if ok else STATUS_FAILURE
+    return np.concatenate(messages), corrected, status, seen
+
+
+def frame_with_inner_errors(codec, rng, errors_per_word):
+    """A random frame with the given number of flips in each inner word."""
+    payload = rng.integers(0, 2, codec.frame_payload_bits).astype(np.uint8)
+    raw = deinterleave(codec.encode(payload), codec.interleaver_depth)
+    words = raw.reshape(-1, codec.inner.n)
+    for word, n_err in zip(words, errors_per_word):
+        word[rng.choice(codec.inner.n, n_err, replace=False)] ^= 1
+    return interleave(raw, codec.interleaver_depth)
 
 
 class TestInterleaver:
@@ -183,3 +233,39 @@ class TestErrorHandling:
         rx[word_positions] ^= 1
         out = codec.decode(rx)
         assert out.status == STATUS_FAILURE
+
+
+class TestScreenedDecode:
+    @pytest.mark.parametrize("name", ["codec", "small"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_word_reference(self, request, name, data):
+        # 0 .. t+2 errors per inner word: clean, corrected and failed inner
+        # words, tainted outer words and outer corrections
+        codec = request.getfixturevalue(name)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        errors = data.draw(st.lists(st.integers(0, codec.inner.t + 2),
+                                    min_size=codec.inner_words_per_frame,
+                                    max_size=codec.inner_words_per_frame))
+        frame = frame_with_inner_errors(codec, rng, errors)
+        out = codec.decode(frame)
+        message, corrected, status, _ = reference_decode(codec, frame)
+        assert np.array_equal(out.message_bits, message)
+        assert out.corrected_count == corrected
+        assert out.status == status
+
+    def test_reference_draws_reach_every_case(self, small):
+        # the draws above do reach failed inner words, tainted outer words
+        # and outer corrections, and the decoder agrees on each frame
+        rng = np.random.default_rng(16)
+        seen = Counter()
+        for _ in range(200):
+            errors = rng.integers(0, small.inner.t + 3, small.inner_words_per_frame)
+            frame = frame_with_inner_errors(small, rng, errors)
+            message, corrected, status, kinds = reference_decode(small, frame)
+            out = small.decode(frame)
+            assert np.array_equal(out.message_bits, message)
+            assert (out.corrected_count, out.status) == (corrected, status)
+            seen += kinds
+        assert min(seen["inner_failed"], seen["outer_tainted"],
+                   seen["outer_corrected"]) > 0
