@@ -5,32 +5,9 @@ the PMT+LC gain-control loop, an end-to-end seeded link simulator, and a
 link-budget range planner, with presets for the deployed 30 m duplex pair.
 """
 
-from .agc import AgcState, CalibrationMap, ReceiverChain, agc_step, fit_calibration, predict_amplitude
-from .channel import (
-    FadingSpec,
-    LinkGeometry,
-    LossBreakdown,
-    NlosPath,
-    WaterOptics,
-    attenuation_db,
-    geometric_loss_db,
-    pointing_loss_db,
-    sample_fading_db,
-    spot_diameter_m,
-    total_loss_db,
-)
-from .config import ConfigError, load_preset, parse_scenario, render_scenario
-from .engine import (
-    LinkSpec,
-    SimReport,
-    goodput_bps,
-    goodput_for,
-    inject_errors_run,
-    long_term_monitor,
-    run_scenario,
-)
-from .fec import BchCodeSpec, ConcatCodecSpec, DecodeOutcome, FieldSpec, default_codec
-from .modem import ModulationScheme, SlotStream, slot_rate_for, theoretical_ber
-from .planner import RangeSolution, back_solve_k, distance_curve, link_margin_db, max_distance_m
+from .config import load_preset
+from .engine import inject_errors_run, run_scenario
+from .fec import BchCodeSpec, ConcatCodecSpec
+from .planner import back_solve_k, max_distance_m
 
 __version__ = "0.1.0"

@@ -113,29 +113,11 @@ class ReceiverChain:
 class CalibrationMap:
     """Fitted multiplicative model plus residual statistics (dB domain)."""
 
-    chain: ReceiverChain
     responsivity_db: float
     att_scale_db: float
     residual_rms_db: float
     residual_max_db: float
     n_samples: int
-
-    def attenuation_db_at(self, lc_voltage: float) -> float:
-        full = self.chain.max_attenuation_db()
-        if full <= 0:
-            return 0.0
-        shape = self.chain.attenuation_db_at(lc_voltage) / full
-        return self.att_scale_db * shape
-
-
-def predict_amplitude(cal: CalibrationMap, p_opt_w: float, lc_voltage: float,
-                      gain: float) -> float:
-    """Model amplitude in volts; linear in optical power at fixed actuators."""
-    if p_opt_w <= 0 or gain <= 0:
-        raise ValueError("optical power and gain must be > 0")
-    level = (cal.responsivity_db + _db(p_opt_w) + _db(gain)
-             - cal.attenuation_db_at(lc_voltage))
-    return 10.0 ** (level / 10.0)
 
 
 def fit_calibration(samples, chain: ReceiverChain) -> CalibrationMap:
@@ -177,11 +159,10 @@ def fit_calibration(samples, chain: ReceiverChain) -> CalibrationMap:
         )
     resid = y - design @ theta
     return CalibrationMap(
-        chain=chain,
         responsivity_db=float(theta[0]),
         att_scale_db=float(theta[1]),
         residual_rms_db=float(np.sqrt(np.mean(resid**2))),
-        residual_max_db=float(np.max(np.abs(resid))) if len(resid) else 0.0,
+        residual_max_db=float(np.max(np.abs(resid))),
         n_samples=len(rows),
     )
 
@@ -192,7 +173,6 @@ class AgcState:
     pmt_gain: float
     window_low_v: float
     window_high_v: float
-    last_measured_v: float | None = None
     saturated: bool = False
 
     def __post_init__(self):
@@ -207,8 +187,7 @@ class AgcState:
         return self.window_low_v <= measured_v <= self.window_high_v
 
 
-def agc_step(chain: ReceiverChain, state: AgcState, measured_v: float,
-             proportional_gain: float = 1.0) -> AgcState:
+def agc_step(chain: ReceiverChain, state: AgcState, measured_v: float) -> AgcState:
     """One control update toward the window center.
 
     Too hot: add LC attenuation first, shed PMT gain once the LC saturates.
@@ -220,10 +199,10 @@ def agc_step(chain: ReceiverChain, state: AgcState, measured_v: float,
     if measured_v <= 0:
         raise ValueError("measured_v must be > 0")
     if state.in_window(measured_v):
-        return replace(state, last_measured_v=measured_v, saturated=False)
+        return replace(state, saturated=False)
 
     g_min, g_max = chain.pmt_gain_range
-    err_db = proportional_gain * (_db(measured_v) - _db(state.window_center_v))
+    err_db = _db(measured_v) - _db(state.window_center_v)
     att = chain.attenuation_db_at(state.lc_voltage)
     gain_db = _db(state.pmt_gain)
 
@@ -255,6 +234,5 @@ def agc_step(chain: ReceiverChain, state: AgcState, measured_v: float,
         pmt_gain=gain_new,
         window_low_v=state.window_low_v,
         window_high_v=state.window_high_v,
-        last_measured_v=measured_v,
         saturated=leftover > 1e-9,
     )

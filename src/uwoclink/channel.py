@@ -118,7 +118,6 @@ class LossBreakdown:
     geometric_db: float
     pointing_db: float = 0.0
     nlos_excess_db: float = 0.0
-    fading_db: float = 0.0
     link_dark: bool = False
 
     @property
@@ -128,7 +127,6 @@ class LossBreakdown:
             + self.geometric_db
             + self.pointing_db
             + self.nlos_excess_db
-            + self.fading_db
         )
 
 
@@ -205,8 +203,7 @@ def pointing_loss_db(geometry: LinkGeometry) -> tuple[float, bool]:
 
 
 def total_loss_db(geometry: LinkGeometry, water: WaterOptics,
-                  nlos: NlosPath | None = None,
-                  fading_db: float = 0.0) -> LossBreakdown:
+                  nlos: NlosPath | None = None) -> LossBreakdown:
     """Component-wise link loss; the NLOS bounce replaces the direct path.
 
     For an NLOS link the light physically travels the unfolded path, so
@@ -228,7 +225,6 @@ def total_loss_db(geometry: LinkGeometry, water: WaterOptics,
         geometric_db=geo,
         pointing_db=point,
         nlos_excess_db=excess,
-        fading_db=fading_db,
         link_dark=dark,
     )
 

@@ -21,7 +21,7 @@ import numpy as np
 from .agc import CalibrationError, ReceiverChain, fit_calibration
 from .config import ConfigError, load_preset, parse_number, parse_scenario, preset_names
 from .engine import LinkSpec, SimReport, inject_errors_run, long_term_monitor, run_scenario
-from .fec import STATUS_OK, default_codec
+from .fec import STATUS_OK, codec_for
 from .planner import (
     WITH_GEOMETRY,
     WITHOUT_GEOMETRY,
@@ -73,17 +73,12 @@ def _emit(text: str, out_path: str | None):
             sys.stdout.write("\n")
 
 
-def render_report(report, output_format: str = "json") -> str:
-    """Deterministic serialization of a SimReport or RangeSolution."""
+def render_report(report: SimReport, output_format: str = "json") -> str:
+    """Deterministic serialization of a SimReport."""
     if output_format == "json":
         return json.dumps(report.to_dict(), indent=2)
     if output_format == "csv":
-        if isinstance(report, SimReport):
-            return beps_csv(report)
-        fields = report.to_dict()
-        header = ",".join(fields)
-        row = ",".join("" if v is None else str(v) for v in fields.values())
-        return f"{header}\n{row}\n"
+        return beps_csv(report)
     raise ConfigError(f"unknown format {output_format!r}")
 
 
@@ -95,8 +90,7 @@ def beps_csv(report: SimReport) -> str:
     margins = report.margin_trace_db
     for second, errors in enumerate(report.beps_series):
         margin = str(margins[second]) if second < len(margins) else ""
-        losses = report.loss_series[second] if second < len(report.loss_series) else 0
-        buf.write(f"{second},{errors},{margin},{losses}\n")
+        buf.write(f"{second},{errors},{margin},{report.loss_series[second]}\n")
     return buf.getvalue()
 
 
@@ -105,9 +99,9 @@ def curve_csv(spec: LinkSpec, rows, seed: int) -> str:
     buf.write(f"# name={spec.name} seed={seed} config_hash={spec.fingerprint()}\n")
     buf.write("z_m,loss_db_with_geometry,loss_db_without,budget_db\n")
     for row in rows:
-        cells = [row["z_m"], row.get("loss_db_with_geometry"),
-                 row.get("loss_db_without"), row["budget_db"]]
-        buf.write(",".join("" if c is None else str(c) for c in cells) + "\n")
+        cells = [row["z_m"], row["loss_db_with_geometry"],
+                 row["loss_db_without"], row["budget_db"]]
+        buf.write(",".join(str(c) for c in cells) + "\n")
     return buf.getvalue()
 
 
@@ -204,7 +198,7 @@ def _hex_to_bits(text: str, n_bits: int) -> np.ndarray:
 
 
 def _cmd_fec(args, manifest: RunManifest) -> int:
-    codec = default_codec()
+    codec = codec_for()
     if args.code == "inner":
         n_in, n_out = codec.inner.k, codec.inner.n
         encode, decode = codec.inner.encode, codec.inner.decode

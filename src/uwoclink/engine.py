@@ -15,7 +15,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -29,19 +29,18 @@ from .channel import (
     sample_fading_db,
     total_loss_db,
 )
-from .fec import ConcatCodecSpec
-from .modem import DetectionParams, ModulationScheme
+from .fec import (
+    DEFAULT_INTERLEAVER_DEPTH,
+    DEFAULT_OUTER_WORDS_PER_FRAME,
+    ConcatCodecSpec,
+    codec_for,
+)
+from .modem import ModulationScheme
 
 # Ethernet per-frame overhead: 14 header + 4 FCS + 8 preamble + 12 interframe gap
 ETHERNET_OVERHEAD_BYTES = 38
 MIN_PAYLOAD_BYTES = 46
 MAX_PAYLOAD_BYTES = 1500
-
-
-@lru_cache(maxsize=32)
-def _codec(interleaver_depth: int, outer_words_per_frame: int) -> ConcatCodecSpec:
-    return ConcatCodecSpec(interleaver_depth=interleaver_depth,
-                           outer_words_per_frame=outer_words_per_frame)
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,8 @@ class LinkSpec:
     frame_payload_bytes: int = 1500
     snr_offset_db: float = 0.0
     agc_window_v: tuple[float, float] = (0.5, 5.0)
-    interleaver_depth: int = 8
-    outer_words_per_frame: int = 4
+    interleaver_depth: int = DEFAULT_INTERLEAVER_DEPTH
+    outer_words_per_frame: int = DEFAULT_OUTER_WORDS_PER_FRAME
     sim_frames_per_second: int = 6
 
     def __post_init__(self):
@@ -88,7 +87,7 @@ class LinkSpec:
 
     @property
     def codec(self) -> ConcatCodecSpec:
-        return _codec(self.interleaver_depth, self.outer_words_per_frame)
+        return codec_for(self.interleaver_depth, self.outer_words_per_frame)
 
     def fingerprint(self) -> str:
         """Stable short hash of the full configuration."""
@@ -179,11 +178,11 @@ class _AnalogLog:
     dark_seconds: int = 0
 
 
-def _slot_chain(kind: str, params: DetectionParams, rng: np.random.Generator,
+def _slot_chain(kind: str, sigma: float, rng: np.random.Generator,
                 frame: np.ndarray) -> np.ndarray:
     """One frame through modulation, additive slot noise and demodulation."""
-    noisy = modem.add_noise(modem.modulate(kind, frame), params.noise_sigma, rng)
-    return modem.demodulate(kind, noisy, params)
+    noisy = modem.add_noise(modem.modulate(kind, frame), sigma, rng)
+    return modem.demodulate(kind, noisy)
 
 
 def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
@@ -207,8 +206,8 @@ def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
             if measured > 0:
                 agc = agc_step(spec.receiver, agc, measured)
                 log.saturated_seconds += int(agc.saturated)
-        params = DetectionParams(noise_sigma=1.0 / max(snr, 1e-9))
-        yield partial(_slot_chain, spec.modulation.kind, params, rng)
+        sigma = 1.0 / max(snr, 1e-9)
+        yield partial(_slot_chain, spec.modulation.kind, sigma, rng)
 
 
 def _flip_channel(ber: float, rng: np.random.Generator,

@@ -1,37 +1,10 @@
 """Forward error correction: GF(2^m) fields, BCH codes, concatenated framing."""
 
-from .bch import STATUS_FAILURE, STATUS_OK, BchCodeSpec, DecodeOutcome, generator_polynomial
+from .bch import STATUS_OK, BchCodeSpec
 from .concat import (
     DEFAULT_INTERLEAVER_DEPTH,
     DEFAULT_OUTER_WORDS_PER_FRAME,
-    PRIMITIVE_POLY_M11,
-    PRIMITIVE_POLY_M12,
     ConcatCodecSpec,
-    code_rate,
-    default_codec,
-    deinterleave,
+    codec_for,
     interleave,
-    interleave_indices,
 )
-from .galois import FieldSpec, cyclotomic_coset, minimal_polynomial
-
-__all__ = [
-    "BchCodeSpec",
-    "ConcatCodecSpec",
-    "DecodeOutcome",
-    "FieldSpec",
-    "STATUS_FAILURE",
-    "STATUS_OK",
-    "DEFAULT_INTERLEAVER_DEPTH",
-    "DEFAULT_OUTER_WORDS_PER_FRAME",
-    "PRIMITIVE_POLY_M11",
-    "PRIMITIVE_POLY_M12",
-    "code_rate",
-    "cyclotomic_coset",
-    "default_codec",
-    "deinterleave",
-    "generator_polynomial",
-    "interleave",
-    "interleave_indices",
-    "minimal_polynomial",
-]

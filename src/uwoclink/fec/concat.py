@@ -151,13 +151,9 @@ class ConcatCodecSpec:
         return DecodeOutcome(payload.ravel(), corrected, status)
 
 
-def code_rate(codec: ConcatCodecSpec | None) -> float:
-    """Product of component rates; ``None`` means an uncoded link."""
-    if codec is None:
-        return 1.0
-    return codec.code_rate()
-
-
-@lru_cache(maxsize=None)
-def default_codec() -> ConcatCodecSpec:
-    return ConcatCodecSpec()
+@lru_cache(maxsize=32)
+def codec_for(interleaver_depth: int = DEFAULT_INTERLEAVER_DEPTH,
+              outer_words_per_frame: int = DEFAULT_OUTER_WORDS_PER_FRAME) -> ConcatCodecSpec:
+    """The shared codec of one framing, built once per argument list."""
+    return ConcatCodecSpec(interleaver_depth=interleaver_depth,
+                           outer_words_per_frame=outer_words_per_frame)

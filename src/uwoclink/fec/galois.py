@@ -50,15 +50,6 @@ class FieldSpec:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % self.order]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.exp[(self.order - self.log[a]) % self.order]
-
-    def pow_alpha(self, i: int) -> int:
-        """alpha^i for any integer exponent."""
-        return self.exp[i % self.order]
-
     def __repr__(self):
         return f"FieldSpec(m={self.m}, primitive_poly={self.primitive_poly:#x})"
 
@@ -106,13 +97,3 @@ def poly_mul_gf2(a: int, b: int) -> int:
         a <<= 1
         b >>= 1
     return result
-
-
-def poly_mod_gf2(a: int, b: int) -> int:
-    """Remainder of a / b over GF(2)[x]."""
-    if b == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a

@@ -23,6 +23,9 @@ PPM4 = "ppm4"
 _PPM4_BITS_PER_SYMBOL = 2
 _PPM4_SLOTS_PER_SYMBOL = 4
 
+# OOK decides at the midpoint between the off (0) and on (1) amplitudes
+_OOK_THRESHOLD = 0.5
+
 
 def slot_rate_for(kind: str, bit_rate_bps: float) -> float:
     """Line slot rate: OOK is 1 bit/slot; 4-PPM spends 4 slots on 2 bits."""
@@ -50,25 +53,13 @@ class SlotStream:
     pad_bits: int = 0
 
 
-@dataclass(frozen=True)
-class DetectionParams:
-    noise_sigma: float
-    ook_threshold: float = 0.5
-
-    def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-
-
 def ook_modulate(bits: np.ndarray) -> SlotStream:
     amps = np.asarray(bits, dtype=np.float64)
     return SlotStream(amps)
 
 
-def ook_demodulate(stream: SlotStream, params: DetectionParams) -> np.ndarray:
-    if not 0.0 < params.ook_threshold < 1.0:
-        raise ValueError("ook_threshold must be in (0, 1)")
-    return (stream.amplitudes > params.ook_threshold).astype(np.uint8)
+def ook_demodulate(stream: SlotStream) -> np.ndarray:
+    return (stream.amplitudes > _OOK_THRESHOLD).astype(np.uint8)
 
 
 def ppm4_modulate(bits: np.ndarray) -> SlotStream:
@@ -150,11 +141,6 @@ def theoretical_ber(kind: str, snr_amplitude: float) -> float:
     raise ValueError(f"unknown modulation kind {kind!r}")
 
 
-def mean_optical_power(stream: SlotStream) -> float:
-    """Average slot amplitude (1/4 for 4-PPM, bit density for OOK)."""
-    return float(np.mean(stream.amplitudes))
-
-
 def modulate(kind: str, bits: np.ndarray) -> SlotStream:
     if kind == OOK:
         return ook_modulate(bits)
@@ -163,9 +149,9 @@ def modulate(kind: str, bits: np.ndarray) -> SlotStream:
     raise ValueError(f"unknown modulation kind {kind!r}")
 
 
-def demodulate(kind: str, stream: SlotStream, params: DetectionParams) -> np.ndarray:
+def demodulate(kind: str, stream: SlotStream) -> np.ndarray:
     if kind == OOK:
-        return ook_demodulate(stream, params)
+        return ook_demodulate(stream)
     if kind == PPM4:
         return ppm4_demodulate(stream)
     raise ValueError(f"unknown modulation kind {kind!r}")
@@ -181,5 +167,5 @@ def mc_bit_error_rate(kind: str, snr_amplitude: float, n_bits: int,
     stream = modulate(kind, bits)
     sigma = 1.0 / snr_amplitude
     noisy = add_noise(stream, sigma, rng)
-    out = demodulate(kind, noisy, DetectionParams(noise_sigma=sigma))
+    out = demodulate(kind, noisy)
     return float(np.mean(out != bits))

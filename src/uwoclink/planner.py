@@ -48,13 +48,6 @@ def path_loss_db(water: WaterOptics, geometry: LinkGeometry, z: float,
     return loss
 
 
-def link_margin_db(spec: LinkSpec, z: float) -> float:
-    """Budget headroom of the aligned link at distance z."""
-    if z < 0:
-        raise ValueError("distance must be >= 0")
-    return spec.budget_db - path_loss_db(spec.water, spec.geometry, z)
-
-
 def _bisect_increasing(f, lo: float, hi: float) -> float:
     f_lo, f_hi = f(lo), f(hi)
     if f_lo > 0 or f_hi < 0:
@@ -117,26 +110,23 @@ def back_solve_k(budget_db: float, c_db_per_m: float,
     return target_distance_m**2 * 10.0 ** (-remaining / 10.0)
 
 
-def distance_curve(spec: LinkSpec, z_min: float, z_max: float, n_points: int,
-                   modes: tuple[str, ...] = (WITH_GEOMETRY, WITHOUT_GEOMETRY)):
-    """Loss-vs-distance table for plotting against the budget line."""
+def distance_curve(spec: LinkSpec, z_min: float, z_max: float, n_points: int):
+    """Loss-vs-distance table, with and without geometry, for plotting
+    against the budget line."""
     if not z_min < z_max:
         raise ValueError("z_min must be < z_max")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    for mode in modes:
-        if mode not in (WITH_GEOMETRY, WITHOUT_GEOMETRY):
-            raise ValueError(f"unknown mode {mode!r}")
     step = (z_max - z_min) / (n_points - 1)
     rows = []
     for i in range(n_points):
         z = z_min + i * step
-        row = {"z_m": z, "budget_db": spec.budget_db}
-        if WITH_GEOMETRY in modes:
-            row["loss_db_with_geometry"] = path_loss_db(
-                spec.water, spec.geometry, z, include_geometry=True)
-        if WITHOUT_GEOMETRY in modes:
-            row["loss_db_without"] = path_loss_db(
-                spec.water, spec.geometry, z, include_geometry=False)
-        rows.append(row)
+        rows.append({
+            "z_m": z,
+            "budget_db": spec.budget_db,
+            "loss_db_with_geometry": path_loss_db(
+                spec.water, spec.geometry, z, include_geometry=True),
+            "loss_db_without": path_loss_db(
+                spec.water, spec.geometry, z, include_geometry=False),
+        })
     return rows

@@ -1,7 +1,8 @@
 import pytest
 
 from uwoclink.config import load_preset
-from uwoclink.fec import BchCodeSpec, FieldSpec, default_codec
+from uwoclink.fec import BchCodeSpec, codec_for
+from uwoclink.fec.galois import FieldSpec
 
 # GF(16) with x^4 + x + 1, the textbook reference field
 GF16_POLY = 0b10011
@@ -24,7 +25,7 @@ def bch15_5(gf16):
 
 @pytest.fixture(scope="session")
 def codec():
-    return default_codec()
+    return codec_for()
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from uwoclink.engine import (
     long_term_monitor,
     run_scenario,
 )
-from uwoclink.fec import STATUS_OK, code_rate
+from uwoclink.fec import STATUS_OK
 from uwoclink.modem import OOK, mc_bit_error_rate, theoretical_ber
 from uwoclink.planner import WITH_GEOMETRY, WITHOUT_GEOMETRY, max_distance_m
 
@@ -110,7 +110,7 @@ def test_c04_fec_corrects_up_to_t(codec, bch15_7):
 
 
 def test_c05_fec_rate(codec):
-    rate = code_rate(codec)
+    rate = codec.code_rate()
     assert abs(rate - 0.9373) <= 1e-4
     redundancy = 1.0 / rate - 1.0
     assert redundancy == pytest.approx(0.0669, abs=1e-3)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from uwoclink.channel import (
     spot_diameter_m,
     total_loss_db,
 )
+from uwoclink.engine import run_scenario
 
 GREEN_WATER = WaterOptics(0.082, 0.358)
 BLUE_WATER = WaterOptics(0.069, 0.298)
@@ -230,9 +232,9 @@ class TestTotalLoss:
 
     def test_total_is_component_sum(self):
         nlos = NlosPath(0.3, LinkGeometry(40.0, 3.83, 0.0, 0.008))
-        bd = total_loss_db(BLUE_GEO, BLUE_WATER, nlos=nlos, fading_db=-1.5)
+        bd = total_loss_db(BLUE_GEO, BLUE_WATER, nlos=nlos)
         parts = (bd.attenuation_db + bd.geometric_db + bd.pointing_db
-                 + bd.nlos_excess_db + bd.fading_db)
+                 + bd.nlos_excess_db)
         assert bd.total_db == pytest.approx(parts, rel=1e-12)
 
     def test_strictly_increasing_with_distance(self):
@@ -243,10 +245,12 @@ class TestTotalLoss:
             assert total > prev
             prev = total
 
-    def test_zero_fading_leaves_total_unchanged(self):
-        bd0 = total_loss_db(GREEN_GEO, GREEN_WATER)
-        bd1 = total_loss_db(GREEN_GEO, GREEN_WATER, fading_db=0.0)
-        assert bd0.total_db == bd1.total_db
+    def test_zero_fading_leaves_total_unchanged(self, green):
+        # the engine adds each second's fading draw to the static total
+        still = replace(green, fading=FadingSpec())
+        static = total_loss_db(still.geometry, still.water, still.nlos).total_db
+        report = run_scenario(still, 3, seed=0)
+        assert report.margin_trace_db == (still.budget_db - static,) * 3
 
 
 class TestFading:

@@ -26,7 +26,6 @@ from uwoclink.config import (
     render_scenario,
 )
 from uwoclink.engine import LinkSpec, run_scenario
-from uwoclink.fec import default_codec
 from uwoclink.modem import OOK, PPM4, ModulationScheme
 
 PRESET_DIR = pathlib.Path(uwoclink.__file__).parent / "presets"
@@ -302,16 +301,6 @@ class TestRenderReport:
         assert lines[1] == "second,errors,margin_db,packet_losses"
         assert lines[0].startswith("# name=green-125M seed=5 config_hash=")
 
-    def test_range_solution_renders_both_formats(self, green):
-        from uwoclink.planner import WITHOUT_GEOMETRY, max_distance_m
-        sol = max_distance_m(green.budget_db, green.water,
-                             mode=WITHOUT_GEOMETRY)
-        parsed = json.loads(render_report(sol))
-        assert parsed["max_distance_m"] == sol.max_distance_m
-        csv_lines = render_report(sol, "csv").strip().splitlines()
-        assert csv_lines[0] == "max_distance_m,residual_db,mode,k_used_m2"
-        assert len(csv_lines) == 2
-
 
 class TestCliCommands:
     def test_plan_json(self, capsys):
@@ -538,8 +527,7 @@ class TestFecCli:
         assert len(error_lines(captured.err)) == 1
         assert "invalid hex block" in captured.err
 
-    def test_encode_decode_pipeline(self, monkeypatch, capsys):
-        codec = default_codec()
+    def test_encode_decode_pipeline(self, monkeypatch, capsys, codec):
         rng = np.random.default_rng(7)
         msg = rng.integers(0, 2, codec.outer.k).astype(np.uint8)
         monkeypatch.setattr("sys.stdin", io.StringIO(_bits_to_hex(msg) + "\n"))
@@ -555,8 +543,7 @@ class TestFecCli:
         assert captured.out.strip() == _bits_to_hex(msg)
         assert "corrected=2" in captured.err
 
-    def test_decode_failure_exit_1(self, monkeypatch, capsys):
-        codec = default_codec()
+    def test_decode_failure_exit_1(self, monkeypatch, capsys, codec):
         rng = np.random.default_rng(8)
         cw = codec.inner.encode(rng.integers(0, 2, 1930).astype(np.uint8))
         cw[rng.choice(2040, 60, replace=False)] ^= 1

@@ -71,13 +71,19 @@ class TestRunScenario:
         assert max(report.beps_series) < 4
 
     def test_blue_nlos_bursts_echo_field_log(self, blue_nlos):
-        # deep fades on the bounce path: seconds with tens-to-hundreds of
-        # errors and a handful of lost packets
-        report = run_scenario(blue_nlos, 120, seed=3)
-        assert report.packet_loss_count > 0
-        assert any(b >= 10 for b in report.beps_series)
-        quiet = sum(1 for b in report.beps_series if b == 0)
-        assert quiet > 100  # bursts are the exception, not the rule
+        # Deep fades on the bounce path: seconds with tens to hundreds of
+        # errors and a handful of lost packets. One 120-s run loses no
+        # packet for 8 of seeds 0-29, so this pools four independent 120-s
+        # epochs. With P(no loss in 120 s) = 8/30 all four lose none with
+        # probability (8/30)^4 = 5e-3 (0.034 at the one-sided 95 % upper
+        # bound 0.43 of 8/30). No second reaches 10 errors for 1 of the 30
+        # seeds, (1/30)^4 = 1e-6; every seed had at least 113 quiet seconds.
+        reports = long_term_monitor(blue_nlos, 4, 120, seed=3)
+        beps = [b for r in reports for b in r.beps_series]
+        assert sum(r.packet_loss_count for r in reports) > 0
+        assert any(b >= 10 for b in beps)
+        quiet = sum(1 for b in beps if b == 0)
+        assert quiet > len(beps) * 100 / 120  # bursts are the exception, not the rule
 
     def test_determinism_byte_identical(self, green):
         a = render_report(run_scenario(green, 5, seed=77))

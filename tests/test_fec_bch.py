@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwoclink.fec import STATUS_FAILURE, STATUS_OK, BchCodeSpec, generator_polynomial
+from uwoclink.fec.bch import STATUS_FAILURE, STATUS_OK, BchCodeSpec, generator_polynomial
 
 
 def bits_to_poly(bits):

@@ -6,16 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwoclink.fec import (
-    STATUS_FAILURE,
-    STATUS_OK,
-    BchCodeSpec,
-    ConcatCodecSpec,
-    code_rate,
-    deinterleave,
-    interleave,
-    interleave_indices,
-)
+from uwoclink.fec.bch import STATUS_FAILURE, STATUS_OK, BchCodeSpec
+from uwoclink.fec.concat import ConcatCodecSpec, deinterleave, interleave, interleave_indices
 
 
 @pytest.fixture(scope="module")
@@ -136,14 +128,11 @@ class TestFraming:
 
 class TestCodeRate:
     def test_default_rate(self, codec):
-        assert code_rate(codec) == pytest.approx(0.93725, abs=1e-4)
-        assert code_rate(codec) == pytest.approx((1930 / 2040) * (3824 / 3860))
-
-    def test_uncoded_rate(self):
-        assert code_rate(None) == 1.0
+        assert codec.code_rate() == pytest.approx(0.93725, abs=1e-4)
+        assert codec.code_rate() == pytest.approx((1930 / 2040) * (3824 / 3860))
 
     def test_redundancy_near_seven_percent(self, codec):
-        redundancy = 1.0 / code_rate(codec) - 1.0
+        redundancy = 1.0 / codec.code_rate() - 1.0
         assert redundancy == pytest.approx(0.0669, abs=1e-3)
 
 
@@ -202,7 +191,6 @@ class TestErrorHandling:
 
     def test_burst_positions_traced_through_interleaver(self, codec):
         # each inner word must see at most ceil(40/8)+1 of the burst
-        from uwoclink.fec.concat import interleave_indices
         perm = interleave_indices(codec.frame_bits, codec.interleaver_depth)
         for start in (0, 5000, 16000 - 40):
             hit_positions = perm[start:start + 40]
@@ -221,7 +209,6 @@ class TestErrorHandling:
     def test_single_dead_inner_word_fails_frame(self, codec):
         # 40 errors concentrated in one inner word (post-deinterleave) defeat
         # inner t=10; the frame must be flagged, never silently passed
-        from uwoclink.fec.concat import interleave_indices
         rng = np.random.default_rng(15)
         payload = rng.integers(0, 2, codec.frame_payload_bits).astype(np.uint8)
         frame = codec.encode(payload)

@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 
-from uwoclink.fec import FieldSpec, cyclotomic_coset, minimal_polynomial
 from uwoclink.fec.concat import PRIMITIVE_POLY_M11, PRIMITIVE_POLY_M12
-from uwoclink.fec.galois import poly_mod_gf2, poly_mul_gf2
+from uwoclink.fec.galois import FieldSpec, cyclotomic_coset, minimal_polynomial, poly_mul_gf2
+
+
+def poly_mod_gf2(a: int, b: int) -> int:
+    """Remainder of a / b over GF(2)[x]."""
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
+
+
+def oracle_mul(a: int, b: int, poly: int) -> int:
+    """GF(2^m) product without tables: carry-less multiply, then reduce."""
+    return poly_mod_gf2(poly_mul_gf2(a, b), poly)
 
 
 def test_gf16_alpha_powers(gf16):
@@ -37,10 +49,9 @@ def test_m12_default_poly_full_cycle():
 
 
 def test_mul_inverse_roundtrip(gf16):
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        a = int(rng.integers(1, 16))
-        assert gf16.mul(a, gf16.inv(a)) == 1
+    for a in range(1, 16):
+        inverse = next(b for b in range(1, 16) if oracle_mul(a, b, gf16.primitive_poly) == 1)
+        assert gf16.mul(a, inverse) == 1
 
 
 def test_mul_matches_log_identity(gf16):
@@ -48,12 +59,12 @@ def test_mul_matches_log_identity(gf16):
     for _ in range(200):
         a, b = int(rng.integers(1, 16)), int(rng.integers(1, 16))
         assert gf16.log[gf16.mul(a, b)] == (gf16.log[a] + gf16.log[b]) % 15
+        assert gf16.mul(a, b) == oracle_mul(a, b, gf16.primitive_poly)
 
 
 def test_zero_handling(gf16):
     assert gf16.mul(0, 7) == 0
-    with pytest.raises(ZeroDivisionError):
-        gf16.inv(0)
+    assert gf16.mul(7, 0) == 0
 
 
 def test_cyclotomic_coset_closure():
@@ -76,7 +87,7 @@ def test_minimal_polynomial_annihilates_root(gf16):
         acc = 0
         for k in range(mp.bit_length()):
             if (mp >> k) & 1:
-                acc ^= gf16.pow_alpha(i * k)
+                acc ^= gf16.exp[(i * k) % gf16.order]
         assert acc == 0
 
 

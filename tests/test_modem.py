@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from uwoclink.modem import (
     OOK,
     PPM4,
-    DetectionParams,
     ModulationScheme,
+    SlotStream,
     add_noise,
     demodulate,
     mc_bit_error_rate,
-    mean_optical_power,
     modulate,
     ook_demodulate,
     ook_modulate,
@@ -48,7 +47,7 @@ class TestOok:
     def test_noiseless_roundtrip(self, bits):
         arr = np.array(bits, dtype=np.uint8)
         stream = ook_modulate(arr)
-        out = ook_demodulate(stream, DetectionParams(noise_sigma=0.0))
+        out = ook_demodulate(stream)
         assert np.array_equal(out, arr)
 
     def test_all_zero_is_dark(self):
@@ -58,12 +57,13 @@ class TestOok:
     def test_balanced_mean_power(self):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 10**5).astype(np.uint8)
-        assert mean_optical_power(ook_modulate(bits)) == pytest.approx(0.5, abs=0.01)
+        assert np.mean(ook_modulate(bits).amplitudes) == pytest.approx(0.5, abs=0.01)
 
     def test_threshold_bounds(self):
-        stream = ook_modulate(np.ones(4, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            ook_demodulate(stream, DetectionParams(0.1, ook_threshold=1.5))
+        # the decision threshold is the midpoint 0.5 of the off and on levels
+        below, above = 0.5, np.nextafter(0.5, 1.0)
+        stream = SlotStream(np.array([0.0, below, above, 1.0]))
+        assert np.array_equal(ook_demodulate(stream), [0, 0, 1, 1])
 
 
 class TestPpm4:
@@ -96,10 +96,9 @@ class TestPpm4:
     def test_mean_power_is_quarter(self):
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, 10**5).astype(np.uint8)
-        assert mean_optical_power(ppm4_modulate(bits)) == pytest.approx(0.25)
+        assert np.mean(ppm4_modulate(bits).amplitudes) == pytest.approx(0.25)
 
     def test_tie_break_to_lowest_slot(self):
-        from uwoclink.modem import SlotStream
         flat = SlotStream(np.zeros(4))
         assert np.array_equal(ppm4_demodulate(flat), [0, 0])
 
@@ -169,7 +168,7 @@ class TestDispatch:
         bits = rng.integers(0, 2, 512).astype(np.uint8)
         for kind in (OOK, PPM4):
             stream = modulate(kind, bits)
-            out = demodulate(kind, stream, DetectionParams(0.0))
+            out = demodulate(kind, stream)
             assert np.array_equal(out, bits)
 
     def test_unknown_kind(self):
