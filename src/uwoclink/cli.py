@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,35 +30,12 @@ from .planner import (
 )
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What was asked for: enough to rerun any emitted report exactly."""
-
-    subcommand: str
-    config_path: str | None
-    preset: str | None
-    seed: int
-    out_path: str | None
-    output_format: str
-
-    @classmethod
-    def from_args(cls, args) -> "RunManifest":
-        return cls(
-            subcommand=args.subcommand,
-            config_path=getattr(args, "config", None),
-            preset=getattr(args, "preset", None),
-            seed=getattr(args, "seed", 0),
-            out_path=getattr(args, "out", None),
-            output_format=getattr(args, "format", "json"),
-        )
-
-
-def _load_spec(manifest: RunManifest) -> LinkSpec:
-    if manifest.config_path:
-        with open(manifest.config_path, encoding="utf-8") as fh:
-            return parse_scenario(fh.read(), preset=manifest.preset)
-    if manifest.preset:
-        return load_preset(manifest.preset)
+def _load_spec(args) -> LinkSpec:
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            return parse_scenario(fh.read(), preset=args.preset)
+    if args.preset:
+        return load_preset(args.preset)
     raise ConfigError("provide --preset and/or --config")
 
 
@@ -108,20 +84,20 @@ def curve_csv(spec: LinkSpec, rows, seed: int) -> str:
 # --- subcommands --------------------------------------------------------
 
 
-def _cmd_plan(args, manifest: RunManifest) -> int:
-    spec = _load_spec(manifest)
+def _cmd_plan(args) -> int:
+    spec = _load_spec(args)
     without = max_distance_m(spec.budget_db, spec.water, mode=WITHOUT_GEOMETRY)
     with_geo = max_distance_m(spec.budget_db, spec.water, spec.geometry,
                               WITH_GEOMETRY)
     z_max = args.z_max if args.z_max else without.max_distance_m * 1.05
     rows = distance_curve(spec, args.z_min, z_max, args.points)
 
-    if manifest.output_format == "csv":
-        _emit(curve_csv(spec, rows, manifest.seed), manifest.out_path)
+    if args.format == "csv":
+        _emit(curve_csv(spec, rows, args.seed), args.out)
         return 0
     payload = {
         "name": spec.name,
-        "seed": manifest.seed,
+        "seed": args.seed,
         "config_hash": spec.fingerprint(),
         "budget_db": spec.budget_db,
         "solutions": {
@@ -129,31 +105,29 @@ def _cmd_plan(args, manifest: RunManifest) -> int:
             WITH_GEOMETRY: with_geo.to_dict(),
         },
     }
-    _emit(json.dumps(payload, indent=2), manifest.out_path)
+    _emit(json.dumps(payload, indent=2), args.out)
     if args.curve_out:
         with open(args.curve_out, "w", encoding="utf-8") as fh:
-            fh.write(curve_csv(spec, rows, manifest.seed))
+            fh.write(curve_csv(spec, rows, args.seed))
     return 0
 
 
-def _cmd_simulate(args, manifest: RunManifest) -> int:
-    spec = _load_spec(manifest)
+def _cmd_simulate(args) -> int:
+    spec = _load_spec(args)
     if args.inject_ber is not None:
-        report = inject_errors_run(spec, args.inject_ber, args.n_bits,
-                                   manifest.seed)
+        report = inject_errors_run(spec, args.inject_ber, args.n_bits, args.seed)
     else:
-        report = run_scenario(spec, args.duration_s, manifest.seed)
-    _emit(render_report(report, manifest.output_format), manifest.out_path)
+        report = run_scenario(spec, args.duration_s, args.seed)
+    _emit(render_report(report, args.format), args.out)
     return 0
 
 
-def _cmd_monitor(args, manifest: RunManifest) -> int:
-    spec = _load_spec(manifest)
-    reports = long_term_monitor(spec, args.epochs, args.duration_s,
-                                manifest.seed)
+def _cmd_monitor(args) -> int:
+    spec = _load_spec(args)
+    reports = long_term_monitor(spec, args.epochs, args.duration_s, args.seed)
     payload = {
         "name": spec.name,
-        "seed": manifest.seed,
+        "seed": args.seed,
         "config_hash": spec.fingerprint(),
         "epochs": args.epochs,
         "epoch_duration_s": args.duration_s,
@@ -162,7 +136,7 @@ def _cmd_monitor(args, manifest: RunManifest) -> int:
         "total_packet_losses": sum(r.packet_loss_count for r in reports),
         "reports": [r.to_dict() for r in reports],
     }
-    _emit(json.dumps(payload, indent=2), manifest.out_path)
+    _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
 
@@ -197,7 +171,7 @@ def _hex_to_bits(text: str, n_bits: int) -> np.ndarray:
     return bits[:n_bits]
 
 
-def _cmd_fec(args, manifest: RunManifest) -> int:
+def _cmd_fec(args) -> int:
     codec = codec_for()
     if args.code == "inner":
         n_in, n_out = codec.inner.k, codec.inner.n
@@ -228,7 +202,7 @@ def _cmd_fec(args, manifest: RunManifest) -> int:
     return 1 if failures else 0
 
 
-def _cmd_calibrate(args, manifest: RunManifest) -> int:
+def _cmd_calibrate(args) -> int:
     rows = []
     with open(args.samples, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -247,8 +221,8 @@ def _cmd_calibrate(args, manifest: RunManifest) -> int:
                 raise ConfigError(
                     f"{args.samples}:{lineno}: non-numeric field in {line!r}"
                 ) from None
-    if manifest.preset or manifest.config_path:
-        chain = _load_spec(manifest).receiver
+    if args.preset or args.config:
+        chain = _load_spec(args).receiver
     else:
         chain = ReceiverChain()
     cal = fit_calibration(rows, chain)
@@ -264,7 +238,7 @@ def _cmd_calibrate(args, manifest: RunManifest) -> int:
         "residual_rms_db": cal.residual_rms_db,
         "residual_max_db": cal.residual_max_db,
     }
-    _emit(json.dumps(payload, indent=2), manifest.out_path)
+    _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
 
@@ -327,7 +301,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, RunManifest.from_args(args))
+        return args.func(args)
     except (ConfigError, CalibrationError, SolverError, ValueError, KeyError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

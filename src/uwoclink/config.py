@@ -11,13 +11,13 @@ exactly for any config-expressible spec.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields
+from functools import cache
 from importlib import resources
+from typing import get_type_hints
 
-from .agc import ReceiverChain
-from .channel import FadingSpec, LinkGeometry, NlosPath, WaterOptics
+from .channel import NlosPath, WaterOptics
 from .engine import LinkSpec
-from .modem import OOK, ModulationScheme
 
 _PRESET_DIR = resources.files(__package__) / "presets"
 
@@ -30,53 +30,54 @@ _FLOAT = "float"
 _INT = "int"
 _STR = "str"
 
-# section -> key -> value type
+# section -> key -> (value type, the LinkSpec attribute path it sets); a
+# trailing 0 or 1 in a path names one end of a range tuple
 SCHEMA = {
     "link": {
-        "name": _STR,
-        "tx_power_w": _FLOAT,
-        "modulation": _STR,
-        "bit_rate_bps": _FLOAT,
-        "budget_db": _FLOAT,
-        "sync_overhead_fraction": _FLOAT,
-        "iface_cap_bps": _FLOAT,
-        "frame_payload_bytes": _INT,
-        "snr_offset_db": _FLOAT,
-        "sim_frames_per_second": _INT,
+        "name": (_STR, "name"),
+        "tx_power_w": (_FLOAT, "tx_power_w"),
+        "modulation": (_STR, "modulation.kind"),
+        "bit_rate_bps": (_FLOAT, "modulation.bit_rate_bps"),
+        "budget_db": (_FLOAT, "budget_db"),
+        "sync_overhead_fraction": (_FLOAT, "sync_overhead_fraction"),
+        "iface_cap_bps": (_FLOAT, "iface_cap_bps"),
+        "frame_payload_bytes": (_INT, "frame_payload_bytes"),
+        "snr_offset_db": (_FLOAT, "snr_offset_db"),
+        "sim_frames_per_second": (_INT, "sim_frames_per_second"),
     },
     "water": {
-        "c_per_m": _FLOAT,
-        "c_db_per_m": _FLOAT,
+        "c_per_m": (_FLOAT, "water.c_per_m"),
+        "c_db_per_m": (_FLOAT, "water.c_db_per_m"),
     },
     "geometry": {
-        "distance_m": _FLOAT,
-        "half_angle_deg": _FLOAT,
-        "tx_exit_diameter_m": _FLOAT,
-        "rx_aperture_m": _FLOAT,
-        "pointing_offset_m": _FLOAT,
-        "k_override_m2": _FLOAT,
-        "nlos_reflectance": _FLOAT,
-        "nlos_unfolded_distance_m": _FLOAT,
+        "distance_m": (_FLOAT, "geometry.distance_m"),
+        "half_angle_deg": (_FLOAT, "geometry.half_angle_deg"),
+        "tx_exit_diameter_m": (_FLOAT, "geometry.tx_exit_diameter_m"),
+        "rx_aperture_m": (_FLOAT, "geometry.rx_aperture_m"),
+        "pointing_offset_m": (_FLOAT, "geometry.pointing_offset_m"),
+        "k_override_m2": (_FLOAT, "geometry.k_override_m2"),
+        "nlos_reflectance": (_FLOAT, "nlos.reflectance"),
+        "nlos_unfolded_distance_m": (_FLOAT, "nlos.unfolded.distance_m"),
     },
     "codec": {
-        "interleaver_depth": _INT,
-        "outer_words_per_frame": _INT,
+        "interleaver_depth": (_INT, "interleaver_depth"),
+        "outer_words_per_frame": (_INT, "outer_words_per_frame"),
     },
     "fading": {
-        "sigma_db": _FLOAT,
-        "burst_probability": _FLOAT,
-        "burst_depth_db": _FLOAT,
+        "sigma_db": (_FLOAT, "fading.sigma_db"),
+        "burst_probability": (_FLOAT, "fading.burst_probability"),
+        "burst_depth_db": (_FLOAT, "fading.burst_depth_db"),
     },
     "agc": {
-        "pmt_gain_min": _FLOAT,
-        "pmt_gain_max": _FLOAT,
-        "lc_voltage_min": _FLOAT,
-        "lc_voltage_max": _FLOAT,
-        "responsivity_v_per_w": _FLOAT,
-        "lc_attenuation_range_db": _FLOAT,
-        "lc_steepness": _FLOAT,
-        "window_low_v": _FLOAT,
-        "window_high_v": _FLOAT,
+        "pmt_gain_min": (_FLOAT, "receiver.pmt_gain_range.0"),
+        "pmt_gain_max": (_FLOAT, "receiver.pmt_gain_range.1"),
+        "lc_voltage_min": (_FLOAT, "receiver.lc_voltage_range.0"),
+        "lc_voltage_max": (_FLOAT, "receiver.lc_voltage_range.1"),
+        "responsivity_v_per_w": (_FLOAT, "receiver.responsivity_v_per_w"),
+        "lc_attenuation_range_db": (_FLOAT, "receiver.lc_attenuation_range_db"),
+        "lc_steepness": (_FLOAT, "receiver.lc_steepness"),
+        "window_low_v": (_FLOAT, "agc_window_v.0"),
+        "window_high_v": (_FLOAT, "agc_window_v.1"),
     },
 }
 
@@ -133,7 +134,7 @@ def parse_mapping(text: str) -> dict:
             raise ConfigError(
                 f"line {lineno}: duplicate key '{key}' in section [{section}]"
             )
-        kind = SCHEMA[section][key]
+        kind, _ = SCHEMA[section][key]
         try:
             if kind == _FLOAT:
                 parsed = parse_number(value, float)
@@ -154,107 +155,81 @@ def parse_mapping(text: str) -> dict:
 
 
 def _overlay(base: dict, extra: dict) -> dict:
+    """``extra``'s keys over ``base``'s; a ``[water]`` section that sets
+    either key replaces the pair, since each key fixes the other."""
     merged = {sec: dict(keys) for sec, keys in base.items()}
     for sec, keys in extra.items():
+        if sec == "water" and keys:
+            merged[sec] = {}
         merged.setdefault(sec, {}).update(keys)
     return merged
 
 
-def _dataclass_defaults() -> dict:
-    """Every optional key's default, read back from the dataclass fields.
+def _by_path(mapping: dict) -> dict:
+    """The mapping's values nested along their SCHEMA paths."""
+    nested: dict = {}
+    for section, keys in mapping.items():
+        for key, value in keys.items():
+            *parents, leaf = SCHEMA[section][key][1].split(".")
+            node = nested
+            for name in parents:
+                node = node.setdefault(name, {})
+            node[leaf] = value
+    return nested
 
-    The placeholders fill only the required keys, which ``build_spec``
-    checks before it reads a default.
-    """
-    placeholder = LinkSpec(name="", tx_power_w=1.0, water=WaterOptics(0.0, 0.0),
-                           geometry=LinkGeometry(1.0, 1.0),
-                           modulation=ModulationScheme(OOK, 1.0), budget_db=1.0)
-    return spec_to_mapping(placeholder)
+
+@cache
+def _field_types(cls) -> dict:
+    return get_type_hints(cls)
+
+
+def _build(cls, values: dict):
+    """``cls(**values)``; a nested dict first becomes its field's dataclass,
+    or the field's default range tuple with the ends it names replaced."""
+    types = _field_types(cls)
+    kwargs = dict(values)
+    for f in fields(cls):
+        part = values.get(f.name)
+        if isinstance(part, dict):
+            kwargs[f.name] = (
+                tuple(part.get(str(i), end) for i, end in enumerate(f.default))
+                if isinstance(f.default, tuple) else _build(types[f.name], part))
+    return cls(**kwargs)
 
 
 def build_spec(mapping: dict) -> LinkSpec:
-    """Validate a merged mapping and materialize the LinkSpec."""
+    """Validate a merged mapping and materialize the LinkSpec.
+
+    Keys that the mapping leaves out take their dataclass defaults.
+    """
     missing = [
         f"[{sec}] {key}"
         for sec, key in _REQUIRED
         if mapping.get(sec, {}).get(key) is None
     ]
-    water_sec = mapping.get("water", {})
-    if water_sec.get("c_per_m") is None and water_sec.get("c_db_per_m") is None:
+    water = mapping.get("water", {})
+    if "c_per_m" not in water and "c_db_per_m" not in water:
         missing.append("[water] c_per_m or c_db_per_m")
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
+    geometry = mapping.get("geometry", {})
+    if ("nlos_reflectance" in geometry) != ("nlos_unfolded_distance_m" in geometry):
+        raise ConfigError(
+            "NLOS needs both nlos_reflectance and nlos_unfolded_distance_m")
 
-    defaults = _dataclass_defaults()
-
-    def get(sec: str, key: str):
-        value = mapping.get(sec, {}).get(key)
-        if value is None:
-            value = defaults[sec].get(key)
-        return value
-
+    values = _by_path(mapping)
     try:
-        if water_sec.get("c_per_m") is None:
-            water = WaterOptics.from_db_per_m(water_sec["c_db_per_m"])
-        elif water_sec.get("c_db_per_m") is None:
-            water = WaterOptics.from_per_m(water_sec["c_per_m"])
-        else:
-            water = WaterOptics(water_sec["c_per_m"], water_sec["c_db_per_m"])
-
-        geometry = LinkGeometry(
-            distance_m=get("geometry", "distance_m"),
-            half_angle_deg=get("geometry", "half_angle_deg"),
-            tx_exit_diameter_m=get("geometry", "tx_exit_diameter_m"),
-            rx_aperture_m=get("geometry", "rx_aperture_m"),
-            pointing_offset_m=get("geometry", "pointing_offset_m"),
-            k_override_m2=get("geometry", "k_override_m2"),
-        )
-        nlos = None
-        reflectance = get("geometry", "nlos_reflectance")
-        unfolded_z = get("geometry", "nlos_unfolded_distance_m")
-        if reflectance is not None or unfolded_z is not None:
-            if reflectance is None or unfolded_z is None:
-                raise ConfigError(
-                    "NLOS needs both nlos_reflectance and nlos_unfolded_distance_m"
-                )
-            unfolded = replace(geometry, distance_m=unfolded_z, k_override_m2=None)
-            nlos = NlosPath(reflectance=reflectance, unfolded=unfolded)
-
-        receiver = ReceiverChain(
-            pmt_gain_range=(get("agc", "pmt_gain_min"), get("agc", "pmt_gain_max")),
-            lc_voltage_range=(get("agc", "lc_voltage_min"),
-                              get("agc", "lc_voltage_max")),
-            responsivity_v_per_w=get("agc", "responsivity_v_per_w"),
-            lc_attenuation_range_db=get("agc", "lc_attenuation_range_db"),
-            lc_steepness=get("agc", "lc_steepness"),
-        )
-
-        return LinkSpec(
-            name=get("link", "name"),
-            tx_power_w=get("link", "tx_power_w"),
-            water=water,
-            geometry=geometry,
-            modulation=ModulationScheme(get("link", "modulation"),
-                                        get("link", "bit_rate_bps")),
-            budget_db=get("link", "budget_db"),
-            receiver=receiver,
-            fading=FadingSpec(
-                sigma_db=get("fading", "sigma_db"),
-                burst_probability=get("fading", "burst_probability"),
-                burst_depth_db=get("fading", "burst_depth_db"),
-            ),
-            nlos=nlos,
-            sync_overhead_fraction=get("link", "sync_overhead_fraction"),
-            iface_cap_bps=get("link", "iface_cap_bps"),
-            frame_payload_bytes=get("link", "frame_payload_bytes"),
-            snr_offset_db=get("link", "snr_offset_db"),
-            agc_window_v=(get("agc", "window_low_v"), get("agc", "window_high_v")),
-            interleaver_depth=get("codec", "interleaver_depth"),
-            outer_words_per_frame=get("codec", "outer_words_per_frame"),
-            sim_frames_per_second=get("link", "sim_frames_per_second"),
-        )
-    except ConfigError:
-        raise
+        if "c_per_m" not in water:
+            values["water"] = WaterOptics.from_db_per_m(water["c_db_per_m"])
+        elif "c_db_per_m" not in water:
+            values["water"] = WaterOptics.from_per_m(water["c_per_m"])
+        if "nlos" in values:
+            # the bounce path has the direct path's optics but not its k
+            unfolded = {**values["geometry"], "k_override_m2": None,
+                        **values["nlos"]["unfolded"]}
+            values["nlos"] = _build(NlosPath, {**values["nlos"],
+                                               "unfolded": unfolded})
+        return _build(LinkSpec, values)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
@@ -284,70 +259,24 @@ def load_preset(name: str) -> LinkSpec:
 
 
 def spec_to_mapping(spec: LinkSpec) -> dict:
-    mapping = {
-        "link": {
-            "name": spec.name,
-            "tx_power_w": spec.tx_power_w,
-            "modulation": spec.modulation.kind,
-            "bit_rate_bps": spec.modulation.bit_rate_bps,
-            "budget_db": spec.budget_db,
-            "sync_overhead_fraction": spec.sync_overhead_fraction,
-            "iface_cap_bps": spec.iface_cap_bps,
-            "frame_payload_bytes": spec.frame_payload_bytes,
-            "snr_offset_db": spec.snr_offset_db,
-            "sim_frames_per_second": spec.sim_frames_per_second,
-        },
-        "water": {
-            "c_per_m": spec.water.c_per_m,
-            "c_db_per_m": spec.water.c_db_per_m,
-        },
-        "geometry": {
-            "distance_m": spec.geometry.distance_m,
-            "half_angle_deg": spec.geometry.half_angle_deg,
-            "tx_exit_diameter_m": spec.geometry.tx_exit_diameter_m,
-            "rx_aperture_m": spec.geometry.rx_aperture_m,
-            "pointing_offset_m": spec.geometry.pointing_offset_m,
-        },
-        "codec": {
-            "interleaver_depth": spec.interleaver_depth,
-            "outer_words_per_frame": spec.outer_words_per_frame,
-        },
-        "fading": {
-            "sigma_db": spec.fading.sigma_db,
-            "burst_probability": spec.fading.burst_probability,
-            "burst_depth_db": spec.fading.burst_depth_db,
-        },
-        "agc": {
-            "pmt_gain_min": spec.receiver.pmt_gain_range[0],
-            "pmt_gain_max": spec.receiver.pmt_gain_range[1],
-            "lc_voltage_min": spec.receiver.lc_voltage_range[0],
-            "lc_voltage_max": spec.receiver.lc_voltage_range[1],
-            "responsivity_v_per_w": spec.receiver.responsivity_v_per_w,
-            "lc_attenuation_range_db": spec.receiver.lc_attenuation_range_db,
-            "lc_steepness": spec.receiver.lc_steepness,
-            "window_low_v": spec.agc_window_v[0],
-            "window_high_v": spec.agc_window_v[1],
-        },
-    }
-    if spec.geometry.k_override_m2 is not None:
-        mapping["geometry"]["k_override_m2"] = spec.geometry.k_override_m2
-    if spec.nlos is not None:
-        mapping["geometry"]["nlos_reflectance"] = spec.nlos.reflectance
-        mapping["geometry"]["nlos_unfolded_distance_m"] = spec.nlos.unfolded.distance_m
+    """{section: {key: value}} for every key whose path holds a value."""
+    mapping: dict[str, dict] = {}
+    for section, keys in SCHEMA.items():
+        for key, (_, path) in keys.items():
+            value = spec
+            for name in path.split("."):
+                if value is not None:
+                    value = value[int(name)] if name.isdigit() else getattr(value, name)
+            if value is not None:
+                mapping.setdefault(section, {})[key] = value
     return mapping
 
 
 def render_scenario(spec: LinkSpec) -> str:
     """Canonical text form; parse(render(spec)) == spec."""
-    mapping = spec_to_mapping(spec)
     lines = []
-    for section in SCHEMA:
-        keys = mapping.get(section)
-        if not keys:
-            continue
+    for section, keys in spec_to_mapping(spec).items():
         lines.append(f"[{section}]")
-        for key in SCHEMA[section]:
-            if key in keys:
-                lines.append(f"{key} = {keys[key]}")
+        lines += [f"{key} = {value}" for key, value in keys.items()]
         lines.append("")
     return "\n".join(lines)

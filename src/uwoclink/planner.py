@@ -8,6 +8,7 @@ inverse-square constant k when the geometry carries an override.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 from .channel import LinkGeometry, WaterOptics, attenuation_db, geometric_loss_db
@@ -113,6 +114,9 @@ def back_solve_k(budget_db: float, c_db_per_m: float,
 def distance_curve(spec: LinkSpec, z_min: float, z_max: float, n_points: int):
     """Loss-vs-distance table, with and without geometry, for plotting
     against the budget line."""
+    for bound, z in (("z_min", z_min), ("z_max", z_max)):
+        if not math.isfinite(z):
+            raise ValueError(f"{bound} must be finite, got {z}")
     if not z_min < z_max:
         raise ValueError("z_min must be < z_max")
     if n_points < 2:

@@ -31,7 +31,7 @@ from uwoclink.modem import OOK, PPM4, ModulationScheme
 PRESET_DIR = pathlib.Path(uwoclink.__file__).parent / "presets"
 SHIPPED = sorted(path.stem for path in PRESET_DIR.glob("*.cfg"))
 FLOAT_KEYS = [(section, key) for section, keys in SCHEMA.items()
-              for key, kind in keys.items() if kind == "float"]
+              for key, (kind, _) in keys.items() if kind == "float"]
 NON_FINITE = ["nan", "NaN", "inf", "-inf", "+Infinity", "1e999"]
 # numbers float() or int() accept that a config must not: other scripts'
 # digits (Arabic-Indic, full-width) and underscore digit separators
@@ -171,6 +171,26 @@ class TestParsing:
         assert spec.geometry.distance_m == 50.0
         assert spec.tx_power_w == 2.36  # untouched preset value
 
+    @pytest.mark.parametrize("text, water", [
+        ("c_db_per_m = 0.5\n", WaterOptics.from_db_per_m(0.5)),
+        ("c_per_m = 0.1\n", WaterOptics.from_per_m(0.1)),
+        ("c_per_m = 0.1\nc_db_per_m = 0.434\n", WaterOptics(0.1, 0.434)),
+    ])
+    def test_water_section_replaces_preset_pair(self, text, water):
+        # the preset's other key used to stay behind and clash
+        spec = parse_scenario("[water]\n" + text, preset="green-125M")
+        assert spec.water == water
+        assert spec.geometry == load_preset("green-125M").geometry
+
+    def test_empty_water_section_keeps_preset_pair(self):
+        assert parse_scenario("[water]\n", preset="green-125M") == \
+            load_preset("green-125M")
+
+    def test_inconsistent_water_pair_over_preset_rejected(self):
+        with pytest.raises(ConfigError, match="c_db_per_m=0.9 inconsistent"):
+            parse_scenario("[water]\nc_per_m = 0.1\nc_db_per_m = 0.9\n",
+                           preset="green-125M")
+
     def test_nlos_requires_both_keys(self):
         with pytest.raises(ConfigError, match="NLOS"):
             parse_scenario("[geometry]\nnlos_reflectance = 0.1\n",
@@ -231,14 +251,14 @@ class TestParsing:
             return
         for sec, parsed_values in mapping.items():
             for key, parsed in parsed_values.items():
-                kind = SCHEMA[sec][key]
+                kind, _ = SCHEMA[sec][key]
                 assert type(parsed).__name__ == kind
                 assert kind != "float" or math.isfinite(parsed)
         # every assignment reached its numeric parse: each number was plain
         # ASCII without digit separators (the rest of a value's text after
         # a line break is a line of its own)
         for key, text in zip(keys, values):
-            if SCHEMA[section][key] != "str":
+            if SCHEMA[section][key][0] != "str":
                 number = (text.splitlines() or [""])[0].strip()
                 assert number.isascii() and "_" not in number
 
@@ -327,6 +347,24 @@ class TestCliCommands:
         with_geo = payload["solutions"]["with_geometry"]
         assert with_geo["max_distance_m"] == pytest.approx(117.7, rel=1e-3)
         assert with_geo["k_used_m2"] == 1.198
+
+    def test_plan_one_water_key_over_preset(self, tmp_path, capsys):
+        cfg = tmp_path / "water.cfg"
+        cfg.write_text("[water]\nc_db_per_m = 0.5\n")
+        assert main(["plan", "--preset", "green-125M",
+                     "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        without = payload["solutions"]["without_geometry"]
+        assert without["max_distance_m"] == pytest.approx(82.77 / 0.5)
+
+    def test_plan_non_finite_z_max_exit_2(self, capsys):
+        # used to end in "error: math domain error"
+        assert main(["plan", "--preset", "green-125M", "--z-max", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = error_lines(captured.err)
+        assert len(lines) == 1
+        assert "z_max" in lines[0]
 
     def test_simulate_deterministic_stdout(self, capsys):
         args = ["simulate", "--preset", "green-125M", "--duration-s", "3",

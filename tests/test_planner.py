@@ -159,6 +159,13 @@ class TestDistanceCurve:
         with pytest.raises(ValueError):
             distance_curve(green, 1.0, 10.0, 1)
 
+    @pytest.mark.parametrize("bound", ["z_min", "z_max"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bound_rejected(self, green, bound, value):
+        bounds = {"z_min": 1.0, "z_max": 100.0, bound: value}
+        with pytest.raises(ValueError, match=f"{bound} must be finite"):
+            distance_curve(green, bounds["z_min"], bounds["z_max"], 10)
+
 
 class TestPathLoss:
     def test_without_geometry_is_pure_attenuation(self):
