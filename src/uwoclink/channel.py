@@ -10,6 +10,7 @@ fading sampler takes an explicit numpy generator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,8 +157,25 @@ def collected_fraction(geometry: LinkGeometry) -> float:
 
 
 def geometric_loss_db(geometry: LinkGeometry) -> float:
-    """Beam-spread loss in dB, clamped at 0 when the aperture captures all."""
-    return -10.0 * math.log10(collected_fraction(geometry))
+    """Beam-spread loss in dB, clamped at 0 when the aperture captures all.
+
+    Far past any real range the collected fraction underflows to a
+    subnormal or 0 (and Z^2 overflows in the calibrated model); only there
+    is the loss taken from the logarithms of the fraction's factors, so
+    every other value is unchanged. It is infinite only where the spot
+    diameter overflows.
+    """
+    try:
+        fraction = collected_fraction(geometry)
+    except OverflowError:
+        fraction = 0.0
+    if fraction >= sys.float_info.min:
+        return -10.0 * math.log10(fraction)
+    if geometry.k_override_m2 is not None:
+        return 10.0 * (2.0 * math.log10(geometry.distance_m)
+                       - math.log10(geometry.k_override_m2))
+    return 20.0 * (math.log10(spot_diameter_m(geometry))
+                   - math.log10(geometry.rx_aperture_m))
 
 
 def disc_overlap_fraction(spot_diameter: float, aperture_diameter: float,

@@ -3,6 +3,13 @@
 Bit convention: arrays of 0/1 uint8, index 0 transmitted first. Bit i of an
 n-bit word is the coefficient of x^(n-1-i), so a shortened code is the
 parent code with the high-degree message coefficients fixed at zero.
+
+The decoder is bounded-distance: it corrects every pattern of at most t
+errors and either flags or miscorrects a heavier one. It finds the error
+locator by binary Berlekamp-Massey in t steps, solves a locator of degree
+1 or 2 in closed form, and runs a Chien search over the n transmitted
+degrees only for degree 3 and up; a root in the shortened prefix is never
+found, so the root count falls short and the word is flagged.
 """
 
 from __future__ import annotations
@@ -100,11 +107,13 @@ class BchCodeSpec:
             [exp_np[(j * degs) % order] for j in range(1, 2 * self.t + 1)]
         )
 
-        # Chien search support: for candidate error degree d, x = alpha^-d
-        # and x^j = alpha^(j * (order - d)); precompute j*(order-d) mod order.
-        d_arr = np.arange(order, dtype=np.int64)
-        neg = (order - d_arr) % order
-        self._chien_exponents = [(j * neg) % order for j in range(1, self.t + 1)]
+        # Chien table over the transmitted degrees only: for error degree d
+        # in [0, n), x = alpha^-d and x^j = alpha^(j * (order - d)); row j-1
+        # holds those exponents, to be offset by log sigma_j < order and
+        # looked up in the doubled exp table.
+        d_arr = np.arange(n, dtype=np.int64)
+        self._chien_table = (np.arange(1, self.t + 1, dtype=np.int64)[:, None]
+                             * ((order - d_arr) % order)) % order
 
     # --- encoding -----------------------------------------------------
 
@@ -156,73 +165,104 @@ class BchCodeSpec:
         columns = self._syndrome_table * wrong[..., None, :]
         return np.bitwise_xor.reduce(columns, axis=-1)
 
-    def _berlekamp_massey(self, synd: np.ndarray) -> tuple[list[int], int]:
-        exp, log, order = self.field.exp, self.field.log, self.field.order
-        s = [int(v) for v in synd]
+    def _berlekamp_massey(self, synd: np.ndarray) -> list[int] | None:
+        """Error locator sigma_0 .. sigma_L (sigma_0 = 1), or None when L > t.
+
+        Binary Berlekamp-Massey: the syndromes of a binary word have
+        S_2j = S_j^2, so every even step's discrepancy is zero and only the
+        t odd steps are run (Berlekamp 1968; Lin & Costello, Error Control
+        Coding, 6.2). L never decreases, so L > t ends the search at once.
+        """
+        exp, log, order, t = self.field.exp, self.field.log, self.field.order, self.t
+        s = synd.tolist()
         locator = [1]
         prev = [1]
         length = 0
         shift = 1
-        prev_disc = 1
-        for step in range(len(s)):
+        prev_disc_log = 0
+        for step in range(0, 2 * t, 2):
             disc = s[step]
-            for i in range(1, length + 1):
-                if i < len(locator) and locator[i] and s[step - i]:
-                    disc ^= exp[(log[locator[i]] + log[s[step - i]]) % order]
+            for i in range(1, min(length, len(locator) - 1) + 1):
+                if locator[i] and s[step - i]:
+                    disc ^= exp[log[locator[i]] + log[s[step - i]]]
             if disc == 0:
-                shift += 1
+                shift += 2
                 continue
-            coef = exp[(log[disc] - log[prev_disc]) % order]
-            update = [0] * shift + prev
-            if len(update) > len(locator):
-                locator = locator + [0] * (len(update) - len(locator))
+            coef_log = (log[disc] - prev_disc_log) % order
+            grown = shift + len(prev) - len(locator)
             saved = list(locator)
-            for i, u in enumerate(update):
+            if grown > 0:
+                locator += [0] * grown
+            for i, u in enumerate(prev, shift):
                 if u:
-                    locator[i] ^= exp[(log[u] + log[coef]) % order]
+                    locator[i] ^= exp[log[u] + coef_log]
             if 2 * length <= step:
                 length = step + 1 - length
+                if length > t:
+                    return None
                 prev = saved
-                prev_disc = disc
-                shift = 1
+                prev_disc_log = log[disc]
+                shift = 2
             else:
-                shift += 1
-        while len(locator) > 1 and locator[-1] == 0:
+                shift += 2
+        while locator[-1] == 0:
             locator.pop()
-        return locator, length
+        return locator if len(locator) - 1 == length else None
 
-    def _chien_roots(self, locator: list[int]) -> np.ndarray:
-        """Degrees d in [0, parent_n) with locator(alpha^-d) = 0."""
-        order = self.field.order
-        exp_np, log = self.field.exp_np, self.field.log
-        acc = np.ones(order, dtype=np.int64)  # constant term, locator[0] = 1
-        for j in range(1, len(locator)):
-            cj = locator[j]
-            if cj:
-                acc ^= exp_np[(log[cj] + self._chien_exponents[j - 1]) % order]
-        return np.nonzero(acc == 0)[0]
+    def _error_degrees(self, locator: list[int]) -> list[int] | None:
+        """Degrees d in [0, n) of the L roots alpha^-d, or None if fewer.
+
+        Degree 1 and 2 are solved in closed form; higher degrees by a Chien
+        search over the n transmitted degrees. A root in the shortened
+        prefix, a repeated root or an irreducible locator leaves fewer than
+        L roots: a decoding failure.
+        """
+        field = self.field
+        log, order = field.log, field.order
+        length = len(locator) - 1
+        if length == 1:
+            degrees = [log[locator[1]]]
+        elif length == 2:
+            s1, s2 = locator[1], locator[2]
+            if s1 == 0:
+                return None  # 1 + s2 x^2 = (1 + sqrt(s2) x)^2: repeated root
+            # x = (s1/s2) y turns the locator into y^2 + y = s2 / s1^2
+            y = field.quadratic_root[field.exp[(log[s2] - 2 * log[s1]) % order]]
+            if y < 0:
+                return None
+            scale = log[s1] - log[s2] + order
+            degrees = [(order - (log[root] + scale)) % order for root in (y, y ^ 1)]
+        else:
+            coef = [j for j in range(1, length + 1) if locator[j]]
+            exponents = (self._chien_table[np.array(coef) - 1]
+                         + np.array([log[locator[j]] for j in coef])[:, None])
+            terms = np.take(field.exp_np, exponents)
+            # the constant term is 1, so sigma(alpha^-d) = 0 where the rest is 1
+            degrees = np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 1).tolist()
+            return degrees if len(degrees) == length else None
+        return degrees if max(degrees) < self.n else None
 
     def decode(self, received_bits: np.ndarray) -> DecodeOutcome:
-        """Correct up to t bit errors; failure is reported, never raised."""
+        """Correct up to t bit errors; failure is reported, never raised.
+
+        Bounded-distance: a word with more than t errors either fails or is
+        miscorrected to another codeword within distance t.
+        """
         word = np.asarray(received_bits, dtype=np.uint8)
         if word.shape != (self.n,):
             raise ValueError(f"received word must be {self.n} bits, got {word.shape}")
+        message = word[: self.k].copy()
         synd = self.syndromes(word)
         if not synd.any():
-            return DecodeOutcome(word[: self.k].copy(), 0, STATUS_OK)
-
-        locator, length = self._berlekamp_massey(synd)
-        if length > self.t or len(locator) - 1 != length:
-            return DecodeOutcome(word[: self.k].copy(), 0, STATUS_FAILURE)
-        roots = self._chien_roots(locator)
-        if len(roots) != length:
-            return DecodeOutcome(word[: self.k].copy(), 0, STATUS_FAILURE)
-        if len(roots) and roots.max() >= self.n:
-            # error located in the shortened (never transmitted) prefix
-            return DecodeOutcome(word[: self.k].copy(), 0, STATUS_FAILURE)
-        corrected = word.copy()
-        corrected[self.n - 1 - roots] ^= 1
-        return DecodeOutcome(corrected[: self.k].copy(), int(len(roots)), STATUS_OK)
+            return DecodeOutcome(message, 0, STATUS_OK)
+        locator = self._berlekamp_massey(synd)
+        degrees = None if locator is None else self._error_degrees(locator)
+        if degrees is None:
+            return DecodeOutcome(message, 0, STATUS_FAILURE)
+        for d in degrees:
+            if d >= self.parity_bits:
+                message[self.n - 1 - d] ^= 1
+        return DecodeOutcome(message, len(degrees), STATUS_OK)
 
     def __repr__(self):
         return (f"BchCodeSpec(n={self.n}, k={self.k}, t={self.t}, "

@@ -2,7 +2,9 @@
 
 Elements are ints in [0, 2^m); addition is XOR. The generator alpha is the
 polynomial x, so exp[i] = x^i mod primitive_poly. Construction verifies the
-polynomial is primitive by walking the full multiplicative cycle.
+polynomial is primitive by walking the full multiplicative cycle, and
+tabulates a root of y^2 + y = c for every c (Berlekamp, Rumsey & Solomon
+1967), which solves any quadratic after a change of variable.
 """
 
 from __future__ import annotations
@@ -40,15 +42,24 @@ class FieldSpec:
             raise ValueError(
                 f"polynomial {primitive_poly:#x} is not primitive over GF(2^{m})"
             )
-        self.exp = exp
+        # Doubled, so that exp[log a + log b] needs no reduction mod order.
+        self.exp = exp + exp
         self.log = log
         # numpy mirror for vectorized syndrome/Chien evaluation
-        self.exp_np = np.array(exp, dtype=np.int64)
+        self.exp_np = np.array(self.exp, dtype=np.int64)
+
+        # quadratic_root[c] is a y with y^2 + y = c, or -1 when there is none
+        # (trace of c is 1); the other root is y + 1.
+        y = np.arange(self.order + 1)
+        squares = np.where(y > 0, self.exp_np[2 * np.array(log)], 0)
+        roots = np.full(self.order + 1, -1, dtype=np.int64)
+        roots[squares ^ y] = y
+        self.quadratic_root = roots.tolist()
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.exp[(self.log[a] + self.log[b]) % self.order]
+        return self.exp[self.log[a] + self.log[b]]
 
     def __repr__(self):
         return f"FieldSpec(m={self.m}, primitive_poly={self.primitive_poly:#x})"

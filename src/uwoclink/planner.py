@@ -133,4 +133,8 @@ def distance_curve(spec: LinkSpec, z_min: float, z_max: float, n_points: int):
             "loss_db_without": path_loss_db(
                 spec.water, spec.geometry, z, include_geometry=False),
         })
+    # loss grows with z, so the last row is the first to overflow
+    if not all(map(math.isfinite, rows[-1].values())):
+        raise ValueError(f"z_max={z_max:g} m is too far: the path loss there "
+                         f"overflows a float")
     return rows

@@ -123,6 +123,16 @@ class TestGeometricLoss:
         g = LinkGeometry(0.5, 0.53, 0.0, 0.046, k_override_m2=1.198)
         assert geometric_loss_db(g) == 0.0
 
+    @pytest.mark.parametrize("k_override", [None, 1.198])
+    @pytest.mark.parametrize("z", [1e160, 1e200, 1e300])
+    def test_far_past_underflow_stays_finite(self, z, k_override):
+        # the collected fraction underflows to 0 (Z^2 overflows with k);
+        # the loss still follows 20 log10 Z
+        g = LinkGeometry(z, 0.53, 0.0, 0.046, k_override_m2=k_override)
+        k = 1.198 if k_override else (0.046 / (2.0 * math.tan(math.radians(0.53)))) ** 2
+        expected = 20.0 * math.log10(z) - 10.0 * math.log10(k)
+        assert geometric_loss_db(g) == pytest.approx(expected, rel=1e-12)
+
     def test_k_override_singular_at_zero(self):
         g = LinkGeometry(0.0, 0.53, 0.0, 0.046, k_override_m2=1.198)
         with pytest.raises(ValueError):

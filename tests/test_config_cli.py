@@ -366,6 +366,35 @@ class TestCliCommands:
         assert len(lines) == 1
         assert "z_max" in lines[0]
 
+    @pytest.mark.parametrize("k_override", [False, True])
+    @pytest.mark.parametrize("z_max", ["1e200", "1e300"])
+    def test_plan_far_z_max_rows_finite(self, tmp_path, capsys, z_max, k_override):
+        # used to end in "error: math domain error" (spot model) or an
+        # OverflowError traceback (k model)
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[geometry]\nk_override_m2 = 1.198\n" if k_override else "")
+        assert main(["plan", "--preset", "green-125M", "--config", str(cfg),
+                     "--z-max", z_max, "--format", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert len(rows) == 200
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        assert float(rows[-1][0]) == float(z_max)
+
+    @pytest.mark.parametrize("override", [
+        "",  # the spot diameter 2 z tan(phi) overflows
+        "[water]\nc_db_per_m = 5\n",  # the attenuation c z overflows
+    ])
+    def test_plan_overflowing_z_max_exit_2(self, tmp_path, capsys, override):
+        cfg = tmp_path / "o.cfg"
+        cfg.write_text(override)
+        assert main(["plan", "--preset", "green-125M", "--config", str(cfg),
+                     "--z-max", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = error_lines(captured.err)
+        assert lines == ["error: z_max=1e+308 m is too far: the path loss there "
+                         "overflows a float"]
+
     def test_simulate_deterministic_stdout(self, capsys):
         args = ["simulate", "--preset", "green-125M", "--duration-s", "3",
                 "--seed", "12"]

@@ -45,6 +45,93 @@ def poly_long_division(dividend, divisor):
 CODE_NAMES = st.sampled_from(["bch15_7", "bch15_5", "inner", "outer"])
 
 
+@pytest.fixture(scope="module")
+def bch12_4(gf16):
+    """(15,7) shortened by 3: degrees 12 .. 14 are never transmitted."""
+    return BchCodeSpec(12, 4, 2, gf16)
+
+
+def reference_berlekamp_massey(code, synd):
+    """Oracle: general Berlekamp-Massey over all 2t syndromes, even steps too."""
+    exp, log, order = code.field.exp, code.field.log, code.field.order
+    s = [int(v) for v in synd]
+    locator = [1]
+    prev = [1]
+    length = 0
+    shift = 1
+    prev_disc = 1
+    for step in range(len(s)):
+        disc = s[step]
+        for i in range(1, length + 1):
+            if i < len(locator) and locator[i] and s[step - i]:
+                disc ^= exp[(log[locator[i]] + log[s[step - i]]) % order]
+        if disc == 0:
+            shift += 1
+            continue
+        coef = exp[(log[disc] - log[prev_disc]) % order]
+        update = [0] * shift + prev
+        if len(update) > len(locator):
+            locator = locator + [0] * (len(update) - len(locator))
+        saved = list(locator)
+        for i, u in enumerate(update):
+            if u:
+                locator[i] ^= exp[(log[u] + log[coef]) % order]
+        if 2 * length <= step:
+            length = step + 1 - length
+            prev = saved
+            prev_disc = disc
+            shift = 1
+        else:
+            shift += 1
+    while len(locator) > 1 and locator[-1] == 0:
+        locator.pop()
+    return locator, length
+
+
+def reference_roots(code, locator):
+    """Oracle: Chien search over every degree d of the 2^m - 1 cycle."""
+    field = code.field
+    return [d for d in range(field.order)
+            if not np.bitwise_xor.reduce(
+                [field.mul(c, field.exp[(j * (field.order - d)) % field.order])
+                 for j, c in enumerate(locator)])]
+
+
+def reference_decode(code, word):
+    """Oracle decoder: (status, corrected_count, message_bits)."""
+    synd = reference_syndromes(code, word)
+    if not synd.any():
+        return STATUS_OK, 0, word[: code.k]
+    locator, length = reference_berlekamp_massey(code, synd)
+    failed = (STATUS_FAILURE, 0, word[: code.k])
+    if length > code.t or len(locator) - 1 != length:
+        return failed
+    roots = reference_roots(code, locator)
+    if len(roots) != length or max(roots) >= code.n:
+        return failed
+    corrected = word.copy()
+    corrected[code.n - 1 - np.array(roots)] ^= 1
+    return STATUS_OK, len(roots), corrected[: code.k]
+
+
+def assert_decodes_like_reference(code, word):
+    out = code.decode(word)
+    status, count, message = reference_decode(code, word)
+    assert (out.status, out.corrected_count) == (status, count)
+    assert np.array_equal(out.message_bits, message)
+    return out
+
+
+def beyond_n(code, degree):
+    """A received word whose syndromes are those of one error at ``degree``
+    >= n, in the shortened prefix: x^degree mod g in the parity bits."""
+    word = np.zeros(code.n, dtype=np.uint8)
+    rem = poly_long_division(1 << degree, code.generator)
+    word[code.k:] = [(rem >> (code.parity_bits - 1 - i)) & 1
+                     for i in range(code.parity_bits)]
+    return word
+
+
 def assert_encodes_like_oracle(code, msgs):
     """Each row's codeword is msg * x^r plus its remainder mod the generator."""
     batch = code.encode(msgs)
@@ -279,6 +366,86 @@ class TestDecode:
     def test_wrong_length_rejected(self, bch15_7):
         with pytest.raises(ValueError):
             bch15_7.decode(np.zeros(16, dtype=np.uint8))
+
+
+class TestDecodeAgainstReference:
+    @pytest.mark.parametrize("name", ["bch15_7", "bch12_4", "inner", "outer"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_patterns(self, request, codec, name, data):
+        # weight 0 .. 2t+2: clean, correctable, failures and miscorrections
+        code = named_code(request, codec, name)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        word = code.encode(rng.integers(0, 2, code.k).astype(np.uint8))
+        word[rng.choice(code.n, data.draw(st.integers(0, 2 * code.t + 2)),
+                        replace=False)] ^= 1
+        assert_decodes_like_reference(code, word)
+
+    def test_every_pattern_up_to_weight_4_on_bch12_4(self, bch12_4):
+        outcomes = set()
+        for weight in range(5):
+            for pos in itertools.combinations(range(12), weight):
+                word = bch12_4.encode(np.array([1, 0, 1, 1], dtype=np.uint8))
+                word[list(pos)] ^= 1
+                outcomes.add(assert_decodes_like_reference(bch12_4, word).status)
+        assert outcomes == {STATUS_OK, STATUS_FAILURE}
+
+    def test_sigma1_zero_is_a_repeated_root(self, bch15_7):
+        # 1 + s2 x^2 = (1 + sqrt(s2) x)^2: one root, twice, so no correction
+        for s2 in range(1, 16):
+            assert len(reference_roots(bch15_7, [1, 0, s2])) == 1
+            assert bch15_7._error_degrees([1, 0, s2]) is None
+
+    def test_trace_one_quadratic_fails(self, bch15_7):
+        # weight-3 words whose degree-2 locator maps to y^2 + y = c with no
+        # root in GF(16): the decoder must flag them, like the reference
+        field = bch15_7.field
+        irreducible = 0
+        for pos in itertools.combinations(range(15), 3):
+            word = np.zeros(15, dtype=np.uint8)
+            word[list(pos)] = 1
+            locator = bch15_7._berlekamp_massey(bch15_7.syndromes(word))
+            if locator is None or len(locator) != 3:
+                continue
+            c = field.exp[(field.log[locator[2]] - 2 * field.log[locator[1]]) % 15]
+            if field.quadratic_root[c] < 0:
+                irreducible += 1
+                assert reference_roots(bch15_7, locator) == []
+                assert assert_decodes_like_reference(bch15_7, word).status == STATUS_FAILURE
+        assert irreducible > 0
+
+    @pytest.mark.parametrize("name, sent", [
+        ("bch12_4", ()),            # degree 1: the one root is in the prefix
+        ("bch12_4", (5,)),          # degree 2, closed form
+        ("inner", (3, 1500)),       # degree 3, Chien search over n degrees
+        ("inner", tuple(range(0, 1800, 200))),  # degree 10 = t
+        ("outer", (7, 3000)),       # degree 3 on the t = 3 outer code
+    ])
+    def test_root_in_shortened_prefix_fails(self, request, codec, name, sent):
+        code = named_code(request, codec, name)
+        for degree in (code.n, (code.n + code.parent_n) // 2, code.parent_n - 1):
+            word = beyond_n(code, degree)
+            word[list(sent)] ^= 1
+            locator = code._berlekamp_massey(code.syndromes(word))
+            assert len(locator) - 1 == len(sent) + 1
+            assert assert_decodes_like_reference(code, word).status == STATUS_FAILURE
+
+    def test_length_past_t_stops_early(self, codec):
+        # a codeword of the t = 6 code on the same field has S_1 .. S_12 = 0
+        # and S_13 != 0: L jumps to 13 > t = 10 on the 7th of 10 steps
+        code = codec.inner
+        t6 = BchCodeSpec(code.n, code.n - 66, 6, code.field)
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            word = t6.encode(rng.integers(0, 2, t6.k).astype(np.uint8))
+            synd = code.syndromes(word)
+            assert not synd[:12].any() and synd[12]
+            assert reference_berlekamp_massey(code, synd)[1] > code.t
+            assert assert_decodes_like_reference(code, word).status == STATUS_FAILURE
+            # S_14 .. S_20 are never read: values outside the field there
+            # would raise IndexError in the log table
+            synd[13:] = 1 << 20
+            assert code._berlekamp_massey(synd) is None
 
 
 class TestShortening:

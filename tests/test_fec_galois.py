@@ -62,6 +62,21 @@ def test_mul_matches_log_identity(gf16):
         assert gf16.mul(a, b) == oracle_mul(a, b, gf16.primitive_poly)
 
 
+@pytest.mark.parametrize("m, poly", [(4, 0b10011), (11, PRIMITIVE_POLY_M11),
+                                     (12, PRIMITIVE_POLY_M12)])
+def test_quadratic_root_table(m, poly):
+    # y^2 + y = c has a root for exactly half of all c; the table holds one
+    field = FieldSpec(m, poly)
+    solvable = {field.mul(y, y) ^ y for y in range(1 << m)}
+    assert len(solvable) == 1 << (m - 1)
+    assert len(field.quadratic_root) == 1 << m
+    for c, y in enumerate(field.quadratic_root):
+        if c in solvable:
+            assert field.mul(y, y) ^ y == c
+        else:
+            assert y == -1
+
+
 def test_zero_handling(gf16):
     assert gf16.mul(0, 7) == 0
     assert gf16.mul(7, 0) == 0
