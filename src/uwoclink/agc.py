@@ -25,12 +25,13 @@ def _db(x: float) -> float:
 
 @dataclass(frozen=True)
 class ReceiverChain:
-    """Actuator ranges and the voltage-to-transmittance curve.
+    """Actuator ranges, the voltage-to-transmittance curve and the AGC window.
 
-    The default LC curve is a logistic attenuation ramp from 0 dB at v_min
-    to ``lc_attenuation_range_db`` at v_max (transmittance monotone
-    non-increasing, exactly 1 at v_min). ``lc_table`` overrides it with a
-    piecewise-linear (voltage, transmittance) map.
+    The LC curve is a logistic attenuation ramp from 0 dB at v_min to
+    ``lc_attenuation_range_db`` at v_max (transmittance monotone
+    non-increasing, exactly 1 at v_min); a negative ``lc_steepness`` gives
+    the same normalised ramp as its magnitude. The gain control loop holds
+    the measured amplitude inside ``agc_window_v``.
     """
 
     pmt_gain_range: tuple[float, float] = (1e2, 1e6)
@@ -38,11 +39,12 @@ class ReceiverChain:
     responsivity_v_per_w: float = 50.0
     lc_attenuation_range_db: float = 20.0
     lc_steepness: float = 1.5
-    lc_table: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+    agc_window_v: tuple[float, float] = (0.5, 5.0)
 
     def __post_init__(self):
         g_min, g_max = self.pmt_gain_range
         v_min, v_max = self.lc_voltage_range
+        w_low, w_high = self.agc_window_v
         if not 0 < g_min < g_max:
             raise ValueError("pmt_gain_range must satisfy 0 < min < max")
         if not v_min < v_max:
@@ -51,48 +53,43 @@ class ReceiverChain:
             raise ValueError("responsivity must be > 0")
         if self.lc_attenuation_range_db < 0:
             raise ValueError("lc_attenuation_range_db must be >= 0")
-        if self.lc_table is not None:
-            volts, trans = self.lc_table
-            if len(volts) < 2 or len(volts) != len(trans):
-                raise ValueError("lc_table needs matched voltage/transmittance arrays")
-            if list(volts) != sorted(volts):
-                raise ValueError("lc_table voltages must be ascending")
-            if any(t2 > t1 for t1, t2 in zip(trans, trans[1:])):
-                raise ValueError("lc_table transmittance must be non-increasing")
-            if abs(trans[0] - 1.0) > 1e-9:
-                raise ValueError("lc_table transmittance must start at 1")
-            if min(trans) <= 0:
-                raise ValueError("lc_table transmittance must stay > 0")
+        if not 0 < w_low < w_high:
+            raise ValueError("agc_window_v must satisfy 0 < low < high")
+        # the exp argument is linear in v, so if neither end overflows no
+        # voltage in between does; a logistic of 0 means exp returned inf
+        try:
+            f_min, f_max = (self._logistic(v) for v in self.lc_voltage_range)
+            usable = 0 < f_min and 0 < f_max and f_min != f_max
+        except OverflowError:
+            usable = False
+        if not usable:
+            raise ValueError(
+                f"lc_steepness={self.lc_steepness} makes the LC curve over "
+                f"lc_voltage_range={self.lc_voltage_range} flat or overflow")
 
     # --- LC curve -------------------------------------------------------
 
-    def _logistic_norm(self, v: float) -> float:
+    def _logistic(self, v: float) -> float:
         v_min, v_max = self.lc_voltage_range
         mid = 0.5 * (v_min + v_max)
-        f = lambda x: 1.0 / (1.0 + math.exp(-self.lc_steepness * (x - mid)))
-        return (f(v) - f(v_min)) / (f(v_max) - f(v_min))
+        return 1.0 / (1.0 + math.exp(-self.lc_steepness * (v - mid)))
 
     def attenuation_db_at(self, lc_voltage: float) -> float:
         v_min, v_max = self.lc_voltage_range
         v = min(max(lc_voltage, v_min), v_max)
-        if self.lc_table is not None:
-            volts, trans = self.lc_table
-            t = float(np.interp(v, volts, trans))
-            return -_db(t)
-        return self.lc_attenuation_range_db * self._logistic_norm(v)
+        f_min = self._logistic(v_min)
+        norm = (self._logistic(v) - f_min) / (self._logistic(v_max) - f_min)
+        return self.lc_attenuation_range_db * norm
 
     def lc_transmittance(self, lc_voltage: float) -> float:
         return 10.0 ** (-self.attenuation_db_at(lc_voltage) / 10.0)
-
-    def max_attenuation_db(self) -> float:
-        return self.attenuation_db_at(self.lc_voltage_range[1])
 
     def voltage_for_attenuation_db(self, att_db: float) -> float:
         """Inverse of the monotone attenuation curve (clamped bisection)."""
         v_min, v_max = self.lc_voltage_range
         if att_db <= 0:
             return v_min
-        if att_db >= self.max_attenuation_db():
+        if att_db >= self.lc_attenuation_range_db:
             return v_max
         lo, hi = v_min, v_max
         for _ in range(60):
@@ -102,6 +99,21 @@ class ReceiverChain:
             else:
                 hi = mid
         return 0.5 * (lo + hi)
+
+    # --- AGC window -----------------------------------------------------
+
+    @property
+    def window_center_v(self) -> float:
+        return math.sqrt(self.agc_window_v[0] * self.agc_window_v[1])
+
+    def in_window(self, measured_v: float) -> bool:
+        return self.agc_window_v[0] <= measured_v <= self.agc_window_v[1]
+
+    def initial_state(self) -> AgcState:
+        """Loop start: least LC voltage, PMT gain at the geometric middle."""
+        g_min, g_max = self.pmt_gain_range
+        return AgcState(lc_voltage=self.lc_voltage_range[0],
+                        pmt_gain=math.sqrt(g_min * g_max))
 
     def amplitude_v(self, p_opt_w: float, lc_voltage: float, gain: float) -> float:
         """Plant response: measured signal amplitude in volts."""
@@ -144,7 +156,7 @@ def fit_calibration(samples, chain: ReceiverChain) -> CalibrationMap:
     if len(gains) < 2:
         raise CalibrationError("samples span a single PMT gain (rank deficient)")
 
-    full = chain.max_attenuation_db()
+    full = chain.lc_attenuation_range_db
     if full <= 0:
         raise CalibrationError("chain has no LC attenuation range to fit")
     shape = np.array([chain.attenuation_db_at(v) / full for _, v, _, _ in rows])
@@ -171,20 +183,7 @@ def fit_calibration(samples, chain: ReceiverChain) -> CalibrationMap:
 class AgcState:
     lc_voltage: float
     pmt_gain: float
-    window_low_v: float
-    window_high_v: float
     saturated: bool = False
-
-    def __post_init__(self):
-        if not 0 < self.window_low_v < self.window_high_v:
-            raise ValueError("window must satisfy 0 < low < high")
-
-    @property
-    def window_center_v(self) -> float:
-        return math.sqrt(self.window_low_v * self.window_high_v)
-
-    def in_window(self, measured_v: float) -> bool:
-        return self.window_low_v <= measured_v <= self.window_high_v
 
 
 def agc_step(chain: ReceiverChain, state: AgcState, measured_v: float) -> AgcState:
@@ -198,17 +197,17 @@ def agc_step(chain: ReceiverChain, state: AgcState, measured_v: float) -> AgcSta
     """
     if measured_v <= 0:
         raise ValueError("measured_v must be > 0")
-    if state.in_window(measured_v):
+    if chain.in_window(measured_v):
         return replace(state, saturated=False)
 
     g_min, g_max = chain.pmt_gain_range
-    err_db = _db(measured_v) - _db(state.window_center_v)
+    err_db = _db(measured_v) - _db(chain.window_center_v)
     att = chain.attenuation_db_at(state.lc_voltage)
     gain_db = _db(state.pmt_gain)
 
     if err_db > 0:
         att_target = att + err_db
-        att_new = min(att_target, chain.max_attenuation_db())
+        att_new = min(att_target, chain.lc_attenuation_range_db)
         leftover = att_target - att_new
         gain_new_db = max(gain_db - leftover, _db(g_min))
         leftover -= gain_db - gain_new_db
@@ -229,10 +228,5 @@ def agc_step(chain: ReceiverChain, state: AgcState, measured_v: float) -> AgcSta
         gain_new = state.pmt_gain
     else:
         gain_new = min(max(10.0 ** (gain_new_db / 10.0), g_min), g_max)
-    return AgcState(
-        lc_voltage=lc_new,
-        pmt_gain=gain_new,
-        window_low_v=state.window_low_v,
-        window_high_v=state.window_high_v,
-        saturated=leftover > 1e-9,
-    )
+    return AgcState(lc_voltage=lc_new, pmt_gain=gain_new,
+                    saturated=leftover > 1e-9)

@@ -141,7 +141,9 @@ def attenuation_db(water: WaterOptics, distance_m: float) -> float:
 def spot_diameter_m(geometry: LinkGeometry) -> float:
     """Beam spot diameter at the receiver plane (top-hat spot)."""
     phi = math.radians(geometry.half_angle_deg)
-    return geometry.tx_exit_diameter_m + 2.0 * geometry.distance_m * math.tan(phi)
+    # 2 * (z tan phi) equals 2 * z * tan phi bit for bit (doubling is
+    # exact) but overflows only where the diameter itself does
+    return geometry.tx_exit_diameter_m + 2.0 * (geometry.distance_m * math.tan(phi))
 
 
 def collected_fraction(geometry: LinkGeometry) -> float:

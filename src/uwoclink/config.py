@@ -76,8 +76,8 @@ SCHEMA = {
         "responsivity_v_per_w": (_FLOAT, "receiver.responsivity_v_per_w"),
         "lc_attenuation_range_db": (_FLOAT, "receiver.lc_attenuation_range_db"),
         "lc_steepness": (_FLOAT, "receiver.lc_steepness"),
-        "window_low_v": (_FLOAT, "agc_window_v.0"),
-        "window_high_v": (_FLOAT, "agc_window_v.1"),
+        "window_low_v": (_FLOAT, "receiver.agc_window_v.0"),
+        "window_high_v": (_FLOAT, "receiver.agc_window_v.1"),
     },
 }
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -20,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import modem
-from .agc import AgcState, ReceiverChain, agc_step
+from .agc import ReceiverChain, agc_step
 from .channel import (
     FadingSpec,
     LinkGeometry,
@@ -60,7 +59,6 @@ class LinkSpec:
     iface_cap_bps: float = 100e6
     frame_payload_bytes: int = 1500
     snr_offset_db: float = 0.0
-    agc_window_v: tuple[float, float] = (0.5, 5.0)
     interleaver_depth: int = DEFAULT_INTERLEAVER_DEPTH
     outer_words_per_frame: int = DEFAULT_OUTER_WORDS_PER_FRAME
     sim_frames_per_second: int = 6
@@ -79,9 +77,6 @@ class LinkSpec:
                 f"frame_payload_bytes must be in "
                 f"[{MIN_PAYLOAD_BYTES}, {MAX_PAYLOAD_BYTES}]"
             )
-        lo, hi = self.agc_window_v
-        if not 0 < lo < hi:
-            raise ValueError("agc_window_v must satisfy 0 < low < high")
         if self.sim_frames_per_second < 1:
             raise ValueError("sim_frames_per_second must be >= 1")
 
@@ -124,44 +119,12 @@ class SimReport:
                 for key, value in asdict(self).items()}
 
 
-def goodput_bps(line_rate_bps: float, fec_rate: float,
-                sync_overhead_fraction: float, iface_cap_bps: float,
-                frame_payload_bytes: int = 1500) -> float:
-    """Usable Ethernet payload rate after coding, sync, cap, and framing."""
-    if line_rate_bps < 0 or fec_rate < 0 or iface_cap_bps <= 0:
-        raise ValueError("rates must be non-negative, iface cap positive")
-    if not 0.0 <= sync_overhead_fraction < 1.0:
-        raise ValueError("sync_overhead_fraction must be in [0, 1)")
-    if not MIN_PAYLOAD_BYTES <= frame_payload_bytes <= MAX_PAYLOAD_BYTES:
-        raise ValueError(
-            f"frame_payload_bytes must be in [{MIN_PAYLOAD_BYTES}, {MAX_PAYLOAD_BYTES}]"
-        )
-    if line_rate_bps == 0:
-        return 0.0
-    carried = min(line_rate_bps * fec_rate * (1.0 - sync_overhead_fraction),
-                  iface_cap_bps)
-    efficiency = frame_payload_bytes / (frame_payload_bytes + ETHERNET_OVERHEAD_BYTES)
-    return carried * efficiency
-
-
 def goodput_for(spec: LinkSpec) -> float:
-    return goodput_bps(
-        spec.modulation.bit_rate_bps,
-        spec.codec.code_rate(),
-        spec.sync_overhead_fraction,
-        spec.iface_cap_bps,
-        spec.frame_payload_bytes,
-    )
-
-
-def initial_agc_state(spec: LinkSpec) -> AgcState:
-    g_min, g_max = spec.receiver.pmt_gain_range
-    return AgcState(
-        lc_voltage=spec.receiver.lc_voltage_range[0],
-        pmt_gain=math.sqrt(g_min * g_max),
-        window_low_v=spec.agc_window_v[0],
-        window_high_v=spec.agc_window_v[1],
-    )
+    """Usable Ethernet payload rate after coding, sync, cap, and framing."""
+    carried = min(spec.modulation.bit_rate_bps * spec.codec.code_rate()
+                  * (1.0 - spec.sync_overhead_fraction), spec.iface_cap_bps)
+    payload = spec.frame_payload_bytes
+    return carried * (payload / (payload + ETHERNET_OVERHEAD_BYTES))
 
 
 def margin_to_snr(margin_db: float, snr_offset_db: float) -> float:
@@ -190,7 +153,7 @@ def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
     """Per simulated second: one fading draw and AGC update, then the slot
     chain at the noise level the resulting margin sets."""
     static = total_loss_db(spec.geometry, spec.water, spec.nlos)
-    agc = initial_agc_state(spec)
+    agc = spec.receiver.initial_state()
     while True:
         fading = sample_fading_db(spec.fading, rng)
         total = static.total_db + fading

@@ -181,6 +181,7 @@ def demodulate(kind: str, stream: SlotStream) -> np.ndarray:
 def mc_bit_error_rate(kind: str, snr_amplitude: float, n_bits: int,
                       seed: int) -> float:
     """Monte-Carlo BER of the modem chain at unit amplitude, sigma = 1/snr."""
+    _check_snr(snr_amplitude)
     if snr_amplitude <= 0:
         raise ValueError("snr must be > 0 for a Monte-Carlo run")
     rng = np.random.default_rng(seed)

@@ -17,7 +17,6 @@ from uwoclink.channel import LinkGeometry, spot_diameter_m
 from uwoclink.cli import main, render_report
 from uwoclink.engine import (
     goodput_for,
-    initial_agc_state,
     inject_errors_run,
     long_term_monitor,
     run_scenario,
@@ -162,18 +161,18 @@ def test_c10_agc_convergence_sweep(green):
     v_min, v_max = chain.lc_voltage_range
     worst = 0
     for p_opt in np.logspace(-6, -3, 41):  # 30 dB sweep, 41 points
-        state = initial_agc_state(green)
+        state = chain.initial_state()
         steps = 0
         while steps <= 10:
             measured = chain.amplitude_v(p_opt, state.lc_voltage, state.pmt_gain)
-            if state.in_window(measured):
+            if chain.in_window(measured):
                 break
             state = agc_step(chain, state, measured)
             steps += 1
             assert g_min <= state.pmt_gain <= g_max
             assert v_min <= state.lc_voltage <= v_max
         measured = chain.amplitude_v(p_opt, state.lc_voltage, state.pmt_gain)
-        assert state.in_window(measured), f"no convergence at {p_opt} W"
+        assert chain.in_window(measured), f"no convergence at {p_opt} W"
         assert steps <= 10
         worst = max(worst, steps)
         # stays put once inside

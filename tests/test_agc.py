@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,13 @@ def predict_amplitude(cal, chain, p_opt_w, lc_voltage, gain):
     """Volts the fitted model gives at these actuators: the fitted
     responsivity times power and gain, less the fitted LC attenuation
     scaled by the chain's curve shape."""
-    shape = chain.attenuation_db_at(lc_voltage) / chain.max_attenuation_db()
+    shape = chain.attenuation_db_at(lc_voltage) / chain.lc_attenuation_range_db
     att_db = cal.att_scale_db * shape
     return p_opt_w * gain * 10.0 ** ((cal.responsivity_db - att_db) / 10.0)
 
 
 def make_state(**kwargs):
-    defaults = dict(lc_voltage=0.0, pmt_gain=1e4,
-                    window_low_v=0.5, window_high_v=5.0)
+    defaults = dict(lc_voltage=0.0, pmt_gain=1e4)
     defaults.update(kwargs)
     return AgcState(**defaults)
 
@@ -27,7 +28,7 @@ def settle(chain, state, p_opt_w, max_steps=10):
     steps = 0
     for _ in range(max_steps):
         measured = chain.amplitude_v(p_opt_w, state.lc_voltage, state.pmt_gain)
-        if state.in_window(measured):
+        if chain.in_window(measured):
             return state, steps
         state = agc_step(chain, state, measured)
         steps += 1
@@ -44,24 +45,40 @@ class TestReceiverChain:
         assert all(b <= a + 1e-15 for a, b in zip(trans, trans[1:]))
 
     def test_full_range_attenuation(self):
-        assert CHAIN.max_attenuation_db() == pytest.approx(20.0)
+        assert CHAIN.attenuation_db_at(5.0) == CHAIN.lc_attenuation_range_db == 20.0
 
     def test_attenuation_inverse(self):
         for att in (0.0, 3.0, 10.0, 19.9):
             v = CHAIN.voltage_for_attenuation_db(att)
             assert CHAIN.attenuation_db_at(v) == pytest.approx(att, abs=1e-6)
 
-    def test_table_override(self):
-        chain = ReceiverChain(lc_table=((0.0, 2.5, 5.0), (1.0, 0.5, 0.01)))
-        assert chain.lc_transmittance(0.0) == 1.0
-        assert chain.lc_transmittance(2.5) == pytest.approx(0.5)
-        assert chain.lc_transmittance(5.0) == pytest.approx(0.01)
+    @pytest.mark.parametrize("steepness, volts", [
+        (0.0, (0.0, 5.0)),  # flat: f(v_max) - f(v_min) was a ZeroDivisionError
+        (1e-300, (0.0, 5.0)),  # flat in floating point
+        (1000.0, (0.0, 5.0)),  # exp overflows at v_min: was an OverflowError
+        (-1000.0, (0.0, 5.0)),  # and at v_max
+        (5.0, (0.0, 1e308)),  # exp(inf) at v_min, finite overflow inside
+    ])
+    def test_unusable_steepness_rejected(self, steepness, volts):
+        with pytest.raises(ValueError, match="lc_steepness="):
+            ReceiverChain(lc_steepness=steepness, lc_voltage_range=volts)
 
-    def test_bad_table_rejected(self):
-        with pytest.raises(ValueError):
-            ReceiverChain(lc_table=((0.0, 5.0), (0.5, 1.0)))  # increasing
-        with pytest.raises(ValueError):
-            ReceiverChain(lc_table=((0.0, 5.0), (0.9, 0.1)))  # not 1 at v_min
+    def test_negative_steepness_gives_the_same_curve(self):
+        mirrored = ReceiverChain(lc_steepness=-CHAIN.lc_steepness)
+        for v in np.linspace(0.0, 5.0, 51):
+            assert mirrored.attenuation_db_at(v) == pytest.approx(
+                CHAIN.attenuation_db_at(v), abs=1e-12)
+
+    @pytest.mark.parametrize("window", [(0.0, 5.0), (5.0, 0.5), (1.0, 1.0)])
+    def test_bad_window_rejected(self, window):
+        with pytest.raises(ValueError, match="agc_window_v"):
+            ReceiverChain(agc_window_v=window)
+
+    def test_window_and_initial_state(self):
+        assert CHAIN.window_center_v == pytest.approx(math.sqrt(2.5))
+        assert CHAIN.in_window(0.5) and CHAIN.in_window(5.0)
+        assert not CHAIN.in_window(0.49) and not CHAIN.in_window(5.01)
+        assert CHAIN.initial_state() == AgcState(lc_voltage=0.0, pmt_gain=1e4)
 
 
 
@@ -171,7 +188,7 @@ class TestStep:
         boosted = p0 * 100.0  # +20 dB optical step
         state, steps = settle(CHAIN, state, boosted)
         measured = CHAIN.amplitude_v(boosted, state.lc_voltage, state.pmt_gain)
-        assert state.in_window(measured)
+        assert CHAIN.in_window(measured)
         assert steps <= 10
 
     def test_below_sensitivity_saturates_at_bounds(self):
@@ -212,7 +229,7 @@ class TestStep:
         for p in np.logspace(-6, -3, 41):
             state, steps = settle(CHAIN, make_state(), p)
             measured = CHAIN.amplitude_v(p, state.lc_voltage, state.pmt_gain)
-            assert state.in_window(measured), p
+            assert CHAIN.in_window(measured), p
             assert steps <= 10
             # and stays there
             after = agc_step(CHAIN, state, measured)

@@ -6,7 +6,9 @@ import math
 import pathlib
 import string
 import tempfile
-from dataclasses import replace
+import types
+from dataclasses import fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -42,6 +44,22 @@ def error_lines(err):
     return [line for line in err.splitlines() if "error:" in line]
 
 
+def leaf_paths(cls, prefix=""):
+    """SCHEMA-style paths of every field under dataclass ``cls``: nested
+    dataclasses are walked, and a range tuple's ends are ``.0``/``.1``."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        path, hint = prefix + f.name, hints[f.name]
+        if isinstance(hint, types.UnionType):
+            hint, = (arg for arg in get_args(hint) if arg is not type(None))
+        if is_dataclass(hint):
+            yield from leaf_paths(hint, path + ".")
+        elif get_origin(hint) is tuple:
+            yield from (f"{path}.{i}" for i in range(len(get_args(hint))))
+        else:
+            yield path
+
+
 @st.composite
 def config_specs(draw):
     """Any LinkSpec the config format can express, NLOS and k override
@@ -68,7 +86,9 @@ def config_specs(draw):
         lc_voltage_range=(v_min, v_min + draw(f(0.5, 10.0))),
         responsivity_v_per_w=draw(f(1e-3, 1e3)),
         lc_attenuation_range_db=draw(f(0.0, 40.0)),
-        lc_steepness=draw(f(-5.0, 5.0)),
+        # near 0 the LC curve is flat in floating point; the chain rejects it
+        lc_steepness=draw(f(-5.0, 5.0).filter(lambda s: abs(s) >= 1e-3)),
+        agc_window_v=(window_low, window_low * draw(f(1.5, 10.0))),
     )
     return LinkSpec(
         name=draw(st.text(string.ascii_letters + string.digits + "-_.",
@@ -87,7 +107,6 @@ def config_specs(draw):
         iface_cap_bps=draw(f(1e3, 1e9)),
         frame_payload_bytes=draw(st.integers(46, 1500)),
         snr_offset_db=draw(f(-60.0, 60.0)),
-        agc_window_v=(window_low, window_low * draw(f(1.5, 10.0))),
         interleaver_depth=draw(st.integers(1, 64)),
         outer_words_per_frame=draw(st.integers(1, 16)),
         sim_frames_per_second=draw(st.integers(1, 60)),
@@ -275,6 +294,14 @@ class TestRoundtrip:
         spec = load_preset(preset)
         assert parse_scenario(render_scenario(spec)) == spec
 
+    def test_every_spec_field_has_a_key(self):
+        paths = {path for keys in SCHEMA.values() for _, path in keys.values()}
+        # build_spec fills the unfolded NLOS path's other fields from [geometry]
+        unreachable = [leaf for leaf in leaf_paths(LinkSpec)
+                       if leaf not in paths
+                       and leaf.replace("nlos.unfolded.", "geometry.", 1) not in paths]
+        assert unreachable == []
+
     @given(config_specs())
     @settings(max_examples=200, deadline=None)
     def test_randomized_specs_roundtrip(self, spec):
@@ -367,10 +394,11 @@ class TestCliCommands:
         assert "z_max" in lines[0]
 
     @pytest.mark.parametrize("k_override", [False, True])
-    @pytest.mark.parametrize("z_max", ["1e200", "1e300"])
+    @pytest.mark.parametrize("z_max", ["1e200", "1e300", "1e308"])
     def test_plan_far_z_max_rows_finite(self, tmp_path, capsys, z_max, k_override):
         # used to end in "error: math domain error" (spot model) or an
-        # OverflowError traceback (k model)
+        # OverflowError traceback (k model); at 1e308 the spot model's
+        # 2 z tan(phi) used to overflow though the diameter fits a float
         cfg = tmp_path / "k.cfg"
         cfg.write_text("[geometry]\nk_override_m2 = 1.198\n" if k_override else "")
         assert main(["plan", "--preset", "green-125M", "--config", str(cfg),
@@ -381,7 +409,6 @@ class TestCliCommands:
         assert float(rows[-1][0]) == float(z_max)
 
     @pytest.mark.parametrize("override", [
-        "",  # the spot diameter 2 z tan(phi) overflows
         "[water]\nc_db_per_m = 5\n",  # the attenuation c z overflows
     ])
     def test_plan_overflowing_z_max_exit_2(self, tmp_path, capsys, override):
@@ -489,6 +516,19 @@ class TestCliCommands:
         assert error_lines(captured.err) == [
             f"error: line 2: key '{key}' expects {kind}, got {value!r}"
         ]
+
+    @pytest.mark.parametrize("steepness", ["0", "1e-300", "1000"])
+    def test_unusable_lc_steepness_exit_2(self, tmp_path, capsys, steepness):
+        # 0 and 1e-300 used to end in a ZeroDivisionError traceback, 1000 in
+        # an OverflowError one
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"[agc]\nlc_steepness = {steepness}\n")
+        assert main(["simulate", "--preset", "green-125M", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = error_lines(captured.err)
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: invalid configuration: lc_steepness={float(steepness)} ")
 
     @pytest.mark.parametrize("field", [0, 3])
     @pytest.mark.parametrize("value", ["\u0661e-4", "1_000", "\uff12.0"])

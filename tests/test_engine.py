@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,11 @@ from uwoclink.config import load_preset
 from uwoclink.engine import (
     ETHERNET_OVERHEAD_BYTES,
     epoch_seed,
-    goodput_bps,
     goodput_for,
     inject_errors_run,
     long_term_monitor,
     run_scenario,
 )
-
-RATE = (1930 / 2040) * (3824 / 3860)
-
 
 class TestGoodput:
     def test_green_matches_field_measurement(self, green):
@@ -33,33 +30,31 @@ class TestGoodput:
         value = goodput_for(blue)
         assert value == pytest.approx(5.50e6, abs=0.01e6)
 
-    def test_zero_line_rate(self):
-        assert goodput_bps(0.0, RATE, 0.0, 100e6) == 0.0
-
     def test_overhead_constant(self):
         assert ETHERNET_OVERHEAD_BYTES == 14 + 4 + 8 + 12
 
-    def test_payload_bounds(self):
-        with pytest.raises(ValueError):
-            goodput_bps(1e6, RATE, 0.0, 100e6, frame_payload_bytes=45)
-        with pytest.raises(ValueError):
-            goodput_bps(1e6, RATE, 0.0, 100e6, frame_payload_bytes=1501)
+    def test_payload_bounds(self, green):
+        for payload in (45, 1501):
+            with pytest.raises(ValueError, match="frame_payload_bytes"):
+                replace(green, frame_payload_bytes=payload)
 
-    def test_never_exceeds_cap_times_efficiency(self):
+    def test_never_exceeds_cap_times_efficiency(self, green):
         rng = np.random.default_rng(0)
         for _ in range(100):
             line = 10 ** rng.uniform(5, 9)
             cap = 10 ** rng.uniform(5, 9)
-            sync = rng.uniform(0.0, 0.3)
             payload = int(rng.integers(46, 1501))
-            value = goodput_bps(line, RATE, sync, cap, payload)
+            spec = replace(green,
+                           modulation=replace(green.modulation, bit_rate_bps=line),
+                           sync_overhead_fraction=rng.uniform(0.0, 0.3),
+                           iface_cap_bps=cap, frame_payload_bytes=payload)
             ceiling = min(cap, line) * payload / (payload + 38)
-            assert value <= ceiling + 1e-6
+            assert goodput_for(spec) <= ceiling + 1e-6
 
-    def test_small_frames_cost_throughput(self):
-        big = goodput_bps(125e6, RATE, 0.0, 100e6, 1500)
-        small = goodput_bps(125e6, RATE, 0.0, 100e6, 64)
-        assert small < big
+    def test_small_frames_cost_throughput(self, green):
+        assert green.frame_payload_bytes == 1500
+        small = replace(green, frame_payload_bytes=64)
+        assert goodput_for(small) < goodput_for(green)
 
 
 class TestRunScenario:
@@ -198,35 +193,54 @@ class TestReportShape:
 
 
 class TestGoldenDigests:
-    """Seeded reports pinned by ``sha256(json.dumps(to_dict, sort_keys))[:16]``.
+    """Seeded reports pinned by ``sha256(json.dumps(to_dict, sort_keys))[:16]``
+    with ``config_hash`` left out, and each preset's ``config_hash`` pinned
+    apart.
 
     The digests pin this numpy RNG stream (numpy 2.4.6) as well as the
     program: a speed-up that changes no output keeps them. A change that
     alters the stream on purpose, such as drawing per-frame error patterns
-    instead of slots, updates them and says so in CHANGES.md. The injection
-    runs have 32 decode failures in 123 frames, so they cover failed inner
-    words and the outer words tainted by them.
+    instead of slots, updates them and says so in CHANGES.md. The hash is a
+    digest of ``repr(spec)``, so adding or removing a dataclass field moves
+    only the hash pins. The injection runs have 32 decode failures in 123
+    frames, so they cover failed inner words and the outer words tainted by
+    them.
     """
 
-    @staticmethod
-    def digest(report):
-        text = json.dumps(report.to_dict(), sort_keys=True)
+    PRESETS = ["green-125M", "blue-6M25", "blue-6M25-nlos"]
+    CONFIG_HASHES = {
+        "green-125M": "fe58059c3208e0c5",
+        "blue-6M25": "da819f2f3855e72b",
+        "blue-6M25-nlos": "7cecf57b2264f7b3",
+    }
+    SCENARIO_DIGESTS = {
+        "green-125M": "81a47e5c3d67893b",
+        "blue-6M25": "3a11fbaaa207d1a1",
+        "blue-6M25-nlos": "4f8af27631519c75",
+    }
+    INJECTION_DIGESTS = {
+        "green-125M": "178a0c08ede24afe",
+        "blue-6M25": "affc47ee350b3ca2",
+        "blue-6M25-nlos": "65c77ea64871d349",
+    }
+
+    def digest(self, preset, report):
+        fields = report.to_dict()
+        assert fields.pop("config_hash") == self.CONFIG_HASHES[preset]
+        text = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
-    @pytest.mark.parametrize("preset, expected", [
-        ("green-125M", "8310caff4bd60ffa"),
-        ("blue-6M25", "be7d215165bfdc96"),
-        ("blue-6M25-nlos", "f73a5a788f9e7b4c"),
-    ])
-    def test_scenario_digest(self, preset, expected):
-        assert self.digest(run_scenario(load_preset(preset), 20, 3)) == expected
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_config_hash(self, preset):
+        assert load_preset(preset).fingerprint() == self.CONFIG_HASHES[preset]
 
-    @pytest.mark.parametrize("preset, expected", [
-        ("green-125M", "3f66aab55c7e2c45"),
-        ("blue-6M25", "3beb6c81baa840d2"),
-        ("blue-6M25-nlos", "981beab6a358931d"),
-    ])
-    def test_injection_digest(self, preset, expected):
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_scenario_digest(self, preset):
+        report = run_scenario(load_preset(preset), 20, 3)
+        assert self.digest(preset, report) == self.SCENARIO_DIGESTS[preset]
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_injection_digest(self, preset):
         report = inject_errors_run(load_preset(preset), 3e-3, 2_000_000, 5)
         assert report.decode_failures == 32 and report.frames_sent == 123
-        assert self.digest(report) == expected
+        assert self.digest(preset, report) == self.INJECTION_DIGESTS[preset]

@@ -229,6 +229,13 @@ class TestMonteCarlo:
         b = mc_bit_error_rate(OOK, 4.0, 10**5, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("kind", [OOK, PPM4])
+    def test_unusable_snr_rejected(self, kind, snr):
+        # nan used to return 0.491 (NaN noise) and inf 0.0 (zero noise)
+        with pytest.raises(ValueError, match="snr"):
+            mc_bit_error_rate(kind, snr, 1000, seed=1)
+
 
 class TestDispatch:
     def test_modulate_demodulate_roundtrip(self):
