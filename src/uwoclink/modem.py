@@ -100,6 +100,8 @@ def ppm4_demodulate(stream: SlotStream) -> np.ndarray:
 
 def add_noise(stream: SlotStream, sigma: float,
               rng: np.random.Generator) -> SlotStream:
+    """Each slot plus sigma times one standard normal from
+    ``rng.standard_normal``, the only method of ``rng`` this calls."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     noisy = rng.standard_normal(len(stream.amplitudes))

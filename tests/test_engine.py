@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
+from uwoclink import engine
+from uwoclink.channel import FadingSpec, total_loss_db
 from uwoclink.cli import render_report
 from uwoclink.config import load_preset
 from uwoclink.engine import (
@@ -14,8 +19,10 @@ from uwoclink.engine import (
     goodput_for,
     inject_errors_run,
     long_term_monitor,
+    margin_to_snr,
     run_scenario,
 )
+from uwoclink.modem import OOK, PPM4, ppm4_symbol_error_rate, theoretical_ber
 
 class TestGoodput:
     def test_green_matches_field_measurement(self, green):
@@ -68,11 +75,11 @@ class TestRunScenario:
     def test_blue_nlos_bursts_echo_field_log(self, blue_nlos):
         # Deep fades on the bounce path: seconds with tens to hundreds of
         # errors and a handful of lost packets. One 120-s run loses no
-        # packet for 8 of seeds 0-29, so this pools four independent 120-s
-        # epochs. With P(no loss in 120 s) = 8/30 all four lose none with
-        # probability (8/30)^4 = 5e-3 (0.034 at the one-sided 95 % upper
-        # bound 0.43 of 8/30). No second reaches 10 errors for 1 of the 30
-        # seeds, (1/30)^4 = 1e-6; every seed had at least 113 quiet seconds.
+        # packet for 14 of seeds 0-29, so this pools four independent 120-s
+        # epochs. With P(no loss in 120 s) = 14/30 all four lose none with
+        # probability (14/30)^4 = 0.047 (0.16 at the one-sided 95 % upper
+        # bound 0.63 of 14/30). No second reaches 10 errors for 2 of the 30
+        # seeds, (2/30)^4 = 2e-5; every seed had at least 114 quiet seconds.
         reports = long_term_monitor(blue_nlos, 4, 120, seed=3)
         beps = [b for r in reports for b in r.beps_series]
         assert sum(r.packet_loss_count for r in reports) > 0
@@ -116,6 +123,173 @@ class TestRunScenario:
     def test_invalid_duration(self, green):
         with pytest.raises(ValueError):
             run_scenario(green, 0, seed=1)
+
+
+class TestNoiseAhead:
+    """The draw-ahead slot noise source against one sequential draw."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 4096])
+    def test_mixed_requests_equal_one_sequential_draw(self, block):
+        sizes = np.random.default_rng(block).integers(0, 3 * block + 5, 60).tolist()
+        sizes += [0, block, 1, 5 * block]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two threads finely
+        source = engine._NoiseAhead(np.random.default_rng(9).spawn(1)[0], block)
+        try:
+            # a returned array is valid until the next call, so copy it
+            got = [source.standard_normal(n).copy() for n in sizes]
+        finally:
+            source.close()
+            sys.setswitchinterval(switch)
+        assert [len(g) for g in got] == sizes
+        reference = np.random.default_rng(9).spawn(1)[0].standard_normal(sum(sizes))
+        assert np.array_equal(np.concatenate(got), reference)
+
+    def test_draws_at_most_one_ring_ahead(self):
+        calls = []
+
+        class Counting:
+            def standard_normal(self, out):
+                calls.append(len(out))
+                out[:] = 0.0
+
+        source = engine._NoiseAhead(Counting(), 10)
+        source.standard_normal(35)  # four blocks
+        source.close()
+        assert 4 <= len(calls) <= 4 + engine._NOISE_RING
+        assert set(calls) == {10}
+
+    def test_worker_error_reaches_caller(self):
+        class FailsSecond:
+            draws = 0
+
+            def standard_normal(self, out):
+                self.draws += 1
+                if self.draws == 2:
+                    raise FloatingPointError("draw 2")
+                out[:] = 1.0
+
+        baseline = threading.active_count()
+        source = engine._NoiseAhead(FailsSecond(), 8)
+        try:
+            assert np.array_equal(source.standard_normal(8), np.ones(8))
+            with pytest.raises(FloatingPointError, match="draw 2"):
+                source.standard_normal(1)
+        finally:
+            source.close()
+        assert threading.active_count() == baseline
+
+
+class TestNoWorkerOutlivesARun:
+    """The slot-noise worker is joined before each public call ends, and at
+    most one runs at a time."""
+
+    @pytest.fixture
+    def watched(self, monkeypatch):
+        """Counts demodulate calls and the most threads alive at any one."""
+        baseline = threading.active_count()
+        seen = {"calls": 0, "most": 0}
+        demodulate = engine.modem.demodulate
+
+        def counting(kind, stream):
+            seen["calls"] += 1
+            seen["most"] = max(seen["most"], threading.active_count())
+            return demodulate(kind, stream)
+
+        monkeypatch.setattr(engine.modem, "demodulate", counting)
+        return baseline, seen
+
+    def test_run_scenario(self, blue_nlos, watched):
+        baseline, seen = watched
+        run_scenario(blue_nlos, 2, seed=4)
+        assert seen["calls"] == 12 and seen["most"] == baseline + 1
+        assert threading.active_count() == baseline
+
+    def test_long_term_monitor(self, green, watched):
+        baseline, seen = watched
+        long_term_monitor(green, 3, 2, seed=6)
+        assert seen["calls"] == 36 and seen["most"] == baseline + 1
+        assert threading.active_count() == baseline
+
+    def test_run_that_raises(self, blue, monkeypatch):
+        baseline = threading.active_count()
+        demodulate = engine.modem.demodulate
+        calls = []
+        failure = RuntimeError("demodulator fault")
+
+        def third_call_raises(kind, stream):
+            calls.append(kind)
+            if len(calls) == 3:
+                raise failure
+            return demodulate(kind, stream)
+
+        monkeypatch.setattr(engine.modem, "demodulate", third_call_raises)
+        with pytest.raises(RuntimeError) as caught:
+            run_scenario(blue, 5, seed=2)
+        assert caught.value is failure and len(calls) == 3
+        assert threading.active_count() == baseline
+
+
+class TestErrorDistribution:
+    """Pre-FEC errors of ``run_scenario`` follow the slot-noise model exactly.
+
+    Fading is off and ``snr_offset_db`` puts the line BER near 3e-3, so a
+    run's error count has a known law. OOK errs on each line bit
+    independently with probability Q(snr/2), a binomial. A 4-PPM symbol errs
+    with probability SER, and by symmetry of i.i.d. slot noise the wrong slot
+    is uniform over the other three, so it costs 1 bit (XOR 01 or 10) with
+    probability 2/3 and 2 bits (XOR 11) with probability 1/3: per symbol the
+    mean is 4/3 SER and the variance 2 SER - (16/9) SER^2. Bernstein's
+    inequality for a sum of independent terms within 2 of their means bounds
+    that sum. Each bound is two-sided at a false-alarm probability of 1e-9.
+    """
+
+    ALPHA = 1e-9
+    TARGET_BER = 3e-3
+    SECONDS = 12  # 72 frames, 1,175,040 line bits
+
+    def flat_spec(self, spec):
+        spec = replace(spec, fading=FadingSpec())
+        kind = spec.modulation.kind
+        lo, hi = 1.0, 100.0  # amplitude SNRs bracketing TARGET_BER
+        for _ in range(100):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if theoretical_ber(kind, mid) > self.TARGET_BER else (lo, mid)
+        margin = spec.budget_db - total_loss_db(spec.geometry, spec.water,
+                                                spec.nlos).total_db
+        return replace(spec, snr_offset_db=20.0 * math.log10(lo) - margin)
+
+    def run(self, spec):
+        spec = self.flat_spec(spec)
+        report = run_scenario(spec, self.SECONDS, seed=17)
+        assert report.bits_simulated >= 10**6
+        assert len(set(report.margin_trace_db)) == 1
+        snr = margin_to_snr(report.margin_trace_db[0], spec.snr_offset_db)
+        assert 1e-3 <= theoretical_ber(spec.modulation.kind, snr) <= 1e-2
+        return report, snr
+
+    def test_ook_errors_are_binomial(self, green):
+        assert green.modulation.kind == OOK
+        report, snr = self.run(green)
+        p = theoretical_ber(OOK, snr)
+        n = report.bits_simulated
+        low = binom.ppf(self.ALPHA / 2, n, p)
+        high = binom.isf(self.ALPHA / 2, n, p)
+        assert low <= report.pre_fec_bit_errors <= high
+
+    def test_ppm4_errors_follow_symbol_law(self, blue):
+        assert blue.modulation.kind == PPM4
+        report, snr = self.run(blue)
+        ser = ppm4_symbol_error_rate(snr)
+        symbols = report.bits_simulated // 2
+        mean = symbols * 4.0 / 3.0 * ser
+        variance = symbols * (2.0 * ser - 16.0 / 9.0 * ser * ser)
+        # P(|S - mean| >= t) <= alpha when t^2 = 2 L (variance + 2 t / 3),
+        # L = ln(2 / alpha): Bernstein with terms within 2 of their means
+        log_term = math.log(2.0 / self.ALPHA)
+        t = 2.0 * log_term / 3.0 + math.sqrt((2.0 * log_term / 3.0) ** 2
+                                             + 2.0 * log_term * variance)
+        assert abs(report.pre_fec_bit_errors - mean) <= t
 
 
 class TestInjectErrors:
@@ -198,7 +372,9 @@ class TestGoldenDigests:
     apart.
 
     The digests pin this numpy RNG stream (numpy 2.4.6) as well as the
-    program: a speed-up that changes no output keeps them. A change that
+    program: a speed-up that changes no output keeps them. Scenario runs take
+    their slot noise from a stream spawned from the seed, and their fading
+    and payloads from the seed's own stream. A change that
     alters the stream on purpose, such as drawing per-frame error patterns
     instead of slots, updates them and says so in CHANGES.md. The hash is a
     digest of ``repr(spec)``, so adding or removing a dataclass field moves
@@ -214,9 +390,9 @@ class TestGoldenDigests:
         "blue-6M25-nlos": "7cecf57b2264f7b3",
     }
     SCENARIO_DIGESTS = {
-        "green-125M": "81a47e5c3d67893b",
-        "blue-6M25": "3a11fbaaa207d1a1",
-        "blue-6M25-nlos": "4f8af27631519c75",
+        "green-125M": "62a94c45682cba64",
+        "blue-6M25": "b4e72cd6d32565c7",
+        "blue-6M25-nlos": "6000209809e5caad",
     }
     INJECTION_DIGESTS = {
         "green-125M": "178a0c08ede24afe",
