@@ -173,27 +173,25 @@ def _hex_to_bits(text: str, n_bits: int) -> np.ndarray:
 
 def _cmd_fec(args) -> int:
     codec = codec_for()
-    if args.code == "inner":
-        n_in, n_out = codec.inner.k, codec.inner.n
-        encode, decode = codec.inner.encode, codec.inner.decode
-    elif args.code == "outer":
-        n_in, n_out = codec.outer.k, codec.outer.n
-        encode, decode = codec.outer.encode, codec.outer.decode
+    if args.code == "concat":
+        code, n_in, n_out = codec, codec.frame_payload_bits, codec.frame_bits
     else:
-        n_in, n_out = codec.frame_payload_bits, codec.frame_bits
-        encode, decode = codec.encode, codec.decode
-
+        code = getattr(codec, args.code)
+        n_in, n_out = code.k, code.n
+    n_bits = n_in if args.action == "encode" else n_out
     failures = 0
     for lineno, raw in enumerate(sys.stdin, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        try:
+            bits = _hex_to_bits(line, n_bits)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
         if args.action == "encode":
-            bits = _hex_to_bits(line, n_in)
-            print(_bits_to_hex(encode(bits)))
+            print(_bits_to_hex(code.encode(bits)))
         else:
-            bits = _hex_to_bits(line, n_out)
-            outcome = decode(bits)
+            outcome = code.decode(bits)
             print(_bits_to_hex(outcome.message_bits))
             status = outcome.status
             print(f"line {lineno}: status={status} "

@@ -27,12 +27,16 @@ STATUS_FAILURE = "decode_failure"
 @dataclass(frozen=True)
 class DecodeOutcome:
     message_bits: np.ndarray
-    corrected_count: int
-    status: str
+    corrected_count: int  # summed over the rows
+    failed: np.ndarray  # one flag per row; 0-d for one word or one frame
 
     @property
     def ok(self) -> bool:
-        return self.status == STATUS_OK
+        return not self.failed.any()
+
+    @property
+    def status(self) -> str:
+        return STATUS_OK if self.ok else STATUS_FAILURE
 
 
 def generator_polynomial(field: FieldSpec, t: int) -> int:
@@ -243,26 +247,31 @@ class BchCodeSpec:
         return degrees if max(degrees) < self.n else None
 
     def decode(self, received_bits: np.ndarray) -> DecodeOutcome:
-        """Correct up to t bit errors; failure is reported, never raised.
+        """Correct up to t bit errors in a word, or in each row of words.
 
-        Bounded-distance: a word with more than t errors either fails or is
-        miscorrected to another codeword within distance t.
+        One ``syndromes`` call covers every row. Failure is reported per row,
+        never raised. Bounded-distance: a word with more than t errors either
+        fails or is miscorrected to another codeword within distance t.
         """
-        word = np.asarray(received_bits, dtype=np.uint8)
-        if word.shape != (self.n,):
-            raise ValueError(f"received word must be {self.n} bits, got {word.shape}")
-        message = word[: self.k].copy()
-        synd = self.syndromes(word)
-        if not synd.any():
-            return DecodeOutcome(message, 0, STATUS_OK)
-        locator = self._berlekamp_massey(synd)
-        degrees = None if locator is None else self._error_degrees(locator)
-        if degrees is None:
-            return DecodeOutcome(message, 0, STATUS_FAILURE)
-        for d in degrees:
-            if d >= self.parity_bits:
-                message[self.n - 1 - d] ^= 1
-        return DecodeOutcome(message, len(degrees), STATUS_OK)
+        words = np.asarray(received_bits, dtype=np.uint8)
+        synd = self.syndromes(words)
+        message = words[..., : self.k].copy()
+        failed = np.zeros(words.shape[:-1], dtype=bool)
+        corrected = 0
+        if synd.any():
+            rows, row_failed = message.reshape(-1, self.k), failed.reshape(-1)
+            synd = synd.reshape(-1, 2 * self.t)
+            for r in np.flatnonzero(synd.any(axis=1)):
+                locator = self._berlekamp_massey(synd[r])
+                degrees = None if locator is None else self._error_degrees(locator)
+                if degrees is None:
+                    row_failed[r] = True
+                    continue
+                for d in degrees:
+                    if d >= self.parity_bits:
+                        rows[r, self.n - 1 - d] ^= 1
+                corrected += len(degrees)
+        return DecodeOutcome(message, corrected, failed)
 
     def __repr__(self):
         return (f"BchCodeSpec(n={self.n}, k={self.k}, t={self.t}, "

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bch import STATUS_FAILURE, STATUS_OK, BchCodeSpec, DecodeOutcome
+from .bch import BchCodeSpec, DecodeOutcome
 from .galois import FieldSpec
 
 # Standard primitive polynomials: x^11+x^2+1 and x^12+x^6+x^4+x+1.
@@ -108,11 +108,11 @@ class ConcatCodecSpec:
     def decode(self, frame_bits: np.ndarray) -> DecodeOutcome:
         """Inner decode, reassemble, outer decode; failures pass bits through.
 
-        One syndrome call per code screens every word of the frame; only
-        words with a nonzero syndrome go to the corrector. An outer word fed
-        by a failed inner word is not trusted to the outer corrector (its
-        error count is far beyond t); its received message bits pass through
-        and the frame is flagged.
+        One row-wise ``inner.decode`` call corrects every inner word; one
+        ``syndromes`` call screens the outer words, and only dirty ones go to
+        one ``outer.decode`` call. An outer word fed by a failed inner word is
+        not trusted to the outer corrector (its error count is far beyond t);
+        its received message bits pass through and the frame is flagged.
         """
         frame = np.asarray(frame_bits, dtype=np.uint8)
         if frame.shape != (self.frame_bits,):
@@ -121,34 +121,26 @@ class ConcatCodecSpec:
             )
         inner, outer = self.inner, self.outer
         raw = deinterleave(frame, self.interleaver_depth)
-        inner_words = raw.reshape(self.inner_words_per_frame, inner.n)
-
-        corrected = 0
-        chunks = inner_words[:, : inner.k].copy()
-        inner_failed = np.zeros(self.inner_words_per_frame, dtype=bool)
-        for i in np.flatnonzero(inner.syndromes(inner_words).any(axis=1)):
-            outcome = inner.decode(inner_words[i])
-            corrected += outcome.corrected_count
-            inner_failed[i] = not outcome.ok
-            chunks[i] = outcome.message_bits
-        any_failure = bool(inner_failed.any())
-        stream = chunks.ravel()
+        inner_out = inner.decode(raw.reshape(self.inner_words_per_frame, inner.n))
+        corrected, any_failure = inner_out.corrected_count, not inner_out.ok
+        stream = inner_out.message_bits.ravel()
         if self.tail_pad_bits:
             stream = stream[: -self.tail_pad_bits]
 
         outer_words = stream.reshape(self.outer_words_per_frame, outer.n)
         payload = outer_words[:, : outer.k].copy()
-        for w in np.flatnonzero(outer.syndromes(outer_words).any(axis=1)):
+        dirty = outer.syndromes(outer_words).any(axis=1)
+        for w in np.flatnonzero(dirty):
             start = w * outer.n
             stop = start + outer.n
-            if inner_failed[start // inner.k:(stop - 1) // inner.k + 1].any():
-                continue  # tainted: received message bits pass through
-            outcome = outer.decode(outer_words[w])
+            if inner_out.failed[start // inner.k:(stop - 1) // inner.k + 1].any():
+                dirty[w] = False  # tainted: received message bits pass through
+        if dirty.any():
+            outcome = outer.decode(outer_words[dirty])
             corrected += outcome.corrected_count
             any_failure |= not outcome.ok
-            payload[w] = outcome.message_bits
-        status = STATUS_FAILURE if any_failure else STATUS_OK
-        return DecodeOutcome(payload.ravel(), corrected, status)
+            payload[dirty] = outcome.message_bits
+        return DecodeOutcome(payload.ravel(), corrected, np.array(any_failure))
 
 
 @lru_cache(maxsize=32)

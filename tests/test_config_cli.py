@@ -634,6 +634,26 @@ class TestFecCli:
         assert len(error_lines(captured.err)) == 1
         assert "invalid hex block" in captured.err
 
+    @pytest.mark.parametrize("action, code, n_bits, bad, message", [
+        ("encode", "inner", 1930, "ab", "expected 483 hex digits for 1930 bits, got 2"),
+        ("encode", "inner", 1930, "g" * 483, "invalid hex block"),
+        ("encode", "inner", 1930, "f" * 483, "nonzero pad bits"),  # 1930 = 4 * 482 + 2
+        ("decode", "outer", 3860, "ab", "expected 965 hex digits for 3860 bits, got 2"),
+        ("decode", "outer", 3860, "0" * 964 + "x", "invalid hex block"),
+        ("decode", "concat", 16320, "0" * 4079, "expected 4080 hex digits"),
+    ])
+    def test_bad_block_error_names_its_line(self, monkeypatch, capsys,
+                                            action, code, n_bits, bad, message):
+        # a valid block, a blank line, then the bad one; every code's n is a
+        # multiple of 4, so only encode blocks can have pad bits
+        good = _bits_to_hex(np.zeros(n_bits, dtype=np.uint8))
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{good}\n\n{bad}\n"))
+        assert main(["fec", action, "--code", code]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1  # the valid block's output
+        [error] = error_lines(captured.err)
+        assert error.startswith("error: line 3: ") and message in error
+
     def test_encode_decode_pipeline(self, monkeypatch, capsys, codec):
         rng = np.random.default_rng(7)
         msg = rng.integers(0, 2, codec.outer.k).astype(np.uint8)

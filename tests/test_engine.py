@@ -75,12 +75,14 @@ class TestRunScenario:
     def test_blue_nlos_bursts_echo_field_log(self, blue_nlos):
         # Deep fades on the bounce path: seconds with tens to hundreds of
         # errors and a handful of lost packets. One 120-s run loses no
-        # packet for 14 of seeds 0-29, so this pools four independent 120-s
-        # epochs. With P(no loss in 120 s) = 14/30 all four lose none with
-        # probability (14/30)^4 = 0.047 (0.16 at the one-sided 95 % upper
+        # packet for 14 of seeds 0-29, so this pools eight independent 120-s
+        # epochs. With P(no loss in 120 s) = 14/30 all eight lose none with
+        # probability (14/30)^8 = 2.2e-3 (0.025 at the one-sided 95 % upper
         # bound 0.63 of 14/30). No second reaches 10 errors for 2 of the 30
-        # seeds, (2/30)^4 = 2e-5; every seed had at least 114 quiet seconds.
-        reports = long_term_monitor(blue_nlos, 4, 120, seed=3)
+        # seeds, (2/30)^8 = 4e-10; every seed had at least 114 quiet seconds.
+        # Seed 3 loses 0, 0, 3, 2, 6, 0, 6, 0 packets with 927 quiet seconds
+        # of 960, against the threshold 800.
+        reports = long_term_monitor(blue_nlos, 8, 120, seed=3)
         beps = [b for r in reports for b in r.beps_series]
         assert sum(r.packet_loss_count for r in reports) > 0
         assert any(b >= 10 for b in beps)

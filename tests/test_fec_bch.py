@@ -368,6 +368,46 @@ class TestDecode:
             bch15_7.decode(np.zeros(16, dtype=np.uint8))
 
 
+class TestRowDecode:
+    @pytest.mark.parametrize("name", ["bch15_7", "inner", "outer"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_match_one_word_decode(self, request, codec, name, data):
+        # 1 .. 9 rows of 0 .. 2t+2 flips each: clean, corrected, failed and
+        # miscorrected rows in one call, each row as its own 1-D decode
+        code = named_code(request, codec, name)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_rows = data.draw(st.integers(1, 9))
+        rows = code.encode(rng.integers(0, 2, (n_rows, code.k)).astype(np.uint8))
+        for row in rows:
+            row[rng.choice(code.n, data.draw(st.integers(0, 2 * code.t + 2)),
+                           replace=False)] ^= 1
+        received = rows.copy()
+        out = code.decode(rows)
+        singles = [code.decode(row) for row in rows]
+        assert np.array_equal(rows, received)  # the input is not corrected in place
+        assert out.message_bits.shape == (n_rows, code.k)
+        assert out.failed.shape == (n_rows,)
+        for message, failed, single in zip(out.message_bits, out.failed, singles):
+            assert np.array_equal(message, single.message_bits)
+            assert failed == single.failed
+        assert out.corrected_count == sum(s.corrected_count for s in singles)
+        assert out.ok is all(s.ok for s in singles)
+        assert out.status == (STATUS_OK if out.ok else STATUS_FAILURE)
+
+    def test_one_word_has_one_flag(self, bch15_7):
+        word = bch15_7.encode(np.ones(7, dtype=np.uint8))
+        word[[0, 1, 5]] ^= 1  # beyond t = 2, and not miscorrected
+        out = bch15_7.decode(word)
+        assert out.message_bits.shape == (7,) and out.failed.shape == ()
+        assert out.failed and out.ok is False and out.status == STATUS_FAILURE
+
+    @pytest.mark.parametrize("shape", [(2, 3, 15), (3, 14), (3, 16), (16,), ()])
+    def test_wrong_shapes_rejected(self, bch15_7, shape):
+        with pytest.raises(ValueError, match=rf"15 bits .*got {re.escape(str(shape))}"):
+            bch15_7.decode(np.zeros(shape, dtype=np.uint8))
+
+
 class TestDecodeAgainstReference:
     @pytest.mark.parametrize("name", ["bch15_7", "bch12_4", "inner", "outer"])
     @given(data=st.data())

@@ -241,6 +241,23 @@ class TestScreenedDecode:
         assert out.corrected_count == corrected
         assert out.status == status
 
+    def test_one_row_wise_call_per_code(self, monkeypatch, codec):
+        # about 2 flips in every inner word: all eight go to one inner
+        # decode, whose one syndromes call is the only inner screen; the
+        # outer words come out clean, so the outer code is only screened
+        rng = np.random.default_rng(17)
+        frame = frame_with_inner_errors(codec, rng, [2] * codec.inner_words_per_frame)
+        calls = Counter()
+        for attr in ("syndromes", "decode"):
+            def counted(code, words, _attr=attr, _original=getattr(BchCodeSpec, attr)):
+                calls[_attr, "inner" if code is codec.inner else "outer"] += 1
+                return _original(code, words)
+            monkeypatch.setattr(BchCodeSpec, attr, counted)
+        out = codec.decode(frame)
+        assert out.ok and out.corrected_count == 2 * codec.inner_words_per_frame
+        assert calls == {("syndromes", "inner"): 1, ("decode", "inner"): 1,
+                         ("syndromes", "outer"): 1}
+
     def test_reference_draws_reach_every_case(self, small):
         # the draws above do reach failed inner words, tainted outer words
         # and outer corrections, and the decoder agrees on each frame
