@@ -10,7 +10,6 @@ itself ran fine.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import sys
@@ -224,6 +223,8 @@ def _cmd_calibrate(args) -> int:
     else:
         chain = ReceiverChain()
     cal = fit_calibration(rows, chain)
+    import hashlib  # here, not at the top: it costs milliseconds of import
+
     with open(args.samples, "rb") as fh:
         samples_hash = hashlib.sha256(fh.read()).hexdigest()[:16]
     payload = {

@@ -17,7 +17,6 @@ traced entry points, runs on the caller's thread.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import threading
 from collections.abc import Callable, Iterator
@@ -100,6 +99,8 @@ class LinkSpec:
 
     def fingerprint(self) -> str:
         """Stable short hash of the full configuration."""
+        import hashlib  # here, not at the top: it costs milliseconds of import
+
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
 
@@ -276,7 +277,7 @@ def _flip_channel(ber: float, rng: np.random.Generator,
     def flip(frame: np.ndarray) -> np.ndarray:
         if ber == 0:
             return frame
-        return frame ^ (rng.random(len(frame)) < ber).astype(np.uint8)
+        return frame ^ (rng.random(len(frame)) < ber).view(np.uint8)
 
     yield from itertools.repeat(flip)
 

@@ -5,11 +5,18 @@ n-bit word is the coefficient of x^(n-1-i), so a shortened code is the
 parent code with the high-degree message coefficients fixed at zero.
 
 The decoder is bounded-distance: it corrects every pattern of at most t
-errors and either flags or miscorrects a heavier one. It finds the error
-locator by binary Berlekamp-Massey in t steps, solves a locator of degree
-1 or 2 in closed form, and runs a Chien search over the n transmitted
-degrees only for degree 3 and up; a root in the shortened prefix is never
-found, so the root count falls short and the word is flagged.
+errors and either flags or miscorrects a heavier one. Syndromes whose odd
+terms fit one or two errors are solved directly; otherwise binary
+Berlekamp-Massey finds the error locator in t steps, a locator of degree
+1 to 3 is solved in closed form, and a Chien search over the n transmitted
+degrees runs only for degree 4 and up. A root in the shortened prefix
+fails the word.
+
+Encoding and syndromes go through byte tables: one lookup per packed byte
+of a word gives its parity disagreement, and one per byte of that gives
+its 2t syndromes. The production codec's tables hold about 2.4 MB, nearly
+all of it the parity tables (ceil(n/8) x 256 entries of ceil(r/64) uint64
+words per code).
 """
 
 from __future__ import annotations
@@ -52,12 +59,23 @@ def generator_polynomial(field: FieldSpec, t: int) -> int:
     return g
 
 
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """0/1 bits along the last axis as uint64 words, MSB-first, zero-filled."""
-    n = bits.shape[-1]
-    packed = np.zeros(bits.shape[:-1] + (8 * -(-n // 64),), dtype=np.uint8)
-    packed[..., : -(-n // 8)] = np.packbits(bits, axis=-1)
-    return packed.view(np.uint64)
+def _byte_table(columns: np.ndarray) -> np.ndarray:
+    """XOR sums of ``columns`` by packed byte, for lookup after ``packbits``.
+
+    Row ``256 * b + v`` is the XOR of the columns ``8b + j`` whose bit is
+    set in byte value ``v`` (MSB first, so column ``8b`` is bit 7). Columns
+    past the end count as zero. Built by doubling, one bit at a time.
+    """
+    shape = columns.shape[1:]
+    padded = np.zeros((-(-len(columns) // 8) * 8, *shape), dtype=columns.dtype)
+    padded[: len(columns)] = columns
+    padded = padded.reshape(-1, 8, *shape)
+    table = np.zeros((len(padded), 256, *shape), dtype=columns.dtype)
+    for bit in range(8):
+        size = 1 << bit
+        np.bitwise_xor(table[:, :size], padded[:, 7 - bit, None],
+                       out=table[:, size:2 * size])
+    return table.reshape(-1, *shape)
 
 
 class BchCodeSpec:
@@ -88,48 +106,59 @@ class BchCodeSpec:
         # Column i of the parity-check matrix H = [P^T | I_r] is x^(n-1-i)
         # mod g: the parity contribution of message bit i, and the unit
         # vector of parity bit i - k. H.word is the word's parity disagreement.
-        width = -(-r // 8)
+        # Each column is stored as the r coefficients of x^(r-1) .. x^0,
+        # MSB first and left-aligned in whole uint64 words (zero-filled).
+        words = -(-r // 64)
+        shift = 64 * words - r
         buf = bytearray()
-        cur = 1  # x^d mod g for d = 0 .. n-1, as big-endian bytes
+        cur = 1  # x^d mod g for d = 0 .. n-1
         for _ in range(n):
-            buf += cur.to_bytes(width, "big")
+            buf += (cur << shift).to_bytes(8 * words, "big")
             cur <<= 1
             if cur >> r:
                 cur ^= g
-        powers = np.frombuffer(buf, dtype=np.uint8).reshape(n, width)
-        check = np.unpackbits(powers, axis=1)[::-1, -r:].T  # r x n
-        # Bit-sliced: row c holds the r rows' bits 64c .. 64c+63 as packed
-        # by _pack_words, so a word's chunk c meets all r rows at once.
-        self._check_table = np.ascontiguousarray(_pack_words(check).T)
+        columns = np.frombuffer(buf, dtype=np.uint64).reshape(n, words)[::-1]
+        # One flat table per uint64 word of parity: entry 256 b + v is that
+        # word of the XOR of the columns that byte b = v of a packed word
+        # selects. XOR acts on bytes alike, so the words' bytes, read back
+        # in memory order, are the packed parity bits.
+        self._parity_tables = [_byte_table(columns[:, w]) for w in range(words)]
+        self._byte_offsets = 256 * np.arange(-(-n // 8), dtype=np.intp)
+        self._parity_bytes = -(-r // 8)
 
-        # Syndrome table over the parity positions only (see syndromes):
-        # row j-1, column i holds alpha^(j * deg), deg = r-1-i of parity bit i.
+        # Syndromes by byte of the packed parity disagreement (see
+        # syndromes): parity bit c has degree r-1-c and adds alpha^(j (r-1-c))
+        # to S_j, j = 1 .. 2t.
         order = self.field.order
-        exp_np = self.field.exp_np
         degs = np.arange(r - 1, -1, -1, dtype=np.int64)
-        self._syndrome_table = np.stack(
-            [exp_np[(j * degs) % order] for j in range(1, 2 * self.t + 1)]
-        )
+        powers = np.outer(degs, np.arange(1, 2 * self.t + 1)) % order
+        self._syndrome_lookup = _byte_table(self.field.exp_np[powers].astype(np.uint16))
 
-        # Chien table over the transmitted degrees only: for error degree d
-        # in [0, n), x = alpha^-d and x^j = alpha^(j * (order - d)); row j-1
-        # holds those exponents, to be offset by log sigma_j < order and
-        # looked up in the doubled exp table.
-        d_arr = np.arange(n, dtype=np.int64)
-        self._chien_table = (np.arange(1, self.t + 1, dtype=np.int64)[:, None]
-                             * ((order - d_arr) % order)) % order
+        # Chien table over the transmitted degrees only, for locators of
+        # degree 4 and up: for error degree d in [0, n), x = alpha^-d and
+        # x^j = alpha^(j * (order - d)); row j-1 holds those exponents, to
+        # be offset by log sigma_j < order and looked up in the doubled exp
+        # table.
+        if self.t > 3:
+            d_arr = np.arange(n, dtype=np.int64)
+            self._chien_table = (np.arange(1, self.t + 1, dtype=np.int64)[:, None]
+                                 * ((order - d_arr) % order)) % order
 
     # --- encoding -----------------------------------------------------
 
     def _parity_check(self, bits: np.ndarray) -> np.ndarray:
-        """H.bits over GF(2): r bits per word, for a word or rows of words.
+        """H.bits over GF(2), packed: ceil(r/8) bytes per word or per row.
 
-        Bits past the end of the input count as zero, so a message alone
-        gives its parity.
+        One table lookup per packed byte and uint64 word of parity, XORed
+        along the row. Bits past the end of the input count as zero, so a
+        message alone gives its parity.
         """
-        words = _pack_words(bits)
-        terms = words[..., None] & self._check_table[: words.shape[-1]]
-        return np.bitwise_count(np.bitwise_xor.reduce(terms, axis=-2)) & 1
+        packed = np.packbits(bits, axis=-1)
+        index = packed + self._byte_offsets[: packed.shape[-1]]
+        parity = np.empty(index.shape[:-1] + (len(self._parity_tables),), dtype=np.uint64)
+        for w, table in enumerate(self._parity_tables):
+            parity[..., w] = np.bitwise_xor.reduce(table.take(index), axis=-1)
+        return parity.view(np.uint8)[..., : self._parity_bytes]
 
     def encode(self, message_bits: np.ndarray) -> np.ndarray:
         """Systematic codeword: message followed by n-k parity bits.
@@ -141,7 +170,7 @@ class BchCodeSpec:
             raise ValueError(
                 f"message must be {self.k} bits (or rows of them), got {msg.shape}"
             )
-        parity = self._parity_check(msg)
+        parity = np.unpackbits(self._parity_check(msg), axis=-1, count=self.parity_bits)
         return np.concatenate([msg, parity], axis=-1)
 
     # --- decoding -----------------------------------------------------
@@ -152,10 +181,12 @@ class BchCodeSpec:
         Re-encoding the received message gives a codeword, and syndromes are
         linear, so a word's syndromes are those of its difference from that
         codeword: the parity bits that disagree, which H.word marks. One
-        parity check covers every row. When no bit disagrees, the result
-        is zero at once; otherwise one masked reduction of the syndrome
-        table covers all rows, and a clean row gives zero. (Selecting the
-        dirty rows first costs more than it saves at 8 or 4 rows.)
+        packed parity check covers every row. When no byte of it is set,
+        every row is clean and the result is zero at once. Otherwise each
+        row's syndromes are one table lookup per byte of its packed
+        disagreement, XORed; a clean row's bytes are zero and look up zero.
+        (Selecting the dirty rows first costs more than it saves at 8 or 4
+        rows.)
         """
         words = np.asarray(words, dtype=np.uint8)
         if words.ndim not in (1, 2) or words.shape[-1] != self.n:
@@ -166,10 +197,10 @@ class BchCodeSpec:
         wrong = self._parity_check(words)
         if not wrong.any():
             return np.zeros(words.shape[:-1] + (2 * self.t,), dtype=np.int64)
-        columns = self._syndrome_table * wrong[..., None, :]
-        return np.bitwise_xor.reduce(columns, axis=-1)
+        terms = self._syndrome_lookup[wrong + self._byte_offsets[: self._parity_bytes]]
+        return np.bitwise_xor.reduce(terms, axis=-2).astype(np.int64)
 
-    def _berlekamp_massey(self, synd: np.ndarray) -> list[int] | None:
+    def _berlekamp_massey(self, synd) -> list[int] | None:
         """Error locator sigma_0 .. sigma_L (sigma_0 = 1), or None when L > t.
 
         Binary Berlekamp-Massey: the syndromes of a binary word have
@@ -178,7 +209,7 @@ class BchCodeSpec:
         Coding, 6.2). L never decreases, so L > t ends the search at once.
         """
         exp, log, order, t = self.field.exp, self.field.log, self.field.order, self.t
-        s = synd.tolist()
+        s = [int(v) for v in synd]
         locator = [1]
         prev = [1]
         length = 0
@@ -213,10 +244,78 @@ class BchCodeSpec:
             locator.pop()
         return locator if len(locator) - 1 == length else None
 
+    def _low_weight_degrees(self, s: list[int]) -> list[int] | None:
+        """Degrees of the weight-1 or weight-2 error pattern with syndromes
+        ``s``, over the whole 2^m - 1 cycle, or None when neither fits.
+
+        Weight 1 at X = S_1 needs S_j = S_1^j for every odd j. Weight 2 has
+        X_1 + X_2 = S_1 and X_1 X_2 = (S_3 + S_1^3) / S_1, and must give
+        every odd syndrome. A pattern of weight <= t is the only one of weight
+        <= t with its 2t syndromes, so Berlekamp-Massey would return its
+        locator; the even syndromes follow from the odd ones.
+        """
+        field = self.field
+        exp, log, order = field.exp, field.log, field.order
+        s1 = s[0]
+        if s1 == 0:
+            return None
+        one = log[s1]
+        for i in range(2, 2 * self.t, 2):  # s[i] is S_(i+1)
+            if s[i] != exp[(i + 1) * one % order]:
+                break
+        else:
+            return [one]
+        s1_sigma2 = s[2] ^ exp[3 * one % order]
+        if s1_sigma2 == 0:
+            return None
+        # X = S_1 y turns X^2 + S_1 X + sigma2 into y^2 + y = sigma2 / S_1^2
+        y = field.quadratic_root[exp[(log[s1_sigma2] - 3 * one) % order]]
+        if y < 0:
+            return None
+        a, b = one + log[y], one + log[y ^ 1]
+        for i in range(4, 2 * self.t, 2):
+            if s[i] != exp[(i + 1) * a % order] ^ exp[(i + 1) * b % order]:
+                return None
+        return [a % order, b % order]
+
+    def _cubic_degrees(self, s1: int, s2: int, s3: int) -> list[int] | None:
+        """The three degrees d of the roots of 1 + s1 x + s2 x^2 + s3 x^3
+        (s3 != 0), over the whole cycle, or None unless there are three.
+
+        The roots are x = 1/X for X^3 + s1 X^2 + s2 X + s3 = 0. X = Y + s1
+        gives Y^3 + p Y + q with p = s1^2 + s2 and q = s1 s2 + s3. For p != 0,
+        Y = sqrt(p) Z gives Z^3 + Z = q / p^(3/2): one root from the table,
+        the other two from the quadratic left after dividing it out. For
+        p = 0 the roots are the cube roots of q, which are three only when
+        3 divides 2^m - 1 (even m) and q is a cube.
+        """
+        field = self.field
+        exp, log, order, mul = field.exp, field.log, field.order, field.mul
+        p = mul(s1, s1) ^ s2
+        q = mul(s1, s2) ^ s3
+        if q == 0:
+            return None  # Y (Y^2 + p): a repeated root, or Y = 0 three times
+        if p:
+            half = (log[p] + (log[p] & 1) * order) // 2  # log sqrt(p)
+            z0 = field.cubic_root[exp[(log[q] - 3 * half) % order]]
+            if z0 < 0:
+                return None
+            # (Z + z0)(Z^2 + z0 Z + z0^2 + 1); Z = z0 w: w^2 + w = 1 + 1/z0^2.
+            # q != 0, so z0 is neither 0 nor 1 and the roots are distinct.
+            w = field.quadratic_root[exp[(log[mul(z0, z0) ^ 1] - 2 * log[z0]) % order]]
+            if w < 0:
+                return None
+            ys = [exp[log[z] + half] for z in (z0, mul(z0, w), mul(z0, w ^ 1))]
+        else:
+            if order % 3 or log[q] % 3:
+                return None  # one cube root (odd m) or none
+            ys = [exp[log[q] // 3 + i * (order // 3)] for i in range(3)]
+        return [log[y ^ s1] for y in ys]
+
     def _error_degrees(self, locator: list[int]) -> list[int] | None:
         """Degrees d in [0, n) of the L roots alpha^-d, or None if fewer.
 
-        Degree 1 and 2 are solved in closed form; higher degrees by a Chien
+        Degrees 1 to 3 are solved in closed form; higher degrees by a Chien
         search over the n transmitted degrees. A root in the shortened
         prefix, a repeated root or an irreducible locator leaves fewer than
         L roots: a decoding failure.
@@ -236,6 +335,10 @@ class BchCodeSpec:
                 return None
             scale = log[s1] - log[s2] + order
             degrees = [(order - (log[root] + scale)) % order for root in (y, y ^ 1)]
+        elif length == 3:
+            degrees = self._cubic_degrees(*locator[1:])
+            if degrees is None:
+                return None
         else:
             coef = [j for j in range(1, length + 1) if locator[j]]
             exponents = (self._chien_table[np.array(coef) - 1]
@@ -249,7 +352,9 @@ class BchCodeSpec:
     def decode(self, received_bits: np.ndarray) -> DecodeOutcome:
         """Correct up to t bit errors in a word, or in each row of words.
 
-        One ``syndromes`` call covers every row. Failure is reported per row,
+        One ``syndromes`` call covers every row. A dirty row whose syndromes
+        fit one or two errors is solved directly; any other goes through
+        Berlekamp-Massey and the root search. Failure is reported per row,
         never raised. Bounded-distance: a word with more than t errors either
         fails or is miscorrected to another codeword within distance t.
         """
@@ -261,9 +366,14 @@ class BchCodeSpec:
         if synd.any():
             rows, row_failed = message.reshape(-1, self.k), failed.reshape(-1)
             synd = synd.reshape(-1, 2 * self.t)
-            for r in np.flatnonzero(synd.any(axis=1)):
-                locator = self._berlekamp_massey(synd[r])
-                degrees = None if locator is None else self._error_degrees(locator)
+            dirty = np.flatnonzero(synd.any(axis=1))
+            for r, s in zip(dirty.tolist(), synd[dirty].tolist()):
+                degrees = self._low_weight_degrees(s)
+                if degrees is None:
+                    locator = self._berlekamp_massey(s)
+                    degrees = None if locator is None else self._error_degrees(locator)
+                elif max(degrees) >= self.n:
+                    degrees = None  # a root in the shortened prefix
                 if degrees is None:
                     row_failed[r] = True
                     continue

@@ -47,11 +47,18 @@ def interleave(bits: np.ndarray, depth: int) -> np.ndarray:
     return np.asarray(bits)[interleave_indices(len(bits), depth)]
 
 
+@lru_cache(maxsize=64)
+def _deinterleave_indices(length: int, depth: int) -> np.ndarray:
+    """The inverse of ``interleave_indices``, cached and read-only."""
+    perm = interleave_indices(length, depth)
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(length)
+    inverse.flags.writeable = False
+    return inverse
+
+
 def deinterleave(bits: np.ndarray, depth: int) -> np.ndarray:
-    bits = np.asarray(bits)
-    out = np.empty_like(bits)
-    out[interleave_indices(len(bits), depth)] = bits
-    return out
+    return np.asarray(bits)[_deinterleave_indices(len(bits), depth)]
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,9 @@
 Elements are ints in [0, 2^m); addition is XOR. The generator alpha is the
 polynomial x, so exp[i] = x^i mod primitive_poly. Construction verifies the
 polynomial is primitive by walking the full multiplicative cycle, and
-tabulates a root of y^2 + y = c for every c (Berlekamp, Rumsey & Solomon
-1967), which solves any quadratic after a change of variable.
+tabulates a root of y^2 + y = c and of z^3 + z = c for every c
+(Berlekamp, Rumsey & Solomon 1967), which solve any quadratic and any cubic
+after a change of variable.
 """
 
 from __future__ import annotations
@@ -51,10 +52,17 @@ class FieldSpec:
         # quadratic_root[c] is a y with y^2 + y = c, or -1 when there is none
         # (trace of c is 1); the other root is y + 1.
         y = np.arange(self.order + 1)
-        squares = np.where(y > 0, self.exp_np[2 * np.array(log)], 0)
+        logs = np.array(log)
+        squares = np.where(y > 0, self.exp_np[2 * logs], 0)
         roots = np.full(self.order + 1, -1, dtype=np.int64)
         roots[squares ^ y] = y
         self.quadratic_root = roots.tolist()
+        # cubic_root[c] is a z with z^3 + z = c, or -1 when there is none;
+        # the other roots, if any, solve a quadratic (see BchCodeSpec).
+        cubes = np.where(y > 0, self.exp_np[3 * logs % self.order], 0)
+        roots = np.full(self.order + 1, -1, dtype=np.int64)
+        roots[cubes ^ y] = y
+        self.cubic_root = roots.tolist()
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

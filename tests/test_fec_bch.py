@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -95,6 +96,57 @@ def reference_roots(code, locator):
             if not np.bitwise_xor.reduce(
                 [field.mul(c, field.exp[(j * (field.order - d)) % field.order])
                  for j, c in enumerate(locator)])]
+
+
+def reference_roots_rows(field, locators):
+    """Oracle ``reference_roots`` for rows of locators at once: the degrees d
+    of the whole cycle where the locator vanishes at alpha^-d."""
+    order, log = field.order, np.array(field.log)
+    locators = np.asarray(locators)
+    minus_d = (order - np.arange(order)) % order
+    value = np.zeros((len(locators), order), dtype=np.int64)
+    for j, coef in enumerate(locators.T):
+        term = field.exp_np[(log[coef][:, None] + j * minus_d) % order]
+        value ^= np.where(coef[:, None] > 0, term, 0)
+    return [np.flatnonzero(row == 0).tolist() for row in value]
+
+
+def random_cubics(code, rng, count):
+    """1 + s1 x + s2 x^2 + s3 x^3 with s3 != 0, as rows: a quarter each from
+    three roots (some in the shortened prefix, some repeated, some three
+    times), from p = s1^2 + s2 = 0, and from random coefficients."""
+    field = code.field
+    order, exp, log = field.order, field.exp_np, np.array(field.log)
+    quarter = count // 4
+    degs = rng.integers(0, order, (2 * quarter, 3))
+    degs[: quarter // 2, 0] = rng.integers(code.n, order, quarter // 2)
+    degs[quarter // 2: quarter, 1] = degs[quarter // 2: quarter, 0]
+    degs[quarter: quarter + quarter // 8, 1:] = degs[quarter: quarter + quarter // 8, :1]
+    x = exp[degs]
+    from_roots = np.stack([
+        x[:, 0] ^ x[:, 1] ^ x[:, 2],
+        exp[(degs[:, 0] + degs[:, 1]) % order] ^ exp[(degs[:, 0] + degs[:, 2]) % order]
+        ^ exp[(degs[:, 1] + degs[:, 2]) % order],
+        exp[degs.sum(axis=1) % order],
+    ], axis=1)
+    s1 = rng.integers(0, order + 1, count - 2 * quarter)
+    s2 = rng.integers(0, order + 1, len(s1))
+    s2[:quarter] = np.where(s1[:quarter] > 0, exp[2 * log[s1[:quarter]]], 0)  # p = 0
+    s3 = rng.integers(1, order + 1, len(s1))
+    coefs = np.concatenate([from_roots, np.stack([s1, s2, s3], axis=1)])
+    return np.concatenate([np.ones((count, 1), dtype=np.int64), coefs], axis=1)
+
+
+def sorted_or_none(degrees):
+    return None if degrees is None else sorted(degrees)
+
+
+def near_codeword(code, t_fit, rng):
+    """A codeword of the t_fit-error BCH code on the same field and length:
+    S_1 .. S_2t_fit are zero, the later syndromes almost surely are not."""
+    degree = generator_polynomial(code.field, t_fit).bit_length() - 1
+    near = BchCodeSpec(code.n, code.n - degree, t_fit, code.field)
+    return near.encode(rng.integers(0, 2, near.k).astype(np.uint8))
 
 
 def reference_decode(code, word):
@@ -457,7 +509,7 @@ class TestDecodeAgainstReference:
     @pytest.mark.parametrize("name, sent", [
         ("bch12_4", ()),            # degree 1: the one root is in the prefix
         ("bch12_4", (5,)),          # degree 2, closed form
-        ("inner", (3, 1500)),       # degree 3, Chien search over n degrees
+        ("inner", (3, 1500)),       # degree 3, closed form
         ("inner", tuple(range(0, 1800, 200))),  # degree 10 = t
         ("outer", (7, 3000)),       # degree 3 on the t = 3 outer code
     ])
@@ -486,6 +538,112 @@ class TestDecodeAgainstReference:
             # would raise IndexError in the log table
             synd[13:] = 1 << 20
             assert code._berlekamp_massey(synd) is None
+
+
+class TestClosedFormCubic:
+    def test_every_cubic_over_gf16(self, bch15_5):
+        # 16 * 16 * 15 locators; n = 15 is the whole cycle, so _error_degrees
+        # agrees with the closed form on each
+        code, solved = bch15_5, 0
+        for s1, s2, s3 in itertools.product(range(16), range(16), range(1, 16)):
+            roots = reference_roots(code, [1, s1, s2, s3])
+            expected = roots if len(roots) == 3 else None
+            assert sorted_or_none(code._cubic_degrees(s1, s2, s3)) == expected
+            assert sorted_or_none(code._error_degrees([1, s1, s2, s3])) == expected
+            solved += expected is not None
+        assert solved > 0
+
+    @pytest.mark.parametrize("name", ["inner", "outer"])  # GF(2^11), GF(2^12)
+    def test_random_locators(self, codec, name):
+        code = getattr(codec, name)
+        field = code.field
+        locators = random_cubics(code, np.random.default_rng(11), 10_000)
+        for locator in locators[::1000].tolist():  # the batch oracle is the oracle
+            assert reference_roots_rows(field, [locator])[0] == reference_roots(code, locator)
+        seen = Counter()
+        for start in range(0, len(locators), 500):
+            chunk = locators[start:start + 500]
+            for locator, roots in zip(chunk.tolist(), reference_roots_rows(field, chunk)):
+                expected = roots if len(roots) == 3 else None
+                assert sorted_or_none(code._cubic_degrees(*locator[1:])) == expected
+                transmitted = None if expected is None or roots[-1] >= code.n else expected
+                assert sorted_or_none(code._error_degrees(locator)) == transmitted
+                p_zero = field.mul(locator[1], locator[1]) == locator[2]
+                seen["p = 0, three roots" if p_zero and expected else
+                     "p = 0, fails" if p_zero else
+                     "root in prefix" if expected and not transmitted else
+                     "repeated root" if 0 < len(roots) < 3 else
+                     "three roots" if expected else "no root"] += 1
+        # cube roots exist three at a time only on even m (GF(2^12))
+        assert (seen["p = 0, three roots"] > 0) == (field.m % 2 == 0)
+        assert min(seen["p = 0, fails"], seen["root in prefix"], seen["repeated root"],
+                   seen["three roots"], seen["no root"]) > 0
+
+
+class TestLowWeightSolve:
+    @pytest.mark.parametrize("name, t_fit", [("inner", 2), ("inner", 9), ("outer", 2)])
+    @pytest.mark.parametrize("weight", [1, 2])
+    def test_fit_on_leading_syndromes_only(self, codec, name, t_fit, weight):
+        # far more than t errors, whose S_1 .. S_(2 t_fit) are those of a
+        # weight-1 or weight-2 pattern and whose later odd syndromes are not
+        code = getattr(codec, name)
+        field, rng = code.field, np.random.default_rng(100 * t_fit + weight)
+        for _ in range(4):
+            sent = code.encode(rng.integers(0, 2, code.k).astype(np.uint8))
+            word = sent ^ near_codeword(code, t_fit, rng)
+            errors = rng.choice(code.n, weight, replace=False)
+            word[errors] ^= 1
+            assert np.count_nonzero(word != sent) > code.t
+            synd = code.syndromes(word)
+            pattern = reference_syndromes(code, np.isin(np.arange(code.n), errors))
+            assert np.array_equal(synd[: 2 * t_fit], pattern[: 2 * t_fit])
+            assert not np.array_equal(synd, pattern)
+            if weight == 1:
+                assert synd[2] == field.exp[3 * field.log[synd[0]] % field.order]
+            assert code._low_weight_degrees(synd.tolist()) is None
+            assert_decodes_like_reference(code, word)
+
+    def test_inner_frames_reach_every_solve_branch(self, codec):
+        # 200 frames of 8 inner words at BER 1e-3 take the direct weight-1
+        # and weight-2 solves, the cubic and the Chien search. A word fails
+        # after Berlekamp-Massey only past t = 10 errors, which takes a
+        # higher BER; its locator then has degree <= t but too few roots
+        code = BchCodeSpec(codec.inner.n, codec.inner.k, codec.inner.t, codec.inner.field)
+        seen = Counter()
+
+        def spy(name, kind):
+            original = getattr(code, name)
+
+            def wrapped(*args):
+                result = original(*args)
+                seen[kind(args, result)] += 1
+                return result
+            setattr(code, name, wrapped)
+
+        spy("_low_weight_degrees", lambda a, r: None if r is None else f"weight {len(r)}")
+        spy("_error_degrees", lambda a, r: ("cubic" if len(a[0]) == 4 else
+                                            "chien" if len(a[0]) > 4 else "quadratic")
+            + (" failed" if r is None else ""))
+        rng = np.random.default_rng(13)
+        for ber, frames in ((1e-3, 200), (6e-3, 20)):
+            for _ in range(frames):
+                words = code.encode(rng.integers(0, 2, (8, code.k)).astype(np.uint8))
+                code.decode(words ^ (rng.random(words.shape) < ber).view(np.uint8))
+            if ber == 1e-3:
+                assert min(seen["weight 1"], seen["weight 2"], seen["cubic"],
+                           seen["chien"]) > 0
+                assert seen["chien failed"] == 0
+        assert seen["chien failed"] > 0
+
+
+class TestTables:
+    def test_production_tables_under_2_5_mb(self, codec):
+        total = 0
+        for code in (codec.inner, codec.outer):
+            for value in vars(code).values():
+                for array in value if isinstance(value, list) else [value]:
+                    total += array.nbytes if isinstance(array, np.ndarray) else 0
+        assert total < 2.5e6
 
 
 class TestShortening:

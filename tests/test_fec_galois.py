@@ -77,6 +77,20 @@ def test_quadratic_root_table(m, poly):
             assert y == -1
 
 
+@pytest.mark.parametrize("m, poly", [(4, 0b10011), (11, PRIMITIVE_POLY_M11),
+                                     (12, PRIMITIVE_POLY_M12)])
+def test_cubic_root_table(m, poly):
+    # z^3 + z = c: the table holds one root for every c that has one
+    field = FieldSpec(m, poly)
+    solvable = {field.mul(field.mul(z, z), z) ^ z for z in range(1 << m)}
+    assert len(field.cubic_root) == 1 << m
+    for c, z in enumerate(field.cubic_root):
+        if c in solvable:
+            assert field.mul(field.mul(z, z), z) ^ z == c
+        else:
+            assert z == -1
+
+
 def test_zero_handling(gf16):
     assert gf16.mul(0, 7) == 0
     assert gf16.mul(7, 0) == 0

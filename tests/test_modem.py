@@ -252,10 +252,14 @@ class TestDispatch:
 
 
 def test_import_loads_no_scipy():
+    # nor hashlib, unless numpy already loaded it: it costs milliseconds of
+    # set-up, and only a config fingerprint or a samples hash needs it
     src = str(Path(uwoclink.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import uwoclink, uwoclink.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, numpy; before = set(sys.modules); "
+            "import uwoclink, uwoclink.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or (m == 'hashlib' and m not in before)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
