@@ -7,18 +7,15 @@ decode. Slot noise comes from the link margin through a single calibrated
 offset (margin_db + snr_offset_db -> amplitude SNR), the one free constant
 the field system never published.
 
-Each scenario run draws its standard normal slot noise ahead on one helper
-thread, from a stream spawned from the run's seed, so the values a run
-consumes do not depend on thread timing and a report stays a pure function
-of (configuration, seed). The thread starts inside ``run_scenario`` and is
-joined before the call returns or raises. Every other step, including the
-traced entry points, runs on the caller's thread.
+Everything runs on the caller's thread. Each scenario run draws its slot
+noise, when a frame needs it, from a stream spawned from the run's seed;
+``modem.add_noise`` and the flip channel draw only the errors a decision can
+see, so a report stays a pure function of (configuration, seed).
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -47,12 +44,6 @@ from .modem import ModulationScheme
 ETHERNET_OVERHEAD_BYTES = 38
 MIN_PAYLOAD_BYTES = 46
 MAX_PAYLOAD_BYTES = 1500
-
-# Slot noise is handed from the helper thread in blocks of about this many
-# normals, rounded down to whole frames; handing off single frames ran the two
-# threads in lock step. The ring holds the blocks drawn ahead, allocated once.
-_NOISE_BLOCK = 1 << 17
-_NOISE_RING = 3
 
 
 @dataclass(frozen=True)
@@ -156,76 +147,7 @@ class _AnalogLog:
     dark_seconds: int = 0
 
 
-class _NoiseAhead:
-    """Standard normals from ``rng``, drawn ahead on one worker thread.
-
-    The worker fills a ring of ``_NOISE_RING`` blocks of ``block`` normals in
-    place and allocates nothing. Successive ``standard_normal(n)`` calls
-    return, in order, exactly the values of one ``rng.standard_normal(total)``,
-    whatever the block size. A returned array may be a view into the ring, and
-    is valid only until the next call. ``close`` stops and joins the worker; an
-    exception in the worker is raised by the call that needed its block.
-    """
-
-    def __init__(self, rng: np.random.Generator, block: int):
-        self._rng = rng
-        self._ring = np.empty((_NOISE_RING, block))
-        self._free = threading.Semaphore(_NOISE_RING)
-        self._filled = threading.Semaphore(0)
-        self._stop = False
-        self._error: tuple[int, Exception] | None = None  # (block, exception)
-        self._taken = 0  # blocks handed to the caller so far
-        self._current = self._ring[0, :0]
-        self._pos = self._end = 0
-        self._worker = threading.Thread(target=self._fill, name="uwoclink-noise")
-        self._worker.start()
-
-    def _fill(self) -> None:
-        try:
-            for index in itertools.count():
-                self._free.acquire()
-                if self._stop:
-                    return
-                self._rng.standard_normal(out=self._ring[index % _NOISE_RING])
-                self._filled.release()
-        except Exception as exc:  # raised by the caller when it needs the block
-            self._error = (index, exc)
-            self._filled.release()
-
-    def _next_block(self) -> None:
-        if self._taken:
-            self._free.release()  # the caller is done with its current block
-        self._filled.acquire()
-        if self._error is not None and self._error[0] == self._taken:
-            raise self._error[1]
-        self._current = self._ring[self._taken % _NOISE_RING]
-        self._taken += 1
-        self._pos, self._end = 0, len(self._current)
-
-    def standard_normal(self, n: int) -> np.ndarray:
-        if n and self._pos == self._end:
-            self._next_block()
-        if self._pos + n <= self._end:
-            self._pos += n
-            return self._current[self._pos - n:self._pos]
-        out = np.empty(n)
-        done = 0
-        while done < n:
-            if self._pos == self._end:
-                self._next_block()
-            step = min(n - done, self._end - self._pos)
-            out[done:done + step] = self._current[self._pos:self._pos + step]
-            self._pos += step
-            done += step
-        return out
-
-    def close(self) -> None:
-        self._stop = True
-        self._free.release()
-        self._worker.join()
-
-
-def _slot_chain(kind: str, sigma: float, noise: _NoiseAhead,
+def _slot_chain(kind: str, sigma: float, noise: np.random.Generator,
                 frame: np.ndarray) -> np.ndarray:
     """One frame through modulation, additive slot noise and demodulation."""
     noisy = modem.add_noise(modem.modulate(kind, frame), sigma, noise)
@@ -237,47 +159,46 @@ def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
     """Per simulated second: one fading draw and AGC update, then the slot
     chain at the noise level the resulting margin sets.
 
-    Slot noise comes from a child of ``rng`` drawn ahead on one worker
-    thread; closing this generator joins the worker.
+    Slot noise comes from a child of ``rng``, so the fading draws do not
+    depend on how many normals a frame needed.
     """
     kind = spec.modulation.kind
     static = total_loss_db(spec.geometry, spec.water, spec.nlos)
     agc = spec.receiver.initial_state()
-    # slot_rate_for scales a bit count to its slot count as it does a rate
-    frame_slots = int(modem.slot_rate_for(kind, spec.codec.frame_bits))
-    noise = _NoiseAhead(rng.spawn(1)[0],
-                        max(1, _NOISE_BLOCK // frame_slots) * frame_slots)
-    try:
-        while True:
-            fading = sample_fading_db(spec.fading, rng)
-            total = static.total_db + fading
-            margin = spec.budget_db - total
-            log.margins.append(margin)
-            if static.link_dark:
-                log.dark_seconds += 1
-                snr = 0.0
-            else:
-                snr = margin_to_snr(margin, spec.snr_offset_db)
-                p_rx = spec.tx_power_w * 10.0 ** (-total / 10.0)
-                measured = spec.receiver.amplitude_v(p_rx, agc.lc_voltage,
-                                                     agc.pmt_gain)
-                if measured > 0:
-                    agc = agc_step(spec.receiver, agc, measured)
-                    log.saturated_seconds += int(agc.saturated)
-            sigma = 1.0 / max(snr, 1e-9)
-            yield partial(_slot_chain, kind, sigma, noise)
-    finally:
-        noise.close()
+    noise = rng.spawn(1)[0]
+    while True:
+        fading = sample_fading_db(spec.fading, rng)
+        total = static.total_db + fading
+        margin = spec.budget_db - total
+        log.margins.append(margin)
+        if static.link_dark:
+            log.dark_seconds += 1
+            snr = 0.0
+        else:
+            snr = margin_to_snr(margin, spec.snr_offset_db)
+            p_rx = spec.tx_power_w * 10.0 ** (-total / 10.0)
+            measured = spec.receiver.amplitude_v(p_rx, agc.lc_voltage,
+                                                 agc.pmt_gain)
+            if measured > 0:
+                agc = agc_step(spec.receiver, agc, measured)
+                log.saturated_seconds += int(agc.saturated)
+        sigma = 1.0 / max(snr, 1e-9)
+        yield partial(_slot_chain, kind, sigma, noise)
 
 
 def _flip_channel(ber: float, rng: np.random.Generator,
                   log: _AnalogLog) -> Iterator[Callable]:
     """Every second, flip each line bit i.i.d. with probability ``ber``; the
-    analog chain is bypassed."""
+    analog chain is bypassed. A frame's flip count is drawn as Bin(n, ber)
+    and the flipped bits uniformly without replacement, the same law; at
+    ``ber == 0`` nothing is drawn and the frame is returned as it is."""
     def flip(frame: np.ndarray) -> np.ndarray:
         if ber == 0:
             return frame
-        return frame ^ (rng.random(len(frame)) < ber).view(np.uint8)
+        flipped = frame.copy()
+        flipped[rng.choice(len(frame), rng.binomial(len(frame), ber),
+                           replace=False)] ^= 1
+        return flipped
 
     yield from itertools.repeat(flip)
 
@@ -287,11 +208,12 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
 
     ``channel(rng, log)`` is a generator that yields, at the start of each
     simulated second of ``sim_frames_per_second`` frames, the function that
-    corrupts that second's frames; it is closed before this returns or
-    raises. A last partial second is tallied as its own entry.
+    corrupts that second's frames. A last partial second is tallied as its
+    own entry. Payload bits are unpacked from uniform random bytes.
     """
     rng = np.random.default_rng(seed)
     codec = spec.codec
+    payload_bytes = -(-codec.frame_payload_bits // 8)
     fps = spec.sim_frames_per_second
     log = _AnalogLog()
     seconds = channel(rng, log)
@@ -299,25 +221,23 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
     loss_series = []
     post_err_total = 0
     failures = 0
-    try:
-        for start in range(0, n_frames, fps):
-            corrupt = next(seconds)
-            second_errors = 0
-            second_losses = 0
-            for _ in range(min(fps, n_frames - start)):
-                payload = rng.integers(0, 2, codec.frame_payload_bits).astype(np.uint8)
-                frame = codec.encode(payload)
-                received = corrupt(frame)
-                outcome = codec.decode(received)
-                post_err = int(np.count_nonzero(outcome.message_bits != payload))
-                second_errors += int(np.count_nonzero(received != frame))
-                post_err_total += post_err
-                failures += int(not outcome.ok)
-                second_losses += int((not outcome.ok) or post_err > 0)
-            beps.append(second_errors)
-            loss_series.append(second_losses)
-    finally:
-        seconds.close()  # joins the slot channel's noise worker
+    for start in range(0, n_frames, fps):
+        corrupt = next(seconds)
+        second_errors = 0
+        second_losses = 0
+        for _ in range(min(fps, n_frames - start)):
+            payload = np.unpackbits(rng.integers(0, 256, payload_bytes, dtype=np.uint8),
+                                    count=codec.frame_payload_bits)
+            frame = codec.encode(payload)
+            received = corrupt(frame)
+            outcome = codec.decode(received)
+            post_err = int(np.count_nonzero(outcome.message_bits != payload))
+            second_errors += int(np.count_nonzero(received != frame))
+            post_err_total += post_err
+            failures += int(not outcome.ok)
+            second_losses += int((not outcome.ok) or post_err > 0)
+        beps.append(second_errors)
+        loss_series.append(second_losses)
 
     pre_err_total = sum(beps)
     bits_sim = n_frames * codec.frame_bits

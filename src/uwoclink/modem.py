@@ -24,6 +24,12 @@ _PPM4_SLOTS_PER_SYMBOL = 4
 # OOK decides at the midpoint between the off (0) and on (1) amplitudes
 _OOK_THRESHOLD = 0.5
 
+# add_noise draws noise only for the aligned 4-slot groups holding a slot
+# past the decision margin, unless more than this share of slots lies past
+# it. Timed on 16,320- and 32,640-slot frames, the sparse draw is faster up
+# to a share of 0.04 and the dense one from 0.05.
+_SPARSE_MAX_SHARE = 0.04
+
 # The 4-PPM SER integrand is smooth and negligible beyond 12 sigma of its
 # peak; 6 Gauss-Legendre panels of 96 nodes on that window agree with an
 # adaptive quadrature at epsrel 1e-10 to within 1e-13 for SNR 0..40.
@@ -100,14 +106,69 @@ def ppm4_demodulate(stream: SlotStream) -> np.ndarray:
 
 def add_noise(stream: SlotStream, sigma: float,
               rng: np.random.Generator) -> SlotStream:
-    """Each slot plus sigma times one standard normal from
-    ``rng.standard_normal``, the only method of ``rng`` this calls."""
+    """Each slot plus sigma times a standard normal, drawn only where it can
+    change a decision.
+
+    A slot whose noise stays inside the margin tau = 0.5 / sigma cannot cross
+    the OOK threshold, nor change the arg-max of an aligned 4-PPM group whose
+    slots all stay inside it. So the number of slots past tau is drawn as
+    Bin(N, q) with q = 2 Q(tau), and those slots are placed uniformly without
+    replacement. Given that set, i.i.d. normals are independent draws: each
+    hit slot gets a random sign times a draw from the tail beyond tau
+    (Marsaglia's method), and the other slots of its aligned group get draws
+    truncated to (-tau, tau). Every other slot keeps its noiseless amplitude,
+    so demodulated bits have exactly the law of one normal per slot. Where
+    q exceeds ``_SPARSE_MAX_SHARE`` (dark seconds among them) every slot
+    gets a normal. With no slot past tau, ``stream`` itself is returned.
+    """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    noisy = rng.standard_normal(len(stream.amplitudes))
-    noisy *= sigma
-    noisy += stream.amplitudes
+    amps = stream.amplitudes
+    tau = _OOK_THRESHOLD / sigma if sigma > 0 else math.inf
+    q = 2.0 * qfunc(tau)
+    if q > _SPARSE_MAX_SHARE:
+        noisy = rng.standard_normal(len(amps))
+        noisy *= sigma
+        noisy += amps
+        return SlotStream(noisy, stream.pad_bits)
+    count = rng.binomial(len(amps), q)
+    if not count:
+        return stream
+    hits = rng.choice(len(amps), count, replace=False)
+    group = np.unique(hits // _PPM4_SLOTS_PER_SYMBOL)[:, None] * _PPM4_SLOTS_PER_SYMBOL
+    slots = (group + np.arange(_PPM4_SLOTS_PER_SYMBOL)).ravel()
+    slots = slots[slots < len(amps)]
+    noisy = amps.copy()
+    noisy[slots] += sigma * _bulk_normals(tau, len(slots), rng)
+    tail = np.copysign(_tail_normals(tau, len(hits), rng), rng.random(len(hits)) - 0.5)
+    noisy[hits] = amps[hits] + sigma * tail
     return SlotStream(noisy, stream.pad_bits)
+
+
+def _bulk_normals(tau: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` standard normals conditioned on |z| < tau, by rejection."""
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        z = rng.standard_normal(size - filled)
+        z = z[np.abs(z) < tau]
+        out[filled:filled + len(z)] = z
+        filled += len(z)
+    return out
+
+
+def _tail_normals(tau: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` standard normals conditioned on z > tau: Marsaglia (1964)
+    proposes x = sqrt(tau^2 + 2 E), E exponential, and keeps x with
+    probability tau / x."""
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        x = np.sqrt(tau * tau + 2.0 * rng.standard_exponential(size - filled))
+        x = x[rng.random(len(x)) * x < tau]
+        out[filled:filled + len(x)] = x
+        filled += len(x)
+    return out
 
 
 def qfunc(x: float) -> float:

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
-from scipy.stats import norm
+from scipy.stats import binom, chisquare, norm
+from uwoclink import modem
 from uwoclink.modem import (
     OOK,
     PPM4,
@@ -235,6 +236,100 @@ class TestMonteCarlo:
         # nan used to return 0.491 (NaN noise) and inf 0.0 (zero noise)
         with pytest.raises(ValueError, match="snr"):
             mc_bit_error_rate(kind, snr, 1000, seed=1)
+
+
+class TestSparseNoise:
+    """``add_noise`` draws only the hit groups, yet its decisions follow the
+    dense law: OOK errs with probability Q(tau), a 4-PPM symbol with SER and
+    a uniform wrong slot. q = 2 Q(tau) is the share of slots past the margin
+    tau = 0.5 / sigma; the last two shares lie on each side of the switch to
+    the dense draw. Each bound is two-sided at a false-alarm probability of
+    1e-9.
+    """
+
+    ALPHA = 1e-9
+    SHARES = [1e-4, 1e-2, 0.9 * modem._SPARSE_MAX_SHARE, 1.1 * modem._SPARSE_MAX_SHARE]
+    IDS = ["1e-4", "1e-2", "below-switch", "above-switch"]
+
+    @staticmethod
+    def sigma_for(share):
+        return 0.5 / norm.isf(share / 2.0)
+
+    def assert_binomial(self, count, n, p):
+        assert binom.ppf(self.ALPHA / 2, n, p) <= count <= binom.isf(self.ALPHA / 2, n, p)
+
+    @pytest.mark.parametrize("share", SHARES, ids=IDS)
+    def test_ook_errors_are_binomial(self, share):
+        sigma = self.sigma_for(share)
+        rng = np.random.default_rng(41)
+        bits = rng.integers(0, 2, 10**6, dtype=np.uint8)
+        out = ook_demodulate(add_noise(ook_modulate(bits), sigma, rng))
+        self.assert_binomial(np.count_nonzero(out != bits), len(bits), qfunc(0.5 / sigma))
+
+    @pytest.mark.parametrize("share", SHARES, ids=IDS)
+    def test_ppm4_symbol_errors_are_binomial(self, share):
+        sigma = self.sigma_for(share)
+        rng = np.random.default_rng(43)
+        bits = rng.integers(0, 2, 2 * 10**6, dtype=np.uint8)
+        out = ppm4_demodulate(add_noise(ppm4_modulate(bits), sigma, rng))
+        wrong = np.any((out != bits).reshape(-1, 2), axis=1)
+        self.assert_binomial(np.count_nonzero(wrong), len(wrong),
+                             ppm4_symbol_error_rate(1.0 / sigma))
+
+    def test_ppm4_wrong_slot_is_uniform(self):
+        # the XOR of sent and decided dibits is 01, 10 or 11 with equal odds
+        patterns = np.zeros(4, dtype=np.int64)
+        for seed, share in enumerate(self.SHARES[1:]):
+            rng = np.random.default_rng(seed)
+            bits = rng.integers(0, 2, 2 * 10**6, dtype=np.uint8)
+            out = ppm4_demodulate(add_noise(ppm4_modulate(bits), self.sigma_for(share), rng))
+            xor = (out ^ bits).reshape(-1, 2)
+            patterns += np.bincount(xor[:, 0] * 2 + xor[:, 1], minlength=4)
+        assert patterns[1:].sum() > 1000
+        assert chisquare(patterns[1:]).pvalue > self.ALPHA
+
+    @pytest.mark.parametrize("share", SHARES[:3], ids=IDS[:3])
+    def test_tail_and_bulk_follow_the_truncated_normal(self, share):
+        # on a dark stream the noise is the output; hit slots lie past the
+        # margin with a random sign, and the rest of their groups inside it
+        sigma = self.sigma_for(share)
+        tau = 0.5 / sigma
+        rng = np.random.default_rng(47)
+        z = add_noise(SlotStream(np.zeros(4 * 10**6)), sigma, rng).amplitudes / sigma
+        hit = np.abs(z) > tau
+        tail, bulk = np.abs(z[hit]), z[(z != 0) & ~hit]
+        assert len(tail) > 300
+        self.assert_binomial(np.count_nonzero(z[hit] > 0), len(tail), 0.5)
+        # P(z > x | z > tau) = Q(x) / Q(tau) at the tail's quartiles and deciles
+        for level in (0.1, 0.25, 0.5, 0.75, 0.9):
+            x = norm.isf(level * norm.sf(tau))
+            self.assert_binomial(np.count_nonzero(tail > x), len(tail), level)
+        # P(z < x | |z| < tau) at the bulk's quartiles and deciles
+        mass = 1.0 - 2.0 * norm.sf(tau)
+        for level in (0.1, 0.25, 0.5, 0.75, 0.9):
+            x = norm.ppf(norm.cdf(-tau) + level * mass)
+            self.assert_binomial(np.count_nonzero(bulk < x), len(bulk), level)
+
+    @pytest.mark.parametrize("kind", [OOK, PPM4])
+    def test_slots_outside_hit_groups_keep_their_amplitude(self, kind):
+        sigma = self.sigma_for(1e-3)
+        rng = np.random.default_rng(53)
+        stream = modulate(kind, rng.integers(0, 2, 4001, dtype=np.uint8))
+        noisy = add_noise(stream, sigma, rng)
+        assert noisy.pad_bits == stream.pad_bits
+        changed = noisy.amplitudes != stream.amplitudes
+        hit = np.abs(noisy.amplitudes - stream.amplitudes) > 0.5
+        groups = np.flatnonzero(hit) // 4
+        in_group = np.isin(np.arange(len(changed)) // 4, groups)
+        assert hit.any()
+        assert np.array_equal(changed, in_group)
+
+    @pytest.mark.parametrize("kind", [OOK, PPM4])
+    def test_zero_sigma_returns_the_stream_unchanged(self, kind):
+        stream = modulate(kind, np.random.default_rng(59).integers(0, 2, 999, dtype=np.uint8))
+        noisy = add_noise(stream, 0.0, np.random.default_rng(61))
+        assert np.array_equal(noisy.amplitudes, stream.amplitudes)
+        assert noisy.pad_bits == stream.pad_bits
 
 
 class TestDispatch:
