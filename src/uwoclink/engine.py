@@ -3,9 +3,10 @@
 A scenario run walks simulated seconds: draw one fading sample, update the
 AGC against the multiplicative receiver plant, then push a handful of
 frames through FEC -> modulation -> additive noise -> demodulation -> FEC
-decode. Slot noise comes from the link margin through a single calibrated
-offset (margin_db + snr_offset_db -> amplitude SNR), the one free constant
-the field system never published.
+decode. A frame the noise left untouched skips demodulation and reaches the
+decoder as it was sent. Slot noise comes from the link margin through a
+single calibrated offset (margin_db + snr_offset_db -> amplitude SNR), the
+one free constant the field system never published.
 
 Everything runs on the caller's thread. Each scenario run draws its slot
 noise, when a frame needs it, from a stream spawned from the run's seed;
@@ -149,8 +150,16 @@ class _AnalogLog:
 
 def _slot_chain(kind: str, sigma: float, noise: np.random.Generator,
                 frame: np.ndarray) -> np.ndarray:
-    """One frame through modulation, additive slot noise and demodulation."""
-    noisy = modem.add_noise(modem.modulate(kind, frame), sigma, noise)
+    """One frame through modulation, additive slot noise and demodulation.
+
+    When ``add_noise`` returns the stream it was given, no slot moved and
+    the stream demodulates to the bits it was modulated from, so ``frame``
+    itself is returned without demodulating.
+    """
+    sent = modem.modulate(kind, frame)
+    noisy = modem.add_noise(sent, sigma, noise)
+    if noisy is sent:
+        return frame
     return modem.demodulate(kind, noisy)
 
 

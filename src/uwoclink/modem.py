@@ -73,17 +73,28 @@ def ook_demodulate(stream: SlotStream) -> np.ndarray:
     return (stream.amplitudes > _OOK_THRESHOLD).view(np.uint8)
 
 
+@cache
+def _ppm4_byte_slots() -> np.ndarray:
+    """Row v holds the 16 slot amplitudes of byte v's four dibits, first
+    dibit in the high bits; read-only, built on first use."""
+    dibits = (np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3
+    table = (dibits[:, :, None] == np.arange(_PPM4_SLOTS_PER_SYMBOL)).astype(np.float64)
+    table = table.reshape(256, -1)
+    table.flags.writeable = False
+    return table
+
+
 def ppm4_modulate(bits: np.ndarray) -> SlotStream:
-    """One pulse per 4-slot symbol; odd bit counts are zero-padded."""
+    """One pulse per 4-slot symbol; odd bit counts are zero-padded.
+
+    Each packed byte looks up its four symbols in one table row; ``packbits``
+    zero-fills the last byte, which yields the pad bit, and the slots past
+    the last symbol are cut off.
+    """
     b = np.asarray(bits, dtype=np.uint8)
     pad = len(b) % _PPM4_BITS_PER_SYMBOL
-    if pad:
-        b = np.concatenate([b, np.zeros(pad, dtype=np.uint8)])
-    pairs = b.reshape(-1, _PPM4_BITS_PER_SYMBOL)
-    n_slots = len(pairs) * _PPM4_SLOTS_PER_SYMBOL
-    amps = np.zeros(n_slots, dtype=np.float64)
-    amps[np.arange(0, n_slots, _PPM4_SLOTS_PER_SYMBOL)
-         + pairs[:, 0] * 2 + pairs[:, 1]] = 1.0
+    n_slots = (len(b) + pad) // _PPM4_BITS_PER_SYMBOL * _PPM4_SLOTS_PER_SYMBOL
+    amps = _ppm4_byte_slots().take(np.packbits(b), axis=0).ravel()[:n_slots]
     return SlotStream(amps, pad_bits=pad)
 
 

@@ -22,7 +22,16 @@ from uwoclink.engine import (
     margin_to_snr,
     run_scenario,
 )
-from uwoclink.modem import OOK, PPM4, ppm4_symbol_error_rate, theoretical_ber
+from uwoclink.modem import (
+    OOK,
+    PPM4,
+    add_noise,
+    demodulate,
+    modulate,
+    ppm4_symbol_error_rate,
+    qfunc,
+    theoretical_ber,
+)
 
 class TestGoodput:
     def test_green_matches_field_measurement(self, green):
@@ -133,17 +142,17 @@ class TestNoWorkerOutlivesARun:
 
     @pytest.fixture
     def watched(self, monkeypatch):
-        """Counts demodulate calls and the threads alive at each one."""
+        """Counts modulate calls and the threads alive at each one."""
         baseline = threading.active_count()
         seen = {"calls": 0, "counts": set()}
-        demodulate = engine.modem.demodulate
+        modulate = engine.modem.modulate
 
-        def counting(kind, stream):
+        def counting(kind, bits):
             seen["calls"] += 1
             seen["counts"].add(threading.active_count())
-            return demodulate(kind, stream)
+            return modulate(kind, bits)
 
-        monkeypatch.setattr(engine.modem, "demodulate", counting)
+        monkeypatch.setattr(engine.modem, "modulate", counting)
         return baseline, seen
 
     def test_run_scenario(self, blue_nlos, watched):
@@ -160,21 +169,73 @@ class TestNoWorkerOutlivesARun:
 
     def test_run_that_raises(self, blue, monkeypatch):
         baseline = threading.active_count()
-        demodulate = engine.modem.demodulate
+        modulate = engine.modem.modulate
         calls = []
-        failure = RuntimeError("demodulator fault")
+        failure = RuntimeError("modulator fault")
 
-        def third_call_raises(kind, stream):
+        def third_call_raises(kind, bits):
             calls.append(threading.active_count())
             if len(calls) == 3:
                 raise failure
-            return demodulate(kind, stream)
+            return modulate(kind, bits)
 
-        monkeypatch.setattr(engine.modem, "demodulate", third_call_raises)
+        monkeypatch.setattr(engine.modem, "modulate", third_call_raises)
         with pytest.raises(RuntimeError) as caught:
             run_scenario(blue, 5, seed=2)
         assert caught.value is failure and calls == [baseline] * 3
         assert threading.active_count() == baseline
+
+
+class TestSlotChain:
+    """``_slot_chain`` skips demodulating a frame the noise left untouched,
+    and otherwise gives what the full modem chain gives, drawing the same."""
+
+    # q = 2 Q(0.5 / sigma), the share of slots past the decision margin:
+    # about 1.5e-23, 0.01 and 0.21
+    SIGMAS = {"q~0": 0.05, "sparse": 0.5 / 2.576, "dense": 0.4}
+
+    @pytest.mark.parametrize("n_bits", [16320, 4001])
+    @pytest.mark.parametrize("level", list(SIGMAS))
+    @pytest.mark.parametrize("kind", [OOK, PPM4])
+    def test_matches_the_full_chain(self, kind, level, n_bits):
+        sigma = self.SIGMAS[level]
+        q = 2.0 * qfunc(0.5 / sigma)
+        assert {"q~0": q < 1e-20, "sparse": 1e-4 <= q <= 0.04,
+                "dense": q > 0.04}[level]
+        frame = np.random.default_rng(71).integers(0, 2, n_bits, dtype=np.uint8)
+        g1, g2 = np.random.default_rng(73), np.random.default_rng(73)
+        got = engine._slot_chain(kind, sigma, g1, frame)
+        sent = modulate(kind, frame)
+        noisy = add_noise(sent, sigma, g2)
+        assert np.array_equal(got, demodulate(kind, noisy))
+        assert g1.bit_generator.state == g2.bit_generator.state
+        assert (noisy is sent) == (level == "q~0")
+        assert (got is frame) == (level == "q~0")
+
+    def test_demodulates_exactly_the_touched_frames(self, blue_nlos, monkeypatch):
+        events = []
+        add_noise_, demodulate_ = engine.modem.add_noise, engine.modem.demodulate
+
+        def noting_noise(stream, sigma, rng):
+            noisy = add_noise_(stream, sigma, rng)
+            events.append("touched" if noisy is not stream else "untouched")
+            return noisy
+
+        def noting_demodulate(kind, stream):
+            events.append("demodulate")
+            return demodulate_(kind, stream)
+
+        monkeypatch.setattr(engine.modem, "add_noise", noting_noise)
+        monkeypatch.setattr(engine.modem, "demodulate", noting_demodulate)
+        report = run_scenario(blue_nlos, 10, seed=4)
+        touched, untouched = events.count("touched"), events.count("untouched")
+        assert touched and untouched
+        assert touched + untouched == report.frames_sent
+        expected = []
+        for event in events:
+            if event != "demodulate":
+                expected += [event] + ["demodulate"] * (event == "touched")
+        assert events == expected
 
 
 class TestErrorDistribution:

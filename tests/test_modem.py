@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import uwoclink
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
@@ -90,6 +90,22 @@ class TestPpm4:
         arr = np.array(bits, dtype=np.uint8)
         out = ppm4_demodulate(ppm4_modulate(arr))
         assert np.array_equal(out, arr)
+
+    @given(st.lists(st.integers(0, 1), min_size=0, max_size=300))
+    @example([])
+    @settings(max_examples=200, deadline=None)
+    def test_modulate_matches_scatter_reference(self, bits):
+        # one pulse per dibit at slot 4 i + 2 b0 + b1, odd lengths padded with 0
+        arr = np.array(bits, dtype=np.uint8)
+        pad = len(arr) % 2
+        padded = np.concatenate([arr, np.zeros(pad, dtype=np.uint8)])
+        n_slots = 2 * len(padded)
+        expected = np.zeros(n_slots)
+        expected[np.arange(0, n_slots, 4) + 2 * padded[0::2] + padded[1::2]] = 1.0
+        stream = ppm4_modulate(arr)
+        assert stream.amplitudes.dtype == np.float64
+        assert np.array_equal(stream.amplitudes, expected)
+        assert stream.pad_bits == pad
 
     def test_odd_length_pad_recorded(self):
         stream = ppm4_modulate(np.array([1], dtype=np.uint8))
