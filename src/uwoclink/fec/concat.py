@@ -58,7 +58,13 @@ def _deinterleave_indices(length: int, depth: int) -> np.ndarray:
 
 
 def deinterleave(bits: np.ndarray, depth: int) -> np.ndarray:
-    return np.asarray(bits)[_deinterleave_indices(len(bits), depth)]
+    """The inverse of ``interleave`` on one frame or rows along the last axis:
+    a reshape and a transpose when ``depth`` divides the length, else a gather."""
+    bits = np.asarray(bits)
+    if depth < 1 or bits.shape[-1] % depth:
+        return bits[..., _deinterleave_indices(bits.shape[-1], depth)]
+    columns = bits.reshape(*bits.shape[:-1], -1, depth)
+    return columns.swapaxes(-1, -2).reshape(bits.shape)
 
 
 @lru_cache(maxsize=None)
@@ -92,6 +98,11 @@ class ConcatCodecSpec:
         self.inner_words_per_frame = -(-stream_bits // self.inner.k)
         self.tail_pad_bits = self.inner_words_per_frame * self.inner.k - stream_bits
         self.frame_bits = self.inner_words_per_frame * self.inner.n
+        # _feeds[i, w]: inner word i carries bits of outer word w
+        word = np.arange(self.inner_words_per_frame)[:, None]
+        start = np.arange(outer_words_per_frame) * self.outer.n
+        self._feeds = ((start // self.inner.k <= word)
+                       & (word <= (start + self.outer.n - 1) // self.inner.k))
 
     def code_rate(self) -> float:
         return (self.inner.k / self.inner.n) * (self.outer.k / self.outer.n)
@@ -113,41 +124,46 @@ class ConcatCodecSpec:
         return interleave(frame, self.interleaver_depth)
 
     def decode(self, frame_bits: np.ndarray) -> DecodeOutcome:
-        """Inner decode, reassemble, outer decode; failures pass bits through.
+        """Inner decode, reassemble, outer decode of one frame or of each row
+        of frames; failures pass bits through.
 
-        One row-wise ``inner.decode`` call corrects every inner word; one
-        ``syndromes`` call screens the outer words, and only dirty ones go to
-        one ``outer.decode`` call. An outer word fed by a failed inner word is
-        not trusted to the outer corrector (its error count is far beyond t);
-        its received message bits pass through and the frame is flagged.
+        One row-wise ``inner.decode`` call corrects every row's inner words;
+        one ``syndromes`` call screens every outer word, and only dirty ones
+        go to one ``outer.decode`` call. An outer word fed by a failed inner
+        word is not trusted to the outer corrector (its error count is far
+        beyond t); its received message bits pass through and its frame is
+        flagged. ``failed`` has one flag per frame, 0-d for one frame.
         """
-        frame = np.asarray(frame_bits, dtype=np.uint8)
-        if frame.shape != (self.frame_bits,):
+        frames = np.asarray(frame_bits, dtype=np.uint8)
+        if frames.ndim not in (1, 2) or frames.shape[-1] != self.frame_bits:
             raise ValueError(
-                f"frame must be {self.frame_bits} bits, got {frame.shape}"
+                f"frame must be {self.frame_bits} bits (or rows of them), "
+                f"got {frames.shape}"
             )
         inner, outer = self.inner, self.outer
-        raw = deinterleave(frame, self.interleaver_depth)
-        inner_out = inner.decode(raw.reshape(self.inner_words_per_frame, inner.n))
-        corrected, any_failure = inner_out.corrected_count, not inner_out.ok
-        stream = inner_out.message_bits.ravel()
+        rows = frames.reshape(-1, self.frame_bits)
+        raw = deinterleave(rows, self.interleaver_depth)
+        inner_out = inner.decode(raw.reshape(-1, inner.n))
+        corrected = inner_out.corrected_count
+        inner_failed = inner_out.failed.reshape(len(rows), self.inner_words_per_frame)
+        stream = inner_out.message_bits.reshape(len(rows), -1)
         if self.tail_pad_bits:
-            stream = stream[: -self.tail_pad_bits]
+            stream = stream[:, : -self.tail_pad_bits]
 
-        outer_words = stream.reshape(self.outer_words_per_frame, outer.n)
+        outer_words = stream.reshape(-1, outer.n)
         payload = outer_words[:, : outer.k].copy()
-        dirty = outer.syndromes(outer_words).any(axis=1)
-        for w in np.flatnonzero(dirty):
-            start = w * outer.n
-            stop = start + outer.n
-            if inner_out.failed[start // inner.k:(stop - 1) // inner.k + 1].any():
-                dirty[w] = False  # tainted: received message bits pass through
+        tainted = inner_failed @ self._feeds  # (rows, outer words per frame)
+        dirty = outer.syndromes(outer_words).any(axis=1) & ~tainted.ravel()
+        failed = inner_failed.any(axis=1)
         if dirty.any():
             outcome = outer.decode(outer_words[dirty])
             corrected += outcome.corrected_count
-            any_failure |= not outcome.ok
+            frame_of = np.flatnonzero(dirty) // self.outer_words_per_frame
+            failed[frame_of[outcome.failed]] = True
             payload[dirty] = outcome.message_bits
-        return DecodeOutcome(payload.ravel(), corrected, np.array(any_failure))
+        return DecodeOutcome(
+            payload.reshape(*frames.shape[:-1], self.frame_payload_bits),
+            corrected, failed.reshape(frames.shape[:-1]))
 
 
 @lru_cache(maxsize=32)

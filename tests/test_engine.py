@@ -12,7 +12,7 @@ from uwoclink import engine
 from uwoclink.channel import FadingSpec, total_loss_db
 from uwoclink.cli import render_report
 from uwoclink.config import load_preset
-from uwoclink.fec.concat import deinterleave
+from uwoclink.fec.concat import ConcatCodecSpec, deinterleave
 from uwoclink.engine import (
     ETHERNET_OVERHEAD_BYTES,
     epoch_seed,
@@ -298,6 +298,53 @@ class TestErrorDistribution:
         t = 2.0 * log_term / 3.0 + math.sqrt((2.0 * log_term / 3.0) ** 2
                                              + 2.0 * log_term * variance)
         assert abs(report.pre_fec_bit_errors - mean) <= t
+
+
+class TestDecodeBatches:
+    """A second's frames reach the codec in one ``decode`` call, in slices of
+    at most ``DECODE_BATCH_FRAMES``, and the slicing changes no report."""
+
+    @pytest.fixture
+    def decode_rows(self, monkeypatch):
+        """The frame count of every ``ConcatCodecSpec.decode`` call."""
+        rows = []
+        decode = ConcatCodecSpec.decode
+
+        def counting(codec, frames):
+            rows.append(len(frames))
+            return decode(codec, frames)
+
+        monkeypatch.setattr(ConcatCodecSpec, "decode", counting)
+        return rows
+
+    def test_one_call_per_second(self, green, decode_rows):
+        run_scenario(green, 3, seed=1)
+        assert decode_rows == [6, 6, 6]
+        decode_rows.clear()
+        # 50 frames at 6 per second: the last of the 9 seconds holds 2 frames
+        inject_errors_run(green, 1e-3, 50 * 16320, seed=2)
+        assert decode_rows == [6] * 8 + [2]
+
+    def test_a_long_second_is_sliced(self, green, decode_rows):
+        batch = engine.DECODE_BATCH_FRAMES
+        run_scenario(replace(green, sim_frames_per_second=batch + 8), 2, seed=1)
+        assert decode_rows == [batch, 8] * 2
+
+    @pytest.mark.parametrize("case", ["green", "blue-nlos", "inject-4e-3", "long-second"])
+    def test_batches_of_one_give_the_same_report(self, case, green, blue_nlos,
+                                                 monkeypatch):
+        long_second = replace(green, sim_frames_per_second=engine.DECODE_BATCH_FRAMES + 8)
+        run = {
+            "green": lambda: run_scenario(green, 5, seed=7),
+            "blue-nlos": lambda: run_scenario(blue_nlos, 10, seed=4),
+            "inject-4e-3": lambda: inject_errors_run(green, 4e-3, 40 * 16320, seed=8),
+            "long-second": lambda: run_scenario(long_second, 2, seed=9),
+        }[case]
+        batched = run().to_dict()
+        if case == "inject-4e-3":
+            assert batched["decode_failures"] > 0
+        monkeypatch.setattr(engine, "DECODE_BATCH_FRAMES", 1)
+        assert run().to_dict() == batched
 
 
 class TestInjectErrors:

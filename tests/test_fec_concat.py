@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwoclink.fec.bch import STATUS_FAILURE, STATUS_OK, BchCodeSpec
-from uwoclink.fec.concat import ConcatCodecSpec, deinterleave, interleave, interleave_indices
+from uwoclink.fec.concat import (
+    ConcatCodecSpec,
+    _deinterleave_indices,
+    deinterleave,
+    interleave,
+    interleave_indices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +30,11 @@ def mini(gf16):
 def small(gf16):
     """Four 15-bit outer words over nine 7-bit inner payloads: outer words
     straddle inner words, and t = 2 inner words miscorrect often enough to
-    hand the outer code errors to correct."""
+    hand the outer code errors to correct. Depth 4 does not divide its 135
+    frame bits, so it deinterleaves by the gather."""
     return ConcatCodecSpec(outer=BchCodeSpec(15, 5, 3, gf16),
                            inner=BchCodeSpec(15, 7, 2, gf16),
-                           interleaver_depth=3, outer_words_per_frame=4)
+                           interleaver_depth=4, outer_words_per_frame=4)
 
 
 def reference_decode(codec, frame):
@@ -76,6 +84,23 @@ class TestInterleaver:
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 2, length).astype(np.uint8)
         assert np.array_equal(deinterleave(interleave(data, depth), depth), data)
+
+    @pytest.mark.parametrize("divides", [True, False])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_gather_row_by_row(self, divides, data):
+        # depth | length takes the reshape-transpose path, any other length
+        # the cached gather; both must read rows as the gather reads a row
+        depth = data.draw(st.integers(1 if divides else 2, 16))
+        rest = 0 if divides else data.draw(st.integers(1, depth - 1))
+        length = depth * data.draw(st.integers(1, 30)) + rest
+        rows = data.draw(st.integers(1, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        bits = rng.integers(0, 2, (rows, length)).astype(np.uint8)
+        gather = _deinterleave_indices(length, depth)
+        assert np.array_equal(deinterleave(bits, depth),
+                              np.array([row[gather] for row in bits]))
+        assert np.array_equal(deinterleave(bits[0], depth), bits[0][gather])
 
     def test_consecutive_outputs_stride_apart(self):
         # depth-8 interleave of 16320 bits: adjacent channel bits come from
@@ -144,6 +169,11 @@ class TestRoundtrip:
     def test_wrong_payload_length(self, codec):
         with pytest.raises(ValueError):
             codec.encode(np.zeros(100, dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(), (16319,), (2, 16321), (2, 1, 16320)])
+    def test_malformed_frames_name_their_shape(self, codec, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            codec.decode(np.zeros(shape, dtype=np.uint8))
 
     def test_clean_roundtrip_production_thousand(self, codec):
         rng = np.random.default_rng(10)
@@ -241,12 +271,36 @@ class TestScreenedDecode:
         assert out.corrected_count == corrected
         assert out.status == status
 
+    @pytest.mark.parametrize("name", ["codec", "small"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_match_one_frame_at_a_time(self, request, name, data):
+        # drawn frames (0 .. t+2 errors per inner word) in one batch with a
+        # clean frame and one whose first inner word is far past t
+        codec = request.getfixturevalue(name)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        words, t = codec.inner_words_per_frame, codec.inner.t
+        drawn = data.draw(st.lists(st.lists(st.integers(0, t + 2), min_size=words,
+                                            max_size=words), max_size=5))
+        errors = data.draw(st.permutations(
+            [[0] * words, [t + 3] + [0] * (words - 1), *drawn]))
+        frames = np.array([frame_with_inner_errors(codec, rng, e) for e in errors])
+        out = codec.decode(frames)
+        singles = [codec.decode(frame) for frame in frames]
+        assert all(one.failed.shape == () for one in singles)
+        assert out.failed.shape == (len(frames),)
+        assert np.array_equal(out.message_bits, [one.message_bits for one in singles])
+        assert out.failed.tolist() == [bool(one.failed) for one in singles]
+        assert out.corrected_count == sum(one.corrected_count for one in singles)
+
     def test_one_row_wise_call_per_code(self, monkeypatch, codec):
         # about 2 flips in every inner word: all eight go to one inner
         # decode, whose one syndromes call is the only inner screen; the
-        # outer words come out clean, so the outer code is only screened
+        # outer words come out clean, so the outer code is only screened.
+        # A batch of frames makes the same calls.
         rng = np.random.default_rng(17)
-        frame = frame_with_inner_errors(codec, rng, [2] * codec.inner_words_per_frame)
+        per_frame = codec.inner_words_per_frame
+        frame = frame_with_inner_errors(codec, rng, [2] * per_frame)
         calls = Counter()
         for attr in ("syndromes", "decode"):
             def counted(code, words, _attr=attr, _original=getattr(BchCodeSpec, attr)):
@@ -254,15 +308,24 @@ class TestScreenedDecode:
                 return _original(code, words)
             monkeypatch.setattr(BchCodeSpec, attr, counted)
         out = codec.decode(frame)
-        assert out.ok and out.corrected_count == 2 * codec.inner_words_per_frame
-        assert calls == {("syndromes", "inner"): 1, ("decode", "inner"): 1,
-                         ("syndromes", "outer"): 1}
+        assert out.ok and out.corrected_count == 2 * per_frame
+        one_each = {("syndromes", "inner"): 1, ("decode", "inner"): 1,
+                    ("syndromes", "outer"): 1}
+        assert calls == one_each
+        calls.clear()
+        batch = [frame] + [frame_with_inner_errors(codec, rng, [2] * per_frame)
+                           for _ in range(3)]
+        out = codec.decode(np.array(batch))
+        assert out.ok and out.corrected_count == 4 * 2 * per_frame
+        assert calls == one_each
 
     def test_reference_draws_reach_every_case(self, small):
         # the draws above do reach failed inner words, tainted outer words
-        # and outer corrections, and the decoder agrees on each frame
+        # and outer corrections, and the decoder agrees on each frame, alone
+        # and with all 200 in one batch
         rng = np.random.default_rng(16)
         seen = Counter()
+        frames, expected = [], []
         for _ in range(200):
             errors = rng.integers(0, small.inner.t + 3, small.inner_words_per_frame)
             frame = frame_with_inner_errors(small, rng, errors)
@@ -271,5 +334,12 @@ class TestScreenedDecode:
             assert np.array_equal(out.message_bits, message)
             assert (out.corrected_count, out.status) == (corrected, status)
             seen += kinds
+            frames.append(frame)
+            expected.append((message, corrected, status == STATUS_FAILURE))
         assert min(seen["inner_failed"], seen["outer_tainted"],
                    seen["outer_corrected"]) > 0
+        messages, corrected, failed = zip(*expected)
+        batch = small.decode(np.array(frames))
+        assert np.array_equal(batch.message_bits, messages)
+        assert batch.corrected_count == sum(corrected)
+        assert batch.failed.tolist() == list(failed)
