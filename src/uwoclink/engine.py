@@ -1,14 +1,20 @@
 """End-to-end link simulation and the deterministic goodput calculator.
 
-A scenario run walks simulated seconds: draw one fading sample, update the
-AGC against the multiplicative receiver plant, then push a handful of
-frames through FEC -> modulation -> additive noise -> demodulation, and
-FEC-decode the second's frames together, in batches of at most
-``DECODE_BATCH_FRAMES``. A frame the noise left untouched skips
-demodulation and reaches the decoder as it was sent. Slot noise comes from
-the link margin through a single calibrated offset (margin_db +
-snr_offset_db -> amplitude SNR), the one free constant the field system
-never published.
+Every run is one frame loop: source -> codec -> tally. Each simulated
+second, the channel hands the loop an error source; each frame is encoded,
+the source returns the ascending positions of the line bits it flipped, and
+the loop XORs them in, counts them as pre-FEC errors and FEC-decodes the
+second's frames together, in batches of at most ``DECODE_BATCH_FRAMES``.
+Only frames with a flip can decode wrong, so only their payloads are
+compared.
+
+A scenario run's source draws one fading sample per second, updates the AGC
+against the multiplicative receiver plant, and pushes each frame through
+modulation -> additive noise -> demodulation, re-deciding only the slots
+the noise touched. Slot noise comes from the link margin through a single
+calibrated offset (margin_db + snr_offset_db -> amplitude SNR), the one
+free constant the field system never published. An injection run's source
+flips line bits i.i.d. at a fixed rate.
 
 Everything runs on the caller's thread. Each scenario run draws its slot
 noise, when a frame needs it, from a stream spawned from the run's seed;
@@ -153,17 +159,25 @@ class _AnalogLog:
 
 def _slot_chain(kind: str, sigma: float, noise: np.random.Generator,
                 frame: np.ndarray) -> np.ndarray:
-    """One frame through modulation, additive slot noise and demodulation.
+    """One frame through modulation, additive slot noise and demodulation;
+    returns the ascending positions of the line bits that came out flipped.
 
     When ``add_noise`` returns the stream it was given, no slot moved and
-    the stream demodulates to the bits it was modulated from, so ``frame``
-    itself is returned without demodulating.
+    nothing is flipped. When it drew noise only for some aligned 4-slot
+    groups (``touched``), no other decision can change, so only those groups
+    are re-decided, in one ``demodulate`` call on their slots: one bit per
+    slot for OOK, two per group for 4-PPM, less the pad bit. Otherwise the
+    whole stream is demodulated and compared.
     """
     sent = modem.modulate(kind, frame)
     noisy = modem.add_noise(sent, sigma, noise)
     if noisy is sent:
-        return frame
-    return modem.demodulate(kind, noisy)
+        return np.empty(0, dtype=np.intp)
+    if noisy.touched is None:
+        return np.flatnonzero(modem.demodulate(kind, noisy) != frame)
+    slots, bits = modem.touched_slots_and_bits(kind, noisy, len(frame))
+    decided = modem.demodulate(kind, modem.SlotStream(noisy.amplitudes[slots]))
+    return bits[decided[:len(bits)] != frame[bits]]
 
 
 def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
@@ -202,28 +216,31 @@ def _flip_channel(ber: float, rng: np.random.Generator,
                   log: _AnalogLog) -> Iterator[Callable]:
     """Every second, flip each line bit i.i.d. with probability ``ber``; the
     analog chain is bypassed. A frame's flip count is drawn as Bin(n, ber)
-    and the flipped bits uniformly without replacement, the same law; at
-    ``ber == 0`` nothing is drawn and the frame is returned as it is."""
+    and the flipped positions uniformly without replacement, the same law,
+    then sorted; at ``ber == 0`` nothing is drawn and nothing flipped."""
     def flip(frame: np.ndarray) -> np.ndarray:
         if ber == 0:
-            return frame
-        flipped = frame.copy()
-        flipped[rng.choice(len(frame), rng.binomial(len(frame), ber),
-                           replace=False)] ^= 1
-        return flipped
+            return np.empty(0, dtype=np.intp)
+        n = len(frame)
+        return np.sort(rng.choice(n, rng.binomial(n, ber), replace=False))
 
     yield from itertools.repeat(flip)
 
 
 def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
-    """The frame loop: random payload -> encode -> corrupt -> decode -> tally.
+    """The frame loop: random payload -> encode -> error source -> decode ->
+    tally.
 
     ``channel(rng, log)`` is a generator that yields, at the start of each
-    simulated second of ``sim_frames_per_second`` frames, the function that
-    corrupts that second's frames. A last partial second is tallied as its
-    own entry. Payload bits are unpacked from uniform random bytes. A
-    second's frames are drawn, encoded and corrupted one by one, then
-    decoded together, in slices of at most ``DECODE_BATCH_FRAMES``.
+    simulated second of ``sim_frames_per_second`` frames, that second's
+    error source: a function of the sent frame that returns the ascending,
+    distinct positions of the line bits it flipped. A last partial second is
+    tallied as its own entry. Payload bits are unpacked from uniform random
+    bytes. A second's frames are drawn, encoded and flipped one by one, then
+    decoded together, in slices of at most ``DECODE_BATCH_FRAMES``. A
+    frame's pre-FEC errors are its flip count. A frame with no flip is a
+    codeword and decodes to its payload, so post-FEC errors and losses are
+    tallied over the flipped frames only.
     """
     rng = np.random.default_rng(seed)
     codec = spec.codec
@@ -239,24 +256,28 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
     post_err_total = 0
     failures = 0
     for start in range(0, n_frames, fps):
-        corrupt = next(seconds)
+        errors = next(seconds)
         second_errors = second_losses = 0
         second = min(fps, n_frames - start)
         for first in range(0, second, batch):
             rows = min(batch, second - first)
+            flipped = []
             for r in range(rows):
                 payloads[r] = np.unpackbits(
                     rng.integers(0, 256, payload_bytes, dtype=np.uint8),
                     count=codec.frame_payload_bits)
-                frame = codec.encode(payloads[r])
-                received[r] = got = corrupt(frame)
-                if got is not frame:
-                    second_errors += int(np.count_nonzero(got != frame))
+                received[r] = frame = codec.encode(payloads[r])
+                positions = errors(frame)
+                if len(positions):
+                    received[r, positions] ^= 1
+                    second_errors += len(positions)
+                    flipped.append(r)
             outcome = codec.decode(received[:rows])
-            post_err = np.count_nonzero(outcome.message_bits != payloads[:rows], axis=1)
-            post_err_total += int(post_err.sum())
             failures += int(np.count_nonzero(outcome.failed))
-            second_losses += int(np.count_nonzero(outcome.failed | (post_err > 0)))
+            for r in flipped:
+                wrong = int(np.count_nonzero(outcome.message_bits[r] != payloads[r]))
+                post_err_total += wrong
+                second_losses += bool(outcome.failed[r]) or wrong > 0
         beps.append(second_errors)
         loss_series.append(second_losses)
 

@@ -1,9 +1,9 @@
 """Slot-level modulation for the two line formats: OOK and 4-PPM.
 
-Streams carry normalized slot amplitudes (1 = full on). Slot timing is
-ideal; the receive chain's aggregate noise enters as additive Gaussian per
-slot. Theoretical error rates use amplitude SNR = peak amplitude / noise
-sigma.
+Streams carry normalized slot amplitudes (1 = full on): uint8 0/1 as
+modulated, float64 once noise has moved a slot. Slot timing is ideal; the
+receive chain's aggregate noise enters as additive Gaussian per slot.
+Theoretical error rates use amplitude SNR = peak amplitude / noise sigma.
 """
 
 from __future__ import annotations
@@ -60,13 +60,18 @@ class ModulationScheme:
 
 @dataclass(frozen=True)
 class SlotStream:
+    """Slot amplitudes, the pad bit 4-PPM added, and, when ``add_noise``
+    drew noise only for some aligned 4-slot groups, those groups' indices in
+    ascending order (``None`` when every slot may have moved)."""
+
     amplitudes: np.ndarray
     pad_bits: int = 0
+    touched: np.ndarray | None = None
 
 
 def ook_modulate(bits: np.ndarray) -> SlotStream:
-    amps = np.asarray(bits, dtype=np.float64)
-    return SlotStream(amps)
+    """The bits themselves are the uint8 on/off amplitudes."""
+    return SlotStream(np.asarray(bits, dtype=np.uint8))
 
 
 def ook_demodulate(stream: SlotStream) -> np.ndarray:
@@ -75,10 +80,10 @@ def ook_demodulate(stream: SlotStream) -> np.ndarray:
 
 @cache
 def _ppm4_byte_slots() -> np.ndarray:
-    """Row v holds the 16 slot amplitudes of byte v's four dibits, first
-    dibit in the high bits; read-only, built on first use."""
+    """Row v holds the 16 uint8 slot amplitudes of byte v's four dibits,
+    first dibit in the high bits; read-only, built on first use."""
     dibits = (np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3
-    table = (dibits[:, :, None] == np.arange(_PPM4_SLOTS_PER_SYMBOL)).astype(np.float64)
+    table = (dibits[:, :, None] == np.arange(_PPM4_SLOTS_PER_SYMBOL)).view(np.uint8)
     table = table.reshape(256, -1)
     table.flags.writeable = False
     return table
@@ -128,9 +133,11 @@ def add_noise(stream: SlotStream, sigma: float,
     hit slot gets a random sign times a draw from the tail beyond tau
     (Marsaglia's method), and the other slots of its aligned group get draws
     truncated to (-tau, tau). Every other slot keeps its noiseless amplitude,
-    so demodulated bits have exactly the law of one normal per slot. Where
-    q exceeds ``_SPARSE_MAX_SHARE`` (dark seconds among them) every slot
-    gets a normal. With no slot past tau, ``stream`` itself is returned.
+    so demodulated bits have exactly the law of one normal per slot, and the
+    groups drawn for are recorded as ``touched``. Where q exceeds
+    ``_SPARSE_MAX_SHARE`` (dark seconds among them) every slot gets a normal
+    and ``touched`` is ``None``. With no slot past tau, ``stream`` itself is
+    returned. The input is never written: a moved stream is a float64 copy.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
@@ -146,14 +153,32 @@ def add_noise(stream: SlotStream, sigma: float,
     if not count:
         return stream
     hits = rng.choice(len(amps), count, replace=False)
-    group = np.unique(hits // _PPM4_SLOTS_PER_SYMBOL)[:, None] * _PPM4_SLOTS_PER_SYMBOL
-    slots = (group + np.arange(_PPM4_SLOTS_PER_SYMBOL)).ravel()
-    slots = slots[slots < len(amps)]
-    noisy = amps.copy()
+    groups = np.unique(hits // _PPM4_SLOTS_PER_SYMBOL)
+    slots = _group_members(groups, _PPM4_SLOTS_PER_SYMBOL, len(amps))
+    noisy = amps.astype(np.float64)
     noisy[slots] += sigma * _bulk_normals(tau, len(slots), rng)
     tail = np.copysign(_tail_normals(tau, len(hits), rng), rng.random(len(hits)) - 0.5)
     noisy[hits] = amps[hits] + sigma * tail
-    return SlotStream(noisy, stream.pad_bits)
+    return SlotStream(noisy, stream.pad_bits, groups)
+
+
+def touched_slots_and_bits(kind: str, stream: SlotStream,
+                           n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of the groups ``stream.touched`` lists, and the line bits of
+    an ``n_bits`` frame they decide, both ascending: a slot's bit for OOK, a
+    group's two bits for 4-PPM, less the pad bit. Demodulating those slots
+    alone yields the bits in that order, the pad bit last."""
+    slots = _group_members(stream.touched, _PPM4_SLOTS_PER_SYMBOL, len(stream.amplitudes))
+    if kind == OOK:
+        return slots, slots
+    return slots, _group_members(stream.touched, _PPM4_BITS_PER_SYMBOL, n_bits)
+
+
+def _group_members(groups: np.ndarray, width: int, limit: int) -> np.ndarray:
+    """Indices ``width * g + j`` for each of ``groups`` and 0 <= j < width,
+    below ``limit``; ascending when ``groups`` are."""
+    members = (groups[:, None] * width + np.arange(width)).ravel()
+    return members[members < limit]
 
 
 def _bulk_normals(tau: float, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import json
 import math
 import threading
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -187,30 +189,59 @@ class TestNoWorkerOutlivesARun:
 
 
 class TestSlotChain:
-    """``_slot_chain`` skips demodulating a frame the noise left untouched,
-    and otherwise gives what the full modem chain gives, drawing the same."""
+    """``_slot_chain`` returns the positions the full modem chain flips,
+    re-deciding only the touched slots, and draws what the full chain draws."""
 
     # q = 2 Q(0.5 / sigma), the share of slots past the decision margin:
-    # about 1.5e-23, 0.01 and 0.21
-    SIGMAS = {"q~0": 0.05, "sparse": 0.5 / 2.576, "dense": 0.4}
+    # about 1.5e-23, 1e-3, 0.01 and 0.21
+    SIGMAS = {"q~0": 0.05, "q~1e-3": 0.5 / 3.29, "sparse": 0.5 / 2.576, "dense": 0.4}
+    SEEDS = range(25)
 
-    @pytest.mark.parametrize("n_bits", [16320, 4001])
+    @staticmethod
+    def full_chain(kind, sigma, rng, frame):
+        """Positions where demodulate(add_noise(modulate(frame))) differs
+        from ``frame``, and the noisy stream."""
+        sent = modulate(kind, frame)
+        noisy = add_noise(sent, sigma, rng)
+        return np.flatnonzero(demodulate(kind, noisy) != frame), sent, noisy
+
+    @pytest.mark.parametrize("n_bits", [16320, 4001, 4000, 7, 1])
     @pytest.mark.parametrize("level", list(SIGMAS))
     @pytest.mark.parametrize("kind", [OOK, PPM4])
     def test_matches_the_full_chain(self, kind, level, n_bits):
         sigma = self.SIGMAS[level]
         q = 2.0 * qfunc(0.5 / sigma)
-        assert {"q~0": q < 1e-20, "sparse": 1e-4 <= q <= 0.04,
-                "dense": q > 0.04}[level]
+        assert {"q~0": q < 1e-20, "q~1e-3": 9e-4 <= q <= 1.1e-3,
+                "sparse": 1e-4 <= q <= 0.04, "dense": q > 0.04}[level]
         frame = np.random.default_rng(71).integers(0, 2, n_bits, dtype=np.uint8)
-        g1, g2 = np.random.default_rng(73), np.random.default_rng(73)
-        got = engine._slot_chain(kind, sigma, g1, frame)
-        sent = modulate(kind, frame)
-        noisy = add_noise(sent, sigma, g2)
-        assert np.array_equal(got, demodulate(kind, noisy))
-        assert g1.bit_generator.state == g2.bit_generator.state
-        assert (noisy is sent) == (level == "q~0")
-        assert (got is frame) == (level == "q~0")
+        for seed in self.SEEDS:
+            g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = engine._slot_chain(kind, sigma, g1, frame)
+            expected, sent, noisy = self.full_chain(kind, sigma, g2, frame)
+            assert got.dtype.kind == "i" and np.array_equal(got, expected)
+            assert g1.bit_generator.state == g2.bit_generator.state
+            if level == "q~0":
+                assert noisy is sent
+            if noisy is sent:
+                assert got.size == 0
+            else:
+                assert (noisy.touched is None) == (level == "dense")
+
+    def test_the_pad_bit_is_never_flipped(self):
+        # odd 4-PPM frames whose last, padded group the sparse noise touched
+        sigma = self.SIGMAS["sparse"]
+        reached = 0
+        for n_bits in (1, 7):
+            frame = np.random.default_rng(n_bits).integers(0, 2, n_bits, dtype=np.uint8)
+            for seed in range(400):
+                g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = engine._slot_chain(PPM4, sigma, g1, frame)
+                expected, _, noisy = self.full_chain(PPM4, sigma, g2, frame)
+                assert np.array_equal(got, expected)
+                if noisy.touched is not None and noisy.touched[-1] == n_bits // 2:
+                    reached += 1
+                    assert np.all(got < n_bits)
+        assert reached >= 10
 
     def test_demodulates_exactly_the_touched_frames(self, blue_nlos, monkeypatch):
         events = []
@@ -236,6 +267,100 @@ class TestSlotChain:
             if event != "demodulate":
                 expected += [event] + ["demodulate"] * (event == "touched")
         assert events == expected
+
+
+def full_chain_bits(kind, sigma, noise, frame):
+    """The received frame: demodulate(add_noise(modulate(frame)))."""
+    return demodulate(kind, add_noise(modulate(kind, frame), sigma, noise))
+
+
+def full_slot_channel(spec):
+    """``_slot_channel``'s fading and AGC, with every frame through the full
+    modem chain."""
+    def channel(rng, log):
+        for chain in engine._slot_channel(spec, rng, log):
+            yield partial(full_chain_bits, *chain.args)
+
+    return channel
+
+
+def full_flip_channel(ber):
+    """Each line bit flipped i.i.d. on a copy of the frame."""
+    def channel(rng, log):
+        def flip(frame):
+            flipped = frame.copy()
+            if ber:
+                flipped[rng.choice(len(frame), rng.binomial(len(frame), ber),
+                                   replace=False)] ^= 1
+            return flipped
+
+        yield from itertools.repeat(flip)
+
+    return channel
+
+
+def reference_simulate(spec, seed, n_frames, channel):
+    """The frame loop as it was before error sources returned positions:
+    each received frame is compared whole with the sent one, and each
+    decoded payload with the sent payload."""
+    rng = np.random.default_rng(seed)
+    codec = spec.codec
+    payload_bytes = -(-codec.frame_payload_bits // 8)
+    fps = spec.sim_frames_per_second
+    log = engine._AnalogLog()
+    seconds = channel(rng, log)
+    beps, losses, post_errors, failures = [], [], 0, 0
+    for start in range(0, n_frames, fps):
+        corrupt = next(seconds)
+        errors = lost = 0
+        for _ in range(min(fps, n_frames - start)):
+            payload = np.unpackbits(rng.integers(0, 256, payload_bytes, dtype=np.uint8),
+                                    count=codec.frame_payload_bits)
+            frame = codec.encode(payload)
+            received = corrupt(frame)
+            errors += int(np.count_nonzero(received != frame))
+            outcome = codec.decode(received)
+            wrong = int(np.count_nonzero(outcome.message_bits != payload))
+            post_errors += wrong
+            failures += int(outcome.failed)
+            lost += int(bool(outcome.failed) or wrong > 0)
+        beps.append(errors)
+        losses.append(lost)
+    bits, payload_bits = n_frames * codec.frame_bits, n_frames * codec.frame_payload_bits
+    return engine.SimReport(
+        name=spec.name, seed=seed, config_hash=spec.fingerprint(),
+        duration_s=len(beps), frames_sent=n_frames, bits_simulated=bits,
+        payload_bits_simulated=payload_bits, pre_fec_bit_errors=sum(beps),
+        pre_fec_ber=sum(beps) / bits, post_fec_bit_errors=post_errors,
+        post_fec_ber=post_errors / payload_bits, packet_loss_count=sum(losses),
+        decode_failures=failures, goodput_bps=goodput_for(spec),
+        agc_saturated_seconds=log.saturated_seconds,
+        link_dark_seconds=log.dark_seconds, beps_series=tuple(beps),
+        loss_series=tuple(losses), margin_trace_db=tuple(log.margins))
+
+
+class TestFullChainOracle:
+    """``run_scenario`` and ``inject_errors_run`` report what a loop that
+    passes whole frames through the full chain and compares them whole
+    reports. In 30 s, green flips a few bits, blue-6M25 none, and
+    blue-6M25-nlos hundreds, losing one frame on seed 4."""
+
+    SECONDS = 30
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("preset", ["green-125M", "blue-6M25", "blue-6M25-nlos"])
+    def test_run_scenario(self, preset, seed):
+        spec = load_preset(preset)
+        report = run_scenario(spec, self.SECONDS, seed)
+        n_frames = self.SECONDS * spec.sim_frames_per_second
+        assert report == reference_simulate(spec, seed, n_frames, full_slot_channel(spec))
+        if preset == "blue-6M25-nlos":
+            assert report.pre_fec_bit_errors > 0
+
+    def test_inject_errors_run(self, green):
+        report = inject_errors_run(green, 3e-3, 40 * green.codec.frame_bits, seed=5)
+        assert report.decode_failures > 0 and report.packet_loss_count < report.frames_sent
+        assert report == reference_simulate(green, 5, 40, full_flip_channel(3e-3))
 
 
 class TestErrorDistribution:
@@ -387,7 +512,13 @@ class TestInjectErrors:
         codec, p = green.codec, 1e-3
         flip = next(engine._flip_channel(p, np.random.default_rng(19), engine._AnalogLog()))
         frame = np.zeros(codec.frame_bits, dtype=np.uint8)
-        flips = np.array([flip(frame) for _ in range(200)])
+        draws = [flip(frame) for _ in range(200)]
+        flips = np.zeros((len(draws), codec.frame_bits), dtype=np.uint8)
+        for row, positions in zip(flips, draws):
+            # ascending, hence distinct, and inside the frame
+            assert positions.dtype.kind == "i" and np.all(np.diff(positions) > 0)
+            assert positions.size == 0 or 0 <= positions[0] <= positions[-1] < codec.frame_bits
+            row[positions] = 1
         counts = np.concatenate([
             deinterleave(f, codec.interleaver_depth)
             .reshape(codec.inner_words_per_frame, codec.inner.n).sum(axis=1)
@@ -397,7 +528,7 @@ class TestInjectErrors:
         expected = binom.pmf(np.arange(7), codec.inner.n, p)
         expected[6] = binom.sf(5, codec.inner.n, p)
         assert chisquare(observed, expected * len(counts)).pvalue > 1e-9
-        positions = np.nonzero(flips)[1]
+        positions = np.concatenate(draws)
         bins = np.bincount(positions * 16 // codec.frame_bits, minlength=16)
         assert chisquare(bins).pvalue > 1e-9
 
@@ -406,7 +537,8 @@ class TestInjectErrors:
         state = rng.bit_generator.state
         flip = next(engine._flip_channel(0.0, rng, engine._AnalogLog()))
         frame = green.codec.encode(np.ones(green.codec.frame_payload_bits, dtype=np.uint8))
-        assert flip(frame) is frame
+        positions = flip(frame)
+        assert positions.size == 0 and positions.dtype.kind == "i"
         assert rng.bit_generator.state == state
 
 

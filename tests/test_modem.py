@@ -103,7 +103,7 @@ class TestPpm4:
         expected = np.zeros(n_slots)
         expected[np.arange(0, n_slots, 4) + 2 * padded[0::2] + padded[1::2]] = 1.0
         stream = ppm4_modulate(arr)
-        assert stream.amplitudes.dtype == np.float64
+        assert stream.amplitudes.dtype == np.uint8
         assert np.array_equal(stream.amplitudes, expected)
         assert stream.pad_bits == pad
 
@@ -328,6 +328,8 @@ class TestSparseNoise:
 
     @pytest.mark.parametrize("kind", [OOK, PPM4])
     def test_slots_outside_hit_groups_keep_their_amplitude(self, kind):
+        # touched lists, ascending, exactly the groups holding a slot past
+        # the margin, and every slot outside them keeps its amplitude
         sigma = self.sigma_for(1e-3)
         rng = np.random.default_rng(53)
         stream = modulate(kind, rng.integers(0, 2, 4001, dtype=np.uint8))
@@ -339,6 +341,36 @@ class TestSparseNoise:
         in_group = np.isin(np.arange(len(changed)) // 4, groups)
         assert hit.any()
         assert np.array_equal(changed, in_group)
+        assert np.array_equal(noisy.touched, np.unique(groups))
+        outside = ~np.isin(np.arange(len(changed)) // 4, noisy.touched)
+        assert np.array_equal(noisy.amplitudes[outside], stream.amplitudes[outside])
+
+    @pytest.mark.parametrize("kind", [OOK, PPM4])
+    def test_touched_is_none_when_dense(self, kind):
+        stream = modulate(kind, np.random.default_rng(71).integers(0, 2, 4001, dtype=np.uint8))
+        assert stream.touched is None
+        noisy = add_noise(stream, self.sigma_for(self.SHARES[-1]), np.random.default_rng(73))
+        assert noisy.touched is None
+        assert np.count_nonzero(noisy.amplitudes != stream.amplitudes) == len(stream.amplitudes)
+
+    @pytest.mark.parametrize("share", SHARES, ids=IDS)
+    @pytest.mark.parametrize("kind", [OOK, PPM4])
+    def test_uint8_stream_gives_the_float64_result(self, kind, share):
+        # the noiseless uint8 stream is never written: the noise goes into a
+        # float64 copy, so it adds exactly as onto float64 amplitudes
+        sigma = self.sigma_for(share)
+        bits = np.random.default_rng(79).integers(0, 2, 10**5 + 1, dtype=np.uint8)
+        stream = modulate(kind, bits)
+        sent = stream.amplitudes.copy()
+        as_float = SlotStream(sent.astype(np.float64), stream.pad_bits)
+        noisy = add_noise(stream, sigma, np.random.default_rng(83))
+        reference = add_noise(as_float, sigma, np.random.default_rng(83))
+        assert stream.amplitudes.dtype == np.uint8 and noisy.amplitudes.dtype == np.float64
+        assert np.array_equal(noisy.amplitudes, reference.amplitudes)
+        assert (noisy.touched is None) == (reference.touched is None) == \
+            (share > modem._SPARSE_MAX_SHARE)
+        assert np.array_equal(noisy.touched, reference.touched)
+        assert np.array_equal(stream.amplitudes, sent)
 
     @pytest.mark.parametrize("kind", [OOK, PPM4])
     def test_zero_sigma_returns_the_stream_unchanged(self, kind):
