@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,11 +82,13 @@ class NlosPath:
     """Seabed-bounce description: scalar reflectance on an unfolded path."""
 
     reflectance: float
-    unfolded: LinkGeometry
+    unfolded_distance_m: float
 
     def __post_init__(self):
         if not 0.0 <= self.reflectance <= 1.0:
             raise ValueError("reflectance must be in [0, 1]")
+        if self.unfolded_distance_m < 0:
+            raise ValueError("unfolded_distance_m must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -226,11 +228,13 @@ def total_loss_db(geometry: LinkGeometry, water: WaterOptics,
                   nlos: NlosPath | None = None) -> LossBreakdown:
     """Component-wise link loss; the NLOS bounce replaces the direct path.
 
-    For an NLOS link the light physically travels the unfolded path, so
-    attenuation, spread, and pointing are evaluated on ``nlos.unfolded`` and
-    the reflection penalty is reported as the excess term.
+    For an NLOS link the light physically travels the unfolded path: the
+    direct path's optics over ``nlos.unfolded_distance_m``, without its k
+    override. Attenuation, spread, and pointing are evaluated on it and the
+    reflection penalty is reported as the excess term.
     """
-    path = nlos.unfolded if nlos is not None else geometry
+    path = geometry if nlos is None else replace(
+        geometry, distance_m=nlos.unfolded_distance_m, k_override_m2=None)
     atten = attenuation_db(water, path.distance_m)
     geo = geometric_loss_db(path)
     point, dark = pointing_loss_db(path)

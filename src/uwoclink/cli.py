@@ -1,10 +1,10 @@
 """Command-line front end: plan, simulate, monitor, fec, calibrate.
 
-Every emitted report embeds the seed and a hash of the fully-resolved
-configuration so any run can be reproduced exactly. Validation problems
-print a single ``error: ...`` line on stderr and exit 2; a clean run exits
-0. ``fec decode`` exits 1 when blocks failed to decode but the program
-itself ran fine.
+Every emitted report embeds the seed and a hash of the canonical scenario
+text, so any run can be reproduced exactly. Validation problems, and a
+configuration too large for memory, print a single ``error: ...`` line on
+stderr and exit 2; a clean run exits 0. ``fec decode`` exits 1 when
+blocks failed to decode but the program itself ran fine.
 """
 
 from __future__ import annotations
@@ -302,8 +302,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, CalibrationError, SolverError, ValueError, KeyError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            OSError, MemoryError) as exc:
+        # a bare MemoryError has no message; numpy's names the allocation
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -57,7 +57,7 @@ SCHEMA = {
         "pointing_offset_m": (_FLOAT, "geometry.pointing_offset_m"),
         "k_override_m2": (_FLOAT, "geometry.k_override_m2"),
         "nlos_reflectance": (_FLOAT, "nlos.reflectance"),
-        "nlos_unfolded_distance_m": (_FLOAT, "nlos.unfolded.distance_m"),
+        "nlos_unfolded_distance_m": (_FLOAT, "nlos.unfolded_distance_m"),
     },
     "codec": {
         "interleaver_depth": (_INT, "interleaver_depth"),
@@ -224,11 +224,8 @@ def build_spec(mapping: dict) -> LinkSpec:
         elif "c_db_per_m" not in water:
             values["water"] = WaterOptics.from_per_m(water["c_per_m"])
         if "nlos" in values:
-            # the bounce path has the direct path's optics but not its k
-            unfolded = {**values["geometry"], "k_override_m2": None,
-                        **values["nlos"]["unfolded"]}
-            values["nlos"] = _build(NlosPath, {**values["nlos"],
-                                               "unfolded": unfolded})
+            # the field's type is NlosPath | None, which _build does not unwrap
+            values["nlos"] = NlosPath(**values["nlos"])
         return _build(LinkSpec, values)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc

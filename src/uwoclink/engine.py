@@ -93,16 +93,19 @@ class LinkSpec:
             )
         if self.sim_frames_per_second < 1:
             raise ValueError("sim_frames_per_second must be >= 1")
+        self.codec  # builds the shared codec, whose checks reject the framing
 
     @property
     def codec(self) -> ConcatCodecSpec:
         return codec_for(self.interleaver_depth, self.outer_words_per_frame)
 
     def fingerprint(self) -> str:
-        """Stable short hash of the full configuration."""
+        """Stable short hash of the canonical scenario text."""
         import hashlib  # here, not at the top: it costs milliseconds of import
 
-        return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
+        from .config import render_scenario  # here: config imports this module
+
+        return hashlib.sha256(render_scenario(self).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

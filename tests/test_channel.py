@@ -191,13 +191,15 @@ class TestNlosExcess:
     bounce's extra spread is part of the unfolded path's geometric loss."""
 
     def test_perfect_mirror_equal_path_has_no_excess(self):
-        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(1.0, BLUE_GEO))
+        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(1.0, 30.0))
         assert bd.nlos_excess_db == 0.0 and not bd.link_dark
         assert bd.total_db == total_loss_db(BLUE_GEO, BLUE_WATER).total_db
 
     def test_reflectance_penalty_is_log10(self):
+        # the unfolded path has the direct path's optics but not its k
+        direct = replace(BLUE_GEO, k_override_m2=1.198)
         unfolded = LinkGeometry(34.0, 3.83, 0.0, 0.008)
-        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(0.1, unfolded))
+        bd = total_loss_db(direct, BLUE_WATER, NlosPath(0.1, 34.0))
         assert bd.nlos_excess_db == pytest.approx(10.0)
         assert bd.geometric_db == geometric_loss_db(unfolded)
         assert not bd.link_dark
@@ -206,14 +208,13 @@ class TestNlosExcess:
         # reflectance 0.05 over a 34 m bounce vs the 30 m direct path: a
         # 13.0103 dB excess, and 55.103 - 54.018 dB of extra spread,
         # evaluated by hand, inside the geometric term
-        unfolded = LinkGeometry(34.0, 3.83, 0.0, 0.008)
-        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(0.05, unfolded))
+        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(0.05, 34.0))
         assert bd.nlos_excess_db == pytest.approx(13.0103, abs=1e-3)
         assert bd.geometric_db - geometric_loss_db(BLUE_GEO) == \
             pytest.approx(1.085, abs=0.01)
 
     def test_zero_reflectance_flags_dark(self):
-        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(0.0, BLUE_GEO))
+        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(0.0, 30.0))
         assert bd.link_dark
 
 
@@ -233,7 +234,7 @@ class TestTotalLoss:
         assert not bd.link_dark
 
     def test_blue_nlos_preset_components(self):
-        nlos = NlosPath(0.05, LinkGeometry(34.0, 3.83, 0.0, 0.008))
+        nlos = NlosPath(0.05, 34.0)
         bd = total_loss_db(BLUE_GEO, BLUE_WATER, nlos=nlos)
         assert bd.attenuation_db == pytest.approx(0.298 * 34.0)
         assert bd.geometric_db == pytest.approx(55.10, abs=0.01)
@@ -241,7 +242,7 @@ class TestTotalLoss:
         assert bd.total_db == pytest.approx(78.245, abs=0.02)
 
     def test_total_is_component_sum(self):
-        nlos = NlosPath(0.3, LinkGeometry(40.0, 3.83, 0.0, 0.008))
+        nlos = NlosPath(0.3, 40.0)
         bd = total_loss_db(BLUE_GEO, BLUE_WATER, nlos=nlos)
         parts = (bd.attenuation_db + bd.geometric_db + bd.pointing_db
                  + bd.nlos_excess_db)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -7,7 +8,7 @@ import pathlib
 import string
 import tempfile
 import types
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -62,8 +63,8 @@ def leaf_paths(cls, prefix=""):
 
 @st.composite
 def config_specs(draw):
-    """Any LinkSpec the config format can express, NLOS and k override
-    included; the unfolded NLOS path shares the direct path's optics."""
+    """Any LinkSpec the config format can express, an NLOS path beside a
+    k override included."""
     f = st.floats
     geometry = LinkGeometry(
         distance_m=draw(f(0.0, 500.0)),
@@ -75,9 +76,7 @@ def config_specs(draw):
     )
     nlos = None
     if draw(st.booleans()):
-        unfolded = replace(geometry, distance_m=draw(f(0.0, 500.0)),
-                           k_override_m2=None)
-        nlos = NlosPath(draw(f(0.0, 1.0)), unfolded)
+        nlos = NlosPath(draw(f(0.0, 1.0)), draw(f(0.0, 500.0)))
     gain_min = draw(f(1.0, 1e4))
     v_min = draw(f(-5.0, 5.0))
     window_low = draw(f(0.01, 5.0))
@@ -135,7 +134,7 @@ class TestPresets:
     def test_nlos_preset(self, blue_nlos):
         assert blue_nlos.nlos is not None
         assert blue_nlos.nlos.reflectance == 0.05
-        assert blue_nlos.nlos.unfolded.distance_m == 34.0
+        assert blue_nlos.nlos.unfolded_distance_m == 34.0
 
     def test_unknown_preset(self):
         known = ", ".join(SHIPPED)
@@ -296,16 +295,14 @@ class TestRoundtrip:
 
     def test_every_spec_field_has_a_key(self):
         paths = {path for keys in SCHEMA.values() for _, path in keys.values()}
-        # build_spec fills the unfolded NLOS path's other fields from [geometry]
-        unreachable = [leaf for leaf in leaf_paths(LinkSpec)
-                       if leaf not in paths
-                       and leaf.replace("nlos.unfolded.", "geometry.", 1) not in paths]
-        assert unreachable == []
+        assert set(leaf_paths(LinkSpec)) == paths
 
     @given(config_specs())
     @settings(max_examples=200, deadline=None)
     def test_randomized_specs_roundtrip(self, spec):
-        assert parse_scenario(render_scenario(spec)) == spec
+        text = render_scenario(spec)
+        assert parse_scenario(text) == spec
+        assert spec.fingerprint() == hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class TestShippedConfigs:
@@ -529,6 +526,35 @@ class TestCliCommands:
         lines = error_lines(captured.err)
         assert len(lines) == 1
         assert lines[0].startswith(f"error: invalid configuration: lc_steepness={float(steepness)} ")
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("geometry", "nlos_unfolded_distance_m", "-1", "unfolded_distance_m must be >= 0"),
+        ("codec", "interleaver_depth", "0", "interleaver_depth must be >= 1"),
+        ("codec", "outer_words_per_frame", "0", "outer_words_per_frame must be >= 1"),
+    ])
+    def test_invalid_value_plan_exit_2(self, tmp_path, capsys, section, key, value,
+                                       message):
+        # a depth or word count of 0 used to print a plan and exit 0
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["plan", "--preset", "blue-6M25-nlos", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [f"error: invalid configuration: {message}"]
+
+    def test_out_of_memory_exit_2(self, monkeypatch, capsys):
+        # outer_words_per_frame = 100000 used to end in a numpy
+        # _ArrayMemoryError traceback while building the codec; the stub
+        # raises without allocating anything
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 18.6 GiB for an array")
+
+        monkeypatch.setattr("uwoclink.engine.codec_for", exhausted)
+        assert main(["simulate", "--preset", "green-125M"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            "error: Unable to allocate 18.6 GiB for an array"]
 
     @pytest.mark.parametrize("field", [0, 3])
     @pytest.mark.parametrize("value", ["\u0661e-4", "1_000", "\uff12.0"])

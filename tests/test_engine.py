@@ -14,7 +14,7 @@ from uwoclink import engine
 from uwoclink.channel import FadingSpec, total_loss_db
 from uwoclink.cli import render_report
 from uwoclink.config import load_preset
-from uwoclink.fec.concat import ConcatCodecSpec, deinterleave
+from uwoclink.fec.concat import ConcatCodecSpec, deinterleave, interleave
 from uwoclink.engine import (
     ETHERNET_OVERHEAD_BYTES,
     epoch_seed,
@@ -472,6 +472,41 @@ class TestDecodeBatches:
         assert run().to_dict() == batched
 
 
+class TestLossTally:
+    """A frame is lost when its decode fails or its payload comes out
+    wrong; each alone counts."""
+
+    def run(self, spec, flips):
+        # 12 frames, two seconds of green, each with the same line-bit flips
+        def channel(rng, log):
+            return itertools.repeat(lambda frame: flips)
+
+        return engine._simulate(spec, 0, 12, channel)
+
+    def test_miscorrected_frame_is_lost(self, green):
+        # the flips form a codeword, so each received frame is another
+        # codeword: it decodes clean, to its payload XOR p
+        codec = green.codec
+        p = np.zeros(codec.frame_payload_bits, dtype=np.uint8)
+        p[[5, 900, 7000]] = 1
+        report = self.run(green, np.flatnonzero(codec.encode(p)))
+        assert report.decode_failures == 0
+        assert report.packet_loss_count == 12
+        assert report.post_fec_bit_errors == 12 * 3
+
+    def test_failed_frame_with_a_right_payload_is_lost(self, green):
+        # 30 flips in inner word 0's parity bits: the word fails, and its
+        # message bits, with the outer words they feed, pass through intact
+        codec = green.codec
+        errors = np.zeros(codec.frame_bits, dtype=np.uint8)
+        errors[codec.inner.k:codec.inner.k + 30] = 1
+        report = self.run(green, np.flatnonzero(
+            interleave(errors, codec.interleaver_depth)))
+        assert report.decode_failures == 12
+        assert report.packet_loss_count == 12
+        assert report.post_fec_bit_errors == 0
+
+
 class TestInjectErrors:
     def test_zero_target_is_error_free(self, green):
         report = inject_errors_run(green, 0.0, 10 * 16320, seed=0)
@@ -592,8 +627,8 @@ class TestGoldenDigests:
     and payloads from the seed's own stream. A change that alters the stream
     on purpose, such as drawing only the slot noise and flips a decision can
     see, updates them and says so in CHANGES.md. The hash is a digest of
-    ``repr(spec)``, so adding or removing a dataclass field moves only the
-    hash pins. The injection runs have 43 decode failures in 123 frames (an
+    the rendered scenario text, so adding or removing a config key moves
+    only the hash pins. The injection runs have 43 decode failures in 123 frames (an
     inner word of 2,040 bits holds more than t = 10 flips at 3e-3 with
     probability 0.048, so about 40 +- 5 frames of 123 fail), so they cover
     failed inner words and the outer words tainted by them.
@@ -601,9 +636,9 @@ class TestGoldenDigests:
 
     PRESETS = ["green-125M", "blue-6M25", "blue-6M25-nlos"]
     CONFIG_HASHES = {
-        "green-125M": "fe58059c3208e0c5",
-        "blue-6M25": "da819f2f3855e72b",
-        "blue-6M25-nlos": "7cecf57b2264f7b3",
+        "green-125M": "dc2ac49da6875f48",
+        "blue-6M25": "3387c06e9c3de1cf",
+        "blue-6M25-nlos": "1c55dd0d5fd212bb",
     }
     SCENARIO_DIGESTS = {
         "green-125M": "ee0c8e8124f291d9",
