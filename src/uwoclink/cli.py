@@ -141,15 +141,10 @@ def _cmd_monitor(args) -> int:
 
 def _bits_to_hex(bits: np.ndarray) -> str:
     """MSB-first hex; trailing pad bits (to a nibble) are zero."""
-    pad = (-len(bits)) % 4
-    padded = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    nibbles = padded.reshape(-1, 4)
-    weights = np.array([8, 4, 2, 1], dtype=np.uint8)
-    values = nibbles @ weights
-    return "".join(f"{v:x}" for v in values)
+    return np.packbits(bits).tobytes().hex()[: -(-len(bits) // 4)]
 
 
-# ASCII only: int(c, 16) also reads other scripts' digits, such as '٣' or '１'.
+# ASCII digits only, checked first: bytes.fromhex skips spaces
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -161,10 +156,8 @@ def _hex_to_bits(text: str, n_bits: int) -> np.ndarray:
         )
     if not set(text) <= _HEX_DIGITS:
         raise ConfigError(f"invalid hex block {text!r}")
-    values = [int(c, 16) for c in text]
-    bits = np.zeros(expected * 4, dtype=np.uint8)
-    for i, v in enumerate(values):
-        bits[4 * i:4 * i + 4] = [(v >> 3) & 1, (v >> 2) & 1, (v >> 1) & 1, v & 1]
+    packed = bytes.fromhex(text + "0" * (len(text) % 2))
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
     if bits[n_bits:].any():
         raise ConfigError("nonzero pad bits past the block length")
     return bits[:n_bits]

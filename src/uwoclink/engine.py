@@ -78,6 +78,9 @@ class LinkSpec:
     sim_frames_per_second: int = 6
 
     def __post_init__(self):
+        # the config format reads a name back stripped, one line to a key
+        if self.name != self.name.strip() or len(self.name.splitlines()) > 1:
+            raise ValueError(f"name {self.name!r} has edge whitespace or a line break")
         if self.tx_power_w <= 0:
             raise ValueError("tx_power_w must be > 0")
         if self.budget_db <= 0:

@@ -68,13 +68,8 @@ def deinterleave(bits: np.ndarray, depth: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _field(m: int, poly: int) -> FieldSpec:
-    return FieldSpec(m, poly)
-
-
-@lru_cache(maxsize=None)
 def _code(n: int, k: int, t: int, m: int, poly: int) -> BchCodeSpec:
-    return BchCodeSpec(n, k, t, _field(m, poly))
+    return BchCodeSpec(n, k, t, FieldSpec(m, poly))
 
 
 class ConcatCodecSpec:

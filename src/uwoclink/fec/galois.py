@@ -5,7 +5,9 @@ polynomial x, so exp[i] = x^i mod primitive_poly. Construction verifies the
 polynomial is primitive by walking the full multiplicative cycle, and
 tabulates a root of y^2 + y = c and of z^3 + z = c for every c
 (Berlekamp, Rumsey & Solomon 1967), which solve any quadratic and any cubic
-after a change of variable.
+after a change of variable. The BCH decoder solves a weight-1 or weight-2
+error pattern from its syndromes with the first, a degree-3 error locator
+in closed form with the second, and degree 4 and up by Chien search.
 """
 
 from __future__ import annotations
@@ -72,47 +74,3 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec(m={self.m}, primitive_poly={self.primitive_poly:#x})"
 
-
-def cyclotomic_coset(i: int, order: int) -> frozenset[int]:
-    """Exponent coset {i, 2i, 4i, ...} mod order."""
-    coset = set()
-    c = i % order
-    while c not in coset:
-        coset.add(c)
-        c = (c * 2) % order
-    return frozenset(coset)
-
-
-def minimal_polynomial(field: FieldSpec, i: int) -> int:
-    """Minimal polynomial of alpha^i over GF(2), as a bitmask (bit k = x^k).
-
-    Computed as prod (x + alpha^s) over the cyclotomic coset of i; the
-    product's coefficients must collapse into {0, 1}.
-    """
-    coset = cyclotomic_coset(i, field.order)
-    poly = [1]  # ascending coefficients, values in the extension field
-    for s in coset:
-        root = field.exp[s]
-        nxt = [0] * (len(poly) + 1)
-        for j, cj in enumerate(poly):
-            if cj:
-                nxt[j + 1] ^= cj
-                nxt[j] ^= field.mul(cj, root)
-        poly = nxt
-    if any(c not in (0, 1) for c in poly):
-        raise ValueError(f"minimal polynomial of alpha^{i} did not collapse to GF(2)")
-    mask = 0
-    for j, cj in enumerate(poly):
-        mask |= cj << j
-    return mask
-
-
-def poly_mul_gf2(a: int, b: int) -> int:
-    """Carry-less product of two GF(2)[x] polynomials in bitmask form."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a <<= 1
-        b >>= 1
-    return result

@@ -36,17 +36,10 @@ class RangeSolution:
         return asdict(self)
 
 
-def _aligned_at(geometry: LinkGeometry, z: float) -> LinkGeometry:
-    return replace(geometry, distance_m=z, pointing_offset_m=0.0)
-
-
-def path_loss_db(water: WaterOptics, geometry: LinkGeometry, z: float,
-                 include_geometry: bool = True) -> float:
+def path_loss_db(water: WaterOptics, geometry: LinkGeometry, z: float) -> float:
     """Aligned direct-path loss at distance z."""
-    loss = attenuation_db(water, z)
-    if include_geometry:
-        loss += geometric_loss_db(_aligned_at(geometry, z))
-    return loss
+    aligned = replace(geometry, distance_m=z, pointing_offset_m=0.0)
+    return attenuation_db(water, z) + geometric_loss_db(aligned)
 
 
 def _bisect_increasing(f, lo: float, hi: float) -> float:
@@ -128,10 +121,8 @@ def distance_curve(spec: LinkSpec, z_min: float, z_max: float, n_points: int):
         rows.append({
             "z_m": z,
             "budget_db": spec.budget_db,
-            "loss_db_with_geometry": path_loss_db(
-                spec.water, spec.geometry, z, include_geometry=True),
-            "loss_db_without": path_loss_db(
-                spec.water, spec.geometry, z, include_geometry=False),
+            "loss_db_with_geometry": path_loss_db(spec.water, spec.geometry, z),
+            "loss_db_without": attenuation_db(spec.water, z),
         })
     # loss grows with z, so the last row is the first to overflow
     if not all(map(math.isfinite, rows[-1].values())):

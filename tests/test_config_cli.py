@@ -8,7 +8,7 @@ import pathlib
 import string
 import tempfile
 import types
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -303,6 +303,20 @@ class TestRoundtrip:
         text = render_scenario(spec)
         assert parse_scenario(text) == spec
         assert spec.fingerprint() == hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    @given(name=st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_any_name_is_rejected_or_roundtrips(self, name):
+        # a name the config format cannot carry (edge whitespace, a line
+        # break) is refused when the spec is built, never altered on render
+        try:
+            spec = replace(load_preset("blue-6M25-nlos"), name=name)
+        except ValueError:
+            assert name != name.strip() or len(name.splitlines()) > 1
+            return
+        back = parse_scenario(render_scenario(spec))
+        assert back == spec
+        assert back.fingerprint() == spec.fingerprint()
 
 
 class TestShippedConfigs:

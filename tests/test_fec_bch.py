@@ -217,6 +217,26 @@ class TestGeneratorPolynomials:
         with pytest.raises(ValueError):
             BchCodeSpec(15, 8, 2, gf16)  # n-k=7 but generator degree is 8
 
+    @pytest.mark.parametrize("name", ["inner", "outer", "bch15_7", "bch15_5",
+                                      "bch12_4", "inner_t6"])
+    def test_roots_are_the_conjugates(self, request, codec, name):
+        # g(alpha^i) = 0 for i = 1 .. 2t, and g has one simple root per
+        # conjugate alpha^(i 2^j) of an odd i < 2t, and no other
+        if name == "inner_t6":  # the t = 6 code of test_length_past_t_stops_early
+            inner = codec.inner
+            code = BchCodeSpec(inner.n, inner.n - 66, 6, inner.field)
+        else:
+            code = named_code(request, codec, name)
+        field, g = code.field, code.generator
+        powers = np.flatnonzero([(g >> k) & 1 for k in range(g.bit_length())])
+        exponents = np.arange(field.order)[:, None] * powers % field.order
+        roots = np.flatnonzero(np.bitwise_xor.reduce(field.exp_np[exponents], axis=1) == 0)
+        assert set(np.arange(1, 2 * code.t + 1) % field.order) <= set(roots.tolist())
+        conjugates = {i * 2**j % field.order
+                      for i in range(1, 2 * code.t, 2) for j in range(field.m)}
+        assert set(roots.tolist()) == conjugates
+        assert g.bit_length() - 1 == len(conjugates)
+
 
 class TestEncode:
     def test_all_zero_message(self, bch15_7):
@@ -481,6 +501,20 @@ class TestDecodeAgainstReference:
                 word[list(pos)] ^= 1
                 outcomes.add(assert_decodes_like_reference(bch12_4, word).status)
         assert outcomes == {STATUS_OK, STATUS_FAILURE}
+
+    def test_every_word_of_bch12_4(self, bch12_4):
+        # all 2^12 received words; some reach a Berlekamp-Massey locator of
+        # degree 1 or 2 after the weight-1/weight-2 fit failed, where the
+        # decoder fails the word without a root search
+        low_degree = 0
+        for value in range(1 << 12):
+            word = np.array([(value >> (11 - i)) & 1 for i in range(12)], dtype=np.uint8)
+            assert_decodes_like_reference(bch12_4, word)
+            synd = bch12_4.syndromes(word).tolist()
+            if any(synd) and bch12_4._low_weight_degrees(synd) is None:
+                locator = bch12_4._berlekamp_massey(synd)
+                low_degree += locator is not None and len(locator) <= 3
+        assert low_degree > 0
 
     def test_sigma1_zero_is_a_repeated_root(self, bch15_7):
         # 1 + s2 x^2 = (1 + sqrt(s2) x)^2: one root, twice, so no correction

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uwoclink.channel import LinkGeometry, WaterOptics
+from uwoclink.channel import LinkGeometry, WaterOptics, attenuation_db
 from uwoclink.planner import (
     WITH_GEOMETRY,
     WITHOUT_GEOMETRY,
@@ -168,9 +168,10 @@ class TestDistanceCurve:
 
 
 class TestPathLoss:
-    def test_without_geometry_is_pure_attenuation(self):
-        assert path_loss_db(GREEN_WATER, GREEN_GEO, 100.0,
-                            include_geometry=False) == pytest.approx(35.8)
+    def test_without_geometry_is_pure_attenuation(self, green):
+        [row] = [r for r in distance_curve(green, 50.0, 100.0, 2) if r["z_m"] == 100.0]
+        assert row["loss_db_without"] == attenuation_db(green.water, 100.0)
+        assert attenuation_db(GREEN_WATER, 100.0) == pytest.approx(35.8)
 
     def test_planner_ignores_pointing_offset(self):
         offset_geo = LinkGeometry(30.0, 0.53, 0.0, 0.046, pointing_offset_m=5.0)
