@@ -60,7 +60,6 @@ SCHEMA = {
         "nlos_unfolded_distance_m": (_FLOAT, "nlos.unfolded_distance_m"),
     },
     "codec": {
-        "interleaver_depth": (_INT, "interleaver_depth"),
         "outer_words_per_frame": (_INT, "outer_words_per_frame"),
     },
     "fading": {

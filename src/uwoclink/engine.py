@@ -42,7 +42,6 @@ from .channel import (
     total_loss_db,
 )
 from .fec import (
-    DEFAULT_INTERLEAVER_DEPTH,
     DEFAULT_OUTER_WORDS_PER_FRAME,
     ConcatCodecSpec,
     codec_for,
@@ -73,7 +72,6 @@ class LinkSpec:
     iface_cap_bps: float = 100e6
     frame_payload_bytes: int = 1500
     snr_offset_db: float = 0.0
-    interleaver_depth: int = DEFAULT_INTERLEAVER_DEPTH
     outer_words_per_frame: int = DEFAULT_OUTER_WORDS_PER_FRAME
     sim_frames_per_second: int = 6
 
@@ -100,7 +98,7 @@ class LinkSpec:
 
     @property
     def codec(self) -> ConcatCodecSpec:
-        return codec_for(self.interleaver_depth, self.outer_words_per_frame)
+        return codec_for(self.outer_words_per_frame)
 
     def fingerprint(self) -> str:
         """Stable short hash of the canonical scenario text."""

@@ -2,7 +2,6 @@
 
 from .bch import STATUS_OK, BchCodeSpec
 from .concat import (
-    DEFAULT_INTERLEAVER_DEPTH,
     DEFAULT_OUTER_WORDS_PER_FRAME,
     ConcatCodecSpec,
     codec_for,

@@ -1,10 +1,10 @@
 """Concatenated BCH codec: outer (3860,3824) + inner (2040,1930) + interleaver.
 
 Frame pipeline: payload -> outer codewords -> serialized stream -> chop into
-inner payloads (zero-padded tail when sizes do not divide) -> inner
-codewords -> depth-D block interleave of the serialized frame. Interleaving
-the channel-facing frame spreads a channel burst across inner words so each
-sees at most ~burst/D errors.
+inner payloads (zero-padded tail when sizes do not divide) -> W inner
+codewords -> interleave: channel bit j belongs to inner word j mod W. Any
+burst of up to W*t channel bits then puts at most t errors in each inner
+word.
 """
 
 from __future__ import annotations
@@ -20,49 +20,24 @@ from .galois import FieldSpec
 PRIMITIVE_POLY_M11 = 0b1000_0000_0101
 PRIMITIVE_POLY_M12 = 0b1_0000_0101_0011
 
-DEFAULT_INTERLEAVER_DEPTH = 8
 DEFAULT_OUTER_WORDS_PER_FRAME = 4
 
 
-@lru_cache(maxsize=64)
-def interleave_indices(length: int, depth: int) -> np.ndarray:
-    """Permutation for a row-major-write / column-major-read block interleaver.
-
-    ``out[j] = data[perm[j]]``. Handles lengths that are not a multiple of
-    ``depth`` by skipping the vacant tail cells, so the permutation is a
-    bijection for every length. The array is cached per (length, depth) and
-    read-only.
-    """
-    if depth < 1:
-        raise ValueError("interleaver depth must be >= 1")
-    width = -(-length // depth)
-    idx = np.arange(depth * width, dtype=np.int64).reshape(depth, width)
-    flat = idx.T.ravel()  # column-major read of row-major indices
-    perm = flat[flat < length]
-    perm.flags.writeable = False
-    return perm
-
-
 def interleave(bits: np.ndarray, depth: int) -> np.ndarray:
-    return np.asarray(bits)[interleave_indices(len(bits), depth)]
-
-
-@lru_cache(maxsize=64)
-def _deinterleave_indices(length: int, depth: int) -> np.ndarray:
-    """The inverse of ``interleave_indices``, cached and read-only."""
-    perm = interleave_indices(length, depth)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(length)
-    inverse.flags.writeable = False
-    return inverse
+    """Channel order of ``depth`` equal rows: channel bit j is bit j // depth
+    of row j % depth. Works along the last axis; ``depth`` must divide it."""
+    bits = np.asarray(bits)
+    if depth < 1 or bits.shape[-1] % depth:
+        raise ValueError(f"depth {depth} does not divide length {bits.shape[-1]}")
+    rows = bits.reshape(*bits.shape[:-1], depth, -1)
+    return rows.swapaxes(-1, -2).reshape(bits.shape)
 
 
 def deinterleave(bits: np.ndarray, depth: int) -> np.ndarray:
-    """The inverse of ``interleave`` on one frame or rows along the last axis:
-    a reshape and a transpose when ``depth`` divides the length, else a gather."""
+    """The inverse of ``interleave``, along the last axis."""
     bits = np.asarray(bits)
     if depth < 1 or bits.shape[-1] % depth:
-        return bits[..., _deinterleave_indices(bits.shape[-1], depth)]
+        raise ValueError(f"depth {depth} does not divide length {bits.shape[-1]}")
     columns = bits.reshape(*bits.shape[:-1], -1, depth)
     return columns.swapaxes(-1, -2).reshape(bits.shape)
 
@@ -77,15 +52,11 @@ class ConcatCodecSpec:
 
     def __init__(self, outer: BchCodeSpec | None = None,
                  inner: BchCodeSpec | None = None,
-                 interleaver_depth: int = DEFAULT_INTERLEAVER_DEPTH,
                  outer_words_per_frame: int = DEFAULT_OUTER_WORDS_PER_FRAME):
         self.outer = outer or _code(3860, 3824, 3, 12, PRIMITIVE_POLY_M12)
         self.inner = inner or _code(2040, 1930, 10, 11, PRIMITIVE_POLY_M11)
-        if interleaver_depth < 1:
-            raise ValueError("interleaver_depth must be >= 1")
         if outer_words_per_frame < 1:
             raise ValueError("outer_words_per_frame must be >= 1")
-        self.interleaver_depth = interleaver_depth
         self.outer_words_per_frame = outer_words_per_frame
 
         self.frame_payload_bits = outer_words_per_frame * self.outer.k
@@ -93,6 +64,7 @@ class ConcatCodecSpec:
         self.inner_words_per_frame = -(-stream_bits // self.inner.k)
         self.tail_pad_bits = self.inner_words_per_frame * self.inner.k - stream_bits
         self.frame_bits = self.inner_words_per_frame * self.inner.n
+        self.interleaver_depth = self.inner_words_per_frame
         # _feeds[i, w]: inner word i carries bits of outer word w
         word = np.arange(self.inner_words_per_frame)[:, None]
         start = np.arange(outer_words_per_frame) * self.outer.n
@@ -162,8 +134,6 @@ class ConcatCodecSpec:
 
 
 @lru_cache(maxsize=32)
-def codec_for(interleaver_depth: int = DEFAULT_INTERLEAVER_DEPTH,
-              outer_words_per_frame: int = DEFAULT_OUTER_WORDS_PER_FRAME) -> ConcatCodecSpec:
-    """The shared codec of one framing, built once per argument list."""
-    return ConcatCodecSpec(interleaver_depth=interleaver_depth,
-                           outer_words_per_frame=outer_words_per_frame)
+def codec_for(outer_words_per_frame: int = DEFAULT_OUTER_WORDS_PER_FRAME) -> ConcatCodecSpec:
+    """The shared codec of one framing, built once per word count."""
+    return ConcatCodecSpec(outer_words_per_frame=outer_words_per_frame)

@@ -106,7 +106,6 @@ def config_specs(draw):
         iface_cap_bps=draw(f(1e3, 1e9)),
         frame_payload_bytes=draw(st.integers(46, 1500)),
         snr_offset_db=draw(f(-60.0, 60.0)),
-        interleaver_depth=draw(st.integers(1, 64)),
         outer_words_per_frame=draw(st.integers(1, 16)),
         sim_frames_per_second=draw(st.integers(1, 60)),
     )
@@ -231,7 +230,7 @@ class TestParsing:
     @pytest.mark.parametrize("section, key, kind", [
         ("geometry", "distance_m", "float"),
         ("link", "budget_db", "float"),
-        ("codec", "interleaver_depth", "int"),
+        ("codec", "outer_words_per_frame", "int"),
         ("link", "sim_frames_per_second", "int"),
     ])
     def test_not_plain_number_rejected(self, section, key, kind, value):
@@ -475,6 +474,18 @@ class TestCliCommands:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["simulate", "--duration-s", "2"], ["plan"]])
+    def test_interleaver_depth_key_is_gone_exit_2(self, tmp_path, capsys, command):
+        # the interleave is fixed (bit j to inner word j mod 8); a scenario
+        # file that still sets the depth stops at the key, not silently
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("[codec]\nouter_words_per_frame = 4\ninterleaver_depth = 8\n")
+        assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            "error: line 3: unknown key 'interleaver_depth' in section [codec]"]
+
     def test_calibrate(self, tmp_path, capsys):
         from uwoclink.agc import ReceiverChain
         chain = ReceiverChain()
@@ -513,12 +524,13 @@ class TestCliCommands:
     @pytest.mark.parametrize("section, key, kind, value, command", [
         ("geometry", "distance_m", "float", "\u0661\u0662", ["plan"]),
         ("geometry", "distance_m", "float", "1_0", ["simulate", "--duration-s", "2"]),
-        ("codec", "interleaver_depth", "int", "1_0", ["simulate", "--duration-s", "2"]),
-        ("codec", "interleaver_depth", "int", "\u0668", ["plan"]),
+        ("codec", "outer_words_per_frame", "int", "1_0",
+         ["simulate", "--duration-s", "2"]),
+        ("codec", "outer_words_per_frame", "int", "\u0668", ["plan"]),
     ])
     def test_not_plain_number_config_exit_2(self, tmp_path, capsys, section, key,
                                             kind, value, command):
-        # each used to parse: distance_m = 12.0, interleaver_depth = 10 or 8
+        # each used to parse: distance_m = 12.0, outer_words_per_frame = 10 or 8
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
         assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2
@@ -543,12 +555,11 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("geometry", "nlos_unfolded_distance_m", "-1", "unfolded_distance_m must be >= 0"),
-        ("codec", "interleaver_depth", "0", "interleaver_depth must be >= 1"),
         ("codec", "outer_words_per_frame", "0", "outer_words_per_frame must be >= 1"),
     ])
     def test_invalid_value_plan_exit_2(self, tmp_path, capsys, section, key, value,
                                        message):
-        # a depth or word count of 0 used to print a plan and exit 0
+        # a word count of 0 used to print a plan and exit 0
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[{section}]\n{key} = {value}\n")
         assert main(["plan", "--preset", "blue-6M25-nlos", "--config", str(cfg)]) == 2

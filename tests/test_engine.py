@@ -636,9 +636,9 @@ class TestGoldenDigests:
 
     PRESETS = ["green-125M", "blue-6M25", "blue-6M25-nlos"]
     CONFIG_HASHES = {
-        "green-125M": "dc2ac49da6875f48",
-        "blue-6M25": "3387c06e9c3de1cf",
-        "blue-6M25-nlos": "1c55dd0d5fd212bb",
+        "green-125M": "9fdd65c77d0e9647",
+        "blue-6M25": "87e5c0f23f61f64a",
+        "blue-6M25-nlos": "fa684fcada5c3beb",
     }
     SCENARIO_DIGESTS = {
         "green-125M": "ee0c8e8124f291d9",

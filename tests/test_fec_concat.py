@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwoclink.fec.bch import STATUS_FAILURE, STATUS_OK, BchCodeSpec
-from uwoclink.fec.concat import (
-    ConcatCodecSpec,
-    _deinterleave_indices,
-    deinterleave,
-    interleave,
-    interleave_indices,
-)
+from uwoclink.fec.concat import ConcatCodecSpec, deinterleave, interleave
 
 
 @pytest.fixture(scope="module")
@@ -22,19 +16,17 @@ def mini(gf16):
     """Tiny concat codec exercising the zero-padded tail path."""
     outer = BchCodeSpec(15, 5, 3, gf16)
     inner = BchCodeSpec(15, 7, 2, gf16)
-    return ConcatCodecSpec(outer=outer, inner=inner, interleaver_depth=3,
-                           outer_words_per_frame=1)
+    return ConcatCodecSpec(outer=outer, inner=inner, outer_words_per_frame=1)
 
 
 @pytest.fixture(scope="module")
 def small(gf16):
     """Four 15-bit outer words over nine 7-bit inner payloads: outer words
     straddle inner words, and t = 2 inner words miscorrect often enough to
-    hand the outer code errors to correct. Depth 4 does not divide its 135
-    frame bits, so it deinterleaves by the gather."""
+    hand the outer code errors to correct."""
     return ConcatCodecSpec(outer=BchCodeSpec(15, 5, 3, gf16),
                            inner=BchCodeSpec(15, 7, 2, gf16),
-                           interleaver_depth=4, outer_words_per_frame=4)
+                           outer_words_per_frame=4)
 
 
 def reference_decode(codec, frame):
@@ -77,30 +69,28 @@ def frame_with_inner_errors(codec, rng, errors_per_word):
 
 
 class TestInterleaver:
-    @given(length=st.integers(1, 400), depth=st.integers(1, 16),
-           seed=st.integers(0, 2**16))
+    @given(depth=st.integers(1, 16), width=st.integers(1, 30),
+           rows=st.integers(0, 3), seed=st.integers(0, 2**16))
     @settings(max_examples=200, deadline=None)
-    def test_roundtrip_any_shape(self, length, depth, seed):
+    def test_roundtrip_any_shape(self, depth, width, rows, seed):
+        # one frame (rows = 0) or rows of frames, along the last axis
         rng = np.random.default_rng(seed)
-        data = rng.integers(0, 2, length).astype(np.uint8)
+        shape = (rows, depth * width) if rows else (depth * width,)
+        data = rng.integers(0, 2, shape).astype(np.uint8)
         assert np.array_equal(deinterleave(interleave(data, depth), depth), data)
+        # channel bit j is bit j // depth of row j % depth
+        j = np.arange(depth * width)
+        rows_first = data.reshape(*shape[:-1], depth, width)
+        assert np.array_equal(interleave(data, depth),
+                              rows_first[..., j % depth, j // depth])
 
-    @pytest.mark.parametrize("divides", [True, False])
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_rows_match_the_gather_row_by_row(self, divides, data):
-        # depth | length takes the reshape-transpose path, any other length
-        # the cached gather; both must read rows as the gather reads a row
-        depth = data.draw(st.integers(1 if divides else 2, 16))
-        rest = 0 if divides else data.draw(st.integers(1, depth - 1))
-        length = depth * data.draw(st.integers(1, 30)) + rest
-        rows = data.draw(st.integers(1, 5))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        bits = rng.integers(0, 2, (rows, length)).astype(np.uint8)
-        gather = _deinterleave_indices(length, depth)
-        assert np.array_equal(deinterleave(bits, depth),
-                              np.array([row[gather] for row in bits]))
-        assert np.array_equal(deinterleave(bits[0], depth), bits[0][gather])
+    @pytest.mark.parametrize("length, depth", [(135, 4), (16320, 7), (3, 4),
+                                               (10, 0), (10, -2)])
+    def test_depth_must_divide_the_length(self, length, depth):
+        data = np.zeros((2, length), dtype=np.uint8)
+        for permute in (interleave, deinterleave):
+            with pytest.raises(ValueError, match=f"depth {depth} does not divide"):
+                permute(data, depth)
 
     def test_consecutive_outputs_stride_apart(self):
         # depth-8 interleave of 16320 bits: adjacent channel bits come from
@@ -114,21 +104,18 @@ class TestInterleaver:
         data = np.arange(37)
         assert np.array_equal(interleave(data, 1), data)
 
-    def test_indices_are_read_only(self):
-        perm = interleave_indices(16320, 8)
-        with pytest.raises(ValueError):
-            perm[0] = 1
-        assert perm[0] == 0
-
 
 class TestCodecCache:
     def test_spec_codec_is_shared(self, green):
         assert green.codec is green.codec
 
-    def test_other_depth_gets_other_codec(self, green):
-        other = dataclasses.replace(green, interleaver_depth=4)
+    def test_other_word_count_gets_other_codec(self, green):
+        other = dataclasses.replace(green, outer_words_per_frame=2)
         assert other.codec is not green.codec
-        assert other.codec.interleaver_depth == 4
+        assert other.codec.outer_words_per_frame == 2
+        assert green.codec.outer_words_per_frame == 4
+        # the interleave depth is always the inner word count
+        assert other.codec.interleaver_depth == other.codec.inner_words_per_frame == 4
         assert green.codec.interleaver_depth == 8
 
 
@@ -142,6 +129,16 @@ class TestFraming:
     def test_frame_length_matches_rate(self, codec):
         expected = codec.frame_payload_bits / codec.code_rate()
         assert codec.frame_bits == pytest.approx(expected, abs=1.0)
+
+    @pytest.mark.parametrize("name", ["codec", "small", "mini"])
+    def test_channel_bit_j_is_in_inner_word_j_mod_w(self, request, name):
+        codec = request.getfixturevalue(name)
+        rng = np.random.default_rng(19)
+        payload = rng.integers(0, 2, codec.frame_payload_bits).astype(np.uint8)
+        frame = codec.encode(payload)
+        words = frame.reshape(-1, codec.inner_words_per_frame).T
+        assert words.any()
+        assert not codec.inner.syndromes(words).any()
 
     def test_mini_codec_pads_tail(self, mini):
         assert mini.frame_payload_bits == 5
@@ -219,14 +216,42 @@ class TestErrorHandling:
             assert out.corrected_count == 40
             assert np.array_equal(out.message_bits, payload)
 
-    def test_burst_positions_traced_through_interleaver(self, codec):
-        # each inner word must see at most ceil(40/8)+1 of the burst
-        perm = interleave_indices(codec.frame_bits, codec.interleaver_depth)
-        for start in (0, 5000, 16000 - 40):
-            hit_positions = perm[start:start + 40]
-            words = hit_positions // codec.inner.n
-            counts = np.bincount(words, minlength=8)
-            assert counts.max() <= 6
+    def burst_frames(self, codec, length):
+        """Frames with every bit of one ``length``-bit channel span flipped:
+        spans that start at each offset mod W at both ends of the frame, and
+        at random places."""
+        rng = np.random.default_rng(18)
+        words, last = codec.inner_words_per_frame, codec.frame_bits - length
+        starts = [*range(words), *range(last - words + 1, last + 1),
+                  *rng.integers(0, last + 1, 12)]
+        for start in starts:
+            payload = rng.integers(0, 2, codec.frame_payload_bits).astype(np.uint8)
+            rx = codec.encode(payload)
+            rx[start:start + length] ^= 1
+            yield start, payload, rx
+
+    def test_burst_up_to_w_times_t_is_corrected(self, codec):
+        # channel bit j belongs to inner word j mod W, so any span of W*t
+        # channel bits puts exactly t errors in each inner word
+        length = codec.inner_words_per_frame * codec.inner.t
+        assert length == 80
+        seen = 0
+        for start, payload, rx in self.burst_frames(codec, length):
+            out = codec.decode(rx)
+            assert out.ok, start
+            assert out.corrected_count == length, start
+            assert np.array_equal(out.message_bits, payload), start
+            seen += 1
+        assert seen == 28
+
+    def test_burst_past_w_times_t_is_not_corrected(self, codec):
+        # one bit more puts t + 1 errors in one inner word, past what the
+        # inner code corrects; none of these frames comes back as its payload
+        # with ok status, so W*t is the exact limit of the layout
+        length = codec.inner_words_per_frame * codec.inner.t + 1
+        for start, payload, rx in self.burst_frames(codec, length):
+            out = codec.decode(rx)
+            assert not (out.ok and np.array_equal(out.message_bits, payload)), start
 
     def test_overwhelming_errors_flag_failure(self, codec):
         rng = np.random.default_rng(14)
@@ -237,15 +262,12 @@ class TestErrorHandling:
         assert out.status == STATUS_FAILURE
 
     def test_single_dead_inner_word_fails_frame(self, codec):
-        # 40 errors concentrated in one inner word (post-deinterleave) defeat
-        # inner t=10; the frame must be flagged, never silently passed
+        # 40 errors concentrated in one inner word (channel bits 2 mod 8)
+        # defeat inner t=10; the frame must be flagged, never silently passed
         rng = np.random.default_rng(15)
         payload = rng.integers(0, 2, codec.frame_payload_bits).astype(np.uint8)
         frame = codec.encode(payload)
-        perm = interleave_indices(codec.frame_bits, codec.interleaver_depth)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(len(perm))
-        word_positions = inverse[np.arange(40) + 2 * codec.inner.n]
+        word_positions = 2 + codec.inner_words_per_frame * np.arange(40)
         rx = frame.copy()
         rx[word_positions] ^= 1
         out = codec.decode(rx)
