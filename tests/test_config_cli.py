@@ -230,7 +230,6 @@ class TestParsing:
     @pytest.mark.parametrize("section, key, kind", [
         ("geometry", "distance_m", "float"),
         ("link", "budget_db", "float"),
-        ("codec", "outer_words_per_frame", "int"),
         ("link", "sim_frames_per_second", "int"),
     ])
     def test_not_plain_number_rejected(self, section, key, kind, value):
@@ -239,6 +238,15 @@ class TestParsing:
         with pytest.raises(ConfigError) as err:
             parse_mapping(text)
         assert str(err.value) == f"line 2: key '{key}' expects {kind}, got {value!r}"
+
+    @pytest.mark.parametrize("value", NOT_PLAIN_NUMBERS)
+    def test_not_plain_word_count_rejected(self, value):
+        # the same values as an int under [codec]
+        text = f"[codec]\nouter_words_per_frame = {value}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_mapping(text)
+        assert str(err.value) == (
+            f"line 2: key 'outer_words_per_frame' expects int, got {value!r}")
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
