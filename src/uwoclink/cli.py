@@ -292,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # numpy seeds are non-negative
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     try:
         return args.func(args)
     except (ConfigError, CalibrationError, SolverError, ValueError, KeyError,

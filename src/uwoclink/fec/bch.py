@@ -5,15 +5,15 @@ n-bit word is the coefficient of x^(n-1-i), so a shortened code is the
 parent code with the high-degree message coefficients fixed at zero.
 
 The decoder is bounded-distance: it corrects every pattern of at most t
-errors and either flags or miscorrects a heavier one. Syndromes whose odd
-terms fit one or two errors are solved directly; otherwise binary
-Berlekamp-Massey finds the error locator in t steps, a locator of degree 3
-is solved in closed form, and a Chien search over the n transmitted degrees
-runs for degree 4 and up. A root in the shortened prefix fails the word.
+errors and either flags or miscorrects a heavier one. Syndromes that fit
+one, two or three errors are solved in closed form (Peterson 1960). Only
+other words run binary Berlekamp-Massey, in t steps, and a Chien search
+over the n transmitted degrees finds the roots of the locator, which then
+has degree 4 or more. A root in the shortened prefix fails the word.
 
 Encoding and syndromes go through byte tables: one lookup per packed byte
 of a word gives its parity disagreement, and one per byte of that gives
-its 2t syndromes. The production codec's tables hold about 2.4 MB, nearly
+its 2t syndromes. The production codec's tables hold about 2.3 MB, nearly
 all of it the parity tables (ceil(n/8) x 256 entries of ceil(r/64) uint64
 words per code).
 """
@@ -138,15 +138,8 @@ class BchCodeSpec:
         powers = np.outer(degs, np.arange(1, 2 * self.t + 1)) % order
         self._syndrome_lookup = _byte_table(self.field.exp_np[powers].astype(np.uint16))
 
-        # Chien table over the transmitted degrees only, for locators of
-        # degree 4 and up: for error degree d in [0, n), x = alpha^-d and
-        # x^j = alpha^(j * (order - d)); row j-1 holds those exponents, to
-        # be offset by log sigma_j < order and looked up in the doubled exp
-        # table.
-        if self.t > 3:
-            d_arr = np.arange(n, dtype=np.int64)
-            self._chien_table = (np.arange(1, self.t + 1, dtype=np.int64)[:, None]
-                                 * ((order - d_arr) % order)) % order
+        # The exp table t + 1 times over, for the Chien search (_error_degrees)
+        self._exp_run = np.tile(self.field.exp_np[:order], self.t + 1).astype(np.uint16)
 
     # --- encoding -----------------------------------------------------
 
@@ -251,38 +244,48 @@ class BchCodeSpec:
         return locator if len(locator) - 1 == length else None
 
     def _low_weight_degrees(self, s: list[int]) -> list[int] | None:
-        """Degrees of the weight-1 or weight-2 error pattern with syndromes
-        ``s``, over the whole 2^m - 1 cycle, or None when neither fits.
+        """Degrees of the error pattern of weight 1, 2 or 3 with syndromes
+        ``s``, over the whole 2^m - 1 cycle, or None when none fits.
 
-        Weight 1 at X = S_1 needs S_j = S_1^j for every odd j. Weight 2 has
-        X_1 + X_2 = S_1 and X_1 X_2 = (S_3 + S_1^3) / S_1, and must give
-        every odd syndrome. A pattern of weight <= t is the only one of weight
-        <= t with its 2t syndromes, so Berlekamp-Massey would return its
-        locator; the even syndromes follow from the odd ones.
+        Peterson's direct solution. D = S_1^3 + S_3 = 0 leaves weight 1 at
+        X = S_1 (a t = 1 code has no S_3). Otherwise sigma1 = S_1, sigma2 =
+        (S_1^2 S_3 + S_5) / D and sigma3 = D + S_1 sigma2 (t = 2 has no S_5:
+        sigma2 = D / S_1, sigma3 = 0), and sigma3 = 0 leaves weight 2. S_1 = 0
+        with D != 0 can only be weight 3 with X_1 + X_2 + X_3 = 0. The pattern
+        found gives S_1, S_3 and any S_5 used; one loop checks every odd
+        syndrome from S_5 on. A pattern of weight <= t is the only one of
+        weight <= t with its 2t syndromes, so Berlekamp-Massey would return
+        its locator; the even syndromes follow from the odd ones.
         """
         field = self.field
-        exp, log, order = field.exp, field.log, field.order
+        exp, log, order, mul = field.exp, field.log, field.order, field.mul
         s1 = s[0]
-        if s1 == 0:
-            return None
-        one = log[s1]
-        for i in range(2, 2 * self.t, 2):  # s[i] is S_(i+1)
-            if s[i] != exp[(i + 1) * one % order]:
-                break
+        d = mul(s1, mul(s1, s1)) ^ s[2] if self.t > 1 else 0
+        if d == 0:
+            degrees = [log[s1]] if s1 else None
         else:
-            return [one]
-        s1_sigma2 = s[2] ^ exp[3 * one % order]
-        if s1_sigma2 == 0:
-            return None
-        # X = S_1 y turns X^2 + S_1 X + sigma2 into y^2 + y = sigma2 / S_1^2
-        y = field.quadratic_root[exp[(log[s1_sigma2] - 3 * one) % order]]
-        if y < 0:
-            return None
-        a, b = one + log[y], one + log[y ^ 1]
-        for i in range(4, 2 * self.t, 2):
-            if s[i] != exp[(i + 1) * a % order] ^ exp[(i + 1) * b % order]:
+            if self.t > 2:
+                num = mul(mul(s1, s1), s[2]) ^ s[4]
+                sigma2 = num and exp[log[num] - log[d] + order]
+            elif s1:
+                sigma2 = exp[log[d] - log[s1] + order]
+            else:
                 return None
-        return [a % order, b % order]
+            sigma3 = d ^ mul(s1, sigma2)
+            if sigma3:
+                degrees = self._cubic_degrees(s1, sigma2, sigma3)
+            else:  # X = S_1 y turns X^2 + S_1 X + sigma2 into y^2 + y = sigma2 / S_1^2
+                y = field.quadratic_root[exp[(log[sigma2] - 2 * log[s1]) % order]]
+                degrees = None if y < 0 else [(log[s1] + log[v]) % order for v in (y, y ^ 1)]
+        if degrees is None:
+            return None
+        for i in range(4, 2 * self.t, 2):  # s[i] is S_(i+1)
+            v = 0
+            for e in degrees:
+                v ^= exp[(i + 1) * e % order]
+            if v != s[i]:
+                return None
+        return degrees
 
     def _cubic_degrees(self, s1: int, s2: int, s3: int) -> list[int] | None:
         """The three degrees d of the roots of 1 + s1 x + s2 x^2 + s3 x^3
@@ -321,42 +324,44 @@ class BchCodeSpec:
     def _error_degrees(self, locator: list[int]) -> list[int] | None:
         """Degrees d in [0, n) of the L roots alpha^-d, or None if fewer.
 
-        Degree 3 is solved in closed form, degree 4 and up by a Chien search
-        over the n transmitted degrees. A root in the shortened prefix, a
-        repeated root or an irreducible locator leaves fewer than L roots: a
-        decoding failure.
+        A Chien search over the n transmitted degrees. A root in the
+        shortened prefix, a repeated root or an irreducible factor leaves
+        fewer than L roots: a decoding failure.
 
-        Degree 1 or 2 is always a failure, because ``decode`` gets here only
-        when ``_low_weight_degrees`` found no fit. Binary Berlekamp-Massey
-        reaches L = 1 only when S_j = S_1^j for every j, and L = 2 only as
-        1 + S_1 x + ((S_3 + S_1^3) / S_1) x^2, whose recursion then gives
-        every syndrome. If that locator has L distinct roots, they are a
-        weight-L pattern with the word's 2t syndromes, which the fit would
-        have found and verified; otherwise it has fewer than L roots.
+        A locator of degree L < 4 is always a failure, because ``decode``
+        gets here only when ``_low_weight_degrees`` found no fit. A binary
+        Berlekamp-Massey locator of degree L <= t generates all 2t syndromes.
+        If it has L distinct roots X_i, the syndromes are sums of c_i X_i^j,
+        and S_2j = S_j^2 makes every c_i 1. So the roots are a weight-L
+        pattern with the word's 2t syndromes, which the fit would have found
+        and verified; otherwise the locator has fewer than L roots.
+
+        sigma_j alpha^(-j d) for d = 0 .. n-1 is a basic slice of
+        ``_exp_run``, stepping back by j from log sigma_j + j (2^m - 1): a
+        view, with no index array. Their XOR with the constant term 1 reads
+        zero at the roots.
         """
         length = len(locator) - 1
-        if length < 3:
+        if length < 4:
             return None
-        if length == 3:
-            degrees = self._cubic_degrees(*locator[1:])
-            return None if degrees is None or max(degrees) >= self.n else degrees
-        log, exp_np = self.field.log, self.field.exp_np
-        coef = [j for j in range(1, length + 1) if locator[j]]
-        exponents = (self._chien_table[np.array(coef) - 1]
-                     + np.array([log[locator[j]] for j in coef])[:, None])
-        terms = np.take(exp_np, exponents)
-        # the constant term is 1, so sigma(alpha^-d) = 0 where the rest is 1
-        degrees = np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 1).tolist()
+        log, order, n, run = self.field.log, self.field.order, self.n, self._exp_run
+        value = np.ones(n, dtype=np.uint16)
+        for j in range(1, length + 1):
+            if locator[j]:
+                start = log[locator[j]] + j * order
+                value ^= run[start:start - j * n:-j]
+        degrees = np.flatnonzero(value == 0).tolist()
         return degrees if len(degrees) == length else None
 
     def decode(self, received_bits: np.ndarray) -> DecodeOutcome:
         """Correct up to t bit errors in a word, or in each row of words.
 
         One ``syndromes`` call covers every row. A dirty row whose syndromes
-        fit one or two errors is solved directly; any other goes through
-        Berlekamp-Massey and the root search. Failure is reported per row,
-        never raised. Bounded-distance: a word with more than t errors either
-        fails or is miscorrected to another codeword within distance t.
+        fit one, two or three errors is solved in closed form; any other goes
+        through Berlekamp-Massey and the Chien search. The corrections of all
+        rows are applied in one XOR. Failure is reported per row, never
+        raised. Bounded-distance: a word with more than t errors either fails
+        or is miscorrected to another codeword within distance t.
         """
         words = np.asarray(received_bits, dtype=np.uint8)
         synd = self.syndromes(words)
@@ -364,7 +369,7 @@ class BchCodeSpec:
         failed = np.zeros(words.shape[:-1], dtype=bool)
         corrected = 0
         if synd.any():
-            rows, row_failed = message.reshape(-1, self.k), failed.reshape(-1)
+            row_failed, flips = failed.reshape(-1), []
             synd = synd.reshape(-1, 2 * self.t)
             dirty = np.flatnonzero(synd.any(axis=1))
             for r, s in zip(dirty.tolist(), synd[dirty].tolist()):
@@ -377,10 +382,10 @@ class BchCodeSpec:
                 if degrees is None:
                     row_failed[r] = True
                     continue
-                for d in degrees:
-                    if d >= self.parity_bits:
-                        rows[r, self.n - 1 - d] ^= 1
+                last = r * self.k + self.n - 1  # bit n-1-d of row r, if not parity
+                flips += [last - d for d in degrees if d >= self.parity_bits]
                 corrected += len(degrees)
+            message.reshape(-1)[flips] ^= 1
         return DecodeOutcome(message, corrected, failed)
 
     def __repr__(self):

@@ -5,9 +5,10 @@ polynomial x, so exp[i] = x^i mod primitive_poly. Construction verifies the
 polynomial is primitive by walking the full multiplicative cycle, and
 tabulates a root of y^2 + y = c and of z^3 + z = c for every c
 (Berlekamp, Rumsey & Solomon 1967), which solve any quadratic and any cubic
-after a change of variable. The BCH decoder solves a weight-1 or weight-2
-error pattern from its syndromes with the first, a degree-3 error locator
-in closed form with the second, and degree 4 and up by Chien search.
+after a change of variable. The BCH decoder fits an error pattern of
+weight 1, 2 or 3 to its syndromes in closed form, with the first table at
+weight 2 and the second at weight 3; only a heavier word's error locator
+goes to the Chien search.
 """
 
 from __future__ import annotations

@@ -471,6 +471,22 @@ class TestCliCommands:
         assert len(payload["reports"]) == 3
         assert payload["max_pre_fec_ber"] < 1e-4
 
+    @pytest.mark.parametrize("command", [
+        ["plan", "--seed", "-1"],
+        ["simulate", "--duration-s", "2", "--seed", "-1"],
+        ["monitor", "--epochs", "1", "--duration-s", "2", "--seed", "-3"],
+    ])
+    def test_negative_seed_exit_2(self, capsys, command):
+        # simulate and monitor used to end in numpy's "expected non-negative
+        # integer", which does not name the flag; plan accepted the seed
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--preset", "green-125M"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            f"uwoclink: error: argument --seed: must be >= 0, got {command[-1]}"]
+
     def test_missing_inputs_exit_2(self, capsys):
         assert main(["simulate"]) == 2
         err = capsys.readouterr().err

@@ -111,6 +111,26 @@ def reference_roots_rows(field, locators):
     return [np.flatnonzero(row == 0).tolist() for row in value]
 
 
+def pattern_syndromes(code, degrees):
+    """Oracle: S_1 .. S_2t of the error pattern at ``degrees``, or of each
+    row of degrees; any degree of the 2^m - 1 cycle, past n too."""
+    j = np.arange(1, 2 * code.t + 1)
+    terms = code.field.exp_np[np.asarray(degrees)[..., None] * j % code.field.order]
+    return np.bitwise_xor.reduce(terms, axis=-2)
+
+
+def word_with_pattern(code, degrees):
+    """A received word whose syndromes are those of errors at ``degrees``:
+    a unit bit for each degree < n, ``beyond_n`` for each in the prefix."""
+    word = np.zeros(code.n, dtype=np.uint8)
+    for degree in degrees:
+        if degree < code.n:
+            word[code.n - 1 - degree] ^= 1
+        else:
+            word ^= beyond_n(code, degree)
+    return word
+
+
 def random_cubics(code, rng, count):
     """1 + s1 x + s2 x^2 + s3 x^3 with s3 != 0, as rows: a quarter each from
     three roots (some in the shortened prefix, some repeated, some three
@@ -502,6 +522,27 @@ class TestDecodeAgainstReference:
                 outcomes.add(assert_decodes_like_reference(bch12_4, word).status)
         assert outcomes == {STATUS_OK, STATUS_FAILURE}
 
+    def test_every_pattern_up_to_weight_4_on_bch15_5(self, bch15_5):
+        # t = 3 and n = 15 is the whole cycle: 1,941 words, weight 3 solved
+        # by the fit and weight 4 failed or miscorrected
+        outcomes = set()
+        sent = bch15_5.encode(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
+        for weight in range(5):
+            for pos in itertools.combinations(range(15), weight):
+                word = sent.copy()
+                word[list(pos)] ^= 1
+                outcomes.add(assert_decodes_like_reference(bch15_5, word).status)
+        assert outcomes == {STATUS_OK, STATUS_FAILURE}
+
+    def test_t1_code_corrects_every_single_error(self, gf16):
+        # a t = 1 code has S_1 and S_2 only: the fit reads no S_3
+        code = BchCodeSpec(15, 11, 1, gf16)
+        sent = code.encode(np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1], dtype=np.uint8))
+        for pos in range(15):
+            word = sent.copy()
+            word[pos] ^= 1
+            assert assert_decodes_like_reference(code, word).corrected_count == 1
+
     def test_every_word_of_bch12_4(self, bch12_4):
         # all 2^12 received words; some reach a Berlekamp-Massey locator of
         # degree 1 or 2 after the weight-1/weight-2 fit failed, where the
@@ -575,16 +616,21 @@ class TestDecodeAgainstReference:
 
 
 class TestClosedFormCubic:
+    # A Berlekamp-Massey locator of degree 3 never reaches the root search:
+    # _error_degrees returns None for it, and the fit solves the weight-3
+    # pattern at each split cubic's roots before Berlekamp-Massey runs
     def test_every_cubic_over_gf16(self, bch15_5):
-        # 16 * 16 * 15 locators; n = 15 is the whole cycle, so _error_degrees
-        # agrees with the closed form on each
+        # 16 * 16 * 15 locators; n = 15 is the whole cycle
         code, solved = bch15_5, 0
         for s1, s2, s3 in itertools.product(range(16), range(16), range(1, 16)):
             roots = reference_roots(code, [1, s1, s2, s3])
             expected = roots if len(roots) == 3 else None
             assert sorted_or_none(code._cubic_degrees(s1, s2, s3)) == expected
-            assert sorted_or_none(code._error_degrees([1, s1, s2, s3])) == expected
-            solved += expected is not None
+            assert code._error_degrees([1, s1, s2, s3]) is None
+            if expected is not None:
+                synd = pattern_syndromes(code, expected).tolist()
+                assert sorted(code._low_weight_degrees(synd)) == expected
+                solved += 1
         assert solved > 0
 
     @pytest.mark.parametrize("name", ["inner", "outer"])  # GF(2^11), GF(2^12)
@@ -595,23 +641,32 @@ class TestClosedFormCubic:
         for locator in locators[::1000].tolist():  # the batch oracle is the oracle
             assert reference_roots_rows(field, [locator])[0] == reference_roots(code, locator)
         seen = Counter()
+        split = []
         for start in range(0, len(locators), 500):
             chunk = locators[start:start + 500]
             for locator, roots in zip(chunk.tolist(), reference_roots_rows(field, chunk)):
                 expected = roots if len(roots) == 3 else None
                 assert sorted_or_none(code._cubic_degrees(*locator[1:])) == expected
-                transmitted = None if expected is None or roots[-1] >= code.n else expected
-                assert sorted_or_none(code._error_degrees(locator)) == transmitted
+                assert code._error_degrees(locator) is None
+                split += [expected] if expected else []
                 p_zero = field.mul(locator[1], locator[1]) == locator[2]
                 seen["p = 0, three roots" if p_zero and expected else
                      "p = 0, fails" if p_zero else
-                     "root in prefix" if expected and not transmitted else
+                     "root in prefix" if expected and roots[-1] >= code.n else
                      "repeated root" if 0 < len(roots) < 3 else
                      "three roots" if expected else "no root"] += 1
         # cube roots exist three at a time only on even m (GF(2^12))
         assert (seen["p = 0, three roots"] > 0) == (field.m % 2 == 0)
         assert min(seen["p = 0, fails"], seen["root in prefix"], seen["repeated root"],
                    seen["three roots"], seen["no root"]) > 0
+        for roots, synd in zip(split, pattern_syndromes(code, split).tolist()):
+            assert sorted(code._low_weight_degrees(synd)) == roots
+        # the fit works over the whole cycle; a root in the shortened
+        # prefix still fails the word
+        prefix = [roots for roots in split if roots[-1] >= code.n]
+        for roots in prefix[:10]:
+            word = word_with_pattern(code, roots)
+            assert assert_decodes_like_reference(code, word).status == STATUS_FAILURE
 
 
 class TestLowWeightSolve:
@@ -634,14 +689,20 @@ class TestLowWeightSolve:
             assert not np.array_equal(synd, pattern)
             if weight == 1:
                 assert synd[2] == field.exp[3 * field.log[synd[0]] % field.order]
-            assert code._low_weight_degrees(synd.tolist()) is None
+            # the fit reads S_5 into a weight-3 pattern, so on the t = 3
+            # outer code it may find one; it must then give every syndrome
+            fit = code._low_weight_degrees(synd.tolist())
+            if fit is not None:
+                assert len(fit) == 3
+                assert np.array_equal(pattern_syndromes(code, fit), synd)
             assert_decodes_like_reference(code, word)
 
     def test_inner_frames_reach_every_solve_branch(self, codec):
-        # 200 frames of 8 inner words at BER 1e-3 take the direct weight-1
-        # and weight-2 solves, the cubic and the Chien search. A word fails
-        # after Berlekamp-Massey only past t = 10 errors, which takes a
-        # higher BER; its locator then has degree <= t but too few roots
+        # 200 frames of 8 inner words at BER 1e-3 take the fit at weights 1,
+        # 2 and 3 and the Chien search; Berlekamp-Massey runs only when the
+        # fit misses. A word fails after the Chien search only past t = 10
+        # errors, which takes a higher BER; its locator then has degree <= t
+        # but too few roots
         code = BchCodeSpec(codec.inner.n, codec.inner.k, codec.inner.t, codec.inner.field)
         seen = Counter()
 
@@ -654,9 +715,9 @@ class TestLowWeightSolve:
                 return result
             setattr(code, name, wrapped)
 
-        spy("_low_weight_degrees", lambda a, r: None if r is None else f"weight {len(r)}")
-        spy("_error_degrees", lambda a, r: ("cubic" if len(a[0]) == 4 else
-                                            "chien" if len(a[0]) > 4 else "quadratic")
+        spy("_low_weight_degrees", lambda a, r: "fit missed" if r is None else f"weight {len(r)}")
+        spy("_berlekamp_massey", lambda a, r: "berlekamp-massey")
+        spy("_error_degrees", lambda a, r: ("chien" if len(a[0]) > 4 else "degree < 4")
             + (" failed" if r is None else ""))
         rng = np.random.default_rng(13)
         for ber, frames in ((1e-3, 200), (6e-3, 20)):
@@ -664,10 +725,55 @@ class TestLowWeightSolve:
                 words = code.encode(rng.integers(0, 2, (8, code.k)).astype(np.uint8))
                 code.decode(words ^ (rng.random(words.shape) < ber).view(np.uint8))
             if ber == 1e-3:
-                assert min(seen["weight 1"], seen["weight 2"], seen["cubic"],
+                assert min(seen["weight 1"], seen["weight 2"], seen["weight 3"],
                            seen["chien"]) > 0
                 assert seen["chien failed"] == 0
         assert seen["chien failed"] > 0
+        assert seen["berlekamp-massey"] == seen["fit missed"]
+
+    def test_fit_solves_weight_up_to_3_on_bch15_5(self, bch15_5, monkeypatch):
+        # no Berlekamp-Massey run, including the patterns with
+        # X_1 + X_2 + X_3 = 0, whose S_1 is 0
+        def no_run(synd):
+            raise AssertionError(f"Berlekamp-Massey ran on {synd}")
+
+        monkeypatch.setattr(bch15_5, "_berlekamp_massey", no_run)
+        s1_zero = 0
+        sent = bch15_5.encode(np.array([0, 1, 1, 0, 1], dtype=np.uint8))
+        for weight in range(1, 4):
+            for pos in itertools.combinations(range(15), weight):
+                word = sent.copy()
+                word[list(pos)] ^= 1
+                degrees = sorted(14 - p for p in pos)
+                synd = bch15_5.syndromes(word)
+                assert sorted(bch15_5._low_weight_degrees(synd.tolist())) == degrees
+                out = bch15_5.decode(word)
+                assert (out.status, out.corrected_count) == (STATUS_OK, weight)
+                assert np.array_equal(out.message_bits, sent[:5])
+                s1_zero += synd[0] == 0
+        # X_1 != X_2 of the 15 nonzero elements and X_3 = X_1 + X_2, each
+        # set counted in its 3! orders: 15 * 14 / 6
+        assert s1_zero == 35
+
+    @pytest.mark.parametrize("name", ["inner", "outer"])
+    def test_weight_3_with_zero_s1_corrects(self, codec, name):
+        # X_3 = X_1 + X_2, every degree < n: S_1 = 0 goes to the fit
+        code = getattr(codec, name)
+        field, rng = code.field, np.random.default_rng(21)
+        done = 0
+        while done < 30:
+            d1, d2 = rng.choice(code.n, 2, replace=False).tolist()
+            d3 = field.log[field.exp[d1] ^ field.exp[d2]]
+            if d3 >= code.n:
+                continue
+            sent = code.encode(rng.integers(0, 2, code.k).astype(np.uint8))
+            word = sent.copy()
+            word[[code.n - 1 - d for d in (d1, d2, d3)]] ^= 1
+            assert code.syndromes(word)[0] == 0
+            out = code.decode(word)
+            assert (out.status, out.corrected_count) == (STATUS_OK, 3)
+            assert np.array_equal(out.message_bits, sent[: code.k])
+            done += 1
 
 
 class TestTables:
