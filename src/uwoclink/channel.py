@@ -15,36 +15,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# dB per (1/m) of attenuation coefficient: L_db = c * z * 10/ln(10)
-DB_PER_NEPER = 10.0 / math.log(10.0)
-
-
 @dataclass(frozen=True)
 class WaterOptics:
-    """Diffuse attenuation of the water column, per-meter and dB/m forms."""
+    """Diffuse attenuation of the water column in dB/m (4.343 times the
+    coefficient in 1/m)."""
 
-    c_per_m: float
     c_db_per_m: float
 
     def __post_init__(self):
-        if self.c_per_m < 0 or self.c_db_per_m < 0:
+        if self.c_db_per_m < 0:
             raise ValueError("attenuation coefficient must be >= 0")
-        expected = self.c_per_m * DB_PER_NEPER
-        if expected > 0 or self.c_db_per_m > 0:
-            ref = max(expected, self.c_db_per_m)
-            if abs(expected - self.c_db_per_m) > 0.01 * ref:
-                raise ValueError(
-                    f"c_db_per_m={self.c_db_per_m} inconsistent with "
-                    f"c_per_m={self.c_per_m} (expected ~{expected:.4f} dB/m)"
-                )
-
-    @classmethod
-    def from_per_m(cls, c_per_m: float) -> "WaterOptics":
-        return cls(c_per_m=c_per_m, c_db_per_m=c_per_m * DB_PER_NEPER)
-
-    @classmethod
-    def from_db_per_m(cls, c_db_per_m: float) -> "WaterOptics":
-        return cls(c_per_m=c_db_per_m / DB_PER_NEPER, c_db_per_m=c_db_per_m)
 
 
 @dataclass(frozen=True)

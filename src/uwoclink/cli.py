@@ -88,7 +88,7 @@ def _cmd_plan(args) -> int:
     without = max_distance_m(spec.budget_db, spec.water, mode=WITHOUT_GEOMETRY)
     with_geo = max_distance_m(spec.budget_db, spec.water, spec.geometry,
                               WITH_GEOMETRY)
-    z_max = args.z_max if args.z_max else without.max_distance_m * 1.05
+    z_max = args.z_max if args.z_max is not None else without.max_distance_m * 1.05
     rows = distance_curve(spec, args.z_min, z_max, args.points)
 
     if args.format == "csv":

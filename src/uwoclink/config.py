@@ -16,7 +16,7 @@ from functools import cache
 from importlib import resources
 from typing import get_type_hints
 
-from .channel import NlosPath, WaterOptics
+from .channel import NlosPath
 from .engine import LinkSpec
 
 _PRESET_DIR = resources.files(__package__) / "presets"
@@ -46,7 +46,6 @@ SCHEMA = {
         "sim_frames_per_second": (_INT, "sim_frames_per_second"),
     },
     "water": {
-        "c_per_m": (_FLOAT, "water.c_per_m"),
         "c_db_per_m": (_FLOAT, "water.c_db_per_m"),
     },
     "geometry": {
@@ -86,6 +85,7 @@ _REQUIRED = (
     ("link", "modulation"),
     ("link", "bit_rate_bps"),
     ("link", "budget_db"),
+    ("water", "c_db_per_m"),
     ("geometry", "distance_m"),
     ("geometry", "half_angle_deg"),
     ("geometry", "rx_aperture_m"),
@@ -154,12 +154,9 @@ def parse_mapping(text: str) -> dict:
 
 
 def _overlay(base: dict, extra: dict) -> dict:
-    """``extra``'s keys over ``base``'s; a ``[water]`` section that sets
-    either key replaces the pair, since each key fixes the other."""
+    """``extra``'s keys over ``base``'s."""
     merged = {sec: dict(keys) for sec, keys in base.items()}
     for sec, keys in extra.items():
-        if sec == "water" and keys:
-            merged[sec] = {}
         merged.setdefault(sec, {}).update(keys)
     return merged
 
@@ -206,9 +203,6 @@ def build_spec(mapping: dict) -> LinkSpec:
         for sec, key in _REQUIRED
         if mapping.get(sec, {}).get(key) is None
     ]
-    water = mapping.get("water", {})
-    if "c_per_m" not in water and "c_db_per_m" not in water:
-        missing.append("[water] c_per_m or c_db_per_m")
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
     geometry = mapping.get("geometry", {})
@@ -218,10 +212,6 @@ def build_spec(mapping: dict) -> LinkSpec:
 
     values = _by_path(mapping)
     try:
-        if "c_per_m" not in water:
-            values["water"] = WaterOptics.from_db_per_m(water["c_db_per_m"])
-        elif "c_db_per_m" not in water:
-            values["water"] = WaterOptics.from_per_m(water["c_per_m"])
         if "nlos" in values:
             # the field's type is NlosPath | None, which _build does not unwrap
             values["nlos"] = NlosPath(**values["nlos"])

@@ -20,8 +20,8 @@ from uwoclink.channel import (
 )
 from uwoclink.engine import run_scenario
 
-GREEN_WATER = WaterOptics(0.082, 0.358)
-BLUE_WATER = WaterOptics(0.069, 0.298)
+GREEN_WATER = WaterOptics(0.358)
+BLUE_WATER = WaterOptics(0.298)
 GREEN_GEO = LinkGeometry(distance_m=30.0, half_angle_deg=0.53,
                          tx_exit_diameter_m=0.0, rx_aperture_m=0.046)
 BLUE_GEO = LinkGeometry(distance_m=30.0, half_angle_deg=3.83,
@@ -29,22 +29,9 @@ BLUE_GEO = LinkGeometry(distance_m=30.0, half_angle_deg=3.83,
 
 
 class TestWaterOptics:
-    def test_paper_pairs_are_consistent(self):
-        # rounded published pairs must pass the 1% cross-check
-        WaterOptics(0.082, 0.358)
-        WaterOptics(0.069, 0.298)
-
-    def test_db_conversion_factor(self):
-        w = WaterOptics.from_per_m(1.0)
-        assert w.c_db_per_m == pytest.approx(10.0 / math.log(10.0))
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError):
-            WaterOptics(0.082, 0.50)
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            WaterOptics.from_per_m(-0.1)
+            WaterOptics(-0.1)
 
 
 class TestAttenuation:

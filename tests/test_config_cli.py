@@ -93,7 +93,7 @@ def config_specs(draw):
         name=draw(st.text(string.ascii_letters + string.digits + "-_.",
                           min_size=1, max_size=20)),
         tx_power_w=draw(f(1e-3, 100.0)),
-        water=WaterOptics.from_per_m(draw(f(0.0, 2.0))),
+        water=WaterOptics(draw(f(0.0, 10.0))),
         geometry=geometry,
         modulation=ModulationScheme(draw(st.sampled_from([OOK, PPM4])),
                                     draw(f(1e3, 1e9))),
@@ -157,7 +157,7 @@ class TestParsing:
         message = str(err.value)
         assert "missing required keys" in message
         assert "[link] name" in message
-        assert "[water]" in message
+        assert "[water] c_db_per_m" in message
 
     def test_unknown_key_names_key_and_line(self):
         text = "[link]\nname = x\nwarp_factor = 9\n"
@@ -189,24 +189,17 @@ class TestParsing:
         assert spec.tx_power_w == 2.36  # untouched preset value
 
     @pytest.mark.parametrize("text, water", [
-        ("c_db_per_m = 0.5\n", WaterOptics.from_db_per_m(0.5)),
-        ("c_per_m = 0.1\n", WaterOptics.from_per_m(0.1)),
-        ("c_per_m = 0.1\nc_db_per_m = 0.434\n", WaterOptics(0.1, 0.434)),
+        ("c_db_per_m = 0.5\n", WaterOptics(0.5)),
     ])
     def test_water_section_replaces_preset_pair(self, text, water):
-        # the preset's other key used to stay behind and clash
         spec = parse_scenario("[water]\n" + text, preset="green-125M")
         assert spec.water == water
         assert spec.geometry == load_preset("green-125M").geometry
 
     def test_empty_water_section_keeps_preset_pair(self):
+        # an empty [water] header keeps the preset's c_db_per_m
         assert parse_scenario("[water]\n", preset="green-125M") == \
             load_preset("green-125M")
-
-    def test_inconsistent_water_pair_over_preset_rejected(self):
-        with pytest.raises(ConfigError, match="c_db_per_m=0.9 inconsistent"):
-            parse_scenario("[water]\nc_per_m = 0.1\nc_db_per_m = 0.9\n",
-                           preset="green-125M")
 
     def test_nlos_requires_both_keys(self):
         with pytest.raises(ConfigError, match="NLOS"):
@@ -411,6 +404,13 @@ class TestCliCommands:
         assert len(lines) == 1
         assert "z_max" in lines[0]
 
+    def test_plan_zero_z_max_exit_2(self, capsys):
+        # 0 used to be taken for "unset" and replaced by the default range
+        assert main(["plan", "--preset", "green-125M", "--z-max", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == ["error: z_min must be < z_max"]
+
     @pytest.mark.parametrize("k_override", [False, True])
     @pytest.mark.parametrize("z_max", ["1e200", "1e300", "1e308"])
     def test_plan_far_z_max_rows_finite(self, tmp_path, capsys, z_max, k_override):
@@ -510,6 +510,30 @@ class TestCliCommands:
         assert error_lines(captured.err) == [
             "error: line 3: unknown key 'interleaver_depth' in section [codec]"]
 
+    def test_c_per_m_key_is_gone_exit_2(self, tmp_path, capsys):
+        # attenuation is given in dB/m only; a file in the per-metre form
+        # stops at the key
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("[water]\nc_per_m = 0.1\n")
+        assert main(["plan", "--preset", "green-125M", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            "error: line 2: unknown key 'c_per_m' in section [water]"]
+
+    def test_no_water_without_preset_exit_2(self, tmp_path, capsys):
+        # every other key of a full scenario is there
+        text = render_scenario(load_preset("green-125M"))
+        head, water, tail = text.partition("[water]\nc_db_per_m = 0.358\n")
+        assert water
+        cfg = tmp_path / "dry.cfg"
+        cfg.write_text(head + tail)
+        assert main(["plan", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            "error: missing required keys: [water] c_db_per_m"]
+
     def test_calibrate(self, tmp_path, capsys):
         from uwoclink.agc import ReceiverChain
         chain = ReceiverChain()
@@ -530,7 +554,7 @@ class TestCliCommands:
         ("link", "budget_db", ["simulate", "--duration-s", "2"]),
         ("geometry", "distance_m", ["simulate", "--duration-s", "2"]),
         ("link", "budget_db", ["plan"]),
-        ("water", "c_per_m", ["plan"]),
+        ("water", "c_db_per_m", ["plan"]),
     ])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_config_exit_2(self, tmp_path, capsys, section, key, command,

@@ -636,9 +636,9 @@ class TestGoldenDigests:
 
     PRESETS = ["green-125M", "blue-6M25", "blue-6M25-nlos"]
     CONFIG_HASHES = {
-        "green-125M": "9fdd65c77d0e9647",
-        "blue-6M25": "87e5c0f23f61f64a",
-        "blue-6M25-nlos": "fa684fcada5c3beb",
+        "green-125M": "2c5596868cd5e260",
+        "blue-6M25": "911d2c7cc46f6fd6",
+        "blue-6M25-nlos": "5034822eec09542c",
     }
     SCENARIO_DIGESTS = {
         "green-125M": "ee0c8e8124f291d9",

@@ -15,8 +15,8 @@ from uwoclink.planner import (
     path_loss_db,
 )
 
-GREEN_WATER = WaterOptics(0.082, 0.358)
-BLUE_WATER = WaterOptics(0.069, 0.298)
+GREEN_WATER = WaterOptics(0.358)
+BLUE_WATER = WaterOptics(0.298)
 GREEN_GEO = LinkGeometry(30.0, 0.53, 0.0, 0.046)
 BLUE_GEO = LinkGeometry(30.0, 3.83, 0.0, 0.008)
 
@@ -90,7 +90,7 @@ class TestMaxDistanceWithGeometry:
             prev = d.max_distance_m
         prev = math.inf
         for c_db in (0.2, 0.3, 0.4, 0.5):
-            water = WaterOptics.from_db_per_m(c_db)
+            water = WaterOptics(c_db)
             d = max_distance_m(82.77, water, geo, WITH_GEOMETRY)
             assert d.max_distance_m < prev
             prev = d.max_distance_m
