@@ -1,7 +1,10 @@
 import hashlib
+import io
 import itertools
 import json
 import math
+import pathlib
+import re
 import threading
 from dataclasses import replace
 from functools import partial
@@ -12,7 +15,7 @@ from scipy.stats import binom, chisquare
 
 from uwoclink import engine
 from uwoclink.channel import FadingSpec, total_loss_db
-from uwoclink.cli import render_report
+from uwoclink.cli import _bits_to_hex, main, render_report
 from uwoclink.config import load_preset
 from uwoclink.fec.concat import ConcatCodecSpec, deinterleave, interleave
 from uwoclink.engine import (
@@ -671,3 +674,49 @@ class TestGoldenDigests:
         report = inject_errors_run(load_preset(preset), 3e-3, 2_000_000, 5)
         assert report.decode_failures == 43 and report.frames_sent == 123
         assert self.digest(preset, report) == self.INJECTION_DIGESTS[preset]
+
+    # each command's output with its config_hash value cut out; the fec
+    # blocks are one seeded frame with 30 scattered flips, which the inner
+    # code corrects, and one with 2 % flips, which fails
+    COMMAND_DIGESTS = {
+        "plan-json": "9a244bdeefacd72a",
+        "plan-csv": "220c9a3bd07cec8e",
+        "monitor": "fb389b0a0d3d83f5",
+        "calibrate": "0c7174e4aaba6cae",
+        "fec-encode": "63be49d71ec4d217",
+        "fec-decode": "0da6cb126d535763",
+    }
+    COMMANDS = {
+        "plan-json": ["plan", "--preset", "green-125M"],
+        "plan-csv": ["plan", "--preset", "green-125M", "--format", "csv"],
+        "monitor": ["monitor", "--preset", "blue-6M25-nlos", "--epochs", "3",
+                    "--duration-s", "5", "--seed", "42"],
+        "calibrate": ["calibrate", "--samples", "configs/calibration-example.txt"],
+        "fec-encode": ["fec", "encode", "--code", "concat"],
+        "fec-decode": ["fec", "decode", "--code", "concat"],
+    }
+
+    def fec_blocks(self, codec, action):
+        rng = np.random.default_rng(11)
+        payloads = rng.integers(0, 2, (2, codec.frame_payload_bits), dtype=np.uint8)
+        if action == "encode":
+            return payloads
+        frames = np.array([codec.encode(p) for p in payloads])
+        frames[0, rng.choice(codec.frame_bits, 30, replace=False)] ^= 1
+        frames[1] ^= (rng.random(codec.frame_bits) < 0.02).astype(np.uint8)
+        return frames
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_digest(self, command, monkeypatch, capsys, codec):
+        monkeypatch.chdir(pathlib.Path(__file__).resolve().parents[1])
+        argv = self.COMMANDS[command]
+        if argv[0] == "fec":
+            blocks = self.fec_blocks(codec, argv[1])
+            stdin = "".join(_bits_to_hex(b) + "\n" for b in blocks)
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        status = main(argv)
+        captured = capsys.readouterr()
+        text = f"{status}\n{captured.out}\n{captured.err}"
+        text = re.sub(r"(config_hash\W+)[0-9a-f]{16}", r"\1", text)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == self.COMMAND_DIGESTS[command]
