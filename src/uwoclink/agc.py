@@ -85,20 +85,21 @@ class ReceiverChain:
         return 10.0 ** (-self.attenuation_db_at(lc_voltage) / 10.0)
 
     def voltage_for_attenuation_db(self, att_db: float) -> float:
-        """Inverse of the monotone attenuation curve (clamped bisection)."""
+        """Inverse of the monotone attenuation curve, clamped to the voltage
+        range: the logistic value f that ``att_db`` needs, then
+        v = mid - ln(1/f - 1) / steepness."""
         v_min, v_max = self.lc_voltage_range
         if att_db <= 0:
             return v_min
         if att_db >= self.lc_attenuation_range_db:
             return v_max
-        lo, hi = v_min, v_max
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if self.attenuation_db_at(mid) < att_db:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        f_min, f_max = self._logistic(v_min), self._logistic(v_max)
+        f = f_min + att_db / self.lc_attenuation_range_db * (f_max - f_min)
+        odds = 1.0 / f - 1.0  # exp(-steepness * (v - mid)); 0 once f rounds to 1
+        if odds <= 0:
+            return v_max if self.lc_steepness > 0 else v_min
+        v = 0.5 * (v_min + v_max) - math.log(odds) / self.lc_steepness
+        return min(max(v, v_min), v_max)
 
     # --- AGC window -----------------------------------------------------
 

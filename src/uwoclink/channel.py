@@ -15,17 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-@dataclass(frozen=True)
-class WaterOptics:
-    """Diffuse attenuation of the water column in dB/m (4.343 times the
-    coefficient in 1/m)."""
-
-    c_db_per_m: float
-
-    def __post_init__(self):
-        if self.c_db_per_m < 0:
-            raise ValueError("attenuation coefficient must be >= 0")
-
 
 @dataclass(frozen=True)
 class LinkGeometry:
@@ -113,11 +102,12 @@ class LossBreakdown:
         )
 
 
-def attenuation_db(water: WaterOptics, distance_m: float) -> float:
-    """Water-column loss over ``distance_m`` (exponential decay in dB form)."""
+def attenuation_db(c_db_per_m: float, distance_m: float) -> float:
+    """Water-column loss over ``distance_m`` at ``c_db_per_m`` dB/m
+    (exponential decay in dB form)."""
     if distance_m < 0:
         raise ValueError("distance_m must be >= 0")
-    return water.c_db_per_m * distance_m
+    return c_db_per_m * distance_m
 
 
 def spot_diameter_m(geometry: LinkGeometry) -> float:
@@ -204,7 +194,7 @@ def pointing_loss_db(geometry: LinkGeometry) -> tuple[float, bool]:
     return -10.0 * math.log10(frac), False
 
 
-def total_loss_db(geometry: LinkGeometry, water: WaterOptics,
+def total_loss_db(geometry: LinkGeometry, c_db_per_m: float,
                   nlos: NlosPath | None = None) -> LossBreakdown:
     """Component-wise link loss; the NLOS bounce replaces the direct path.
 
@@ -215,7 +205,7 @@ def total_loss_db(geometry: LinkGeometry, water: WaterOptics,
     """
     path = geometry if nlos is None else replace(
         geometry, distance_m=nlos.unfolded_distance_m, k_override_m2=None)
-    atten = attenuation_db(water, path.distance_m)
+    atten = attenuation_db(c_db_per_m, path.distance_m)
     geo = geometric_loss_db(path)
     point, dark = pointing_loss_db(path)
     excess = 0.0

@@ -85,8 +85,8 @@ def curve_csv(spec: LinkSpec, rows, seed: int) -> str:
 
 def _cmd_plan(args) -> int:
     spec = _load_spec(args)
-    without = max_distance_m(spec.budget_db, spec.water, mode=WITHOUT_GEOMETRY)
-    with_geo = max_distance_m(spec.budget_db, spec.water, spec.geometry,
+    without = max_distance_m(spec.budget_db, spec.c_db_per_m, mode=WITHOUT_GEOMETRY)
+    with_geo = max_distance_m(spec.budget_db, spec.c_db_per_m, spec.geometry,
                               WITH_GEOMETRY)
     z_max = args.z_max if args.z_max is not None else without.max_distance_m * 1.05
     rows = distance_curve(spec, args.z_min, z_max, args.points)

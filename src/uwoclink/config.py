@@ -46,7 +46,7 @@ SCHEMA = {
         "sim_frames_per_second": (_INT, "sim_frames_per_second"),
     },
     "water": {
-        "c_db_per_m": (_FLOAT, "water.c_db_per_m"),
+        "c_db_per_m": (_FLOAT, "c_db_per_m"),
     },
     "geometry": {
         "distance_m": (_FLOAT, "geometry.distance_m"),
@@ -57,9 +57,6 @@ SCHEMA = {
         "k_override_m2": (_FLOAT, "geometry.k_override_m2"),
         "nlos_reflectance": (_FLOAT, "nlos.reflectance"),
         "nlos_unfolded_distance_m": (_FLOAT, "nlos.unfolded_distance_m"),
-    },
-    "codec": {
-        "outer_words_per_frame": (_INT, "outer_words_per_frame"),
     },
     "fading": {
         "sigma_db": (_FLOAT, "fading.sigma_db"),

@@ -37,15 +37,10 @@ from .channel import (
     FadingSpec,
     LinkGeometry,
     NlosPath,
-    WaterOptics,
     sample_fading_db,
     total_loss_db,
 )
-from .fec import (
-    DEFAULT_OUTER_WORDS_PER_FRAME,
-    ConcatCodecSpec,
-    codec_for,
-)
+from .fec import ConcatCodecSpec, codec_for
 from .modem import ModulationScheme
 
 # Ethernet per-frame overhead: 14 header + 4 FCS + 8 preamble + 12 interframe gap
@@ -61,7 +56,7 @@ class LinkSpec:
 
     name: str
     tx_power_w: float
-    water: WaterOptics
+    c_db_per_m: float  # diffuse attenuation of the water column, dB/m
     geometry: LinkGeometry
     modulation: ModulationScheme
     budget_db: float
@@ -72,7 +67,6 @@ class LinkSpec:
     iface_cap_bps: float = 100e6
     frame_payload_bytes: int = 1500
     snr_offset_db: float = 0.0
-    outer_words_per_frame: int = DEFAULT_OUTER_WORDS_PER_FRAME
     sim_frames_per_second: int = 6
 
     def __post_init__(self):
@@ -81,6 +75,8 @@ class LinkSpec:
             raise ValueError(f"name {self.name!r} has edge whitespace or a line break")
         if self.tx_power_w <= 0:
             raise ValueError("tx_power_w must be > 0")
+        if self.c_db_per_m < 0:
+            raise ValueError("c_db_per_m must be >= 0")
         if self.budget_db <= 0:
             raise ValueError("budget_db must be > 0")
         if not 0.0 <= self.sync_overhead_fraction < 1.0:
@@ -94,11 +90,10 @@ class LinkSpec:
             )
         if self.sim_frames_per_second < 1:
             raise ValueError("sim_frames_per_second must be >= 1")
-        self.codec  # builds the shared codec, whose checks reject the framing
 
     @property
     def codec(self) -> ConcatCodecSpec:
-        return codec_for(self.outer_words_per_frame)
+        return codec_for()
 
     def fingerprint(self) -> str:
         """Stable short hash of the canonical scenario text."""
@@ -193,7 +188,7 @@ def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
     depend on how many normals a frame needed.
     """
     kind = spec.modulation.kind
-    static = total_loss_db(spec.geometry, spec.water, spec.nlos)
+    static = total_loss_db(spec.geometry, spec.c_db_per_m, spec.nlos)
     agc = spec.receiver.initial_state()
     noise = rng.spawn(1)[0]
     while True:

@@ -1,9 +1,4 @@
 """Forward error correction: GF(2^m) fields, BCH codes, concatenated framing."""
 
 from .bch import STATUS_OK, BchCodeSpec
-from .concat import (
-    DEFAULT_OUTER_WORDS_PER_FRAME,
-    ConcatCodecSpec,
-    codec_for,
-    interleave,
-)
+from .concat import ConcatCodecSpec, codec_for, interleave

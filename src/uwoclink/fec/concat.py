@@ -1,15 +1,15 @@
 """Concatenated BCH codec: outer (3860,3824) + inner (2040,1930) + interleaver.
 
-Frame pipeline: payload -> outer codewords -> serialized stream -> chop into
-inner payloads (zero-padded tail when sizes do not divide) -> W inner
-codewords -> interleave: channel bit j belongs to inner word j mod W. Any
-burst of up to W*t channel bits then puts at most t errors in each inner
+Frame pipeline: payload -> 4 outer codewords -> serialized stream -> chop
+into inner payloads, two whole ones to an outer word (3860 = 2 x 1930) -> W
+inner codewords -> interleave: channel bit j belongs to inner word j mod W.
+Any burst of up to W*t channel bits then puts at most t errors in each inner
 word.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .galois import FieldSpec
 # Standard primitive polynomials: x^11+x^2+1 and x^12+x^6+x^4+x+1.
 PRIMITIVE_POLY_M11 = 0b1000_0000_0101
 PRIMITIVE_POLY_M12 = 0b1_0000_0101_0011
-
-DEFAULT_OUTER_WORDS_PER_FRAME = 4
 
 
 def interleave(bits: np.ndarray, depth: int) -> np.ndarray:
@@ -52,24 +50,21 @@ class ConcatCodecSpec:
 
     def __init__(self, outer: BchCodeSpec | None = None,
                  inner: BchCodeSpec | None = None,
-                 outer_words_per_frame: int = DEFAULT_OUTER_WORDS_PER_FRAME):
+                 outer_words_per_frame: int = 4):
         self.outer = outer or _code(3860, 3824, 3, 12, PRIMITIVE_POLY_M12)
         self.inner = inner or _code(2040, 1930, 10, 11, PRIMITIVE_POLY_M11)
         if outer_words_per_frame < 1:
             raise ValueError("outer_words_per_frame must be >= 1")
+        if self.outer.n % self.inner.k:
+            raise ValueError(f"inner k={self.inner.k} does not divide "
+                             f"outer n={self.outer.n}")
         self.outer_words_per_frame = outer_words_per_frame
 
         self.frame_payload_bits = outer_words_per_frame * self.outer.k
-        stream_bits = outer_words_per_frame * self.outer.n
-        self.inner_words_per_frame = -(-stream_bits // self.inner.k)
-        self.tail_pad_bits = self.inner_words_per_frame * self.inner.k - stream_bits
+        self.inner_words_per_frame = (outer_words_per_frame * self.outer.n
+                                      // self.inner.k)
         self.frame_bits = self.inner_words_per_frame * self.inner.n
         self.interleaver_depth = self.inner_words_per_frame
-        # _feeds[i, w]: inner word i carries bits of outer word w
-        word = np.arange(self.inner_words_per_frame)[:, None]
-        start = np.arange(outer_words_per_frame) * self.outer.n
-        self._feeds = ((start // self.inner.k <= word)
-                       & (word <= (start + self.outer.n - 1) // self.inner.k))
 
     def code_rate(self) -> float:
         return (self.inner.k / self.inner.n) * (self.outer.k / self.outer.n)
@@ -81,12 +76,7 @@ class ConcatCodecSpec:
                 f"payload must be {self.frame_payload_bits} bits, got {payload.shape}"
             )
         words = payload.reshape(self.outer_words_per_frame, self.outer.k)
-        stream = self.outer.encode(words).ravel()
-        if self.tail_pad_bits:
-            stream = np.concatenate(
-                [stream, np.zeros(self.tail_pad_bits, dtype=np.uint8)]
-            )
-        chunks = stream.reshape(self.inner_words_per_frame, self.inner.k)
+        chunks = self.outer.encode(words).reshape(-1, self.inner.k)
         frame = self.inner.encode(chunks).ravel()
         return interleave(frame, self.interleaver_depth)
 
@@ -113,13 +103,10 @@ class ConcatCodecSpec:
         inner_out = inner.decode(raw.reshape(-1, inner.n))
         corrected = inner_out.corrected_count
         inner_failed = inner_out.failed.reshape(len(rows), self.inner_words_per_frame)
-        stream = inner_out.message_bits.reshape(len(rows), -1)
-        if self.tail_pad_bits:
-            stream = stream[:, : -self.tail_pad_bits]
-
-        outer_words = stream.reshape(-1, outer.n)
+        outer_words = inner_out.message_bits.reshape(-1, outer.n)
         payload = outer_words[:, : outer.k].copy()
-        tainted = inner_failed @ self._feeds  # (rows, outer words per frame)
+        # each outer word is fed by outer.n // inner.k whole inner words
+        tainted = inner_failed.reshape(len(rows), -1, outer.n // inner.k).any(axis=2)
         dirty = outer.syndromes(outer_words).any(axis=1) & ~tainted.ravel()
         failed = inner_failed.any(axis=1)
         if dirty.any():
@@ -133,7 +120,7 @@ class ConcatCodecSpec:
             corrected, failed.reshape(frames.shape[:-1]))
 
 
-@lru_cache(maxsize=32)
-def codec_for(outer_words_per_frame: int = DEFAULT_OUTER_WORDS_PER_FRAME) -> ConcatCodecSpec:
-    """The shared codec of one framing, built once per word count."""
-    return ConcatCodecSpec(outer_words_per_frame=outer_words_per_frame)
+@cache
+def codec_for() -> ConcatCodecSpec:
+    """The shared production codec, built once."""
+    return ConcatCodecSpec()

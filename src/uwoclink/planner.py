@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-from .channel import LinkGeometry, WaterOptics, attenuation_db, geometric_loss_db
+from .channel import LinkGeometry, attenuation_db, geometric_loss_db
 from .engine import LinkSpec
 
 WITH_GEOMETRY = "with_geometry"
@@ -36,10 +36,10 @@ class RangeSolution:
         return asdict(self)
 
 
-def path_loss_db(water: WaterOptics, geometry: LinkGeometry, z: float) -> float:
+def path_loss_db(c_db_per_m: float, geometry: LinkGeometry, z: float) -> float:
     """Aligned direct-path loss at distance z."""
     aligned = replace(geometry, distance_m=z, pointing_offset_m=0.0)
-    return attenuation_db(water, z) + geometric_loss_db(aligned)
+    return attenuation_db(c_db_per_m, z) + geometric_loss_db(aligned)
 
 
 def _bisect_increasing(f, lo: float, hi: float) -> float:
@@ -58,18 +58,18 @@ def _bisect_increasing(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def max_distance_m(budget_db: float, water: WaterOptics,
+def max_distance_m(budget_db: float, c_db_per_m: float,
                    geometry: LinkGeometry | None = None,
                    mode: str = WITH_GEOMETRY) -> RangeSolution:
     """Largest distance whose total loss still fits inside the budget."""
     if budget_db <= 0:
         raise ValueError("budget_db must be > 0")
-    if water.c_db_per_m <= 0:
+    if c_db_per_m <= 0:
         raise ValueError("attenuation coefficient must be > 0 to bound range")
 
     if mode == WITHOUT_GEOMETRY:
-        z = budget_db / water.c_db_per_m
-        residual = budget_db - attenuation_db(water, z)
+        z = budget_db / c_db_per_m
+        residual = budget_db - attenuation_db(c_db_per_m, z)
         return RangeSolution(z, residual, mode, None)
     if mode != WITH_GEOMETRY:
         raise ValueError(f"unknown mode {mode!r}")
@@ -77,9 +77,9 @@ def max_distance_m(budget_db: float, water: WaterOptics,
         raise ValueError("with_geometry mode requires a LinkGeometry")
 
     def f(z: float) -> float:
-        return path_loss_db(water, geometry, z) - budget_db
+        return path_loss_db(c_db_per_m, geometry, z) - budget_db
 
-    hi = budget_db / water.c_db_per_m + 1.0
+    hi = budget_db / c_db_per_m + 1.0
     z = _bisect_increasing(f, 1e-3, hi)
     residual = -f(z)
     if abs(residual) > _RESIDUAL_LIMIT_DB:
@@ -121,8 +121,8 @@ def distance_curve(spec: LinkSpec, z_min: float, z_max: float, n_points: int):
         rows.append({
             "z_m": z,
             "budget_db": spec.budget_db,
-            "loss_db_with_geometry": path_loss_db(spec.water, spec.geometry, z),
-            "loss_db_without": attenuation_db(spec.water, z),
+            "loss_db_with_geometry": path_loss_db(spec.c_db_per_m, spec.geometry, z),
+            "loss_db_without": attenuation_db(spec.c_db_per_m, z),
         })
     # loss grows with z, so the last row is the first to overflow
     if not all(map(math.isfinite, rows[-1].values())):

@@ -34,8 +34,8 @@ def report(line: str):
 
 def test_c01_range_without_geometry(green, blue, capsys):
     t0 = time.perf_counter()
-    sol_g = max_distance_m(green.budget_db, green.water, mode=WITHOUT_GEOMETRY)
-    sol_b = max_distance_m(blue.budget_db, blue.water, mode=WITHOUT_GEOMETRY)
+    sol_g = max_distance_m(green.budget_db, green.c_db_per_m, mode=WITHOUT_GEOMETRY)
+    sol_b = max_distance_m(blue.budget_db, blue.c_db_per_m, mode=WITHOUT_GEOMETRY)
     elapsed = time.perf_counter() - t0
     assert abs(sol_g.max_distance_m - 231.6) / 231.6 < 0.005
     assert abs(sol_b.max_distance_m - 337.5) / 337.5 < 0.005
@@ -53,8 +53,8 @@ def test_c01_range_without_geometry(green, blue, capsys):
 def test_c02_range_with_calibrated_k(green, blue):
     geo_g = LinkGeometry(30.0, 0.53, 0.0, 0.046, k_override_m2=1.198)
     geo_b = LinkGeometry(30.0, 3.83, 0.0, 0.008, k_override_m2=9.67e-3)
-    sol_g = max_distance_m(green.budget_db, green.water, geo_g, WITH_GEOMETRY)
-    sol_b = max_distance_m(blue.budget_db, blue.water, geo_b, WITH_GEOMETRY)
+    sol_g = max_distance_m(green.budget_db, green.c_db_per_m, geo_g, WITH_GEOMETRY)
+    sol_b = max_distance_m(blue.budget_db, blue.c_db_per_m, geo_b, WITH_GEOMETRY)
     assert abs(sol_g.max_distance_m - 117.7) / 117.7 < 0.001
     assert abs(sol_b.max_distance_m - 128.3) / 128.3 < 0.001
     report(f"C2 range-calibrated-k: green {sol_g.max_distance_m:.2f} m, "

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from uwoclink.agc import AgcState, CalibrationError, ReceiverChain, agc_step, fit_calibration
 
@@ -50,7 +53,25 @@ class TestReceiverChain:
     def test_attenuation_inverse(self):
         for att in (0.0, 3.0, 10.0, 19.9):
             v = CHAIN.voltage_for_attenuation_db(att)
-            assert CHAIN.attenuation_db_at(v) == pytest.approx(att, abs=1e-6)
+            assert CHAIN.attenuation_db_at(v) == pytest.approx(att, abs=1e-9)
+
+    @given(steepness=st.floats(-300.0, 300.0), fraction=st.floats(0.0, 1.0))
+    def test_attenuation_inverse_any_usable_steepness(self, steepness, fraction):
+        # steep curves round the logistic to 0 or 1 near the ends, where
+        # ln(1/f - 1) is undefined; the inverse clamps to the voltage range
+        try:
+            chain = ReceiverChain(lc_steepness=steepness)
+        except ValueError:
+            assume(False)
+        att = fraction * chain.lc_attenuation_range_db
+        v = chain.voltage_for_attenuation_db(att)
+        v_min, v_max = chain.lc_voltage_range
+        assert v_min <= v <= v_max
+        # a near-flat curve's attenuation_db_at steps by range * eps / (f_max
+        # - f_min) between neighbouring voltages, coarser than 1e-9 dB
+        spread = abs(chain._logistic(v_max) - chain._logistic(v_min))
+        resolution = 8 * chain.lc_attenuation_range_db * sys.float_info.epsilon / spread
+        assert abs(chain.attenuation_db_at(v) - att) <= max(1e-9, resolution)
 
     @pytest.mark.parametrize("steepness, volts", [
         (0.0, (0.0, 5.0)),  # flat: f(v_max) - f(v_min) was a ZeroDivisionError

@@ -8,7 +8,6 @@ from uwoclink.channel import (
     FadingSpec,
     LinkGeometry,
     NlosPath,
-    WaterOptics,
     attenuation_db,
     collected_fraction,
     disc_overlap_fraction,
@@ -20,8 +19,8 @@ from uwoclink.channel import (
 )
 from uwoclink.engine import run_scenario
 
-GREEN_WATER = WaterOptics(0.358)
-BLUE_WATER = WaterOptics(0.298)
+GREEN_C_DB_PER_M = 0.358
+BLUE_C_DB_PER_M = 0.298
 GREEN_GEO = LinkGeometry(distance_m=30.0, half_angle_deg=0.53,
                          tx_exit_diameter_m=0.0, rx_aperture_m=0.046)
 BLUE_GEO = LinkGeometry(distance_m=30.0, half_angle_deg=3.83,
@@ -29,34 +28,34 @@ BLUE_GEO = LinkGeometry(distance_m=30.0, half_angle_deg=3.83,
 
 
 class TestWaterOptics:
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            WaterOptics(-0.1)
+    def test_negative_rejected(self, green):
+        with pytest.raises(ValueError, match="c_db_per_m must be >= 0"):
+            replace(green, c_db_per_m=-0.1)
 
 
 class TestAttenuation:
     def test_zero_distance(self):
-        assert attenuation_db(GREEN_WATER, 0.0) == 0.0
+        assert attenuation_db(GREEN_C_DB_PER_M, 0.0) == 0.0
 
     def test_green_30m(self):
-        assert attenuation_db(GREEN_WATER, 30.0) == pytest.approx(10.74)
+        assert attenuation_db(GREEN_C_DB_PER_M, 30.0) == pytest.approx(10.74)
 
     def test_blue_full_range_matches_budget(self):
         # attenuation at the no-geometry range limit must equal the blue
         # budget to within 0.05%
-        loss = attenuation_db(BLUE_WATER, 337.5)
+        loss = attenuation_db(BLUE_C_DB_PER_M, 337.5)
         assert loss == pytest.approx(100.54, rel=5e-4)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            attenuation_db(GREEN_WATER, -1.0)
+            attenuation_db(GREEN_C_DB_PER_M, -1.0)
 
     def test_additivity(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             z1, z2 = rng.uniform(0, 500, 2)
-            whole = attenuation_db(GREEN_WATER, z1 + z2)
-            parts = attenuation_db(GREEN_WATER, z1) + attenuation_db(GREEN_WATER, z2)
+            whole = attenuation_db(GREEN_C_DB_PER_M, z1 + z2)
+            parts = attenuation_db(GREEN_C_DB_PER_M, z1) + attenuation_db(GREEN_C_DB_PER_M, z2)
             assert whole == pytest.approx(parts, rel=1e-12)
 
 
@@ -178,15 +177,15 @@ class TestNlosExcess:
     bounce's extra spread is part of the unfolded path's geometric loss."""
 
     def test_perfect_mirror_equal_path_has_no_excess(self):
-        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(1.0, 30.0))
+        bd = total_loss_db(BLUE_GEO, BLUE_C_DB_PER_M, NlosPath(1.0, 30.0))
         assert bd.nlos_excess_db == 0.0 and not bd.link_dark
-        assert bd.total_db == total_loss_db(BLUE_GEO, BLUE_WATER).total_db
+        assert bd.total_db == total_loss_db(BLUE_GEO, BLUE_C_DB_PER_M).total_db
 
     def test_reflectance_penalty_is_log10(self):
         # the unfolded path has the direct path's optics but not its k
         direct = replace(BLUE_GEO, k_override_m2=1.198)
         unfolded = LinkGeometry(34.0, 3.83, 0.0, 0.008)
-        bd = total_loss_db(direct, BLUE_WATER, NlosPath(0.1, 34.0))
+        bd = total_loss_db(direct, BLUE_C_DB_PER_M, NlosPath(0.1, 34.0))
         assert bd.nlos_excess_db == pytest.approx(10.0)
         assert bd.geometric_db == geometric_loss_db(unfolded)
         assert not bd.link_dark
@@ -195,19 +194,19 @@ class TestNlosExcess:
         # reflectance 0.05 over a 34 m bounce vs the 30 m direct path: a
         # 13.0103 dB excess, and 55.103 - 54.018 dB of extra spread,
         # evaluated by hand, inside the geometric term
-        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(0.05, 34.0))
+        bd = total_loss_db(BLUE_GEO, BLUE_C_DB_PER_M, NlosPath(0.05, 34.0))
         assert bd.nlos_excess_db == pytest.approx(13.0103, abs=1e-3)
         assert bd.geometric_db - geometric_loss_db(BLUE_GEO) == \
             pytest.approx(1.085, abs=0.01)
 
     def test_zero_reflectance_flags_dark(self):
-        bd = total_loss_db(BLUE_GEO, BLUE_WATER, NlosPath(0.0, 30.0))
+        bd = total_loss_db(BLUE_GEO, BLUE_C_DB_PER_M, NlosPath(0.0, 30.0))
         assert bd.link_dark
 
 
 class TestTotalLoss:
     def test_green_aligned_at_30m(self):
-        bd = total_loss_db(GREEN_GEO, GREEN_WATER)
+        bd = total_loss_db(GREEN_GEO, GREEN_C_DB_PER_M)
         assert bd.attenuation_db == pytest.approx(10.74)
         assert bd.geometric_db == pytest.approx(21.63, abs=0.01)
         assert bd.pointing_db == 0.0
@@ -216,13 +215,13 @@ class TestTotalLoss:
 
     def test_zero_distance_covering_spot(self):
         g = LinkGeometry(0.0, 0.53, 0.005, 0.046)
-        bd = total_loss_db(g, GREEN_WATER)
+        bd = total_loss_db(g, GREEN_C_DB_PER_M)
         assert bd.total_db == 0.0
         assert not bd.link_dark
 
     def test_blue_nlos_preset_components(self):
         nlos = NlosPath(0.05, 34.0)
-        bd = total_loss_db(BLUE_GEO, BLUE_WATER, nlos=nlos)
+        bd = total_loss_db(BLUE_GEO, BLUE_C_DB_PER_M, nlos=nlos)
         assert bd.attenuation_db == pytest.approx(0.298 * 34.0)
         assert bd.geometric_db == pytest.approx(55.10, abs=0.01)
         assert bd.nlos_excess_db == pytest.approx(13.0103, abs=1e-3)
@@ -230,7 +229,7 @@ class TestTotalLoss:
 
     def test_total_is_component_sum(self):
         nlos = NlosPath(0.3, 40.0)
-        bd = total_loss_db(BLUE_GEO, BLUE_WATER, nlos=nlos)
+        bd = total_loss_db(BLUE_GEO, BLUE_C_DB_PER_M, nlos=nlos)
         parts = (bd.attenuation_db + bd.geometric_db + bd.pointing_db
                  + bd.nlos_excess_db)
         assert bd.total_db == pytest.approx(parts, rel=1e-12)
@@ -239,14 +238,14 @@ class TestTotalLoss:
         prev = -1.0
         for z in np.linspace(1.0, 200.0, 40):
             g = LinkGeometry(z, 0.53, 0.0, 0.046)
-            total = total_loss_db(g, GREEN_WATER).total_db
+            total = total_loss_db(g, GREEN_C_DB_PER_M).total_db
             assert total > prev
             prev = total
 
     def test_zero_fading_leaves_total_unchanged(self, green):
         # the engine adds each second's fading draw to the static total
         still = replace(green, fading=FadingSpec())
-        static = total_loss_db(still.geometry, still.water, still.nlos).total_db
+        static = total_loss_db(still.geometry, still.c_db_per_m, still.nlos).total_db
         report = run_scenario(still, 3, seed=0)
         assert report.margin_trace_db == (still.budget_db - static,) * 3
 

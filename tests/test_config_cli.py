@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import uwoclink
 from uwoclink.agc import ReceiverChain
-from uwoclink.channel import FadingSpec, LinkGeometry, NlosPath, WaterOptics
+from uwoclink.channel import FadingSpec, LinkGeometry, NlosPath
 from uwoclink.cli import _bits_to_hex, _hex_to_bits, build_parser, main, render_report
 from uwoclink.config import (
     SCHEMA,
@@ -93,7 +93,7 @@ def config_specs(draw):
         name=draw(st.text(string.ascii_letters + string.digits + "-_.",
                           min_size=1, max_size=20)),
         tx_power_w=draw(f(1e-3, 100.0)),
-        water=WaterOptics(draw(f(0.0, 10.0))),
+        c_db_per_m=draw(f(0.0, 10.0)),
         geometry=geometry,
         modulation=ModulationScheme(draw(st.sampled_from([OOK, PPM4])),
                                     draw(f(1e3, 1e9))),
@@ -106,7 +106,6 @@ def config_specs(draw):
         iface_cap_bps=draw(f(1e3, 1e9)),
         frame_payload_bytes=draw(st.integers(46, 1500)),
         snr_offset_db=draw(f(-60.0, 60.0)),
-        outer_words_per_frame=draw(st.integers(1, 16)),
         sim_frames_per_second=draw(st.integers(1, 60)),
     )
 
@@ -119,7 +118,7 @@ class TestPresets:
         assert green.budget_db == 82.77
         assert green.modulation.kind == "ook"
         assert green.modulation.bit_rate_bps == 125e6
-        assert green.water.c_db_per_m == 0.358
+        assert green.c_db_per_m == 0.358
 
     def test_blue_preset_values(self, blue):
         assert blue.tx_power_w == 2.1
@@ -189,12 +188,11 @@ class TestParsing:
         assert spec.tx_power_w == 2.36  # untouched preset value
 
     @pytest.mark.parametrize("text, water", [
-        ("c_db_per_m = 0.5\n", WaterOptics(0.5)),
+        ("c_db_per_m = 0.5\n", {"c_db_per_m": 0.5}),
     ])
     def test_water_section_replaces_preset_pair(self, text, water):
         spec = parse_scenario("[water]\n" + text, preset="green-125M")
-        assert spec.water == water
-        assert spec.geometry == load_preset("green-125M").geometry
+        assert spec == replace(load_preset("green-125M"), **water)
 
     def test_empty_water_section_keeps_preset_pair(self):
         # an empty [water] header keeps the preset's c_db_per_m
@@ -234,12 +232,13 @@ class TestParsing:
 
     @pytest.mark.parametrize("value", NOT_PLAIN_NUMBERS)
     def test_not_plain_word_count_rejected(self, value):
-        # the same values as an int under [codec]
-        text = f"[codec]\nouter_words_per_frame = {value}\n"
+        # the same values as a byte count (the test once took the frame's
+        # outer word count, a key since removed)
+        text = f"[link]\nframe_payload_bytes = {value}\n"
         with pytest.raises(ConfigError) as err:
             parse_mapping(text)
         assert str(err.value) == (
-            f"line 2: key 'outer_words_per_frame' expects int, got {value!r}")
+            f"line 2: key 'frame_payload_bytes' expects int, got {value!r}")
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -501,14 +500,27 @@ class TestCliCommands:
     @pytest.mark.parametrize("command", [["simulate", "--duration-s", "2"], ["plan"]])
     def test_interleaver_depth_key_is_gone_exit_2(self, tmp_path, capsys, command):
         # the interleave is fixed (bit j to inner word j mod 8); a scenario
-        # file that still sets the depth stops at the key, not silently
+        # file that still sets the depth stops at its [codec] section, not
+        # silently
         cfg = tmp_path / "old.cfg"
         cfg.write_text("[codec]\nouter_words_per_frame = 4\ninterleaver_depth = 8\n")
         assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert error_lines(captured.err) == [
-            "error: line 3: unknown key 'interleaver_depth' in section [codec]"]
+        assert error_lines(captured.err) == ["error: line 1: unknown section [codec]"]
+
+    @pytest.mark.parametrize("command", [["simulate", "--duration-s", "2"], ["plan"],
+                                         ["monitor", "--epochs", "1"]])
+    def test_codec_section_is_gone_exit_2(self, tmp_path, capsys, command):
+        # the frame is fixed at 4 outer words, the frame fec encodes and
+        # decodes; a file that still sizes it stops at the section
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("[link]\nsnr_offset_db = -3.0\n\n[codec]\n"
+                       "outer_words_per_frame = 2\n")
+        assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == ["error: line 4: unknown section [codec]"]
 
     def test_c_per_m_key_is_gone_exit_2(self, tmp_path, capsys):
         # attenuation is given in dB/m only; a file in the per-metre form
@@ -572,13 +584,12 @@ class TestCliCommands:
     @pytest.mark.parametrize("section, key, kind, value, command", [
         ("geometry", "distance_m", "float", "\u0661\u0662", ["plan"]),
         ("geometry", "distance_m", "float", "1_0", ["simulate", "--duration-s", "2"]),
-        ("codec", "outer_words_per_frame", "int", "1_0",
-         ["simulate", "--duration-s", "2"]),
-        ("codec", "outer_words_per_frame", "int", "\u0668", ["plan"]),
+        ("link", "frame_payload_bytes", "int", "1_0", ["simulate", "--duration-s", "2"]),
+        ("link", "frame_payload_bytes", "int", "\u0668", ["plan"]),
     ])
     def test_not_plain_number_config_exit_2(self, tmp_path, capsys, section, key,
                                             kind, value, command):
-        # each used to parse: distance_m = 12.0, outer_words_per_frame = 10 or 8
+        # each used to parse: distance_m = 12.0 or 10.0, frame_payload_bytes = 10 or 8
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
         assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2
@@ -603,11 +614,11 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("geometry", "nlos_unfolded_distance_m", "-1", "unfolded_distance_m must be >= 0"),
-        ("codec", "outer_words_per_frame", "0", "outer_words_per_frame must be >= 1"),
+        ("water", "c_db_per_m", "-1", "c_db_per_m must be >= 0"),
     ])
     def test_invalid_value_plan_exit_2(self, tmp_path, capsys, section, key, value,
                                        message):
-        # a word count of 0 used to print a plan and exit 0
+        # plan simulates nothing, but a value no link can have still stops it
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[{section}]\n{key} = {value}\n")
         assert main(["plan", "--preset", "blue-6M25-nlos", "--config", str(cfg)]) == 2
@@ -616,9 +627,9 @@ class TestCliCommands:
         assert error_lines(captured.err) == [f"error: invalid configuration: {message}"]
 
     def test_out_of_memory_exit_2(self, monkeypatch, capsys):
-        # outer_words_per_frame = 100000 used to end in a numpy
-        # _ArrayMemoryError traceback while building the codec; the stub
-        # raises without allocating anything
+        # a codec too large for memory (outer_words_per_frame = 100000, a
+        # key since removed) used to end in a numpy _ArrayMemoryError
+        # traceback; the stub raises without allocating anything
         def exhausted(*args):
             raise MemoryError("Unable to allocate 18.6 GiB for an array")
 

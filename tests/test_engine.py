@@ -391,7 +391,7 @@ class TestErrorDistribution:
         for _ in range(100):
             mid = math.sqrt(lo * hi)
             lo, hi = (mid, hi) if theoretical_ber(kind, mid) > self.TARGET_BER else (lo, mid)
-        margin = spec.budget_db - total_loss_db(spec.geometry, spec.water,
+        margin = spec.budget_db - total_loss_db(spec.geometry, spec.c_db_per_m,
                                                 spec.nlos).total_db
         return replace(spec, snr_offset_db=20.0 * math.log10(lo) - margin)
 
@@ -639,9 +639,9 @@ class TestGoldenDigests:
 
     PRESETS = ["green-125M", "blue-6M25", "blue-6M25-nlos"]
     CONFIG_HASHES = {
-        "green-125M": "2c5596868cd5e260",
-        "blue-6M25": "911d2c7cc46f6fd6",
-        "blue-6M25-nlos": "5034822eec09542c",
+        "green-125M": "62ca731a29a5dcb6",
+        "blue-6M25": "23f11f566df5a92c",
+        "blue-6M25-nlos": "c1b79ef73be60b3a",
     }
     SCENARIO_DIGESTS = {
         "green-125M": "ee0c8e8124f291d9",

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from collections import Counter
 
@@ -8,23 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwoclink.fec.bch import STATUS_FAILURE, STATUS_OK, BchCodeSpec
-from uwoclink.fec.concat import ConcatCodecSpec, deinterleave, interleave
+from uwoclink.fec.concat import ConcatCodecSpec, codec_for, deinterleave, interleave
 
 
 @pytest.fixture(scope="module")
 def mini(gf16):
-    """Tiny concat codec exercising the zero-padded tail path."""
-    outer = BchCodeSpec(15, 5, 3, gf16)
+    """Tiny concat codec: one 14-bit outer word over two 7-bit inner
+    payloads, as each production outer word fills two inner payloads."""
+    outer = BchCodeSpec(14, 4, 3, gf16)
     inner = BchCodeSpec(15, 7, 2, gf16)
     return ConcatCodecSpec(outer=outer, inner=inner, outer_words_per_frame=1)
 
 
 @pytest.fixture(scope="module")
 def small(gf16):
-    """Four 15-bit outer words over nine 7-bit inner payloads: outer words
-    straddle inner words, and t = 2 inner words miscorrect often enough to
-    hand the outer code errors to correct."""
-    return ConcatCodecSpec(outer=BchCodeSpec(15, 5, 3, gf16),
+    """Four 14-bit outer words over eight 7-bit inner payloads, the
+    production shape: t = 2 inner words miscorrect often enough to hand the
+    outer code errors to correct."""
+    return ConcatCodecSpec(outer=BchCodeSpec(14, 4, 3, gf16),
                            inner=BchCodeSpec(15, 7, 2, gf16),
                            outer_words_per_frame=4)
 
@@ -106,25 +106,19 @@ class TestInterleaver:
 
 
 class TestCodecCache:
-    def test_spec_codec_is_shared(self, green):
-        assert green.codec is green.codec
-
-    def test_other_word_count_gets_other_codec(self, green):
-        other = dataclasses.replace(green, outer_words_per_frame=2)
-        assert other.codec is not green.codec
-        assert other.codec.outer_words_per_frame == 2
-        assert green.codec.outer_words_per_frame == 4
-        # the interleave depth is always the inner word count
-        assert other.codec.interleaver_depth == other.codec.inner_words_per_frame == 4
-        assert green.codec.interleaver_depth == 8
+    def test_spec_codec_is_shared(self, green, blue_nlos):
+        # every link and the fec subcommand share the one production codec
+        assert green.codec is green.codec is blue_nlos.codec is codec_for()
 
 
 class TestFraming:
     def test_default_frame_arithmetic(self, codec):
         assert codec.frame_payload_bits == 4 * 3824 == 15296
-        assert codec.inner_words_per_frame == 8
-        assert codec.tail_pad_bits == 0
+        # each 3860-bit outer word fills two 1930-bit inner payloads
+        assert codec.inner_words_per_frame == 4 * 3860 // 1930 == 8
         assert codec.frame_bits == 8 * 2040 == 16320
+        # the interleave depth is always the inner word count
+        assert codec.interleaver_depth == 8
 
     def test_frame_length_matches_rate(self, codec):
         expected = codec.frame_payload_bits / codec.code_rate()
@@ -140,12 +134,11 @@ class TestFraming:
         assert words.any()
         assert not codec.inner.syndromes(words).any()
 
-    def test_mini_codec_pads_tail(self, mini):
-        assert mini.frame_payload_bits == 5
-        # one 15-bit outer word chops into three 7-bit inner payloads
-        assert mini.inner_words_per_frame == 3
-        assert mini.tail_pad_bits == 6
-        assert mini.frame_bits == 45
+    def test_non_dividing_codes_rejected(self, gf16):
+        # a 15-bit outer word would straddle 7-bit inner payloads
+        with pytest.raises(ValueError, match="inner k=7 does not divide outer n=15"):
+            ConcatCodecSpec(outer=BchCodeSpec(15, 5, 3, gf16),
+                            inner=BchCodeSpec(15, 7, 2, gf16))
 
 
 class TestCodeRate:
@@ -184,7 +177,7 @@ class TestRoundtrip:
     def test_clean_roundtrip_mini_thousand(self, mini):
         rng = np.random.default_rng(11)
         for _ in range(1000):
-            payload = rng.integers(0, 2, 5).astype(np.uint8)
+            payload = rng.integers(0, 2, mini.frame_payload_bits).astype(np.uint8)
             out = mini.decode(mini.encode(payload))
             assert out.status == STATUS_OK
             assert np.array_equal(out.message_bits, payload)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uwoclink.channel import LinkGeometry, WaterOptics, attenuation_db
+from uwoclink.channel import LinkGeometry, attenuation_db
 from uwoclink.planner import (
     WITH_GEOMETRY,
     WITHOUT_GEOMETRY,
@@ -15,8 +15,8 @@ from uwoclink.planner import (
     path_loss_db,
 )
 
-GREEN_WATER = WaterOptics(0.358)
-BLUE_WATER = WaterOptics(0.298)
+GREEN_C_DB_PER_M = 0.358
+BLUE_C_DB_PER_M = 0.298
 GREEN_GEO = LinkGeometry(30.0, 0.53, 0.0, 0.046)
 BLUE_GEO = LinkGeometry(30.0, 3.83, 0.0, 0.008)
 
@@ -27,7 +27,7 @@ K_BLUE = 9.67e-3
 
 def margin_db(spec, z):
     """Budget headroom of the aligned link at distance z."""
-    return spec.budget_db - path_loss_db(spec.water, spec.geometry, z)
+    return spec.budget_db - path_loss_db(spec.c_db_per_m, spec.geometry, z)
 
 
 class TestMargin:
@@ -45,18 +45,18 @@ class TestMargin:
 
 class TestMaxDistanceWithoutGeometry:
     def test_green_range(self):
-        sol = max_distance_m(82.77, GREEN_WATER, mode=WITHOUT_GEOMETRY)
+        sol = max_distance_m(82.77, GREEN_C_DB_PER_M, mode=WITHOUT_GEOMETRY)
         assert sol.max_distance_m == pytest.approx(231.20, abs=0.01)
         # published estimate: 231.6 m, tolerance 0.5%
         assert abs(sol.max_distance_m - 231.6) / 231.6 < 0.005
 
     def test_blue_range(self):
-        sol = max_distance_m(100.54, BLUE_WATER, mode=WITHOUT_GEOMETRY)
+        sol = max_distance_m(100.54, BLUE_C_DB_PER_M, mode=WITHOUT_GEOMETRY)
         assert sol.max_distance_m == pytest.approx(337.38, abs=0.01)
         assert abs(sol.max_distance_m - 337.5) / 337.5 < 0.005
 
     def test_closed_form_agrees_with_bisection(self):
-        closed = max_distance_m(82.77, GREEN_WATER, mode=WITHOUT_GEOMETRY)
+        closed = max_distance_m(82.77, GREEN_C_DB_PER_M, mode=WITHOUT_GEOMETRY)
         z = _bisect_increasing(
             lambda z: 0.358 * z - 82.77, 1e-3, 82.77 / 0.358 + 1.0)
         assert abs(closed.max_distance_m - z) < 1e-6
@@ -65,19 +65,19 @@ class TestMaxDistanceWithoutGeometry:
 class TestMaxDistanceWithGeometry:
     def test_green_calibrated_k(self):
         geo = LinkGeometry(30.0, 0.53, 0.0, 0.046, k_override_m2=K_GREEN)
-        sol = max_distance_m(82.77, GREEN_WATER, geo, WITH_GEOMETRY)
+        sol = max_distance_m(82.77, GREEN_C_DB_PER_M, geo, WITH_GEOMETRY)
         assert abs(sol.max_distance_m - 117.7) / 117.7 < 0.001
         assert abs(sol.residual_db) < 1e-6
         assert sol.k_used_m2 == K_GREEN
 
     def test_blue_calibrated_k(self):
         geo = LinkGeometry(30.0, 3.83, 0.0, 0.008, k_override_m2=K_BLUE)
-        sol = max_distance_m(100.54, BLUE_WATER, geo, WITH_GEOMETRY)
+        sol = max_distance_m(100.54, BLUE_C_DB_PER_M, geo, WITH_GEOMETRY)
         assert abs(sol.max_distance_m - 128.3) / 128.3 < 0.001
         assert abs(sol.residual_db) < 1e-6
 
     def test_physical_model_converges(self):
-        sol = max_distance_m(82.77, GREEN_WATER, GREEN_GEO, WITH_GEOMETRY)
+        sol = max_distance_m(82.77, GREEN_C_DB_PER_M, GREEN_GEO, WITH_GEOMETRY)
         assert abs(sol.residual_db) < 1e-6
         assert 0 < sol.max_distance_m < 231.2
 
@@ -85,19 +85,18 @@ class TestMaxDistanceWithGeometry:
         geo = LinkGeometry(30.0, 0.53, 0.0, 0.046, k_override_m2=K_GREEN)
         prev = 0.0
         for budget in (60.0, 70.0, 80.0, 90.0):
-            d = max_distance_m(budget, GREEN_WATER, geo, WITH_GEOMETRY)
+            d = max_distance_m(budget, GREEN_C_DB_PER_M, geo, WITH_GEOMETRY)
             assert d.max_distance_m > prev
             prev = d.max_distance_m
         prev = math.inf
         for c_db in (0.2, 0.3, 0.4, 0.5):
-            water = WaterOptics(c_db)
-            d = max_distance_m(82.77, water, geo, WITH_GEOMETRY)
+            d = max_distance_m(82.77, c_db, geo, WITH_GEOMETRY)
             assert d.max_distance_m < prev
             prev = d.max_distance_m
 
     def test_requires_geometry(self):
         with pytest.raises(ValueError):
-            max_distance_m(82.77, GREEN_WATER, None, WITH_GEOMETRY)
+            max_distance_m(82.77, GREEN_C_DB_PER_M, None, WITH_GEOMETRY)
 
     def test_solver_error_diagnostic(self):
         with pytest.raises(SolverError, match="no sign change"):
@@ -116,11 +115,11 @@ class TestBackSolveK:
         assert k == pytest.approx(K_BLUE, rel=1e-3)
 
     def test_roundtrip_with_solver(self):
-        for budget, water, target in ((82.77, GREEN_WATER, 117.7),
-                                      (100.54, BLUE_WATER, 128.3)):
-            k = back_solve_k(budget, water.c_db_per_m, target)
+        for budget, c_db, target in ((82.77, GREEN_C_DB_PER_M, 117.7),
+                                     (100.54, BLUE_C_DB_PER_M, 128.3)):
+            k = back_solve_k(budget, c_db, target)
             geo = LinkGeometry(30.0, 1.0, 0.0, 0.05, k_override_m2=k)
-            sol = max_distance_m(budget, water, geo, WITH_GEOMETRY)
+            sol = max_distance_m(budget, c_db, geo, WITH_GEOMETRY)
             assert sol.max_distance_m == pytest.approx(target, abs=1e-3)
 
     def test_attenuation_exceeding_budget_rejected(self):
@@ -136,7 +135,7 @@ class TestDistanceCurve:
         assert rows[-1]["z_m"] == 100.0
 
     def test_crossing_brackets_solver_result(self, green):
-        sol = max_distance_m(green.budget_db, green.water, mode=WITHOUT_GEOMETRY)
+        sol = max_distance_m(green.budget_db, green.c_db_per_m, mode=WITHOUT_GEOMETRY)
         rows = distance_curve(green, 1.0, 300.0, 300)
         crossing = None
         for a, b in zip(rows, rows[1:]):
@@ -170,10 +169,10 @@ class TestDistanceCurve:
 class TestPathLoss:
     def test_without_geometry_is_pure_attenuation(self, green):
         [row] = [r for r in distance_curve(green, 50.0, 100.0, 2) if r["z_m"] == 100.0]
-        assert row["loss_db_without"] == attenuation_db(green.water, 100.0)
-        assert attenuation_db(GREEN_WATER, 100.0) == pytest.approx(35.8)
+        assert row["loss_db_without"] == attenuation_db(green.c_db_per_m, 100.0)
+        assert attenuation_db(GREEN_C_DB_PER_M, 100.0) == pytest.approx(35.8)
 
     def test_planner_ignores_pointing_offset(self):
         offset_geo = LinkGeometry(30.0, 0.53, 0.0, 0.046, pointing_offset_m=5.0)
-        assert path_loss_db(GREEN_WATER, offset_geo, 30.0) == pytest.approx(
-            path_loss_db(GREEN_WATER, GREEN_GEO, 30.0))
+        assert path_loss_db(GREEN_C_DB_PER_M, offset_geo, 30.0) == pytest.approx(
+            path_loss_db(GREEN_C_DB_PER_M, GREEN_GEO, 30.0))
