@@ -56,16 +56,21 @@ class ReceiverChain:
         if not 0 < w_low < w_high:
             raise ValueError("agc_window_v must satisfy 0 < low < high")
         # the exp argument is linear in v, so if neither end overflows no
-        # voltage in between does; a logistic of 0 means exp returned inf
+        # voltage in between does; a logistic of 0 means exp returned inf.
+        # attenuation_db_at steps by about range * eps / (f_max - f_min)
+        # between neighbouring voltages; 8 times that must be <= 1e-9 dB
         try:
             f_min, f_max = (self._logistic(v) for v in self.lc_voltage_range)
-            usable = 0 < f_min and 0 < f_max and f_min != f_max
+            spread = abs(f_max - f_min)
+            usable = 0 < f_min and 0 < f_max and 0 < spread and (
+                8 * self.lc_attenuation_range_db * sys.float_info.epsilon / spread
+                <= 1e-9)
         except OverflowError:
             usable = False
         if not usable:
             raise ValueError(
                 f"lc_steepness={self.lc_steepness} makes the LC curve over "
-                f"lc_voltage_range={self.lc_voltage_range} flat or overflow")
+                f"lc_voltage_range={self.lc_voltage_range} overflow or too flat")
 
     # --- LC curve -------------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Command-line front end: plan, simulate, monitor, fec, calibrate.
 
 Every emitted report embeds the seed and a hash of the canonical scenario
-text, so any run can be reproduced exactly. Validation problems, and a
-configuration too large for memory, print a single ``error: ...`` line on
-stderr and exit 2; a clean run exits 0. ``fec decode`` exits 1 when
-blocks failed to decode but the program itself ran fine.
+text, so any run can be reproduced exactly. Validation problems, a
+configuration too large for memory and JSON output past float range print
+a single ``error: ...`` line on stderr and exit 2; a clean run exits 0.
+``fec decode`` exits 1 when blocks failed to decode but the program ran.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _emit(text: str, out_path: str | None):
 def render_report(report: SimReport, output_format: str = "json") -> str:
     """Deterministic serialization of a SimReport."""
     if output_format == "json":
-        return json.dumps(report.to_dict(), indent=2)
+        return json.dumps(report.to_dict(), indent=2, allow_nan=False)
     if output_format == "csv":
         return beps_csv(report)
     raise ConfigError(f"unknown format {output_format!r}")
@@ -104,7 +104,7 @@ def _cmd_plan(args) -> int:
             WITH_GEOMETRY: with_geo.to_dict(),
         },
     }
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
     if args.curve_out:
         with open(args.curve_out, "w", encoding="utf-8") as fh:
             fh.write(curve_csv(spec, rows, args.seed))
@@ -135,7 +135,7 @@ def _cmd_monitor(args) -> int:
         "total_packet_losses": sum(r.packet_loss_count for r in reports),
         "reports": [r.to_dict() for r in reports],
     }
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -211,11 +211,7 @@ def _cmd_calibrate(args) -> int:
                 raise ConfigError(
                     f"{args.samples}:{lineno}: non-numeric field in {line!r}"
                 ) from None
-    if args.preset or args.config:
-        chain = _load_spec(args).receiver
-    else:
-        chain = ReceiverChain()
-    cal = fit_calibration(rows, chain)
+    cal = fit_calibration(rows, ReceiverChain())
     import hashlib  # here, not at the top: it costs milliseconds of import
 
     with open(args.samples, "rb") as fh:
@@ -230,7 +226,7 @@ def _cmd_calibrate(args) -> int:
         "residual_rms_db": cal.residual_rms_db,
         "residual_max_db": cal.residual_max_db,
     }
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -242,13 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     presets = preset_names()
 
-    def add_common(p, needs_seed=True):
+    def add_common(p):
         p.add_argument("--config", help="scenario file path")
         p.add_argument("--preset", choices=presets,
                        help="named base configuration")
         p.add_argument("--out", help="write output to this path")
-        if needs_seed:
-            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0)
 
     p_plan = sub.add_parser("plan", help="range solutions and loss curve")
     add_common(p_plan)
@@ -281,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="concat")
     p_fec.set_defaults(func=_cmd_fec)
 
-    p_cal = sub.add_parser("calibrate", help="fit the receiver chain model")
-    add_common(p_cal, needs_seed=False)
+    p_cal = sub.add_parser("calibrate", help="fit the deployed receiver chain model")
+    p_cal.add_argument("--out", help="write output to this path")
     p_cal.add_argument("--samples", required=True,
                        help="file of P_watts lc_volts gain measured_volts rows")
     p_cal.set_defaults(func=_cmd_calibrate)

@@ -11,7 +11,6 @@ exactly for any config-expressible spec.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 from functools import cache
 from importlib import resources
 from typing import get_type_hints
@@ -30,8 +29,7 @@ _FLOAT = "float"
 _INT = "int"
 _STR = "str"
 
-# section -> key -> (value type, the LinkSpec attribute path it sets); a
-# trailing 0 or 1 in a path names one end of a range tuple
+# section -> key -> (value type, the LinkSpec attribute path it sets)
 SCHEMA = {
     "link": {
         "name": (_STR, "name"),
@@ -62,17 +60,6 @@ SCHEMA = {
         "sigma_db": (_FLOAT, "fading.sigma_db"),
         "burst_probability": (_FLOAT, "fading.burst_probability"),
         "burst_depth_db": (_FLOAT, "fading.burst_depth_db"),
-    },
-    "agc": {
-        "pmt_gain_min": (_FLOAT, "receiver.pmt_gain_range.0"),
-        "pmt_gain_max": (_FLOAT, "receiver.pmt_gain_range.1"),
-        "lc_voltage_min": (_FLOAT, "receiver.lc_voltage_range.0"),
-        "lc_voltage_max": (_FLOAT, "receiver.lc_voltage_range.1"),
-        "responsivity_v_per_w": (_FLOAT, "receiver.responsivity_v_per_w"),
-        "lc_attenuation_range_db": (_FLOAT, "receiver.lc_attenuation_range_db"),
-        "lc_steepness": (_FLOAT, "receiver.lc_steepness"),
-        "window_low_v": (_FLOAT, "receiver.agc_window_v.0"),
-        "window_high_v": (_FLOAT, "receiver.agc_window_v.1"),
     },
 }
 
@@ -177,17 +164,10 @@ def _field_types(cls) -> dict:
 
 
 def _build(cls, values: dict):
-    """``cls(**values)``; a nested dict first becomes its field's dataclass,
-    or the field's default range tuple with the ends it names replaced."""
+    """``cls(**values)``; a nested dict first becomes its field's dataclass."""
     types = _field_types(cls)
-    kwargs = dict(values)
-    for f in fields(cls):
-        part = values.get(f.name)
-        if isinstance(part, dict):
-            kwargs[f.name] = (
-                tuple(part.get(str(i), end) for i, end in enumerate(f.default))
-                if isinstance(f.default, tuple) else _build(types[f.name], part))
-    return cls(**kwargs)
+    return cls(**{name: _build(types[name], part) if isinstance(part, dict) else part
+                  for name, part in values.items()})
 
 
 def build_spec(mapping: dict) -> LinkSpec:
@@ -248,8 +228,7 @@ def spec_to_mapping(spec: LinkSpec) -> dict:
         for key, (_, path) in keys.items():
             value = spec
             for name in path.split("."):
-                if value is not None:
-                    value = value[int(name)] if name.isdigit() else getattr(value, name)
+                value = getattr(value, name, None)  # None under an unset nlos
             if value is not None:
                 mapping.setdefault(section, {})[key] = value
     return mapping

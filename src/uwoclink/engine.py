@@ -25,6 +25,7 @@ see, so a report stays a pure function of (configuration, seed).
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -60,7 +61,6 @@ class LinkSpec:
     geometry: LinkGeometry
     modulation: ModulationScheme
     budget_db: float
-    receiver: ReceiverChain = field(default_factory=ReceiverChain)
     fading: FadingSpec = field(default_factory=FadingSpec)
     nlos: NlosPath | None = None
     sync_overhead_fraction: float = 0.0
@@ -142,9 +142,18 @@ def goodput_for(spec: LinkSpec) -> float:
     return carried * (payload / (payload + ETHERNET_OVERHEAD_BYTES))
 
 
+def _from_db(value_db: float, per_decade: float) -> float:
+    """10^(value_db / per_decade); inf where that is past float range."""
+    try:
+        return 10.0 ** (value_db / per_decade)
+    except OverflowError:
+        return math.inf
+
+
 def margin_to_snr(margin_db: float, snr_offset_db: float) -> float:
-    """Amplitude SNR from link margin through the calibrated offset."""
-    return 10.0 ** ((margin_db + snr_offset_db) / 20.0)
+    """Amplitude SNR from link margin through the calibrated offset; inf,
+    a noiseless second, past float range."""
+    return _from_db(margin_db + snr_offset_db, 20.0)
 
 
 @dataclass
@@ -181,15 +190,19 @@ def _slot_chain(kind: str, sigma: float, noise: np.random.Generator,
 
 def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
                   log: _AnalogLog) -> Iterator[Callable]:
-    """Per simulated second: one fading draw and AGC update, then the slot
-    chain at the noise level the resulting margin sets.
+    """Per simulated second: one fading draw and an update of the deployed
+    receiver's AGC, then the slot chain at the noise level the resulting
+    margin sets.
 
     Slot noise comes from a child of ``rng``, so the fading draws do not
     depend on how many normals a frame needed.
     """
     kind = spec.modulation.kind
     static = total_loss_db(spec.geometry, spec.c_db_per_m, spec.nlos)
-    agc = spec.receiver.initial_state()
+    if not math.isfinite(static.total_db):
+        raise ValueError("the static path loss overflows a float")
+    receiver = ReceiverChain()
+    agc = receiver.initial_state()
     noise = rng.spawn(1)[0]
     while True:
         fading = sample_fading_db(spec.fading, rng)
@@ -201,11 +214,10 @@ def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
             snr = 0.0
         else:
             snr = margin_to_snr(margin, spec.snr_offset_db)
-            p_rx = spec.tx_power_w * 10.0 ** (-total / 10.0)
-            measured = spec.receiver.amplitude_v(p_rx, agc.lc_voltage,
-                                                 agc.pmt_gain)
+            p_rx = spec.tx_power_w * _from_db(-total, 10.0)
+            measured = receiver.amplitude_v(p_rx, agc.lc_voltage, agc.pmt_gain)
             if measured > 0:
-                agc = agc_step(spec.receiver, agc, measured)
+                agc = agc_step(receiver, agc, measured)
                 log.saturated_seconds += int(agc.saturated)
         sigma = 1.0 / max(snr, 1e-9)
         yield partial(_slot_chain, kind, sigma, noise)

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -67,11 +66,9 @@ class TestReceiverChain:
         v = chain.voltage_for_attenuation_db(att)
         v_min, v_max = chain.lc_voltage_range
         assert v_min <= v <= v_max
-        # a near-flat curve's attenuation_db_at steps by range * eps / (f_max
-        # - f_min) between neighbouring voltages, coarser than 1e-9 dB
-        spread = abs(chain._logistic(v_max) - chain._logistic(v_min))
-        resolution = 8 * chain.lc_attenuation_range_db * sys.float_info.epsilon / spread
-        assert abs(chain.attenuation_db_at(v) - att) <= max(1e-9, resolution)
+        # the chain rejects a curve so flat that attenuation_db_at steps by
+        # more than 1e-9 dB between neighbouring voltages
+        assert abs(chain.attenuation_db_at(v) - att) <= 1e-9
 
     @pytest.mark.parametrize("steepness, volts", [
         (0.0, (0.0, 5.0)),  # flat: f(v_max) - f(v_min) was a ZeroDivisionError
@@ -79,10 +76,17 @@ class TestReceiverChain:
         (1000.0, (0.0, 5.0)),  # exp overflows at v_min: was an OverflowError
         (-1000.0, (0.0, 5.0)),  # and at v_max
         (5.0, (0.0, 1e308)),  # exp(inf) at v_min, finite overflow inside
+        (1e-14, (0.0, 5.0)),  # steps of about 3e-6 dB
+        # just past the bound: 8 * 20 dB * eps / (f(5) - f(0)) is 1.0008e-9 dB
+        (2.84e-5, (0.0, 5.0)),
     ])
     def test_unusable_steepness_rejected(self, steepness, volts):
         with pytest.raises(ValueError, match="lc_steepness="):
             ReceiverChain(lc_steepness=steepness, lc_voltage_range=volts)
+
+    def test_steepness_just_inside_the_resolution_bound_accepted(self):
+        # 8 * 20 dB * eps / (f(5) - f(0)) is 9.97e-10 dB
+        ReceiverChain(lc_steepness=2.85e-5)
 
     def test_negative_steepness_gives_the_same_curve(self):
         mirrored = ReceiverChain(lc_steepness=-CHAIN.lc_steepness)

@@ -639,9 +639,9 @@ class TestGoldenDigests:
 
     PRESETS = ["green-125M", "blue-6M25", "blue-6M25-nlos"]
     CONFIG_HASHES = {
-        "green-125M": "62ca731a29a5dcb6",
-        "blue-6M25": "23f11f566df5a92c",
-        "blue-6M25-nlos": "c1b79ef73be60b3a",
+        "green-125M": "4bf707ee0e027dc7",
+        "blue-6M25": "9ee255cc6a2d028d",
+        "blue-6M25-nlos": "1ed4a623485660a0",
     }
     SCENARIO_DIGESTS = {
         "green-125M": "ee0c8e8124f291d9",
