@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,52 +26,21 @@ def _db(x: float) -> float:
 
 @dataclass(frozen=True)
 class ReceiverChain:
-    """Actuator ranges, the voltage-to-transmittance curve and the AGC window.
+    """The deployed receiver: actuator ranges, the voltage-to-transmittance
+    curve and the AGC window, all class constants.
 
     The LC curve is a logistic attenuation ramp from 0 dB at v_min to
     ``lc_attenuation_range_db`` at v_max (transmittance monotone
-    non-increasing, exactly 1 at v_min); a negative ``lc_steepness`` gives
-    the same normalised ramp as its magnitude. The gain control loop holds
-    the measured amplitude inside ``agc_window_v``.
+    non-increasing, exactly 1 at v_min). The gain control loop holds the
+    measured amplitude inside ``agc_window_v``.
     """
 
-    pmt_gain_range: tuple[float, float] = (1e2, 1e6)
-    lc_voltage_range: tuple[float, float] = (0.0, 5.0)
-    responsivity_v_per_w: float = 50.0
-    lc_attenuation_range_db: float = 20.0
-    lc_steepness: float = 1.5
-    agc_window_v: tuple[float, float] = (0.5, 5.0)
-
-    def __post_init__(self):
-        g_min, g_max = self.pmt_gain_range
-        v_min, v_max = self.lc_voltage_range
-        w_low, w_high = self.agc_window_v
-        if not 0 < g_min < g_max:
-            raise ValueError("pmt_gain_range must satisfy 0 < min < max")
-        if not v_min < v_max:
-            raise ValueError("lc_voltage_range must satisfy min < max")
-        if self.responsivity_v_per_w <= 0:
-            raise ValueError("responsivity must be > 0")
-        if self.lc_attenuation_range_db < 0:
-            raise ValueError("lc_attenuation_range_db must be >= 0")
-        if not 0 < w_low < w_high:
-            raise ValueError("agc_window_v must satisfy 0 < low < high")
-        # the exp argument is linear in v, so if neither end overflows no
-        # voltage in between does; a logistic of 0 means exp returned inf.
-        # attenuation_db_at steps by about range * eps / (f_max - f_min)
-        # between neighbouring voltages; 8 times that must be <= 1e-9 dB
-        try:
-            f_min, f_max = (self._logistic(v) for v in self.lc_voltage_range)
-            spread = abs(f_max - f_min)
-            usable = 0 < f_min and 0 < f_max and 0 < spread and (
-                8 * self.lc_attenuation_range_db * sys.float_info.epsilon / spread
-                <= 1e-9)
-        except OverflowError:
-            usable = False
-        if not usable:
-            raise ValueError(
-                f"lc_steepness={self.lc_steepness} makes the LC curve over "
-                f"lc_voltage_range={self.lc_voltage_range} overflow or too flat")
+    pmt_gain_range: ClassVar[tuple[float, float]] = (1e2, 1e6)
+    lc_voltage_range: ClassVar[tuple[float, float]] = (0.0, 5.0)
+    responsivity_v_per_w: ClassVar[float] = 50.0
+    lc_attenuation_range_db: ClassVar[float] = 20.0
+    lc_steepness: ClassVar[float] = 1.5
+    agc_window_v: ClassVar[tuple[float, float]] = (0.5, 5.0)
 
     # --- LC curve -------------------------------------------------------
 
@@ -100,10 +70,8 @@ class ReceiverChain:
             return v_max
         f_min, f_max = self._logistic(v_min), self._logistic(v_max)
         f = f_min + att_db / self.lc_attenuation_range_db * (f_max - f_min)
-        odds = 1.0 / f - 1.0  # exp(-steepness * (v - mid)); 0 once f rounds to 1
-        if odds <= 0:
-            return v_max if self.lc_steepness > 0 else v_min
-        v = 0.5 * (v_min + v_max) - math.log(odds) / self.lc_steepness
+        # 1/f - 1 is exp(-steepness * (v - mid)), > 0: f <= f(v_max) < 0.98
+        v = 0.5 * (v_min + v_max) - math.log(1.0 / f - 1.0) / self.lc_steepness
         return min(max(v, v_min), v_max)
 
     # --- AGC window -----------------------------------------------------
@@ -163,8 +131,6 @@ def fit_calibration(samples, chain: ReceiverChain) -> CalibrationMap:
         raise CalibrationError("samples span a single PMT gain (rank deficient)")
 
     full = chain.lc_attenuation_range_db
-    if full <= 0:
-        raise CalibrationError("chain has no LC attenuation range to fit")
     shape = np.array([chain.attenuation_db_at(v) / full for _, v, _, _ in rows])
     if np.ptp(shape) < 1e-12:
         raise CalibrationError("LC voltages map to a single attenuation value")

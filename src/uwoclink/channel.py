@@ -10,10 +10,11 @@ fading sampler takes an explicit numpy generator.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+MAX_DISTANCE_M = 1e4  # longest path, bounce or planned range the model takes
 
 
 @dataclass(frozen=True)
@@ -32,18 +33,24 @@ class LinkGeometry:
     k_override_m2: float | None = None
 
     def __post_init__(self):
-        if self.distance_m < 0:
-            raise ValueError("distance_m must be >= 0")
+        if not 0.0 <= self.distance_m <= MAX_DISTANCE_M:
+            raise ValueError(f"distance_m must be in [0, {MAX_DISTANCE_M:g}] m")
         if not 0.0 < self.half_angle_deg < 90.0:
             raise ValueError("half_angle_deg must be in (0, 90)")
-        if self.rx_aperture_m <= 0:
-            raise ValueError("rx_aperture_m must be > 0")
-        if self.tx_exit_diameter_m < 0:
-            raise ValueError("tx_exit_diameter_m must be >= 0")
-        if self.pointing_offset_m < 0:
-            raise ValueError("pointing_offset_m must be >= 0")
-        if self.k_override_m2 is not None and self.k_override_m2 <= 0:
-            raise ValueError("k_override_m2 must be > 0")
+        if not 1e-4 <= self.rx_aperture_m <= 10.0:
+            raise ValueError("rx_aperture_m must be in [1e-4, 10] m")
+        if not 0.0 <= self.tx_exit_diameter_m <= 10.0:
+            raise ValueError("tx_exit_diameter_m must be in [0, 10] m")
+        if not 0.0 <= self.pointing_offset_m <= MAX_DISTANCE_M:
+            raise ValueError(f"pointing_offset_m must be in [0, {MAX_DISTANCE_M:g}] m")
+        if self.k_override_m2 is not None and not 1e-12 <= self.k_override_m2 <= 1e6:
+            raise ValueError("k_override_m2 must be in [1e-12, 1e6] m^2")
+        if self.k_override_m2 is not None and self.distance_m == 0:
+            raise ValueError("k_override_m2 needs distance_m > 0")
+        if self.pointing_offset_m > 0 and spot_diameter_m(self) == 0:
+            raise ValueError("pointing_offset_m > 0 needs a spot: tx_exit_diameter_m + "
+                             "2 tan(half_angle_deg) distance_m is 0 (on a bounce, "
+                             "nlos_unfolded_distance_m)")
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,8 @@ class NlosPath:
     def __post_init__(self):
         if not 0.0 <= self.reflectance <= 1.0:
             raise ValueError("reflectance must be in [0, 1]")
-        if self.unfolded_distance_m < 0:
-            raise ValueError("unfolded_distance_m must be >= 0")
+        if not 0.0 <= self.unfolded_distance_m <= MAX_DISTANCE_M:
+            raise ValueError(f"unfolded_distance_m must be in [0, {MAX_DISTANCE_M:g}] m")
 
 
 @dataclass(frozen=True)
@@ -69,12 +76,12 @@ class FadingSpec:
     burst_depth_db: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_db < 0:
-            raise ValueError("sigma_db must be >= 0")
+        if not 0.0 <= self.sigma_db <= 30.0:
+            raise ValueError("sigma_db must be in [0, 30] dB")
         if not 0.0 <= self.burst_probability <= 1.0:
             raise ValueError("burst_probability must be in [0, 1]")
-        if self.burst_depth_db < 0:
-            raise ValueError("burst_depth_db must be >= 0")
+        if not 0.0 <= self.burst_depth_db <= 100.0:
+            raise ValueError("burst_depth_db must be in [0, 100] dB")
 
 
 @dataclass(frozen=True)
@@ -113,17 +120,15 @@ def attenuation_db(c_db_per_m: float, distance_m: float) -> float:
 def spot_diameter_m(geometry: LinkGeometry) -> float:
     """Beam spot diameter at the receiver plane (top-hat spot)."""
     phi = math.radians(geometry.half_angle_deg)
-    # 2 * (z tan phi) equals 2 * z * tan phi bit for bit (doubling is
-    # exact) but overflows only where the diameter itself does
-    return geometry.tx_exit_diameter_m + 2.0 * (geometry.distance_m * math.tan(phi))
+    return geometry.tx_exit_diameter_m + 2.0 * geometry.distance_m * math.tan(phi)
 
 
 def collected_fraction(geometry: LinkGeometry) -> float:
     """Fraction of spot power captured by the aligned receive aperture."""
-    if geometry.k_override_m2 is not None:
-        if geometry.distance_m == 0:
-            raise ValueError("k_override model is singular at distance 0")
-        return min(1.0, geometry.k_override_m2 / geometry.distance_m**2)
+    k = geometry.k_override_m2
+    if k is not None:
+        z2 = geometry.distance_m**2  # 0 for a distance under 1e-162
+        return 1.0 if z2 <= k else k / z2
     spot = spot_diameter_m(geometry)
     if spot <= geometry.rx_aperture_m:
         return 1.0
@@ -131,37 +136,19 @@ def collected_fraction(geometry: LinkGeometry) -> float:
 
 
 def geometric_loss_db(geometry: LinkGeometry) -> float:
-    """Beam-spread loss in dB, clamped at 0 when the aperture captures all.
-
-    Far past any real range the collected fraction underflows to a
-    subnormal or 0 (and Z^2 overflows in the calibrated model); only there
-    is the loss taken from the logarithms of the fraction's factors, so
-    every other value is unchanged. It is infinite only where the spot
-    diameter overflows.
-    """
-    try:
-        fraction = collected_fraction(geometry)
-    except OverflowError:
-        fraction = 0.0
-    if fraction >= sys.float_info.min:
-        return -10.0 * math.log10(fraction)
-    if geometry.k_override_m2 is not None:
-        return 10.0 * (2.0 * math.log10(geometry.distance_m)
-                       - math.log10(geometry.k_override_m2))
-    return 20.0 * (math.log10(spot_diameter_m(geometry))
-                   - math.log10(geometry.rx_aperture_m))
+    """Beam-spread loss in dB, clamped at 0 when the aperture captures all."""
+    return -10.0 * math.log10(collected_fraction(geometry))
 
 
 def disc_overlap_fraction(spot_diameter: float, aperture_diameter: float,
                           offset: float) -> float:
-    """Fraction of the aperture disc covered by the spot disc.
+    """Fraction of the aperture disc covered by the spot disc, both of
+    diameter > 0 (``LinkGeometry`` gives an offset spot one).
 
     Standard circle-circle intersection area divided by the aperture area.
     """
     big_r = spot_diameter / 2.0
     small_r = aperture_diameter / 2.0
-    if small_r <= 0 or big_r <= 0:
-        raise ValueError("disc diameters must be > 0")
     if offset >= big_r + small_r:
         return 0.0
     if offset <= abs(big_r - small_r):

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .agc import CalibrationError, ReceiverChain, fit_calibration
+from .channel import MAX_DISTANCE_M
 from .config import ConfigError, load_preset, parse_number, parse_scenario, preset_names
 from .engine import LinkSpec, SimReport, inject_errors_run, long_term_monitor, run_scenario
 from .fec import STATUS_OK, codec_for
@@ -88,7 +89,8 @@ def _cmd_plan(args) -> int:
     without = max_distance_m(spec.budget_db, spec.c_db_per_m, mode=WITHOUT_GEOMETRY)
     with_geo = max_distance_m(spec.budget_db, spec.c_db_per_m, spec.geometry,
                               WITH_GEOMETRY)
-    z_max = args.z_max if args.z_max is not None else without.max_distance_m * 1.05
+    z_max = (args.z_max if args.z_max is not None
+             else min(without.max_distance_m * 1.05, MAX_DISTANCE_M))
     rows = distance_curve(spec, args.z_min, z_max, args.points)
 
     if args.format == "csv":

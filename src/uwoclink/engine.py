@@ -25,9 +25,8 @@ see, so a report stays a pure function of (configuration, seed).
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -53,7 +52,25 @@ DECODE_BATCH_FRAMES = 32  # most frames per codec.decode call; bounds its arrays
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """Everything needed to simulate or budget one directed optical link."""
+    """Everything needed to simulate or budget one directed optical link.
+
+    Each number that feeds a dB sum, an exponent or a logarithm has a
+    closed physical interval, checked once here and in ``LinkGeometry``,
+    ``NlosPath`` and ``FadingSpec``; the paper's link is 30 m long and its
+    longest range 337.5 m. Inside them nothing in the model overflows or
+    becomes NaN:
+    - the static loss is under 1.1e5 dB: attenuation is at most 10 dB/m
+      over 1e4 m; the spot is under 7e19 m wide (tan of a half angle below
+      90 degrees is under 3.6e15), so spread costs under 20 log10(7e19 /
+      1e-4) = 480 dB; pointing and reflectance cost at most 3,240 dB each,
+      -10 log10 of the least subnormal;
+    - a fading draw lies within 2,800 dB of 0: sigma is at most 30 dB, a
+      numpy normal's |z| is far below 90, a burst is at most 100 dB;
+    - so the amplitude SNR is at most 10^((300 + 2,800 + 100) / 20) =
+      1e160, the received power at most 1e3 W * 10^280 and the PMT's volts
+      at most 50 V/W * 1e283 W * 1e6 = 5e290; where the SNR or the power
+      underflows to 0 instead, the second is all noise or the AGC skips it.
+    """
 
     name: str
     tx_power_w: float
@@ -73,12 +90,17 @@ class LinkSpec:
         # the config format reads a name back stripped, one line to a key
         if self.name != self.name.strip() or len(self.name.splitlines()) > 1:
             raise ValueError(f"name {self.name!r} has edge whitespace or a line break")
-        if self.tx_power_w <= 0:
-            raise ValueError("tx_power_w must be > 0")
-        if self.c_db_per_m < 0:
-            raise ValueError("c_db_per_m must be >= 0")
-        if self.budget_db <= 0:
-            raise ValueError("budget_db must be > 0")
+        if not 0.0 < self.tx_power_w <= 1e3:
+            raise ValueError("tx_power_w must be in (0, 1000] W")
+        if not 0.0 <= self.c_db_per_m <= 10.0:
+            raise ValueError("c_db_per_m must be in [0, 10] dB/m")
+        if not 0.0 < self.budget_db <= 300.0:
+            raise ValueError("budget_db must be in (0, 300] dB")
+        if not -100.0 <= self.snr_offset_db <= 100.0:
+            raise ValueError("snr_offset_db must be in [-100, 100] dB")
+        if self.nlos is not None:  # total_loss_db's bounce path must be a geometry
+            replace(self.geometry, distance_m=self.nlos.unfolded_distance_m,
+                    k_override_m2=None)
         if not 0.0 <= self.sync_overhead_fraction < 1.0:
             raise ValueError("sync_overhead_fraction must be in [0, 1)")
         if self.iface_cap_bps <= 0:
@@ -142,18 +164,9 @@ def goodput_for(spec: LinkSpec) -> float:
     return carried * (payload / (payload + ETHERNET_OVERHEAD_BYTES))
 
 
-def _from_db(value_db: float, per_decade: float) -> float:
-    """10^(value_db / per_decade); inf where that is past float range."""
-    try:
-        return 10.0 ** (value_db / per_decade)
-    except OverflowError:
-        return math.inf
-
-
 def margin_to_snr(margin_db: float, snr_offset_db: float) -> float:
-    """Amplitude SNR from link margin through the calibrated offset; inf,
-    a noiseless second, past float range."""
-    return _from_db(margin_db + snr_offset_db, 20.0)
+    """Amplitude SNR from link margin through the calibrated offset."""
+    return 10.0 ** ((margin_db + snr_offset_db) / 20.0)
 
 
 @dataclass
@@ -199,8 +212,6 @@ def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
     """
     kind = spec.modulation.kind
     static = total_loss_db(spec.geometry, spec.c_db_per_m, spec.nlos)
-    if not math.isfinite(static.total_db):
-        raise ValueError("the static path loss overflows a float")
     receiver = ReceiverChain()
     agc = receiver.initial_state()
     noise = rng.spawn(1)[0]
@@ -214,7 +225,7 @@ def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
             snr = 0.0
         else:
             snr = margin_to_snr(margin, spec.snr_offset_db)
-            p_rx = spec.tx_power_w * _from_db(-total, 10.0)
+            p_rx = spec.tx_power_w * 10.0 ** (-total / 10.0)
             measured = receiver.amplitude_v(p_rx, agc.lc_voltage, agc.pmt_gain)
             if measured > 0:
                 agc = agc_step(receiver, agc, measured)

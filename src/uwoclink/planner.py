@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-from .channel import LinkGeometry, attenuation_db, geometric_loss_db
+from .channel import MAX_DISTANCE_M, LinkGeometry, attenuation_db, geometric_loss_db
 from .engine import LinkSpec
 
 WITH_GEOMETRY = "with_geometry"
@@ -64,8 +64,8 @@ def max_distance_m(budget_db: float, c_db_per_m: float,
     """Largest distance whose total loss still fits inside the budget."""
     if budget_db <= 0:
         raise ValueError("budget_db must be > 0")
-    if c_db_per_m <= 0:
-        raise ValueError("attenuation coefficient must be > 0 to bound range")
+    if c_db_per_m <= 0 or math.isinf(budget_db / c_db_per_m):
+        raise ValueError("c_db_per_m must be > 0, and budget_db / c_db_per_m finite")
 
     if mode == WITHOUT_GEOMETRY:
         z = budget_db / c_db_per_m
@@ -79,7 +79,10 @@ def max_distance_m(budget_db: float, c_db_per_m: float,
     def f(z: float) -> float:
         return path_loss_db(c_db_per_m, geometry, z) - budget_db
 
-    hi = budget_db / c_db_per_m + 1.0
+    hi = min(budget_db / c_db_per_m + 1.0, MAX_DISTANCE_M)
+    if f(hi) < 0:  # only a clamped bracket: c hi > budget_db otherwise
+        raise SolverError(
+            f"the {mode} range passes MAX_DISTANCE_M = {MAX_DISTANCE_M:g} m")
     z = _bisect_increasing(f, 1e-3, hi)
     residual = -f(z)
     if abs(residual) > _RESIDUAL_LIMIT_DB:
@@ -108,8 +111,8 @@ def distance_curve(spec: LinkSpec, z_min: float, z_max: float, n_points: int):
     """Loss-vs-distance table, with and without geometry, for plotting
     against the budget line."""
     for bound, z in (("z_min", z_min), ("z_max", z_max)):
-        if not math.isfinite(z):
-            raise ValueError(f"{bound} must be finite, got {z}")
+        if not 0.0 <= z <= MAX_DISTANCE_M:
+            raise ValueError(f"{bound} must be in [0, {MAX_DISTANCE_M:g}] m, got {z}")
     if not z_min < z_max:
         raise ValueError("z_min must be < z_max")
     if n_points < 2:
@@ -124,8 +127,4 @@ def distance_curve(spec: LinkSpec, z_min: float, z_max: float, n_points: int):
             "loss_db_with_geometry": path_loss_db(spec.c_db_per_m, spec.geometry, z),
             "loss_db_without": attenuation_db(spec.c_db_per_m, z),
         })
-    # loss grows with z, so the last row is the first to overflow
-    if not all(map(math.isfinite, rows[-1].values())):
-        raise ValueError(f"z_max={z_max:g} m is too far: the path loss there "
-                         f"overflows a float")
     return rows

@@ -1,8 +1,9 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from uwoclink.agc import AgcState, CalibrationError, ReceiverChain, agc_step, fit_calibration
@@ -54,50 +55,20 @@ class TestReceiverChain:
             v = CHAIN.voltage_for_attenuation_db(att)
             assert CHAIN.attenuation_db_at(v) == pytest.approx(att, abs=1e-9)
 
-    @given(steepness=st.floats(-300.0, 300.0), fraction=st.floats(0.0, 1.0))
-    def test_attenuation_inverse_any_usable_steepness(self, steepness, fraction):
-        # steep curves round the logistic to 0 or 1 near the ends, where
-        # ln(1/f - 1) is undefined; the inverse clamps to the voltage range
-        try:
-            chain = ReceiverChain(lc_steepness=steepness)
-        except ValueError:
-            assume(False)
-        att = fraction * chain.lc_attenuation_range_db
-        v = chain.voltage_for_attenuation_db(att)
-        v_min, v_max = chain.lc_voltage_range
+    @given(fraction=st.floats(0.0, 1.0))
+    def test_attenuation_inverse_any_fraction(self, fraction):
+        att = fraction * CHAIN.lc_attenuation_range_db
+        v = CHAIN.voltage_for_attenuation_db(att)
+        v_min, v_max = CHAIN.lc_voltage_range
         assert v_min <= v <= v_max
-        # the chain rejects a curve so flat that attenuation_db_at steps by
-        # more than 1e-9 dB between neighbouring voltages
-        assert abs(chain.attenuation_db_at(v) - att) <= 1e-9
+        assert abs(CHAIN.attenuation_db_at(v) - att) <= 1e-9
 
-    @pytest.mark.parametrize("steepness, volts", [
-        (0.0, (0.0, 5.0)),  # flat: f(v_max) - f(v_min) was a ZeroDivisionError
-        (1e-300, (0.0, 5.0)),  # flat in floating point
-        (1000.0, (0.0, 5.0)),  # exp overflows at v_min: was an OverflowError
-        (-1000.0, (0.0, 5.0)),  # and at v_max
-        (5.0, (0.0, 1e308)),  # exp(inf) at v_min, finite overflow inside
-        (1e-14, (0.0, 5.0)),  # steps of about 3e-6 dB
-        # just past the bound: 8 * 20 dB * eps / (f(5) - f(0)) is 1.0008e-9 dB
-        (2.84e-5, (0.0, 5.0)),
-    ])
-    def test_unusable_steepness_rejected(self, steepness, volts):
-        with pytest.raises(ValueError, match="lc_steepness="):
-            ReceiverChain(lc_steepness=steepness, lc_voltage_range=volts)
-
-    def test_steepness_just_inside_the_resolution_bound_accepted(self):
-        # 8 * 20 dB * eps / (f(5) - f(0)) is 9.97e-10 dB
-        ReceiverChain(lc_steepness=2.85e-5)
-
-    def test_negative_steepness_gives_the_same_curve(self):
-        mirrored = ReceiverChain(lc_steepness=-CHAIN.lc_steepness)
-        for v in np.linspace(0.0, 5.0, 51):
-            assert mirrored.attenuation_db_at(v) == pytest.approx(
-                CHAIN.attenuation_db_at(v), abs=1e-12)
-
-    @pytest.mark.parametrize("window", [(0.0, 5.0), (5.0, 0.5), (1.0, 1.0)])
-    def test_bad_window_rejected(self, window):
-        with pytest.raises(ValueError, match="agc_window_v"):
-            ReceiverChain(agc_window_v=window)
+    def test_the_deployed_chain_is_the_only_chain(self):
+        # its numbers are class constants: no argument sets one
+        assert fields(ReceiverChain) == ()
+        assert ReceiverChain() == CHAIN
+        with pytest.raises(TypeError):
+            ReceiverChain(lc_steepness=-1.5)
 
     def test_window_and_initial_state(self):
         assert CHAIN.window_center_v == pytest.approx(math.sqrt(2.5))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from uwoclink.channel import (
+    MAX_DISTANCE_M,
     FadingSpec,
     LinkGeometry,
     NlosPath,
@@ -29,7 +30,7 @@ BLUE_GEO = LinkGeometry(distance_m=30.0, half_angle_deg=3.83,
 
 class TestWaterOptics:
     def test_negative_rejected(self, green):
-        with pytest.raises(ValueError, match="c_db_per_m must be >= 0"):
+        with pytest.raises(ValueError, match=r"c_db_per_m must be in \[0, 10\] dB/m"):
             replace(green, c_db_per_m=-0.1)
 
 
@@ -109,20 +110,28 @@ class TestGeometricLoss:
         g = LinkGeometry(0.5, 0.53, 0.0, 0.046, k_override_m2=1.198)
         assert geometric_loss_db(g) == 0.0
 
-    @pytest.mark.parametrize("k_override", [None, 1.198])
-    @pytest.mark.parametrize("z", [1e160, 1e200, 1e300])
-    def test_far_past_underflow_stays_finite(self, z, k_override):
-        # the collected fraction underflows to 0 (Z^2 overflows with k);
-        # the loss still follows 20 log10 Z
-        g = LinkGeometry(z, 0.53, 0.0, 0.046, k_override_m2=k_override)
-        k = 1.198 if k_override else (0.046 / (2.0 * math.tan(math.radians(0.53)))) ** 2
-        expected = 20.0 * math.log10(z) - 10.0 * math.log10(k)
-        assert geometric_loss_db(g) == pytest.approx(expected, rel=1e-12)
+    @pytest.mark.parametrize("k_override", [None, 1e-12])
+    def test_worst_corner_of_the_box_is_finite(self, k_override):
+        # the widest spot on the least aperture over the longest path: under
+        # the 480 dB that LinkSpec's docstring derives
+        g = LinkGeometry(MAX_DISTANCE_M, math.nextafter(90.0, 0.0), 10.0, 1e-4,
+                         k_override_m2=k_override)
+        assert 0.0 < geometric_loss_db(g) < 480.0
+
+    def test_past_the_longest_path_rejected(self):
+        with pytest.raises(ValueError, match=r"distance_m must be in \[0, 10000\] m"):
+            LinkGeometry(math.nextafter(MAX_DISTANCE_M, math.inf), 0.53, 0.0, 0.046)
 
     def test_k_override_singular_at_zero(self):
-        g = LinkGeometry(0.0, 0.53, 0.0, 0.046, k_override_m2=1.198)
-        with pytest.raises(ValueError):
-            collected_fraction(g)
+        with pytest.raises(ValueError, match="k_override_m2 needs distance_m > 0"):
+            LinkGeometry(0.0, 0.53, 0.0, 0.046, k_override_m2=1.198)
+
+    @pytest.mark.parametrize("z", [5e-324, 1e-200])
+    def test_k_override_at_a_distance_whose_square_underflows(self, z):
+        # Z^2 rounds to 0; k / Z^2 was a ZeroDivisionError
+        g = LinkGeometry(z, 0.53, 0.0, 0.046, k_override_m2=1e-12)
+        assert collected_fraction(g) == 1.0
+        assert geometric_loss_db(g) == 0.0
 
 
 class TestPointing:
@@ -143,6 +152,17 @@ class TestPointing:
         loss, dark = pointing_loss_db(g)
         assert not dark
         assert loss == pytest.approx(3.01, abs=0.02)
+
+    def test_offset_needs_a_spot(self, blue_nlos):
+        # a point beam at zero range has no disc to offset; this used to end
+        # in "disc diameters must be > 0", which names no key
+        with pytest.raises(ValueError, match="pointing_offset_m > 0 needs a spot"):
+            LinkGeometry(0.0, 0.53, 0.0, 0.046, pointing_offset_m=0.01)
+        offset = replace(blue_nlos.geometry, pointing_offset_m=0.01)
+        with pytest.raises(ValueError, match="pointing_offset_m > 0 needs a spot"):
+            replace(blue_nlos, geometry=offset, nlos=NlosPath(0.05, 0.0))
+        # an exit aperture is a spot
+        replace(offset, distance_m=0.0, tx_exit_diameter_m=0.001)
 
     def test_overlap_fraction_in_unit_interval(self):
         rng = np.random.default_rng(1)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import uwoclink
 from uwoclink.agc import ReceiverChain
-from uwoclink.channel import FadingSpec, LinkGeometry, NlosPath
+from uwoclink.channel import FadingSpec, LinkGeometry, NlosPath, spot_diameter_m
 from uwoclink.cli import _bits_to_hex, _hex_to_bits, build_parser, main, render_report
 from uwoclink.config import (
     SCHEMA,
@@ -51,17 +51,23 @@ def reject_constant(name):
     raise AssertionError(f"{name} is not JSON")
 
 
-def assert_strict_json_or_exit_2(argv):
-    """``main(argv)`` exits 0 with JSON that has no NaN or Infinity, or
-    exits 2 with nothing on stdout and one error line."""
+def run_cli(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_strict_json_or_exit_2(argv):
+    """``main(argv)`` exits 0 with JSON that has no NaN or Infinity, or
+    exits 2 with nothing on stdout and one error line."""
+    code, out, err = run_cli(argv)
     if code == 0:
-        return json.loads(out.getvalue(), parse_constant=reject_constant)
+        return json.loads(out, parse_constant=reject_constant)
     assert code == 2, argv
-    assert out.getvalue() == ""
-    assert len(error_lines(err.getvalue())) == 1, err.getvalue()
+    assert out == ""
+    assert len(error_lines(err)) == 1, err
     return None
 
 
@@ -79,38 +85,68 @@ def leaf_paths(cls, prefix=""):
             yield path
 
 
+# each number with a physical box: (least, greatest, least excluded); the
+# field a message names is the key less its "nlos_" prefix
+BOX = {
+    ("link", "tx_power_w"): (0.0, 1e3, True),
+    ("link", "budget_db"): (0.0, 300.0, True),
+    ("link", "snr_offset_db"): (-100.0, 100.0, False),
+    ("water", "c_db_per_m"): (0.0, 10.0, False),
+    ("geometry", "distance_m"): (0.0, 1e4, False),
+    ("geometry", "tx_exit_diameter_m"): (0.0, 10.0, False),
+    ("geometry", "rx_aperture_m"): (1e-4, 10.0, False),
+    ("geometry", "pointing_offset_m"): (0.0, 1e4, False),
+    ("geometry", "k_override_m2"): (1e-12, 1e6, False),
+    ("geometry", "nlos_unfolded_distance_m"): (0.0, 1e4, False),
+    ("fading", "sigma_db"): (0.0, 30.0, False),
+    ("fading", "burst_depth_db"): (0.0, 100.0, False),
+}
+
+
+def in_box(draw, section, key):
+    lo, hi, lo_open = BOX[section, key]
+    return draw(st.floats(lo, hi, exclude_min=lo_open))
+
+
 @st.composite
 def config_specs(draw):
-    """Any LinkSpec the config format can express, an NLOS path beside a
-    k override included."""
+    """Any LinkSpec the config format can express, over each number's whole
+    box, its corners included, and an NLOS path beside a k override."""
     f = st.floats
+    distance = in_box(draw, "geometry", "distance_m")
     geometry = LinkGeometry(
-        distance_m=draw(f(0.0, 500.0)),
-        half_angle_deg=draw(f(0.01, 89.0)),
-        tx_exit_diameter_m=draw(f(0.0, 0.1)),
-        rx_aperture_m=draw(f(1e-3, 0.5)),
-        pointing_offset_m=draw(f(0.0, 1.0)),
-        k_override_m2=draw(st.none() | f(1e-3, 10.0)),
+        distance_m=distance,
+        half_angle_deg=draw(f(0.0, 90.0, exclude_min=True, exclude_max=True)),
+        tx_exit_diameter_m=in_box(draw, "geometry", "tx_exit_diameter_m"),
+        rx_aperture_m=in_box(draw, "geometry", "rx_aperture_m"),
+        k_override_m2=draw(st.none() | f(1e-12, 1e6)) if distance else None,
     )
     nlos = None
     if draw(st.booleans()):
-        nlos = NlosPath(draw(f(0.0, 1.0)), draw(f(0.0, 500.0)))
+        nlos = NlosPath(draw(f(0.0, 1.0)),
+                        in_box(draw, "geometry", "nlos_unfolded_distance_m"))
+    # an offset needs a spot, on the bounce path too
+    bounce = nlos.unfolded_distance_m if nlos else distance
+    if spot_diameter_m(geometry) and spot_diameter_m(
+            replace(geometry, distance_m=bounce, k_override_m2=None)):
+        geometry = replace(geometry,
+                           pointing_offset_m=in_box(draw, "geometry", "pointing_offset_m"))
     return LinkSpec(
         name=draw(st.text(string.ascii_letters + string.digits + "-_.",
                           min_size=1, max_size=20)),
-        tx_power_w=draw(f(1e-3, 100.0)),
-        c_db_per_m=draw(f(0.0, 10.0)),
+        tx_power_w=in_box(draw, "link", "tx_power_w"),
+        c_db_per_m=in_box(draw, "water", "c_db_per_m"),
         geometry=geometry,
         modulation=ModulationScheme(draw(st.sampled_from([OOK, PPM4])),
                                     draw(f(1e3, 1e9))),
-        budget_db=draw(f(1.0, 200.0)),
-        fading=FadingSpec(draw(f(0.0, 5.0)), draw(f(0.0, 1.0)),
-                          draw(f(0.0, 20.0))),
+        budget_db=in_box(draw, "link", "budget_db"),
+        fading=FadingSpec(in_box(draw, "fading", "sigma_db"), draw(f(0.0, 1.0)),
+                          in_box(draw, "fading", "burst_depth_db")),
         nlos=nlos,
         sync_overhead_fraction=draw(f(0.0, 0.99)),
         iface_cap_bps=draw(f(1e3, 1e9)),
         frame_payload_bytes=draw(st.integers(46, 1500)),
-        snr_offset_db=draw(f(-60.0, 60.0)),
+        snr_offset_db=in_box(draw, "link", "snr_offset_db"),
         sim_frames_per_second=draw(st.integers(1, 60)),
     )
 
@@ -415,33 +451,41 @@ class TestCliCommands:
         assert error_lines(captured.err) == ["error: z_min must be < z_max"]
 
     @pytest.mark.parametrize("k_override", [False, True])
-    @pytest.mark.parametrize("z_max", ["1e200", "1e300", "1e308"])
-    def test_plan_far_z_max_rows_finite(self, tmp_path, capsys, z_max, k_override):
-        # used to end in "error: math domain error" (spot model) or an
-        # OverflowError traceback (k model); at 1e308 the spot model's
-        # 2 z tan(phi) used to overflow though the diameter fits a float
+    def test_plan_longest_z_max_rows_finite(self, tmp_path, capsys, k_override):
         cfg = tmp_path / "k.cfg"
         cfg.write_text("[geometry]\nk_override_m2 = 1.198\n" if k_override else "")
         assert main(["plan", "--preset", "green-125M", "--config", str(cfg),
-                     "--z-max", z_max, "--format", "csv"]) == 0
+                     "--z-max", "10000", "--format", "csv"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
         assert len(rows) == 200
         assert all(math.isfinite(float(cell)) for row in rows for cell in row)
-        assert float(rows[-1][0]) == float(z_max)
+        assert float(rows[-1][0]) == 1e4
 
-    @pytest.mark.parametrize("override", [
-        "[water]\nc_db_per_m = 5\n",  # the attenuation c z overflows
-    ])
-    def test_plan_overflowing_z_max_exit_2(self, tmp_path, capsys, override):
-        cfg = tmp_path / "o.cfg"
-        cfg.write_text(override)
-        assert main(["plan", "--preset", "green-125M", "--config", str(cfg),
-                     "--z-max", "1e308"]) == 2
+    @pytest.mark.parametrize("z_max", ["10000.000000000002", "1e308"])
+    def test_plan_z_max_past_the_box_exit_2(self, capsys, z_max):
+        # 1e308 used to plot a curve, or fail on the loss overflowing there
+        assert main(["plan", "--preset", "green-125M", "--z-max", z_max]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        lines = error_lines(captured.err)
-        assert lines == ["error: z_max=1e+308 m is too far: the path loss there "
-                         "overflows a float"]
+        assert error_lines(captured.err) == [
+            f"error: z_max must be in [0, 10000] m, got {float(z_max)}"]
+
+    @pytest.mark.parametrize("preset, code", [("green-125M", 2), ("blue-6M25", 0)])
+    def test_plan_range_near_the_box_edge(self, tmp_path, capsys, preset, code):
+        # at 0.001 dB/m green's range with spread passes 10 km, where no
+        # LinkGeometry can go; blue's wider beam closes it at about 4 km,
+        # and its curve stops at the box edge, not at 1.05 * 100.5 km
+        cfg = tmp_path / "clear.cfg"
+        cfg.write_text("[water]\nc_db_per_m = 0.001\n")
+        assert main(["plan", "--preset", preset, "--config", str(cfg), "--format",
+                     "csv"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert error_lines(captured.err) == [
+                "error: the with_geometry range passes MAX_DISTANCE_M = 10000 m"]
+        else:
+            assert float(captured.out.splitlines()[-1].split(",")[0]) == 1e4
 
     def test_simulate_deterministic_stdout(self, capsys):
         args = ["simulate", "--preset", "green-125M", "--duration-s", "3",
@@ -608,23 +652,74 @@ class TestCliCommands:
         assert_strict_json_or_exit_2(["simulate", "--preset", "green-125M", "--config",
                                       str(cfg), "--duration-s", "3", "--seed", "1"])
 
-    @pytest.mark.parametrize("key", ["budget_db", "snr_offset_db"])
-    def test_overflowing_snr_is_a_noiseless_second(self, tmp_path, key):
+    @pytest.mark.parametrize("key, value", [("budget_db", "300"), ("snr_offset_db", "100")])
+    def test_highest_snr_in_the_box_is_noiseless(self, tmp_path, key, value):
+        # 10^((margin + offset) / 20) is 1e6 or more here: no slot moves
         cfg = tmp_path / "x.cfg"
-        cfg.write_text(f"[link]\n{key} = 7000\n")
+        cfg.write_text(f"[link]\n{key} = {value}\n")
         report = assert_strict_json_or_exit_2(
             ["simulate", "--preset", "blue-6M25-nlos", "--config", str(cfg),
              "--duration-s", "2"])
         assert report["pre_fec_bit_errors"] == 0
 
-    def test_overflowing_static_loss_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_fading_past_the_box_exit_2(self, tmp_path, capsys, output_format):
+        # the draw used to overflow silently: JSON refused the -inf margin,
+        # naming no key, and CSV exited 0 with inf and -inf margins
         cfg = tmp_path / "x.cfg"
-        cfg.write_text("[water]\nc_db_per_m = 1e308\n")
-        assert main(["simulate", "--preset", "blue-6M25-nlos", "--config", str(cfg),
-                     "--duration-s", "1"]) == 2
+        cfg.write_text("[fading]\nsigma_db = 1.7e308\n")
+        assert main(["simulate", "--preset", "green-125M", "--config", str(cfg),
+                     "--duration-s", "4", "--seed", "1", "--format", output_format]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert error_lines(captured.err) == ["error: the static path loss overflows a float"]
+        assert error_lines(captured.err) == [
+            "error: invalid configuration: sigma_db must be in [0, 30] dB"]
+
+    @pytest.mark.parametrize("section, key", BOX)
+    @pytest.mark.parametrize("edge", ["least", "greatest"])
+    def test_box_edges_simulate(self, tmp_path, section, key, edge):
+        lo, hi, lo_open = BOX[section, key]
+        value = hi if edge == "greatest" else math.nextafter(lo, math.inf) if lo_open else lo
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value!r}\n")
+        report = assert_strict_json_or_exit_2(
+            ["simulate", "--preset", "blue-6M25-nlos", "--config", str(cfg),
+             "--duration-s", "1"])
+        assert report is not None
+
+    @pytest.mark.parametrize("section, key", BOX)
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_past_the_box_exit_2(self, tmp_path, capsys, section, key, side):
+        lo, hi, lo_open = BOX[section, key]
+        value = (math.nextafter(hi, math.inf) if side == "above"
+                 else lo if lo_open else math.nextafter(lo, -math.inf))
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value!r}\n")
+        assert main(["plan", "--preset", "blue-6M25-nlos", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = error_lines(captured.err)
+        assert line.startswith(
+            f"error: invalid configuration: {key.removeprefix('nlos_')} must be in ")
+
+    @given(spec=config_specs())
+    @settings(max_examples=25, deadline=None)
+    def test_any_spec_in_the_box_reports_or_plan_exits_2(self, spec):
+        # simulate and monitor run every spec in the box to strict JSON and
+        # a CSV without inf or nan; plan may find no range and exit 2
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = pathlib.Path(tmp) / "box.cfg"
+            cfg.write_text(render_scenario(spec))
+            common = ["--config", str(cfg), "--duration-s", "1"]
+            for argv in (["simulate", *common], ["monitor", "--epochs", "1", *common]):
+                code, out, err = run_cli(argv)
+                assert code == 0, err
+                json.loads(out, parse_constant=reject_constant)
+            code, out, err = run_cli(["simulate", *common, "--format", "csv"])
+            assert code == 0, err
+            rows = "\n".join(out.splitlines()[2:])  # below the name and header
+            assert "inf" not in rows and "nan" not in rows
+            assert_strict_json_or_exit_2(["plan", "--config", str(cfg), "--points", "5"])
 
     @pytest.mark.parametrize("section, key, kind, value, command", [
         ("geometry", "distance_m", "float", "\u0661\u0662", ["plan"]),
@@ -657,8 +752,9 @@ class TestCliCommands:
         assert error_lines(captured.err) == ["error: line 4: unknown section [agc]"]
 
     @pytest.mark.parametrize("section, key, value, message", [
-        ("geometry", "nlos_unfolded_distance_m", "-1", "unfolded_distance_m must be >= 0"),
-        ("water", "c_db_per_m", "-1", "c_db_per_m must be >= 0"),
+        ("geometry", "nlos_unfolded_distance_m", "-1",
+         "unfolded_distance_m must be in [0, 10000] m"),
+        ("water", "c_db_per_m", "-1", "c_db_per_m must be in [0, 10] dB/m"),
     ])
     def test_invalid_value_plan_exit_2(self, tmp_path, capsys, section, key, value,
                                        message):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uwoclink.channel import LinkGeometry, attenuation_db
+from uwoclink.channel import MAX_DISTANCE_M, LinkGeometry, attenuation_db
 from uwoclink.planner import (
     WITH_GEOMETRY,
     WITHOUT_GEOMETRY,
@@ -98,6 +98,19 @@ class TestMaxDistanceWithGeometry:
         with pytest.raises(ValueError):
             max_distance_m(82.77, GREEN_C_DB_PER_M, None, WITH_GEOMETRY)
 
+    def test_range_past_the_box_names_the_bound(self):
+        # at 0.001 dB/m the beam spreads by 72 dB over 10 km, and attenuation
+        # adds 10: the 82.77 dB budget still holds there
+        with pytest.raises(SolverError, match="range passes MAX_DISTANCE_M = 10000 m"):
+            max_distance_m(82.77, 0.001, GREEN_GEO, WITH_GEOMETRY)
+        # the range without spread is only a quotient
+        assert max_distance_m(82.77, 0.001, mode=WITHOUT_GEOMETRY).max_distance_m == \
+            pytest.approx(82770.0)
+
+    def test_range_past_float_range_rejected(self):
+        with pytest.raises(ValueError, match="c_db_per_m finite"):
+            max_distance_m(82.77, 5e-324, mode=WITHOUT_GEOMETRY)
+
     def test_solver_error_diagnostic(self):
         with pytest.raises(SolverError, match="no sign change"):
             _bisect_increasing(lambda z: z + 1.0, 0.0, 1.0)
@@ -162,8 +175,20 @@ class TestDistanceCurve:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_bound_rejected(self, green, bound, value):
         bounds = {"z_min": 1.0, "z_max": 100.0, bound: value}
-        with pytest.raises(ValueError, match=f"{bound} must be finite"):
+        with pytest.raises(ValueError, match=rf"{bound} must be in \[0, 10000\] m"):
             distance_curve(green, bounds["z_min"], bounds["z_max"], 10)
+
+    @pytest.mark.parametrize("bound", ["z_min", "z_max"])
+    @pytest.mark.parametrize("value", [-1e-300, math.nextafter(MAX_DISTANCE_M, math.inf)])
+    def test_bound_past_the_box_rejected(self, green, bound, value):
+        bounds = {"z_min": 1.0, "z_max": 100.0, bound: value}
+        with pytest.raises(ValueError, match=rf"{bound} must be in \[0, 10000\] m"):
+            distance_curve(green, bounds["z_min"], bounds["z_max"], 10)
+
+    def test_longest_curve_is_finite(self, green):
+        rows = distance_curve(green, 0.0, MAX_DISTANCE_M, 3)
+        assert rows[-1]["z_m"] == MAX_DISTANCE_M
+        assert all(math.isfinite(value) for row in rows for value in row.values())
 
 
 class TestPathLoss:
