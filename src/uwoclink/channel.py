@@ -35,8 +35,8 @@ class LinkGeometry:
     def __post_init__(self):
         if not 0.0 <= self.distance_m <= MAX_DISTANCE_M:
             raise ValueError(f"distance_m must be in [0, {MAX_DISTANCE_M:g}] m")
-        if not 0.0 < self.half_angle_deg < 90.0:
-            raise ValueError("half_angle_deg must be in (0, 90)")
+        if not 0.01 <= self.half_angle_deg <= 60.0:
+            raise ValueError("half_angle_deg must be in [0.01, 60] degrees")
         if not 1e-4 <= self.rx_aperture_m <= 10.0:
             raise ValueError("rx_aperture_m must be in [1e-4, 10] m")
         if not 0.0 <= self.tx_exit_diameter_m <= 10.0:

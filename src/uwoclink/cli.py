@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .agc import CalibrationError, ReceiverChain, fit_calibration
+from .agc import CalibrationError, fit_calibration
 from .channel import MAX_DISTANCE_M
 from .config import ConfigError, load_preset, parse_number, parse_scenario, preset_names
 from .engine import LinkSpec, SimReport, inject_errors_run, long_term_monitor, run_scenario
@@ -107,9 +107,6 @@ def _cmd_plan(args) -> int:
         },
     }
     _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
-    if args.curve_out:
-        with open(args.curve_out, "w", encoding="utf-8") as fh:
-            fh.write(curve_csv(spec, rows, args.seed))
     return 0
 
 
@@ -213,7 +210,7 @@ def _cmd_calibrate(args) -> int:
                 raise ConfigError(
                     f"{args.samples}:{lineno}: non-numeric field in {line!r}"
                 ) from None
-    cal = fit_calibration(rows, ReceiverChain())
+    cal = fit_calibration(rows)
     import hashlib  # here, not at the top: it costs milliseconds of import
 
     with open(args.samples, "rb") as fh:
@@ -253,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--z-min", type=float, default=1.0)
     p_plan.add_argument("--z-max", type=float, default=None)
     p_plan.add_argument("--points", type=int, default=200)
-    p_plan.add_argument("--curve-out", help="also write the curve CSV here")
     p_plan.set_defaults(func=_cmd_plan)
 
     p_sim = sub.add_parser("simulate", help="seeded end-to-end scenario run")

@@ -8,8 +8,8 @@ second's frames together, in batches of at most ``DECODE_BATCH_FRAMES``.
 Only frames with a flip can decode wrong, so only their payloads are
 compared.
 
-A scenario run's source draws one fading sample per second, updates the AGC
-against the multiplicative receiver plant, and pushes each frame through
+A scenario run's source draws one fading sample per second, steps the AGC
+at that second's received power in dBW, and pushes each frame through
 modulation -> additive noise -> demodulation, re-deciding only the slots
 the noise touched. Slot noise comes from the link margin through a single
 calibrated offset (margin_db + snr_offset_db -> amplitude SNR), the one
@@ -25,6 +25,7 @@ see, so a report stays a pure function of (configuration, seed).
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -32,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from . import modem
-from .agc import ReceiverChain, agc_step
+from .agc import AgcState, agc_step
 from .channel import (
     FadingSpec,
     LinkGeometry,
@@ -60,16 +61,15 @@ class LinkSpec:
     longest range 337.5 m. Inside them nothing in the model overflows or
     becomes NaN:
     - the static loss is under 1.1e5 dB: attenuation is at most 10 dB/m
-      over 1e4 m; the spot is under 7e19 m wide (tan of a half angle below
-      90 degrees is under 3.6e15), so spread costs under 20 log10(7e19 /
-      1e-4) = 480 dB; pointing and reflectance cost at most 3,240 dB each,
-      -10 log10 of the least subnormal;
+      over 1e4 m; the spot is under 3.5e4 m wide (a half angle of at most
+      60 degrees has tan under 1.74), so spread costs under
+      20 log10(3.5e4 / 1e-4) = 171 dB; pointing and reflectance cost at
+      most 3,240 dB each, -10 log10 of the least subnormal;
     - a fading draw lies within 2,800 dB of 0: sigma is at most 30 dB, a
       numpy normal's |z| is far below 90, a burst is at most 100 dB;
     - so the amplitude SNR is at most 10^((300 + 2,800 + 100) / 20) =
-      1e160, the received power at most 1e3 W * 10^280 and the PMT's volts
-      at most 50 V/W * 1e283 W * 1e6 = 5e290; where the SNR or the power
-      underflows to 0 instead, the second is all noise or the AGC skips it.
+      1e160, and where it underflows to 0 instead the second is all noise;
+      the AGC works on the received power in dBW, which stays finite.
     """
 
     name: str
@@ -103,8 +103,8 @@ class LinkSpec:
                     k_override_m2=None)
         if not 0.0 <= self.sync_overhead_fraction < 1.0:
             raise ValueError("sync_overhead_fraction must be in [0, 1)")
-        if self.iface_cap_bps <= 0:
-            raise ValueError("iface_cap_bps must be > 0")
+        if not 1e3 <= self.iface_cap_bps <= 1e11:
+            raise ValueError("iface_cap_bps must be in [1e3, 1e11] b/s")
         if not MIN_PAYLOAD_BYTES <= self.frame_payload_bytes <= MAX_PAYLOAD_BYTES:
             raise ValueError(
                 f"frame_payload_bytes must be in "
@@ -203,17 +203,17 @@ def _slot_chain(kind: str, sigma: float, noise: np.random.Generator,
 
 def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
                   log: _AnalogLog) -> Iterator[Callable]:
-    """Per simulated second: one fading draw and an update of the deployed
-    receiver's AGC, then the slot chain at the noise level the resulting
-    margin sets.
+    """Per simulated second: one fading draw and, unless the link is dark,
+    an AGC step at the received power in dBW, then the slot chain at the
+    noise level the resulting margin sets.
 
     Slot noise comes from a child of ``rng``, so the fading draws do not
     depend on how many normals a frame needed.
     """
     kind = spec.modulation.kind
     static = total_loss_db(spec.geometry, spec.c_db_per_m, spec.nlos)
-    receiver = ReceiverChain()
-    agc = receiver.initial_state()
+    tx_dbw = 10.0 * math.log10(spec.tx_power_w)
+    agc = AgcState()
     noise = rng.spawn(1)[0]
     while True:
         fading = sample_fading_db(spec.fading, rng)
@@ -225,11 +225,8 @@ def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
             snr = 0.0
         else:
             snr = margin_to_snr(margin, spec.snr_offset_db)
-            p_rx = spec.tx_power_w * 10.0 ** (-total / 10.0)
-            measured = receiver.amplitude_v(p_rx, agc.lc_voltage, agc.pmt_gain)
-            if measured > 0:
-                agc = agc_step(receiver, agc, measured)
-                log.saturated_seconds += int(agc.saturated)
+            agc = agc_step(agc, tx_dbw - total)
+            log.saturated_seconds += int(agc.saturated)
         sigma = 1.0 / max(snr, 1e-9)
         yield partial(_slot_chain, kind, sigma, noise)
 

@@ -40,8 +40,8 @@ _SER_NODES = 96
 
 def slot_rate_for(kind: str, bit_rate_bps: float) -> float:
     """Line slot rate: OOK is 1 bit/slot; 4-PPM spends 4 slots on 2 bits."""
-    if bit_rate_bps <= 0:
-        raise ValueError("bit_rate_bps must be > 0")
+    if not 1e3 <= bit_rate_bps <= 1e11:
+        raise ValueError("bit_rate_bps must be in [1e3, 1e11] b/s")
     if kind == OOK:
         return float(bit_rate_bps)
     if kind == PPM4:

@@ -64,13 +64,18 @@ def max_distance_m(budget_db: float, c_db_per_m: float,
     """Largest distance whose total loss still fits inside the budget."""
     if budget_db <= 0:
         raise ValueError("budget_db must be > 0")
-    if c_db_per_m <= 0 or math.isinf(budget_db / c_db_per_m):
-        raise ValueError("c_db_per_m must be > 0, and budget_db / c_db_per_m finite")
+    if c_db_per_m < 0:
+        raise ValueError("c_db_per_m must be >= 0")
+    past_bound = SolverError(
+        f"the {mode} range passes MAX_DISTANCE_M = {MAX_DISTANCE_M:g} m")
+    # the range without spread; clear water (c = 0) has none
+    z_attenuation = budget_db / c_db_per_m if c_db_per_m else math.inf
 
     if mode == WITHOUT_GEOMETRY:
-        z = budget_db / c_db_per_m
-        residual = budget_db - attenuation_db(c_db_per_m, z)
-        return RangeSolution(z, residual, mode, None)
+        if z_attenuation > MAX_DISTANCE_M:
+            raise past_bound
+        residual = budget_db - attenuation_db(c_db_per_m, z_attenuation)
+        return RangeSolution(z_attenuation, residual, mode, None)
     if mode != WITH_GEOMETRY:
         raise ValueError(f"unknown mode {mode!r}")
     if geometry is None:
@@ -79,10 +84,9 @@ def max_distance_m(budget_db: float, c_db_per_m: float,
     def f(z: float) -> float:
         return path_loss_db(c_db_per_m, geometry, z) - budget_db
 
-    hi = min(budget_db / c_db_per_m + 1.0, MAX_DISTANCE_M)
+    hi = min(z_attenuation + 1.0, MAX_DISTANCE_M)
     if f(hi) < 0:  # only a clamped bracket: c hi > budget_db otherwise
-        raise SolverError(
-            f"the {mode} range passes MAX_DISTANCE_M = {MAX_DISTANCE_M:g} m")
+        raise past_bound
     z = _bisect_increasing(f, 1e-3, hi)
     residual = -f(z)
     if abs(residual) > _RESIDUAL_LIMIT_DB:

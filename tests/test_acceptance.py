@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from uwoclink.agc import ReceiverChain, agc_step
+from uwoclink import agc
 from uwoclink.channel import LinkGeometry, spot_diameter_m
 from uwoclink.cli import main, render_report
 from uwoclink.engine import (
@@ -156,29 +156,33 @@ def test_c09_long_term_ber_decades(green, blue):
 
 
 def test_c10_agc_convergence_sweep():
-    chain = ReceiverChain()  # the deployed receiver every link uses
-    g_min, g_max = chain.pmt_gain_range
-    v_min, v_max = chain.lc_voltage_range
+    # the deployed receiver every link uses, as a dB plant
+    g_min_db, g_max_db = (10 * math.log10(g) for g in agc.PMT_GAIN_RANGE)
+    lo_db, hi_db = (10 * math.log10(v) for v in agc.AGC_WINDOW_V)
+    responsivity_db = 10 * math.log10(agc.RESPONSIVITY_V_PER_W)
+
+    def level_db(state, p_dbw):
+        return responsivity_db + p_dbw - state.attenuation_db + state.gain_db
+
     worst = 0
     for p_opt in np.logspace(-6, -3, 41):  # 30 dB sweep, 41 points
-        state = chain.initial_state()
+        p_dbw = 10 * math.log10(p_opt)
+        state = agc.AgcState()
         steps = 0
         while steps <= 10:
-            measured = chain.amplitude_v(p_opt, state.lc_voltage, state.pmt_gain)
-            if chain.in_window(measured):
+            if lo_db <= level_db(state, p_dbw) <= hi_db:
                 break
-            state = agc_step(chain, state, measured)
+            state = agc.agc_step(state, p_dbw)
             steps += 1
-            assert g_min <= state.pmt_gain <= g_max
-            assert v_min <= state.lc_voltage <= v_max
-        measured = chain.amplitude_v(p_opt, state.lc_voltage, state.pmt_gain)
-        assert chain.in_window(measured), f"no convergence at {p_opt} W"
+            assert g_min_db <= state.gain_db <= g_max_db
+            assert 0.0 <= state.attenuation_db <= agc.LC_ATTENUATION_RANGE_DB
+        assert lo_db <= level_db(state, p_dbw) <= hi_db, f"no convergence at {p_opt} W"
         assert steps <= 10
         worst = max(worst, steps)
         # stays put once inside
-        after = agc_step(chain, state, measured)
-        assert (after.lc_voltage, after.pmt_gain) == \
-            (state.lc_voltage, state.pmt_gain)
+        after = agc.agc_step(state, p_dbw)
+        assert (after.attenuation_db, after.gain_db) == \
+            (state.attenuation_db, state.gain_db)
     report(f"C10 agc: 41-point 30 dB sweep converges in <= {worst} steps PASS")
 
 

@@ -1,88 +1,80 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from uwoclink.agc import AgcState, CalibrationError, ReceiverChain, agc_step, fit_calibration
+from uwoclink import agc
+from uwoclink.agc import AgcState, CalibrationError, agc_step, attenuation_db_at, fit_calibration
+from uwoclink.channel import sample_fading_db, total_loss_db
+from uwoclink.config import load_preset
 
-CHAIN = ReceiverChain()
+G_MIN_DB, G_MAX_DB = (10.0 * math.log10(g) for g in agc.PMT_GAIN_RANGE)
+WINDOW_DB = tuple(10.0 * math.log10(v) for v in agc.AGC_WINDOW_V)
 
 
-def predict_amplitude(cal, chain, p_opt_w, lc_voltage, gain):
+def db(x):
+    return 10.0 * math.log10(x)
+
+
+def amplitude_v(p_opt_w, lc_voltage, gain):
+    """The receiver plant in volts: responsivity * power * LC transmittance
+    * PMT gain."""
+    return (agc.RESPONSIVITY_V_PER_W * p_opt_w
+            * 10.0 ** (-attenuation_db_at(lc_voltage) / 10.0) * gain)
+
+
+def level_db(state, p_rx_dbw):
+    """The same plant in dB re 1 V at the loop's actuators."""
+    return db(agc.RESPONSIVITY_V_PER_W) + p_rx_dbw - state.attenuation_db + state.gain_db
+
+
+def in_window(level):
+    return WINDOW_DB[0] <= level <= WINDOW_DB[1]
+
+
+def predict_amplitude(cal, p_opt_w, lc_voltage, gain):
     """Volts the fitted model gives at these actuators: the fitted
     responsivity times power and gain, less the fitted LC attenuation
-    scaled by the chain's curve shape."""
-    shape = chain.attenuation_db_at(lc_voltage) / chain.lc_attenuation_range_db
+    scaled by the LC curve's shape."""
+    shape = attenuation_db_at(lc_voltage) / agc.LC_ATTENUATION_RANGE_DB
     att_db = cal.att_scale_db * shape
     return p_opt_w * gain * 10.0 ** ((cal.responsivity_db - att_db) / 10.0)
 
 
-def make_state(**kwargs):
-    defaults = dict(lc_voltage=0.0, pmt_gain=1e4)
-    defaults.update(kwargs)
-    return AgcState(**defaults)
-
-
-def settle(chain, state, p_opt_w, max_steps=10):
-    """Closed-loop run against the multiplicative plant."""
+def settle(state, p_rx_dbw, max_steps=10):
+    """Closed-loop run against the plant at a static received power."""
     steps = 0
     for _ in range(max_steps):
-        measured = chain.amplitude_v(p_opt_w, state.lc_voltage, state.pmt_gain)
-        if chain.in_window(measured):
+        if in_window(level_db(state, p_rx_dbw)):
             return state, steps
-        state = agc_step(chain, state, measured)
+        state = agc_step(state, p_rx_dbw)
         steps += 1
     return state, steps
 
 
-class TestReceiverChain:
-    def test_transmittance_is_one_at_v_min(self):
-        assert CHAIN.lc_transmittance(0.0) == 1.0
+class TestLcCurve:
+    def test_no_attenuation_at_v_min(self):
+        assert attenuation_db_at(0.0) == 0.0
 
-    def test_transmittance_monotone_non_increasing(self):
-        volts = np.linspace(0.0, 5.0, 100)
-        trans = [CHAIN.lc_transmittance(v) for v in volts]
-        assert all(b <= a + 1e-15 for a, b in zip(trans, trans[1:]))
+    def test_attenuation_monotone_non_decreasing(self):
+        atts = [attenuation_db_at(v) for v in np.linspace(0.0, 5.0, 100)]
+        assert all(b >= a - 1e-15 for a, b in zip(atts, atts[1:]))
 
     def test_full_range_attenuation(self):
-        assert CHAIN.attenuation_db_at(5.0) == CHAIN.lc_attenuation_range_db == 20.0
+        assert attenuation_db_at(5.0) == agc.LC_ATTENUATION_RANGE_DB == 20.0
 
-    def test_attenuation_inverse(self):
-        for att in (0.0, 3.0, 10.0, 19.9):
-            v = CHAIN.voltage_for_attenuation_db(att)
-            assert CHAIN.attenuation_db_at(v) == pytest.approx(att, abs=1e-9)
-
-    @given(fraction=st.floats(0.0, 1.0))
-    def test_attenuation_inverse_any_fraction(self, fraction):
-        att = fraction * CHAIN.lc_attenuation_range_db
-        v = CHAIN.voltage_for_attenuation_db(att)
-        v_min, v_max = CHAIN.lc_voltage_range
-        assert v_min <= v <= v_max
-        assert abs(CHAIN.attenuation_db_at(v) - att) <= 1e-9
-
-    def test_the_deployed_chain_is_the_only_chain(self):
-        # its numbers are class constants: no argument sets one
-        assert fields(ReceiverChain) == ()
-        assert ReceiverChain() == CHAIN
-        with pytest.raises(TypeError):
-            ReceiverChain(lc_steepness=-1.5)
-
-    def test_window_and_initial_state(self):
-        assert CHAIN.window_center_v == pytest.approx(math.sqrt(2.5))
-        assert CHAIN.in_window(0.5) and CHAIN.in_window(5.0)
-        assert not CHAIN.in_window(0.49) and not CHAIN.in_window(5.01)
-        assert CHAIN.initial_state() == AgcState(lc_voltage=0.0, pmt_gain=1e4)
-
+    def test_initial_state(self):
+        # no LC attenuation, the PMT gain at the geometric middle of 1e2..1e6
+        assert AgcState() == AgcState(attenuation_db=0.0, gain_db=40.0, saturated=False)
+        assert 10.0 ** (AgcState().gain_db / 10.0) == pytest.approx(
+            math.sqrt(agc.PMT_GAIN_RANGE[0] * agc.PMT_GAIN_RANGE[1]))
 
 
 class TestPredict:
     def _map(self):
         rng = np.random.default_rng(0)
         samples = self._grid(rng, noise=0.0)
-        return fit_calibration(samples, CHAIN)
+        return fit_calibration(samples)
 
     @staticmethod
     def _grid(rng, noise):
@@ -90,7 +82,7 @@ class TestPredict:
         for p in np.logspace(-6, -3, 4):
             for v in np.linspace(0.0, 5.0, 4):
                 for g in np.logspace(2, 6, 3):
-                    measured = CHAIN.amplitude_v(p, v, g)
+                    measured = amplitude_v(p, v, g)
                     if noise:
                         measured *= 1.0 + noise * rng.standard_normal()
                     samples.append((p, v, g, measured))
@@ -98,15 +90,14 @@ class TestPredict:
 
     def test_linearity_in_power(self):
         cal = self._map()
-        v1 = predict_amplitude(cal, CHAIN, 1e-4, 2.0, 1e3)
-        v2 = predict_amplitude(cal, CHAIN, 2e-4, 2.0, 1e3)
+        v1 = predict_amplitude(cal, 1e-4, 2.0, 1e3)
+        v2 = predict_amplitude(cal, 2e-4, 2.0, 1e3)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-9)
 
     def test_unit_chain(self):
         cal = self._map()
-        predicted = predict_amplitude(cal, CHAIN, 1e-3, 0.0, 1.0)
-        assert predicted == pytest.approx(CHAIN.responsivity_v_per_w * 1e-3,
-                                          rel=1e-6)
+        predicted = predict_amplitude(cal, 1e-3, 0.0, 1.0)
+        assert predicted == pytest.approx(agc.RESPONSIVITY_V_PER_W * 1e-3, rel=1e-6)
 
     def test_heldout_prediction_error_below_1pct(self):
         cal = self._map()
@@ -115,46 +106,46 @@ class TestPredict:
             p = 10 ** rng.uniform(-6, -3)
             v = rng.uniform(0.0, 5.0)
             g = 10 ** rng.uniform(2, 6)
-            truth = CHAIN.amplitude_v(p, v, g)
-            assert predict_amplitude(cal, CHAIN, p, v, g) == pytest.approx(truth, rel=0.01)
+            truth = amplitude_v(p, v, g)
+            assert predict_amplitude(cal, p, v, g) == pytest.approx(truth, rel=0.01)
 
 
 class TestFit:
     def test_exact_recovery_noiseless(self):
         rng = np.random.default_rng(1)
-        cal = fit_calibration(TestPredict._grid(rng, 0.0), CHAIN)
+        cal = fit_calibration(TestPredict._grid(rng, 0.0))
         assert 10 ** (cal.responsivity_db / 10.0) == pytest.approx(50.0, rel=1e-9)
         assert cal.att_scale_db == pytest.approx(20.0, rel=1e-9)
         assert cal.residual_rms_db < 1e-9
 
     def test_noisy_recovery_within_3pct(self):
         rng = np.random.default_rng(2)
-        cal = fit_calibration(TestPredict._grid(rng, 0.01), CHAIN)
+        cal = fit_calibration(TestPredict._grid(rng, 0.01))
         assert 10 ** (cal.responsivity_db / 10.0) == pytest.approx(50.0, rel=0.03)
         assert cal.att_scale_db == pytest.approx(20.0, rel=0.03)
 
     def test_single_voltage_rejected(self):
-        samples = [(1e-4, 2.0, g, CHAIN.amplitude_v(1e-4, 2.0, g))
+        samples = [(1e-4, 2.0, g, amplitude_v(1e-4, 2.0, g))
                    for g in np.logspace(2, 6, 10)]
         with pytest.raises(CalibrationError):
-            fit_calibration(samples, CHAIN)
+            fit_calibration(samples)
 
     def test_single_gain_rejected(self):
-        samples = [(1e-4, v, 1e3, CHAIN.amplitude_v(1e-4, v, 1e3))
+        samples = [(1e-4, v, 1e3, amplitude_v(1e-4, v, 1e3))
                    for v in np.linspace(0, 5, 10)]
         with pytest.raises(CalibrationError):
-            fit_calibration(samples, CHAIN)
+            fit_calibration(samples)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(CalibrationError):
-            fit_calibration([(1e-4, 0.0, 1e3, 1.0)] * 4, CHAIN)
+            fit_calibration([(1e-4, 0.0, 1e3, 1.0)] * 4)
 
     def test_responsivity_beyond_float_range_rejected(self):
         # finite samples whose fit is 8000 dB (10^800 V/W), which no float holds
         samples = [(p, v, g, 1e300) for p in (1e-300, 1e-200)
                    for v in (0.0, 2.0) for g in (1e-300, 1e-200)]
         with pytest.raises(CalibrationError, match="overflows a float in V/W"):
-            fit_calibration(samples, CHAIN)
+            fit_calibration(samples)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("column, field", [
@@ -165,73 +156,150 @@ class TestFit:
         samples = [list(row) for row in TestPredict._grid(None, 0.0)]
         samples[6][column] = bad
         with pytest.raises(CalibrationError, match=f"^sample 7: {field} is "):
-            fit_calibration(samples, CHAIN)
+            fit_calibration(samples)
 
 
 class TestStep:
     def test_in_window_is_fixed_point(self):
-        state = make_state()
-        stepped = agc_step(CHAIN, state, 1.0)
-        assert stepped.lc_voltage == state.lc_voltage
-        assert stepped.pmt_gain == state.pmt_gain
-        again = agc_step(CHAIN, stepped, 1.0)
-        assert again.lc_voltage == stepped.lc_voltage
-        assert again.pmt_gain == stepped.pmt_gain
+        p_dbw = -db(agc.RESPONSIVITY_V_PER_W) - 40.0  # 1 V at the initial actuators
+        stepped = agc_step(AgcState(), p_dbw)
+        assert (stepped.attenuation_db, stepped.gain_db) == (0.0, 40.0)
+        assert not stepped.saturated
+        assert agc_step(stepped, p_dbw) == stepped
+
+    @pytest.mark.parametrize("edge, inward", [(0, 1.0), (1, -1.0)])
+    def test_window_edges(self, edge, inward):
+        # the window is 0.5 to 5 V, ends included: a level 1e-9 dB inside an
+        # end moves nothing, one 0.01 dB outside it moves the actuators
+        for offset_db, moves in ((1e-9, False), (-0.01, True)):
+            p_dbw = WINDOW_DB[edge] + inward * offset_db - db(agc.RESPONSIVITY_V_PER_W) - 40.0
+            assert (agc_step(AgcState(), p_dbw) != AgcState()) == moves
 
     def test_20db_step_recovers_within_10(self):
-        p0 = 3.16e-6  # sits mid-window at the initial actuators
-        state, _ = settle(CHAIN, make_state(), p0)
-        boosted = p0 * 100.0  # +20 dB optical step
-        state, steps = settle(CHAIN, state, boosted)
-        measured = CHAIN.amplitude_v(boosted, state.lc_voltage, state.pmt_gain)
-        assert CHAIN.in_window(measured)
+        p0_dbw = db(3.16e-6)  # sits mid-window at the initial actuators
+        state, _ = settle(AgcState(), p0_dbw)
+        boosted = p0_dbw + 20.0  # +20 dB optical step
+        state, steps = settle(state, boosted)
+        assert in_window(level_db(state, boosted))
         assert steps <= 10
 
     def test_below_sensitivity_saturates_at_bounds(self):
-        state = make_state(lc_voltage=0.0, pmt_gain=1e6)
-        p = 1e-12  # microvolts even at full gain
-        measured = CHAIN.amplitude_v(p, state.lc_voltage, state.pmt_gain)
-        stepped = agc_step(CHAIN, state, measured)
+        state = AgcState(attenuation_db=0.0, gain_db=G_MAX_DB)
+        stepped = agc_step(state, db(1e-12))  # microvolts even at full gain
         assert stepped.saturated
-        assert stepped.pmt_gain == pytest.approx(1e6)
-        assert stepped.lc_voltage == pytest.approx(0.0)
+        assert stepped.gain_db == G_MAX_DB
+        assert stepped.attenuation_db == 0.0
+
+    @pytest.mark.parametrize("p_rx_dbw", [-5000.0, 5000.0])
+    def test_power_past_float_range_saturates(self, p_rx_dbw):
+        # 10^(-500) W reads 0 W and 10^500 W inf; in dB both are one more step
+        stepped = agc_step(AgcState(), p_rx_dbw)
+        assert stepped.saturated
+        assert (stepped.attenuation_db, stepped.gain_db) == (
+            (0.0, G_MAX_DB) if p_rx_dbw < 0 else (agc.LC_ATTENUATION_RANGE_DB, G_MIN_DB))
 
     def test_actuators_stay_in_bounds(self):
         rng = np.random.default_rng(3)
-        g_min, g_max = CHAIN.pmt_gain_range
-        v_min, v_max = CHAIN.lc_voltage_range
-        state = make_state()
+        state = AgcState()
         for _ in range(300):
-            measured = 10 ** rng.uniform(-4, 3)
-            state = agc_step(CHAIN, state, measured)
-            assert g_min <= state.pmt_gain <= g_max
-            assert v_min <= state.lc_voltage <= v_max
+            level = rng.uniform(-40.0, 30.0)  # 1e-4 V to 1e3 V
+            state = agc_step(state, level - level_db(state, 0.0))
+            assert G_MIN_DB <= state.gain_db <= G_MAX_DB
+            assert 0.0 <= state.attenuation_db <= agc.LC_ATTENUATION_RANGE_DB
 
     def test_monotone_response(self):
-        state = make_state(lc_voltage=2.0, pmt_gain=1e4)
-        hot1 = agc_step(CHAIN, state, 8.0)
-        hot2 = agc_step(CHAIN, state, 80.0)
-        assert CHAIN.attenuation_db_at(hot2.lc_voltage) >= \
-            CHAIN.attenuation_db_at(hot1.lc_voltage)
-        assert hot2.pmt_gain <= hot1.pmt_gain
-        cold1 = agc_step(CHAIN, state, 0.4)
-        cold2 = agc_step(CHAIN, state, 0.04)
-        assert cold2.pmt_gain >= cold1.pmt_gain
-        assert CHAIN.attenuation_db_at(cold2.lc_voltage) <= \
-            CHAIN.attenuation_db_at(cold1.lc_voltage)
+        state = AgcState(attenuation_db=attenuation_db_at(2.0), gain_db=40.0)
+
+        def step_at(volts):
+            return agc_step(state, db(volts) - level_db(state, 0.0))
+
+        hot1, hot2 = step_at(8.0), step_at(80.0)
+        assert hot2.attenuation_db >= hot1.attenuation_db
+        assert hot2.gain_db <= hot1.gain_db
+        cold1, cold2 = step_at(0.4), step_at(0.04)
+        assert cold2.gain_db >= cold1.gain_db
+        assert cold2.attenuation_db <= cold1.attenuation_db
 
     def test_convergence_over_30db_grid(self):
         # 41 static power levels spanning 30 dB, <= 10 steps each
         for p in np.logspace(-6, -3, 41):
-            state, steps = settle(CHAIN, make_state(), p)
-            measured = CHAIN.amplitude_v(p, state.lc_voltage, state.pmt_gain)
-            assert CHAIN.in_window(measured), p
+            state, steps = settle(AgcState(), db(p))
+            assert in_window(level_db(state, db(p))), p
             assert steps <= 10
             # and stays there
-            after = agc_step(CHAIN, state, measured)
-            assert (after.lc_voltage, after.pmt_gain) == \
-                (state.lc_voltage, state.pmt_gain)
+            after = agc_step(state, db(p))
+            assert (after.attenuation_db, after.gain_db) == \
+                (state.attenuation_db, state.gain_db)
 
-    def test_invalid_measured_rejected(self):
-        with pytest.raises(ValueError):
-            agc_step(CHAIN, make_state(), 0.0)
+
+def lc_voltage_for(att_db):
+    """The LC curve's inverse, clamped to the voltage range."""
+    (v_min, v_max), full = agc.LC_VOLTAGE_RANGE, agc.LC_ATTENUATION_RANGE_DB
+    if att_db <= 0 or att_db >= full:
+        return v_min if att_db <= 0 else v_max
+    mid = 0.5 * (v_min + v_max)
+    f_min, f_max = (1.0 / (1.0 + math.exp(-agc.LC_STEEPNESS * (v - mid)))
+                    for v in (v_min, v_max))
+    f = f_min + att_db / full * (f_max - f_min)
+    return min(max(mid - math.log(1.0 / f - 1.0) / agc.LC_STEEPNESS, v_min), v_max)
+
+
+def volt_step(lc_v, gain, measured):
+    """One step of the loop as it ran in watts and volts, on the LC voltage
+    and the linear PMT gain, for an amplitude outside the window."""
+    (g_min, g_max), (lo, hi) = agc.PMT_GAIN_RANGE, agc.AGC_WINDOW_V
+    err, att, gain_db = db(measured) - db(math.sqrt(lo * hi)), attenuation_db_at(lc_v), db(gain)
+    if err > 0:
+        att_new = min(att + err, agc.LC_ATTENUATION_RANGE_DB)
+        gain_new_db = max(gain_db - (att + err - att_new), db(g_min))
+        leftover = att + err - att_new - (gain_db - gain_new_db)
+    else:
+        gain_new_db = min(gain_db - err, db(g_max))
+        leftover = -err - (gain_new_db - gain_db)
+        leftover = 0.0 if abs(leftover) < 1e-12 else leftover
+        att_new = max(att - leftover, 0.0)
+        leftover -= att - att_new
+    lc_v = lc_v if att_new == att else lc_voltage_for(att_new)
+    if gain_new_db != gain_db:
+        gain = min(max(10.0 ** (gain_new_db / 10.0), g_min), g_max)
+    return lc_v, gain, leftover > 1e-9
+
+
+def volt_loop(p_rx_w):
+    """Per second of the volt-domain loop: whether it ended saturated (None
+    where the volts were 0 and the second went uncounted), and the LC
+    attenuation and PMT gain in dB after it."""
+    (g_min, g_max), (lo, hi) = agc.PMT_GAIN_RANGE, agc.AGC_WINDOW_V
+    lc_v, gain, trace = agc.LC_VOLTAGE_RANGE[0], math.sqrt(g_min * g_max), []
+    for p in p_rx_w:
+        measured = amplitude_v(p, lc_v, gain)
+        if measured > 0 and not lo <= measured <= hi:
+            lc_v, gain, saturated = volt_step(lc_v, gain, measured)
+        else:
+            saturated = None if measured <= 0 else False
+        trace.append((saturated, attenuation_db_at(lc_v), db(gain)))
+    return trace
+
+
+@pytest.mark.parametrize("preset", ["green-125M", "blue-6M25", "blue-6M25-nlos"])
+def test_db_loop_flags_the_seconds_the_volt_loop_flags(preset):
+    # seeded fading traces at the preset's power, at 1 uW and at 100 W; the
+    # actuators agree to the LC curve inverse's 1e-9 dB
+    spec = load_preset(preset)
+    static = total_loss_db(spec.geometry, spec.c_db_per_m, spec.nlos).total_db
+    saturated = 0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        totals = [static + sample_fading_db(spec.fading, rng) for _ in range(60)]
+        for tx_w in (spec.tx_power_w, 1e-6, 100.0):
+            reference = volt_loop([tx_w * 10.0 ** (-t / 10.0) for t in totals])
+            state, trace = AgcState(), []
+            for t in totals:
+                state = agc_step(state, db(tx_w) - t)
+                trace.append((state.saturated, state.attenuation_db, state.gain_db))
+            flags = [flag for flag, _, _ in trace]
+            assert flags == [flag for flag, _, _ in reference], (seed, tx_w)
+            np.testing.assert_allclose([step[1:] for step in trace],
+                                       [step[1:] for step in reference], rtol=0, atol=1e-9)
+            saturated += sum(flags)
+    assert saturated > 0

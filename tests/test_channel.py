@@ -113,10 +113,19 @@ class TestGeometricLoss:
     @pytest.mark.parametrize("k_override", [None, 1e-12])
     def test_worst_corner_of_the_box_is_finite(self, k_override):
         # the widest spot on the least aperture over the longest path: under
-        # the 480 dB that LinkSpec's docstring derives
-        g = LinkGeometry(MAX_DISTANCE_M, math.nextafter(90.0, 0.0), 10.0, 1e-4,
-                         k_override_m2=k_override)
-        assert 0.0 < geometric_loss_db(g) < 480.0
+        # the 171 dB that LinkSpec's docstring derives, or the 200 dB of the
+        # least k override there
+        g = LinkGeometry(MAX_DISTANCE_M, 60.0, 10.0, 1e-4, k_override_m2=k_override)
+        if k_override is None:
+            assert 0.0 < geometric_loss_db(g) < 171.0
+        else:
+            assert geometric_loss_db(g) == pytest.approx(200.0)
+
+    @pytest.mark.parametrize("half_angle", [0.0, math.nextafter(0.01, 0.0),
+                                            math.nextafter(60.0, 90.0), 89.99999999999999])
+    def test_half_angle_past_its_interval_rejected(self, half_angle):
+        with pytest.raises(ValueError, match=r"half_angle_deg must be in \[0.01, 60\] degrees"):
+            LinkGeometry(30.0, half_angle, 0.0, 0.046)
 
     def test_past_the_longest_path_rejected(self):
         with pytest.raises(ValueError, match=r"distance_m must be in \[0, 10000\] m"):
@@ -158,6 +167,9 @@ class TestPointing:
         # in "disc diameters must be > 0", which names no key
         with pytest.raises(ValueError, match="pointing_offset_m > 0 needs a spot"):
             LinkGeometry(0.0, 0.53, 0.0, 0.046, pointing_offset_m=0.01)
+        # a subnormal range spreads the beam to a spot that underflows to 0
+        with pytest.raises(ValueError, match="pointing_offset_m > 0 needs a spot"):
+            LinkGeometry(5e-324, 0.01, 0.0, 0.046, pointing_offset_m=0.01)
         offset = replace(blue_nlos.geometry, pointing_offset_m=0.01)
         with pytest.raises(ValueError, match="pointing_offset_m > 0 needs a spot"):
             replace(blue_nlos, geometry=offset, nlos=NlosPath(0.05, 0.0))

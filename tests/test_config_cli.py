@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uwoclink
-from uwoclink.agc import ReceiverChain
+from uwoclink.agc import attenuation_db_at
 from uwoclink.channel import FadingSpec, LinkGeometry, NlosPath, spot_diameter_m
 from uwoclink.cli import _bits_to_hex, _hex_to_bits, build_parser, main, render_report
 from uwoclink.config import (
@@ -89,10 +89,13 @@ def leaf_paths(cls, prefix=""):
 # field a message names is the key less its "nlos_" prefix
 BOX = {
     ("link", "tx_power_w"): (0.0, 1e3, True),
+    ("link", "bit_rate_bps"): (1e3, 1e11, False),
+    ("link", "iface_cap_bps"): (1e3, 1e11, False),
     ("link", "budget_db"): (0.0, 300.0, True),
     ("link", "snr_offset_db"): (-100.0, 100.0, False),
     ("water", "c_db_per_m"): (0.0, 10.0, False),
     ("geometry", "distance_m"): (0.0, 1e4, False),
+    ("geometry", "half_angle_deg"): (0.01, 60.0, False),
     ("geometry", "tx_exit_diameter_m"): (0.0, 10.0, False),
     ("geometry", "rx_aperture_m"): (1e-4, 10.0, False),
     ("geometry", "pointing_offset_m"): (0.0, 1e4, False),
@@ -116,7 +119,7 @@ def config_specs(draw):
     distance = in_box(draw, "geometry", "distance_m")
     geometry = LinkGeometry(
         distance_m=distance,
-        half_angle_deg=draw(f(0.0, 90.0, exclude_min=True, exclude_max=True)),
+        half_angle_deg=in_box(draw, "geometry", "half_angle_deg"),
         tx_exit_diameter_m=in_box(draw, "geometry", "tx_exit_diameter_m"),
         rx_aperture_m=in_box(draw, "geometry", "rx_aperture_m"),
         k_override_m2=draw(st.none() | f(1e-12, 1e6)) if distance else None,
@@ -138,13 +141,13 @@ def config_specs(draw):
         c_db_per_m=in_box(draw, "water", "c_db_per_m"),
         geometry=geometry,
         modulation=ModulationScheme(draw(st.sampled_from([OOK, PPM4])),
-                                    draw(f(1e3, 1e9))),
+                                    in_box(draw, "link", "bit_rate_bps")),
         budget_db=in_box(draw, "link", "budget_db"),
         fading=FadingSpec(in_box(draw, "fading", "sigma_db"), draw(f(0.0, 1.0)),
                           in_box(draw, "fading", "burst_depth_db")),
         nlos=nlos,
         sync_overhead_fraction=draw(f(0.0, 0.99)),
-        iface_cap_bps=draw(f(1e3, 1e9)),
+        iface_cap_bps=in_box(draw, "link", "iface_cap_bps"),
         frame_payload_bytes=draw(st.integers(46, 1500)),
         snr_offset_db=in_box(draw, "link", "snr_offset_db"),
         sim_frames_per_second=draw(st.integers(1, 60)),
@@ -470,20 +473,24 @@ class TestCliCommands:
         assert error_lines(captured.err) == [
             f"error: z_max must be in [0, 10000] m, got {float(z_max)}"]
 
-    @pytest.mark.parametrize("preset, code", [("green-125M", 2), ("blue-6M25", 0)])
-    def test_plan_range_near_the_box_edge(self, tmp_path, capsys, preset, code):
-        # at 0.001 dB/m green's range with spread passes 10 km, where no
-        # LinkGeometry can go; blue's wider beam closes it at about 4 km,
-        # and its curve stops at the box edge, not at 1.05 * 100.5 km
+    @pytest.mark.parametrize("preset, c_db_per_m, code", [
+        ("green-125M", "0.001", 2), ("blue-6M25", "0.001", 2), ("blue-6M25", "0", 2),
+        ("blue-6M25", "0.0102", 0)])
+    def test_plan_range_near_the_box_edge(self, tmp_path, capsys, preset, c_db_per_m,
+                                          code):
+        # at 0.001 dB/m the range without spread is 82.8 or 100.5 km, past
+        # the 10 km no LinkGeometry can go, and clear water has no range;
+        # at 0.0102 dB/m blue's is 9.9 km, and its curve stops at the box
+        # edge, not at 1.05 * 9.9 km
         cfg = tmp_path / "clear.cfg"
-        cfg.write_text("[water]\nc_db_per_m = 0.001\n")
+        cfg.write_text(f"[water]\nc_db_per_m = {c_db_per_m}\n")
         assert main(["plan", "--preset", preset, "--config", str(cfg), "--format",
                      "csv"]) == code
         captured = capsys.readouterr()
         if code:
             assert captured.out == ""
             assert error_lines(captured.err) == [
-                "error: the with_geometry range passes MAX_DISTANCE_M = 10000 m"]
+                "error: the without_geometry range passes MAX_DISTANCE_M = 10000 m"]
         else:
             assert float(captured.out.splitlines()[-1].split(",")[0]) == 1e4
 
@@ -595,12 +602,12 @@ class TestCliCommands:
             "error: missing required keys: [water] c_db_per_m"]
 
     def test_calibrate(self, tmp_path, capsys):
-        chain = ReceiverChain()
         rows = []
         for p in (1e-5, 1e-4):
             for v in (0.0, 2.0, 4.0):
                 for g in (1e3, 1e5):
-                    rows.append(f"{p} {v} {g} {chain.amplitude_v(p, v, g)}")
+                    measured = 50.0 * p * 10.0 ** (-attenuation_db_at(v) / 10.0) * g
+                    rows.append(f"{p} {v} {g} {measured}")
         samples = tmp_path / "cal.txt"
         samples.write_text("\n".join(rows) + "\n")
         assert main(["calibrate", "--samples", str(samples)]) == 0

@@ -54,6 +54,14 @@ class TestGoodput:
     def test_overhead_constant(self):
         assert ETHERNET_OVERHEAD_BYTES == 14 + 4 + 8 + 12
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rates_rejected(self, green, value):
+        # min(x, nan) is x, so a NaN cap would give 110 Mb/s past a 100 Mb/s cap
+        with pytest.raises(ValueError, match=r"iface_cap_bps must be in \[1e3, 1e11\] b/s"):
+            replace(green, iface_cap_bps=value)
+        with pytest.raises(ValueError, match=r"bit_rate_bps must be in \[1e3, 1e11\] b/s"):
+            replace(green.modulation, bit_rate_bps=value)
+
     def test_payload_bounds(self, green):
         for payload in (45, 1501):
             with pytest.raises(ValueError, match="frame_payload_bytes"):
@@ -140,6 +148,15 @@ class TestRunScenario:
     def test_invalid_duration(self, green):
         with pytest.raises(ValueError):
             run_scenario(green, 0, seed=1)
+
+    @pytest.mark.parametrize("c_db_per_m", [1.0, 4.0])
+    def test_link_far_past_its_budget_saturates_every_second(self, green, c_db_per_m):
+        # 1 km of water costs 1,000 or 4,000 dB; at 4,000 the received power,
+        # under 1e-400 W, is below float range, and in dB its seconds count
+        geometry = replace(green.geometry, distance_m=1000.0)
+        spec = replace(green, geometry=geometry, c_db_per_m=c_db_per_m)
+        report = run_scenario(spec, 5, seed=1)
+        assert report.agc_saturated_seconds == report.duration_s == 5
 
 
 class TestNoWorkerOutlivesARun:

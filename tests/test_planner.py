@@ -101,15 +101,33 @@ class TestMaxDistanceWithGeometry:
     def test_range_past_the_box_names_the_bound(self):
         # at 0.001 dB/m the beam spreads by 72 dB over 10 km, and attenuation
         # adds 10: the 82.77 dB budget still holds there
-        with pytest.raises(SolverError, match="range passes MAX_DISTANCE_M = 10000 m"):
+        with pytest.raises(SolverError, match="with_geometry range passes "
+                                              "MAX_DISTANCE_M = 10000 m"):
             max_distance_m(82.77, 0.001, GREEN_GEO, WITH_GEOMETRY)
-        # the range without spread is only a quotient
-        assert max_distance_m(82.77, 0.001, mode=WITHOUT_GEOMETRY).max_distance_m == \
-            pytest.approx(82770.0)
+        # without spread the quotient, 82,770 m, passes it too
+        with pytest.raises(SolverError, match="without_geometry range passes "
+                                              "MAX_DISTANCE_M = 10000 m"):
+            max_distance_m(82.77, 0.001, mode=WITHOUT_GEOMETRY)
 
     def test_range_past_float_range_rejected(self):
-        with pytest.raises(ValueError, match="c_db_per_m finite"):
+        # 82.77 / 5e-324 is inf
+        with pytest.raises(SolverError, match="range passes MAX_DISTANCE_M = 10000 m"):
             max_distance_m(82.77, 5e-324, mode=WITHOUT_GEOMETRY)
+
+    def test_clear_water(self):
+        # no attenuation: without spread nothing closes the budget, with it
+        # green's narrow beam loses 72 dB over 10 km and blue's closes it
+        for mode, geometry in ((WITHOUT_GEOMETRY, None), (WITH_GEOMETRY, GREEN_GEO)):
+            with pytest.raises(SolverError, match=f"the {mode} range passes "
+                                                  "MAX_DISTANCE_M = 10000 m"):
+                max_distance_m(82.77, 0.0, geometry, mode)
+        sol = max_distance_m(100.54, 0.0, BLUE_GEO, WITH_GEOMETRY)
+        assert 0 < sol.max_distance_m < MAX_DISTANCE_M
+        assert abs(sol.residual_db) < 1e-6
+
+    def test_negative_attenuation_rejected(self):
+        with pytest.raises(ValueError, match="c_db_per_m must be >= 0"):
+            max_distance_m(82.77, -0.1, mode=WITHOUT_GEOMETRY)
 
     def test_solver_error_diagnostic(self):
         with pytest.raises(SolverError, match="no sign change"):
