@@ -25,6 +25,7 @@ from .planner import (
     WITH_GEOMETRY,
     WITHOUT_GEOMETRY,
     SolverError,
+    check_curve_span,
     distance_curve,
     max_distance_m,
 )
@@ -91,11 +92,12 @@ def _cmd_plan(args) -> int:
                               WITH_GEOMETRY)
     z_max = (args.z_max if args.z_max is not None
              else min(without.max_distance_m * 1.05, MAX_DISTANCE_M))
-    rows = distance_curve(spec, args.z_min, z_max, args.points)
-
     if args.format == "csv":
+        rows = distance_curve(spec, args.z_min, z_max, args.points)
         _emit(curve_csv(spec, rows, args.seed), args.out)
         return 0
+    # the JSON report holds no curve, but its span is checked all the same
+    check_curve_span(args.z_min, z_max, args.points)
     payload = {
         "name": spec.name,
         "seed": args.seed,

@@ -3,10 +3,11 @@
 Every run is one frame loop: source -> codec -> tally. Each simulated
 second, the channel hands the loop an error source; each frame is encoded,
 the source returns the ascending positions of the line bits it flipped, and
-the loop XORs them in, counts them as pre-FEC errors and FEC-decodes the
-second's frames together, in batches of at most ``DECODE_BATCH_FRAMES``.
-Only frames with a flip can decode wrong, so only their payloads are
-compared.
+the loop XORs them in and counts them as pre-FEC errors. Only the frames
+with a flip reach the FEC decoder, packed together, in one call per batch of
+at most ``DECODE_BATCH_FRAMES`` frames of a second. A frame with no flip is
+a codeword, and a bounded-distance decoder returns a codeword's own payload
+with no correction and no failure, so decoding it would change no count.
 
 A scenario run's source draws one fading sample per second, steps the AGC
 at that second's received power in dBW, and pushes each frame through
@@ -48,7 +49,7 @@ from .modem import ModulationScheme
 ETHERNET_OVERHEAD_BYTES = 38
 MIN_PAYLOAD_BYTES = 46
 MAX_PAYLOAD_BYTES = 1500
-DECODE_BATCH_FRAMES = 32  # most frames per codec.decode call; bounds its arrays
+DECODE_BATCH_FRAMES = 32  # most frames a batch holds, flipped or not; bounds its arrays
 
 
 @dataclass(frozen=True)
@@ -255,11 +256,14 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
     error source: a function of the sent frame that returns the ascending,
     distinct positions of the line bits it flipped. A last partial second is
     tallied as its own entry. Payload bits are unpacked from uniform random
-    bytes. A second's frames are drawn, encoded and flipped one by one, then
-    decoded together, in slices of at most ``DECODE_BATCH_FRAMES``. A
-    frame's pre-FEC errors are its flip count. A frame with no flip is a
-    codeword and decodes to its payload, so post-FEC errors and losses are
-    tallied over the flipped frames only.
+    bytes. A second's frames are drawn, encoded and flipped one by one, in
+    batches of at most ``DECODE_BATCH_FRAMES``. A frame's pre-FEC errors are
+    its flip count. A frame with no flip is a codeword, which decodes to its
+    own payload with no correction and no failure, so it is not decoded: its
+    rows are overwritten by the next frame. The flipped frames of a batch
+    fill the leading ``dirty`` rows of ``payloads`` and ``received``, and one
+    ``codec.decode`` call on those rows, made even when there are none,
+    gives the batch's failures, post-FEC errors and losses.
     """
     rng = np.random.default_rng(seed)
     codec = spec.codec
@@ -279,24 +283,22 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
         second_errors = second_losses = 0
         second = min(fps, n_frames - start)
         for first in range(0, second, batch):
-            rows = min(batch, second - first)
-            flipped = []
-            for r in range(rows):
-                payloads[r] = np.unpackbits(
+            dirty = 0
+            for _ in range(min(batch, second - first)):
+                payloads[dirty] = np.unpackbits(
                     rng.integers(0, 256, payload_bytes, dtype=np.uint8),
                     count=codec.frame_payload_bits)
-                received[r] = frame = codec.encode(payloads[r])
+                received[dirty] = frame = codec.encode(payloads[dirty])
                 positions = errors(frame)
                 if len(positions):
-                    received[r, positions] ^= 1
+                    received[dirty, positions] ^= 1
                     second_errors += len(positions)
-                    flipped.append(r)
-            outcome = codec.decode(received[:rows])
+                    dirty += 1
+            outcome = codec.decode(received[:dirty])
+            wrong = np.count_nonzero(outcome.message_bits != payloads[:dirty], axis=1)
             failures += int(np.count_nonzero(outcome.failed))
-            for r in flipped:
-                wrong = int(np.count_nonzero(outcome.message_bits[r] != payloads[r]))
-                post_err_total += wrong
-                second_losses += bool(outcome.failed[r]) or wrong > 0
+            post_err_total += int(wrong.sum())
+            second_losses += int(np.count_nonzero(outcome.failed | (wrong > 0)))
         beps.append(second_errors)
         loss_series.append(second_losses)
 

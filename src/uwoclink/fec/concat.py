@@ -23,11 +23,12 @@ PRIMITIVE_POLY_M12 = 0b1_0000_0101_0011
 
 def interleave(bits: np.ndarray, depth: int) -> np.ndarray:
     """Channel order of ``depth`` equal rows: channel bit j is bit j // depth
-    of row j % depth. Works along the last axis; ``depth`` must divide it."""
+    of row j % depth. Works along the last axis; ``depth`` must divide it.
+    Shapes are explicit, so an array with no rows passes through."""
     bits = np.asarray(bits)
     if depth < 1 or bits.shape[-1] % depth:
         raise ValueError(f"depth {depth} does not divide length {bits.shape[-1]}")
-    rows = bits.reshape(*bits.shape[:-1], depth, -1)
+    rows = bits.reshape(*bits.shape[:-1], depth, bits.shape[-1] // depth)
     return rows.swapaxes(-1, -2).reshape(bits.shape)
 
 
@@ -36,7 +37,7 @@ def deinterleave(bits: np.ndarray, depth: int) -> np.ndarray:
     bits = np.asarray(bits)
     if depth < 1 or bits.shape[-1] % depth:
         raise ValueError(f"depth {depth} does not divide length {bits.shape[-1]}")
-    columns = bits.reshape(*bits.shape[:-1], -1, depth)
+    columns = bits.reshape(*bits.shape[:-1], bits.shape[-1] // depth, depth)
     return columns.swapaxes(-1, -2).reshape(bits.shape)
 
 
@@ -89,7 +90,9 @@ class ConcatCodecSpec:
         go to one ``outer.decode`` call. An outer word fed by a failed inner
         word is not trusted to the outer corrector (its error count is far
         beyond t); its received message bits pass through and its frame is
-        flagged. ``failed`` has one flag per frame, 0-d for one frame.
+        flagged. ``failed`` has one flag per frame, 0-d for one frame. Every
+        reshape names its sizes, so a batch of no frames decodes to no
+        payloads, with nothing corrected and nothing failed.
         """
         frames = np.asarray(frame_bits, dtype=np.uint8)
         if frames.ndim not in (1, 2) or frames.shape[-1] != self.frame_bits:
@@ -98,16 +101,19 @@ class ConcatCodecSpec:
                 f"got {frames.shape}"
             )
         inner, outer = self.inner, self.outer
-        rows = frames.reshape(-1, self.frame_bits)
-        raw = deinterleave(rows, self.interleaver_depth)
-        inner_out = inner.decode(raw.reshape(-1, inner.n))
+        n_frames = frames.size // self.frame_bits
+        n_outer = n_frames * self.outer_words_per_frame
+        raw = deinterleave(frames.reshape(n_frames, self.frame_bits),
+                           self.interleaver_depth)
+        inner_out = inner.decode(raw.reshape(n_frames * self.inner_words_per_frame,
+                                             inner.n))
         corrected = inner_out.corrected_count
-        inner_failed = inner_out.failed.reshape(len(rows), self.inner_words_per_frame)
-        outer_words = inner_out.message_bits.reshape(-1, outer.n)
+        inner_failed = inner_out.failed.reshape(n_frames, self.inner_words_per_frame)
+        outer_words = inner_out.message_bits.reshape(n_outer, outer.n)
         payload = outer_words[:, : outer.k].copy()
         # each outer word is fed by outer.n // inner.k whole inner words
-        tainted = inner_failed.reshape(len(rows), -1, outer.n // inner.k).any(axis=2)
-        dirty = outer.syndromes(outer_words).any(axis=1) & ~tainted.ravel()
+        tainted = inner_failed.reshape(n_outer, outer.n // inner.k).any(axis=1)
+        dirty = outer.syndromes(outer_words).any(axis=1) & ~tainted
         failed = inner_failed.any(axis=1)
         if dirty.any():
             outcome = outer.decode(outer_words[dirty])

@@ -111,9 +111,8 @@ def back_solve_k(budget_db: float, c_db_per_m: float,
     return target_distance_m**2 * 10.0 ** (-remaining / 10.0)
 
 
-def distance_curve(spec: LinkSpec, z_min: float, z_max: float, n_points: int):
-    """Loss-vs-distance table, with and without geometry, for plotting
-    against the budget line."""
+def check_curve_span(z_min: float, z_max: float, n_points: int):
+    """Raise ValueError unless ``distance_curve`` can tabulate this span."""
     for bound, z in (("z_min", z_min), ("z_max", z_max)):
         if not 0.0 <= z <= MAX_DISTANCE_M:
             raise ValueError(f"{bound} must be in [0, {MAX_DISTANCE_M:g}] m, got {z}")
@@ -121,6 +120,12 @@ def distance_curve(spec: LinkSpec, z_min: float, z_max: float, n_points: int):
         raise ValueError("z_min must be < z_max")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
+
+
+def distance_curve(spec: LinkSpec, z_min: float, z_max: float, n_points: int):
+    """Loss-vs-distance table, with and without geometry, for plotting
+    against the budget line."""
+    check_curve_span(z_min, z_max, n_points)
     step = (z_max - z_min) / (n_points - 1)
     rows = []
     for i in range(n_points):

@@ -473,6 +473,13 @@ class TestCliCommands:
         assert error_lines(captured.err) == [
             f"error: z_max must be in [0, 10000] m, got {float(z_max)}"]
 
+    def test_plan_json_builds_no_curve(self, monkeypatch, capsys):
+        # the JSON report holds no curve, yet its span is still checked
+        monkeypatch.setattr(uwoclink.cli, "distance_curve", None)
+        assert main(["plan", "--preset", "green-125M"]) == 0
+        assert main(["plan", "--preset", "green-125M", "--points", "1"]) == 2
+        assert error_lines(capsys.readouterr().err) == ["error: n_points must be >= 2"]
+
     @pytest.mark.parametrize("preset, c_db_per_m, code", [
         ("green-125M", "0.001", 2), ("blue-6M25", "0.001", 2), ("blue-6M25", "0", 2),
         ("blue-6M25", "0.0102", 0)])

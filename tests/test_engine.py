@@ -359,6 +359,31 @@ def reference_simulate(spec, seed, n_frames, channel):
         loss_series=tuple(losses), margin_trace_db=tuple(log.margins))
 
 
+@pytest.fixture
+def decode_rows(monkeypatch):
+    """The frame count of every ``ConcatCodecSpec.decode`` call."""
+    rows = []
+    decode = ConcatCodecSpec.decode
+
+    def counting(codec, frames):
+        rows.append(len(frames))
+        return decode(codec, frames)
+
+    monkeypatch.setattr(ConcatCodecSpec, "decode", counting)
+    return rows
+
+
+def scripted_channel(seconds):
+    """An error source per second that flips, in its i-th frame, the line
+    bits listed at ``seconds[s][i]``."""
+    def channel(rng, log):
+        for flips in seconds:
+            frames = iter(flips)
+            yield lambda frame, frames=frames: np.asarray(next(frames), dtype=np.intp)
+
+    return channel
+
+
 class TestFullChainOracle:
     """``run_scenario`` and ``inject_errors_run`` report what a loop that
     passes whole frames through the full chain and compares them whole
@@ -381,6 +406,13 @@ class TestFullChainOracle:
         report = inject_errors_run(green, 3e-3, 40 * green.codec.frame_bits, seed=5)
         assert report.decode_failures > 0 and report.packet_loss_count < report.frames_sent
         assert report == reference_simulate(green, 5, 40, full_flip_channel(3e-3))
+
+    def test_inject_errors_run_with_clean_frames(self, green, decode_rows):
+        # at 1e-4 a frame holds Poisson(1.6) flips: about a fifth are clean,
+        # so the decoder sees only some of the frames
+        report = inject_errors_run(green, 1e-4, 60 * green.codec.frame_bits, seed=6)
+        assert 0 < sum(decode_rows) < report.frames_sent
+        assert report == reference_simulate(green, 6, 60, full_flip_channel(1e-4))
 
 
 class TestErrorDistribution:
@@ -446,25 +478,20 @@ class TestErrorDistribution:
 
 
 class TestDecodeBatches:
-    """A second's frames reach the codec in one ``decode`` call, in slices of
-    at most ``DECODE_BATCH_FRAMES``, and the slicing changes no report."""
+    """Each batch of at most ``DECODE_BATCH_FRAMES`` frames of a second makes
+    one ``decode`` call, on its flipped frames only (none, when none
+    flipped), and the batching changes no report."""
 
-    @pytest.fixture
-    def decode_rows(self, monkeypatch):
-        """The frame count of every ``ConcatCodecSpec.decode`` call."""
-        rows = []
-        decode = ConcatCodecSpec.decode
+    def test_only_flipped_frames_are_decoded(self, green, decode_rows):
+        # one flip on frames 1 and 4 of each second
+        flips = [[0] if i in (1, 4) else [] for i in range(6)]
+        engine._simulate(green, 0, 18, scripted_channel([flips] * 3))
+        assert decode_rows == [2, 2, 2]
 
-        def counting(codec, frames):
-            rows.append(len(frames))
-            return decode(codec, frames)
-
-        monkeypatch.setattr(ConcatCodecSpec, "decode", counting)
-        return rows
-
-    def test_one_call_per_second(self, green, decode_rows):
-        run_scenario(green, 3, seed=1)
-        assert decode_rows == [6, 6, 6]
+    def test_a_clean_second_decodes_no_frame(self, green, decode_rows):
+        report = run_scenario(green, 3, seed=1)
+        assert report.pre_fec_bit_errors == 0
+        assert decode_rows == [0, 0, 0]
         decode_rows.clear()
         # 50 frames at 6 per second: the last of the 9 seconds holds 2 frames
         inject_errors_run(green, 1e-3, 50 * 16320, seed=2)
@@ -472,7 +499,9 @@ class TestDecodeBatches:
 
     def test_a_long_second_is_sliced(self, green, decode_rows):
         batch = engine.DECODE_BATCH_FRAMES
-        run_scenario(replace(green, sim_frames_per_second=batch + 8), 2, seed=1)
+        fps = batch + 8
+        engine._simulate(replace(green, sim_frames_per_second=fps), 0, 2 * fps,
+                         scripted_channel([[[0]] * fps] * 2))
         assert decode_rows == [batch, 8] * 2
 
     @pytest.mark.parametrize("case", ["green", "blue-nlos", "inject-4e-3", "long-second"])
@@ -496,35 +525,53 @@ class TestLossTally:
     """A frame is lost when its decode fails or its payload comes out
     wrong; each alone counts."""
 
-    def run(self, spec, flips):
-        # 12 frames, two seconds of green, each with the same line-bit flips
-        def channel(rng, log):
-            return itertools.repeat(lambda frame: flips)
-
-        return engine._simulate(spec, 0, 12, channel)
-
-    def test_miscorrected_frame_is_lost(self, green):
-        # the flips form a codeword, so each received frame is another
-        # codeword: it decodes clean, to its payload XOR p
-        codec = green.codec
+    @staticmethod
+    def miscorrecting_flips(codec):
+        # the flips form a codeword, so the received frame is another
+        # codeword: it decodes clean, to its payload XOR p, 3 bits wrong
         p = np.zeros(codec.frame_payload_bits, dtype=np.uint8)
         p[[5, 900, 7000]] = 1
-        report = self.run(green, np.flatnonzero(codec.encode(p)))
+        return np.flatnonzero(codec.encode(p))
+
+    @staticmethod
+    def failing_flips(codec):
+        # 30 flips in inner word 0's parity bits: the word fails, and its
+        # message bits, with the outer words they feed, pass through intact
+        errors = np.zeros(codec.frame_bits, dtype=np.uint8)
+        errors[codec.inner.k:codec.inner.k + 30] = 1
+        return np.flatnonzero(interleave(errors, codec.interleaver_depth))
+
+    def run(self, spec, flips):
+        # 12 frames, two seconds of green, each with the same line-bit flips
+        return engine._simulate(spec, 0, 12, scripted_channel([[flips] * 6] * 2))
+
+    def test_miscorrected_frame_is_lost(self, green):
+        report = self.run(green, self.miscorrecting_flips(green.codec))
         assert report.decode_failures == 0
         assert report.packet_loss_count == 12
         assert report.post_fec_bit_errors == 12 * 3
 
     def test_failed_frame_with_a_right_payload_is_lost(self, green):
-        # 30 flips in inner word 0's parity bits: the word fails, and its
-        # message bits, with the outer words they feed, pass through intact
-        codec = green.codec
-        errors = np.zeros(codec.frame_bits, dtype=np.uint8)
-        errors[codec.inner.k:codec.inner.k + 30] = 1
-        report = self.run(green, np.flatnonzero(
-            interleave(errors, codec.interleaver_depth)))
+        report = self.run(green, self.failing_flips(green.codec))
         assert report.decode_failures == 12
         assert report.packet_loss_count == 12
         assert report.post_fec_bit_errors == 0
+
+    def test_mixed_second_is_tallied_frame_by_frame(self, green):
+        # clean, corrected, miscorrecting and failing frames interleaved in
+        # each second: the flipped ones are packed into the leading rows of
+        # the batch, and each clean one is overwritten by the next frame
+        clean, one = [], [7]
+        mis, fail = self.miscorrecting_flips(green.codec), self.failing_flips(green.codec)
+        seconds = [[clean, mis, fail, clean, one, mis],
+                   [fail, clean, clean, one, clean, mis],
+                   [clean] * 6,
+                   [mis, mis, one, fail, fail, clean]]
+        report = engine._simulate(green, 0, 24, scripted_channel(seconds))
+        assert report.beps_series == tuple(sum(len(f) for f in s) for s in seconds)
+        assert report.loss_series == (3, 2, 0, 4)
+        assert report.decode_failures == 4
+        assert report.post_fec_bit_errors == 5 * 3
 
 
 class TestInjectErrors:

@@ -494,6 +494,17 @@ class TestRowDecode:
         assert out.message_bits.shape == (7,) and out.failed.shape == ()
         assert out.failed and out.ok is False and out.status == STATUS_FAILURE
 
+    @pytest.mark.parametrize("name", ["bch15_7", "inner", "outer"])
+    def test_no_rows(self, request, codec, name):
+        code = named_code(request, codec, name)
+        words = np.zeros((0, code.n), dtype=np.uint8)
+        synd = code.syndromes(words)
+        assert synd.shape == (0, 2 * code.t)
+        out = code.decode(words)
+        assert out.message_bits.shape == (0, code.k)
+        assert out.failed.shape == (0,)
+        assert out.ok and out.corrected_count == 0
+
     @pytest.mark.parametrize("shape", [(2, 3, 15), (3, 14), (3, 16), (16,), ()])
     def test_wrong_shapes_rejected(self, bch15_7, shape):
         with pytest.raises(ValueError, match=rf"15 bits .*got {re.escape(str(shape))}"):

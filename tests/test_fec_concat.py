@@ -104,6 +104,12 @@ class TestInterleaver:
         data = np.arange(37)
         assert np.array_equal(interleave(data, 1), data)
 
+    @pytest.mark.parametrize("depth", [1, 8])
+    def test_no_rows(self, depth):
+        data = np.zeros((0, 16320), dtype=np.uint8)
+        for permute in (interleave, deinterleave):
+            assert permute(data, depth).shape == (0, 16320)
+
 
 class TestCodecCache:
     def test_spec_codec_is_shared(self, green, blue_nlos):
@@ -164,6 +170,14 @@ class TestRoundtrip:
     def test_malformed_frames_name_their_shape(self, codec, shape):
         with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
             codec.decode(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("name", ["codec", "mini", "small"])
+    def test_no_frames(self, request, name):
+        codec = request.getfixturevalue(name)
+        out = codec.decode(np.zeros((0, codec.frame_bits), dtype=np.uint8))
+        assert out.message_bits.shape == (0, codec.frame_payload_bits)
+        assert out.failed.shape == (0,)
+        assert out.ok and out.corrected_count == 0
 
     def test_clean_roundtrip_production_thousand(self, codec):
         rng = np.random.default_rng(10)
