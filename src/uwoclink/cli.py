@@ -33,7 +33,7 @@ from .planner import (
 
 def _load_spec(args) -> LinkSpec:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             return parse_scenario(fh.read(), preset=args.preset)
     if args.preset:
         return load_preset(args.preset)
@@ -195,7 +195,7 @@ def _cmd_fec(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     rows = []
-    with open(args.samples, encoding="utf-8") as fh:
+    with open(args.samples, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -10,9 +10,9 @@ a codeword, and a bounded-distance decoder returns a codeword's own payload
 with no correction and no failure, so decoding it would change no count.
 
 A scenario run's source draws one fading sample per second, steps the AGC
-at that second's received power in dBW, and pushes each frame through
-modulation -> additive noise -> demodulation, re-deciding only the slots
-the noise touched. Slot noise comes from the link margin through a single
+at that second's received power in dBW, and hands each frame to the slot
+chain, ``modem.flipped_bits``: modulation -> additive noise ->
+demodulation. Slot noise comes from the link margin through a single
 calibrated offset (margin_db + snr_offset_db -> amplitude SNR), the one
 free constant the field system never published. An injection run's source
 flips line bits i.i.d. at a fixed rate.
@@ -179,29 +179,6 @@ class _AnalogLog:
     dark_seconds: int = 0
 
 
-def _slot_chain(kind: str, sigma: float, noise: np.random.Generator,
-                frame: np.ndarray) -> np.ndarray:
-    """One frame through modulation, additive slot noise and demodulation;
-    returns the ascending positions of the line bits that came out flipped.
-
-    When ``add_noise`` returns the stream it was given, no slot moved and
-    nothing is flipped. When it drew noise only for some aligned 4-slot
-    groups (``touched``), no other decision can change, so only those groups
-    are re-decided, in one ``demodulate`` call on their slots: one bit per
-    slot for OOK, two per group for 4-PPM, less the pad bit. Otherwise the
-    whole stream is demodulated and compared.
-    """
-    sent = modem.modulate(kind, frame)
-    noisy = modem.add_noise(sent, sigma, noise)
-    if noisy is sent:
-        return np.empty(0, dtype=np.intp)
-    if noisy.touched is None:
-        return np.flatnonzero(modem.demodulate(kind, noisy) != frame)
-    slots, bits = modem.touched_slots_and_bits(kind, noisy, len(frame))
-    decided = modem.demodulate(kind, modem.SlotStream(noisy.amplitudes[slots]))
-    return bits[decided[:len(bits)] != frame[bits]]
-
-
 def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
                   log: _AnalogLog) -> Iterator[Callable]:
     """Per simulated second: one fading draw and, unless the link is dark,
@@ -229,7 +206,7 @@ def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
             agc = agc_step(agc, tx_dbw - total)
             log.saturated_seconds += int(agc.saturated)
         sigma = 1.0 / max(snr, 1e-9)
-        yield partial(_slot_chain, kind, sigma, noise)
+        yield partial(modem.flipped_bits, kind, sigma, noise)
 
 
 def _flip_channel(ber: float, rng: np.random.Generator,

@@ -3,7 +3,9 @@
 Streams carry normalized slot amplitudes (1 = full on): uint8 0/1 as
 modulated, float64 once noise has moved a slot. Slot timing is ideal; the
 receive chain's aggregate noise enters as additive Gaussian per slot.
-Theoretical error rates use amplitude SNR = peak amplitude / noise sigma.
+``flipped_bits`` is the slot chain each simulated frame goes through; 4-PPM
+takes an even number of bits. Theoretical error rates use amplitude SNR =
+peak amplitude / noise sigma.
 """
 
 from __future__ import annotations
@@ -38,34 +40,25 @@ _SER_PANELS = 6
 _SER_NODES = 96
 
 
-def slot_rate_for(kind: str, bit_rate_bps: float) -> float:
-    """Line slot rate: OOK is 1 bit/slot; 4-PPM spends 4 slots on 2 bits."""
-    if not 1e3 <= bit_rate_bps <= 1e11:
-        raise ValueError("bit_rate_bps must be in [1e3, 1e11] b/s")
-    if kind == OOK:
-        return float(bit_rate_bps)
-    if kind == PPM4:
-        return float(bit_rate_bps) * _PPM4_SLOTS_PER_SYMBOL / _PPM4_BITS_PER_SYMBOL
-    raise ValueError(f"unknown modulation kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class ModulationScheme:
     kind: str
     bit_rate_bps: float
 
     def __post_init__(self):
-        slot_rate_for(self.kind, self.bit_rate_bps)  # validates both fields
+        if not 1e3 <= self.bit_rate_bps <= 1e11:
+            raise ValueError("bit_rate_bps must be in [1e3, 1e11] b/s")
+        if self.kind not in (OOK, PPM4):
+            raise ValueError(f"unknown modulation kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class SlotStream:
-    """Slot amplitudes, the pad bit 4-PPM added, and, when ``add_noise``
-    drew noise only for some aligned 4-slot groups, those groups' indices in
-    ascending order (``None`` when every slot may have moved)."""
+    """Slot amplitudes and, when ``add_noise`` drew noise only for some
+    aligned 4-slot groups, those groups' indices in ascending order (``None``
+    when every slot may have moved)."""
 
     amplitudes: np.ndarray
-    pad_bits: int = 0
     touched: np.ndarray | None = None
 
 
@@ -90,17 +83,17 @@ def _ppm4_byte_slots() -> np.ndarray:
 
 
 def ppm4_modulate(bits: np.ndarray) -> SlotStream:
-    """One pulse per 4-slot symbol; odd bit counts are zero-padded.
+    """One pulse per 4-slot symbol, from an even number of bits.
 
-    Each packed byte looks up its four symbols in one table row; ``packbits``
-    zero-fills the last byte, which yields the pad bit, and the slots past
-    the last symbol are cut off.
+    Each packed byte looks up its four symbols in one table row; the slots
+    of the dibits ``packbits`` zero-filled in the last byte are cut off.
     """
     b = np.asarray(bits, dtype=np.uint8)
-    pad = len(b) % _PPM4_BITS_PER_SYMBOL
-    n_slots = (len(b) + pad) // _PPM4_BITS_PER_SYMBOL * _PPM4_SLOTS_PER_SYMBOL
+    if len(b) % _PPM4_BITS_PER_SYMBOL:
+        raise ValueError(f"4-PPM takes an even number of bits, got {len(b)}")
+    n_slots = len(b) // _PPM4_BITS_PER_SYMBOL * _PPM4_SLOTS_PER_SYMBOL
     amps = _ppm4_byte_slots().take(np.packbits(b), axis=0).ravel()[:n_slots]
-    return SlotStream(amps, pad_bits=pad)
+    return SlotStream(amps)
 
 
 def ppm4_demodulate(stream: SlotStream) -> np.ndarray:
@@ -114,10 +107,7 @@ def ppm4_demodulate(stream: SlotStream) -> np.ndarray:
     bits = np.empty((len(high), _PPM4_BITS_PER_SYMBOL), dtype=np.uint8)
     bits[:, 0] = high
     bits[:, 1] = np.where(high, a3 > a2, a1 > a0)
-    out = bits.ravel()
-    if stream.pad_bits:
-        out = out[: -stream.pad_bits]
-    return out
+    return bits.ravel()
 
 
 def add_noise(stream: SlotStream, sigma: float,
@@ -148,7 +138,7 @@ def add_noise(stream: SlotStream, sigma: float,
         noisy = rng.standard_normal(len(amps))
         noisy *= sigma
         noisy += amps
-        return SlotStream(noisy, stream.pad_bits)
+        return SlotStream(noisy)
     count = rng.binomial(len(amps), q)
     if not count:
         return stream
@@ -159,19 +149,7 @@ def add_noise(stream: SlotStream, sigma: float,
     noisy[slots] += sigma * _bulk_normals(tau, len(slots), rng)
     tail = np.copysign(_tail_normals(tau, len(hits), rng), rng.random(len(hits)) - 0.5)
     noisy[hits] = amps[hits] + sigma * tail
-    return SlotStream(noisy, stream.pad_bits, groups)
-
-
-def touched_slots_and_bits(kind: str, stream: SlotStream,
-                           n_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The slots of the groups ``stream.touched`` lists, and the line bits of
-    an ``n_bits`` frame they decide, both ascending: a slot's bit for OOK, a
-    group's two bits for 4-PPM, less the pad bit. Demodulating those slots
-    alone yields the bits in that order, the pad bit last."""
-    slots = _group_members(stream.touched, _PPM4_SLOTS_PER_SYMBOL, len(stream.amplitudes))
-    if kind == OOK:
-        return slots, slots
-    return slots, _group_members(stream.touched, _PPM4_BITS_PER_SYMBOL, n_bits)
+    return SlotStream(noisy, groups)
 
 
 def _group_members(groups: np.ndarray, width: int, limit: int) -> np.ndarray:
@@ -290,3 +268,28 @@ def mc_bit_error_rate(kind: str, snr_amplitude: float, n_bits: int,
     noisy = add_noise(stream, sigma, rng)
     out = demodulate(kind, noisy)
     return float(np.mean(out != bits))
+
+
+def flipped_bits(kind: str, sigma: float, rng: np.random.Generator,
+                 frame: np.ndarray) -> np.ndarray:
+    """One frame through modulation, additive slot noise and demodulation;
+    returns the ascending positions of the line bits that came out flipped.
+
+    When ``add_noise`` returns the stream it was given, no slot moved and
+    nothing is flipped. When it drew noise only for some aligned 4-slot
+    groups (``touched``), no other decision can change, so only those groups
+    are re-decided, in one ``demodulate`` call on their slots: for OOK the
+    bits are the slots, for 4-PPM each group decides two bits. Otherwise the
+    whole stream is demodulated and compared.
+    """
+    sent = modulate(kind, frame)
+    noisy = add_noise(sent, sigma, rng)
+    if noisy is sent:
+        return np.empty(0, dtype=np.intp)
+    if noisy.touched is None:
+        return np.flatnonzero(demodulate(kind, noisy) != frame)
+    slots = _group_members(noisy.touched, _PPM4_SLOTS_PER_SYMBOL, len(sent.amplitudes))
+    bits = slots if kind == OOK else _group_members(
+        noisy.touched, _PPM4_BITS_PER_SYMBOL, len(frame))
+    decided = demodulate(kind, SlotStream(noisy.amplitudes[slots]))
+    return bits[decided != frame[bits]]

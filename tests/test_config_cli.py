@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uwoclink
+from uwoclink import cli
 from uwoclink.agc import attenuation_db_at
 from uwoclink.channel import FadingSpec, LinkGeometry, NlosPath, spot_diameter_m
 from uwoclink.cli import _bits_to_hex, _hex_to_bits, build_parser, main, render_report
@@ -622,6 +623,38 @@ class TestCliCommands:
         assert payload["responsivity_v_per_w"] == pytest.approx(50.0, rel=1e-6)
         assert payload["n_samples"] == 12
         assert payload["samples_hash"]
+
+    def test_bom_scenario_reads_as_without_bom(self, tmp_path):
+        # Windows editors often write a UTF-8 byte-order mark; it used to end
+        # in "line 1: expected 'key = value', got '\ufeff[link]'"
+        text = render_scenario(load_preset("blue-6M25-nlos"))
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        parser = build_parser()
+        specs = [cli._load_spec(parser.parse_args(["plan", "--config", str(path)]))
+                 for path in (plain, bom)]
+        assert specs[0] == specs[1] == load_preset("blue-6M25-nlos")
+        outputs = [run_cli(["simulate", "--config", str(path), "--duration-s", "3",
+                            "--seed", "1"]) for path in (plain, bom)]
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
+    def test_bom_samples_give_the_same_fit(self, tmp_path):
+        # a BOM used to hide the "#" header, which was then read as 5 fields
+        example = pathlib.Path(__file__).parent.parent / "configs" / "calibration-example.txt"
+        text = example.read_text(encoding="utf-8")
+        assert text.startswith("#")
+        samples = tmp_path / "cal.txt"
+        payloads = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            samples.write_text(text, encoding=encoding)
+            code, out, err = run_cli(["calibrate", "--samples", str(samples)])
+            assert code == 0, err
+            payloads.append(json.loads(out))
+        plain, bom = payloads
+        assert plain.pop("samples_hash") != bom.pop("samples_hash")  # the raw bytes
+        assert plain == bom
 
     @pytest.mark.parametrize("section, key, command", [
         ("link", "budget_db", ["simulate", "--duration-s", "2"]),

@@ -209,8 +209,9 @@ class TestNoWorkerOutlivesARun:
 
 
 class TestSlotChain:
-    """``_slot_chain`` returns the positions the full modem chain flips,
-    re-deciding only the touched slots, and draws what the full chain draws."""
+    """``modem.flipped_bits`` returns the positions the full modem chain
+    flips, re-deciding only the touched slots, and draws what the full chain
+    draws."""
 
     # q = 2 Q(0.5 / sigma), the share of slots past the decision margin:
     # about 1.5e-23, 1e-3, 0.01 and 0.21
@@ -225,9 +226,13 @@ class TestSlotChain:
         noisy = add_noise(sent, sigma, rng)
         return np.flatnonzero(demodulate(kind, noisy) != frame), sent, noisy
 
-    @pytest.mark.parametrize("n_bits", [16320, 4001, 4000, 7, 1])
-    @pytest.mark.parametrize("level", list(SIGMAS))
-    @pytest.mark.parametrize("kind", [OOK, PPM4])
+    # odd OOK lengths end in a partial 4-slot group; 4-PPM takes even ones
+    CASES = [pytest.param(kind, level, n, id=f"{kind}-{level}-{n}")
+             for (kind, n), level in itertools.product(
+                 [(OOK, n) for n in (16320, 4001, 4000, 7, 1)]
+                 + [(PPM4, n) for n in (16320, 4000, 2)], SIGMAS)]
+
+    @pytest.mark.parametrize(("kind", "level", "n_bits"), CASES)
     def test_matches_the_full_chain(self, kind, level, n_bits):
         sigma = self.SIGMAS[level]
         q = 2.0 * qfunc(0.5 / sigma)
@@ -236,7 +241,7 @@ class TestSlotChain:
         frame = np.random.default_rng(71).integers(0, 2, n_bits, dtype=np.uint8)
         for seed in self.SEEDS:
             g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = engine._slot_chain(kind, sigma, g1, frame)
+            got = engine.modem.flipped_bits(kind, sigma, g1, frame)
             expected, sent, noisy = self.full_chain(kind, sigma, g2, frame)
             assert got.dtype.kind == "i" and np.array_equal(got, expected)
             assert g1.bit_generator.state == g2.bit_generator.state
@@ -246,22 +251,6 @@ class TestSlotChain:
                 assert got.size == 0
             else:
                 assert (noisy.touched is None) == (level == "dense")
-
-    def test_the_pad_bit_is_never_flipped(self):
-        # odd 4-PPM frames whose last, padded group the sparse noise touched
-        sigma = self.SIGMAS["sparse"]
-        reached = 0
-        for n_bits in (1, 7):
-            frame = np.random.default_rng(n_bits).integers(0, 2, n_bits, dtype=np.uint8)
-            for seed in range(400):
-                g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = engine._slot_chain(PPM4, sigma, g1, frame)
-                expected, _, noisy = self.full_chain(PPM4, sigma, g2, frame)
-                assert np.array_equal(got, expected)
-                if noisy.touched is not None and noisy.touched[-1] == n_bits // 2:
-                    reached += 1
-                    assert np.all(got < n_bits)
-        assert reached >= 10
 
     def test_demodulates_exactly_the_touched_frames(self, blue_nlos, monkeypatch):
         events = []

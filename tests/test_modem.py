@@ -20,6 +20,7 @@ from uwoclink.modem import (
     SlotStream,
     add_noise,
     demodulate,
+    flipped_bits,
     mc_bit_error_rate,
     modulate,
     ook_demodulate,
@@ -28,26 +29,31 @@ from uwoclink.modem import (
     ppm4_modulate,
     ppm4_symbol_error_rate,
     qfunc,
-    slot_rate_for,
     theoretical_ber,
 )
 
 
-class TestSlotRates:
-    def test_ook_green_rate(self):
-        assert slot_rate_for(OOK, 125e6) == 125e6
+def even_bits(min_size: int):
+    """Bit lists of an even length in [min_size, 300]: 4-PPM's dibits."""
+    return st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                    min_size=min_size // 2, max_size=150).map(
+        lambda pairs: [b for pair in pairs for b in pair])
 
-    def test_ppm4_blue_rate(self):
-        assert slot_rate_for(PPM4, 6.25e6) == 12.5e6
 
-    def test_zero_rate_rejected(self):
-        with pytest.raises(ValueError):
-            slot_rate_for(OOK, 0.0)
-
-    def test_scheme_dataclass(self):
-        ModulationScheme(PPM4, 6.25e6)
-        with pytest.raises(ValueError):
+class TestModulationScheme:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown modulation kind 'qam'"):
             ModulationScheme("qam", 1e6)
+
+    @pytest.mark.parametrize("rate", [0.0, math.nan, math.inf])
+    def test_unusable_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"bit_rate_bps must be in \[1e3, 1e11\] b/s"):
+            ModulationScheme(OOK, rate)
+
+    @pytest.mark.parametrize("rate", [1e3, 1e11])
+    @pytest.mark.parametrize("kind", [OOK, PPM4])
+    def test_interval_ends_accepted(self, kind, rate):
+        assert ModulationScheme(kind, rate).bit_rate_bps == rate
 
 
 class TestOok:
@@ -84,33 +90,36 @@ class TestPpm4:
             ppm4_modulate(np.array([1, 1], dtype=np.uint8)).amplitudes,
             [0.0, 0.0, 0.0, 1.0])
 
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+    @given(even_bits(2))
     @settings(max_examples=100, deadline=None)
     def test_noiseless_roundtrip(self, bits):
         arr = np.array(bits, dtype=np.uint8)
         out = ppm4_demodulate(ppm4_modulate(arr))
         assert np.array_equal(out, arr)
 
-    @given(st.lists(st.integers(0, 1), min_size=0, max_size=300))
+    @given(even_bits(0))
     @example([])
     @settings(max_examples=200, deadline=None)
     def test_modulate_matches_scatter_reference(self, bits):
-        # one pulse per dibit at slot 4 i + 2 b0 + b1, odd lengths padded with 0
+        # one pulse per dibit at slot 4 i + 2 b0 + b1
         arr = np.array(bits, dtype=np.uint8)
-        pad = len(arr) % 2
-        padded = np.concatenate([arr, np.zeros(pad, dtype=np.uint8)])
-        n_slots = 2 * len(padded)
+        n_slots = 2 * len(arr)
         expected = np.zeros(n_slots)
-        expected[np.arange(0, n_slots, 4) + 2 * padded[0::2] + padded[1::2]] = 1.0
+        expected[np.arange(0, n_slots, 4) + 2 * arr[0::2] + arr[1::2]] = 1.0
         stream = ppm4_modulate(arr)
         assert stream.amplitudes.dtype == np.uint8
         assert np.array_equal(stream.amplitudes, expected)
-        assert stream.pad_bits == pad
 
-    def test_odd_length_pad_recorded(self):
-        stream = ppm4_modulate(np.array([1], dtype=np.uint8))
-        assert stream.pad_bits == 1
-        assert len(stream.amplitudes) == 4
+    @pytest.mark.parametrize("n_bits", [1, 7, 4001, 16321])
+    def test_odd_ppm4_frame_rejected(self, n_bits):
+        frame = np.zeros(n_bits, dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"even number of bits, got {n_bits}"):
+            ppm4_modulate(frame)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"even number of bits, got {n_bits}"):
+            flipped_bits(PPM4, 0.2, rng, frame)
+        assert rng.bit_generator.state == state  # nothing drawn
 
     def test_one_pulse_per_symbol(self):
         rng = np.random.default_rng(1)
@@ -264,6 +273,8 @@ class TestSparseNoise:
     """
 
     ALPHA = 1e-9
+    # streams are drawn from an odd number of bits, so an OOK stream ends in
+    # a partial 4-slot group; 4-PPM takes one bit less, an even number
     SHARES = [1e-4, 1e-2, 0.9 * modem._SPARSE_MAX_SHARE, 1.1 * modem._SPARSE_MAX_SHARE]
     IDS = ["1e-4", "1e-2", "below-switch", "above-switch"]
 
@@ -332,9 +343,8 @@ class TestSparseNoise:
         # the margin, and every slot outside them keeps its amplitude
         sigma = self.sigma_for(1e-3)
         rng = np.random.default_rng(53)
-        stream = modulate(kind, rng.integers(0, 2, 4001, dtype=np.uint8))
+        stream = modulate(kind, rng.integers(0, 2, 4001 - (kind == PPM4), dtype=np.uint8))
         noisy = add_noise(stream, sigma, rng)
-        assert noisy.pad_bits == stream.pad_bits
         changed = noisy.amplitudes != stream.amplitudes
         hit = np.abs(noisy.amplitudes - stream.amplitudes) > 0.5
         groups = np.flatnonzero(hit) // 4
@@ -347,7 +357,8 @@ class TestSparseNoise:
 
     @pytest.mark.parametrize("kind", [OOK, PPM4])
     def test_touched_is_none_when_dense(self, kind):
-        stream = modulate(kind, np.random.default_rng(71).integers(0, 2, 4001, dtype=np.uint8))
+        n_bits = 4001 - (kind == PPM4)
+        stream = modulate(kind, np.random.default_rng(71).integers(0, 2, n_bits, dtype=np.uint8))
         assert stream.touched is None
         noisy = add_noise(stream, self.sigma_for(self.SHARES[-1]), np.random.default_rng(73))
         assert noisy.touched is None
@@ -359,10 +370,11 @@ class TestSparseNoise:
         # the noiseless uint8 stream is never written: the noise goes into a
         # float64 copy, so it adds exactly as onto float64 amplitudes
         sigma = self.sigma_for(share)
-        bits = np.random.default_rng(79).integers(0, 2, 10**5 + 1, dtype=np.uint8)
+        n_bits = 10**5 + 1 - (kind == PPM4)
+        bits = np.random.default_rng(79).integers(0, 2, n_bits, dtype=np.uint8)
         stream = modulate(kind, bits)
         sent = stream.amplitudes.copy()
-        as_float = SlotStream(sent.astype(np.float64), stream.pad_bits)
+        as_float = SlotStream(sent.astype(np.float64))
         noisy = add_noise(stream, sigma, np.random.default_rng(83))
         reference = add_noise(as_float, sigma, np.random.default_rng(83))
         assert stream.amplitudes.dtype == np.uint8 and noisy.amplitudes.dtype == np.float64
@@ -374,10 +386,10 @@ class TestSparseNoise:
 
     @pytest.mark.parametrize("kind", [OOK, PPM4])
     def test_zero_sigma_returns_the_stream_unchanged(self, kind):
-        stream = modulate(kind, np.random.default_rng(59).integers(0, 2, 999, dtype=np.uint8))
+        n_bits = 999 - (kind == PPM4)
+        stream = modulate(kind, np.random.default_rng(59).integers(0, 2, n_bits, dtype=np.uint8))
         noisy = add_noise(stream, 0.0, np.random.default_rng(61))
         assert np.array_equal(noisy.amplitudes, stream.amplitudes)
-        assert noisy.pad_bits == stream.pad_bits
 
 
 class TestDispatch:
