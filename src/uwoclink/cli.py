@@ -10,6 +10,7 @@ a single ``error: ...`` line on stderr and exit 2; a clean run exits 0.
 from __future__ import annotations
 
 import argparse
+import codecs
 import io
 import json
 import sys
@@ -31,10 +32,22 @@ from .planner import (
 )
 
 
+def _read_text(path: str) -> tuple[bytes, str]:
+    """The file's bytes and their text, decoded as ``utf-8-sig`` does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    body = data.removeprefix(codecs.BOM_UTF8)  # error offsets then index body
+    try:
+        return data, body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = body.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(
+            f"{path}:{line}: not UTF-8 text (byte 0x{body[exc.start]:02x})") from None
+
+
 def _load_spec(args) -> LinkSpec:
     if args.config:
-        with open(args.config, encoding="utf-8-sig") as fh:
-            return parse_scenario(fh.read(), preset=args.preset)
+        return parse_scenario(_read_text(args.config)[1], preset=args.preset)
     if args.preset:
         return load_preset(args.preset)
     raise ConfigError("provide --preset and/or --config")
@@ -194,32 +207,27 @@ def _cmd_fec(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    data, text = _read_text(args.samples)
     rows = []
-    with open(args.samples, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 4:
-                raise ConfigError(
-                    f"{args.samples}:{lineno}: expected 4 fields "
-                    f"(P_watts lc_volts gain measured_volts), got {len(parts)}"
-                )
-            try:
-                rows.append(tuple(parse_number(p) for p in parts))
-            except ValueError:
-                raise ConfigError(
-                    f"{args.samples}:{lineno}: non-numeric field in {line!r}"
-                ) from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.replace(",", " ").split()
+        where = f"{args.samples}:{lineno}"
+        if len(parts) != 4:
+            raise ConfigError(f"{where}: expected 4 fields "
+                              f"(P_watts lc_volts gain measured_volts), got {len(parts)}")
+        try:
+            rows.append(tuple(parse_number(p) for p in parts))
+        except ValueError:
+            raise ConfigError(f"{where}: non-numeric field in {line!r}") from None
     cal = fit_calibration(rows)
     import hashlib  # here, not at the top: it costs milliseconds of import
 
-    with open(args.samples, "rb") as fh:
-        samples_hash = hashlib.sha256(fh.read()).hexdigest()[:16]
     payload = {
         "samples_path": args.samples,
-        "samples_hash": samples_hash,
+        "samples_hash": hashlib.sha256(data).hexdigest()[:16],
         "n_samples": cal.n_samples,
         "responsivity_db": cal.responsivity_db,
         "responsivity_v_per_w": 10.0 ** (cal.responsivity_db / 10.0),

@@ -37,9 +37,6 @@ SCHEMA = {
         "modulation": (_STR, "modulation.kind"),
         "bit_rate_bps": (_FLOAT, "modulation.bit_rate_bps"),
         "budget_db": (_FLOAT, "budget_db"),
-        "sync_overhead_fraction": (_FLOAT, "sync_overhead_fraction"),
-        "iface_cap_bps": (_FLOAT, "iface_cap_bps"),
-        "frame_payload_bytes": (_INT, "frame_payload_bytes"),
         "snr_offset_db": (_FLOAT, "snr_offset_db"),
         "sim_frames_per_second": (_INT, "sim_frames_per_second"),
     },

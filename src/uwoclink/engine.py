@@ -45,10 +45,12 @@ from .channel import (
 from .fec import ConcatCodecSpec, codec_for
 from .modem import ModulationScheme
 
-# Ethernet per-frame overhead: 14 header + 4 FCS + 8 preamble + 12 interframe gap
+# The one 100 Mb/s Ethernet port each link feeds; a frame on the wire is a 1500-byte
+# payload and 14 header + 4 FCS + 8 preamble + 12 interframe gap bytes
+ETHERNET_CAP_BPS = 100e6
+ETHERNET_PAYLOAD_BYTES = 1500
 ETHERNET_OVERHEAD_BYTES = 38
-MIN_PAYLOAD_BYTES = 46
-MAX_PAYLOAD_BYTES = 1500
+SYNC_OVERHEAD_FRACTION = 0.037
 DECODE_BATCH_FRAMES = 32  # most frames a batch holds, flipped or not; bounds its arrays
 
 
@@ -81,9 +83,6 @@ class LinkSpec:
     budget_db: float
     fading: FadingSpec = field(default_factory=FadingSpec)
     nlos: NlosPath | None = None
-    sync_overhead_fraction: float = 0.0
-    iface_cap_bps: float = 100e6
-    frame_payload_bytes: int = 1500
     snr_offset_db: float = 0.0
     sim_frames_per_second: int = 6
 
@@ -102,15 +101,6 @@ class LinkSpec:
         if self.nlos is not None:  # total_loss_db's bounce path must be a geometry
             replace(self.geometry, distance_m=self.nlos.unfolded_distance_m,
                     k_override_m2=None)
-        if not 0.0 <= self.sync_overhead_fraction < 1.0:
-            raise ValueError("sync_overhead_fraction must be in [0, 1)")
-        if not 1e3 <= self.iface_cap_bps <= 1e11:
-            raise ValueError("iface_cap_bps must be in [1e3, 1e11] b/s")
-        if not MIN_PAYLOAD_BYTES <= self.frame_payload_bytes <= MAX_PAYLOAD_BYTES:
-            raise ValueError(
-                f"frame_payload_bytes must be in "
-                f"[{MIN_PAYLOAD_BYTES}, {MAX_PAYLOAD_BYTES}]"
-            )
         if self.sim_frames_per_second < 1:
             raise ValueError("sim_frames_per_second must be >= 1")
 
@@ -158,10 +148,12 @@ class SimReport:
 
 
 def goodput_for(spec: LinkSpec) -> float:
-    """Usable Ethernet payload rate after coding, sync, cap, and framing."""
+    """Usable Ethernet payload rate: the coded line rate less
+    ``SYNC_OVERHEAD_FRACTION``, capped at ``ETHERNET_CAP_BPS``, times the
+    share ``ETHERNET_PAYLOAD_BYTES`` holds of each frame on the wire."""
     carried = min(spec.modulation.bit_rate_bps * spec.codec.code_rate()
-                  * (1.0 - spec.sync_overhead_fraction), spec.iface_cap_bps)
-    payload = spec.frame_payload_bytes
+                  * (1.0 - SYNC_OVERHEAD_FRACTION), ETHERNET_CAP_BPS)
+    payload = ETHERNET_PAYLOAD_BYTES
     return carried * (payload / (payload + ETHERNET_OVERHEAD_BYTES))
 
 

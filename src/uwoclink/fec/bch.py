@@ -93,7 +93,6 @@ class BchCodeSpec:
         self.n = n
         self.k = k
         self.t = t
-        self.shortening = self.parent_n - n
 
         self.generator = generator_polynomial(field, t)
         degree = self.generator.bit_length() - 1

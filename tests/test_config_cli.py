@@ -91,7 +91,6 @@ def leaf_paths(cls, prefix=""):
 BOX = {
     ("link", "tx_power_w"): (0.0, 1e3, True),
     ("link", "bit_rate_bps"): (1e3, 1e11, False),
-    ("link", "iface_cap_bps"): (1e3, 1e11, False),
     ("link", "budget_db"): (0.0, 300.0, True),
     ("link", "snr_offset_db"): (-100.0, 100.0, False),
     ("water", "c_db_per_m"): (0.0, 10.0, False),
@@ -147,9 +146,6 @@ def config_specs(draw):
         fading=FadingSpec(in_box(draw, "fading", "sigma_db"), draw(f(0.0, 1.0)),
                           in_box(draw, "fading", "burst_depth_db")),
         nlos=nlos,
-        sync_overhead_fraction=draw(f(0.0, 0.99)),
-        iface_cap_bps=in_box(draw, "link", "iface_cap_bps"),
-        frame_payload_bytes=draw(st.integers(46, 1500)),
         snr_offset_db=in_box(draw, "link", "snr_offset_db"),
         sim_frames_per_second=draw(st.integers(1, 60)),
     )
@@ -277,13 +273,13 @@ class TestParsing:
 
     @pytest.mark.parametrize("value", NOT_PLAIN_NUMBERS)
     def test_not_plain_word_count_rejected(self, value):
-        # the same values as a byte count (the test once took the frame's
-        # outer word count, a key since removed)
-        text = f"[link]\nframe_payload_bytes = {value}\n"
+        # the same values as a frame rate (the test once took the frame's
+        # outer word count, then its payload bytes, keys since removed)
+        text = f"[link]\nsim_frames_per_second = {value}\n"
         with pytest.raises(ConfigError) as err:
             parse_mapping(text)
         assert str(err.value) == (
-            f"line 2: key 'frame_payload_bytes' expects int, got {value!r}")
+            f"line 2: key 'sim_frames_per_second' expects int, got {value!r}")
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -771,12 +767,12 @@ class TestCliCommands:
     @pytest.mark.parametrize("section, key, kind, value, command", [
         ("geometry", "distance_m", "float", "\u0661\u0662", ["plan"]),
         ("geometry", "distance_m", "float", "1_0", ["simulate", "--duration-s", "2"]),
-        ("link", "frame_payload_bytes", "int", "1_0", ["simulate", "--duration-s", "2"]),
-        ("link", "frame_payload_bytes", "int", "\u0668", ["plan"]),
+        ("link", "sim_frames_per_second", "int", "1_0", ["simulate", "--duration-s", "2"]),
+        ("link", "sim_frames_per_second", "int", "\u0668", ["plan"]),
     ])
     def test_not_plain_number_config_exit_2(self, tmp_path, capsys, section, key,
                                             kind, value, command):
-        # each used to parse: distance_m = 12.0 or 10.0, frame_payload_bytes = 10 or 8
+        # each used to parse: distance_m = 12.0 or 10.0, sim_frames_per_second = 10 or 8
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
         assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2
@@ -797,6 +793,52 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert error_lines(captured.err) == ["error: line 4: unknown section [agc]"]
+
+    @pytest.mark.parametrize("key, value", [("sync_overhead_fraction", "0.037"),
+                                            ("iface_cap_bps", "1e9"),
+                                            ("frame_payload_bytes", "1500")])
+    @pytest.mark.parametrize("command", [["simulate", "--duration-s", "2"], ["plan"]])
+    def test_ethernet_keys_are_gone_exit_2(self, tmp_path, capsys, key, value, command):
+        # one 100 Mb/s port with 1500-byte payloads and a 3.7 % sync share,
+        # fixed in code; a file that still sets one of them stops at the key
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"[link]\nsnr_offset_db = -3.0\n{key} = {value}\n")
+        assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            f"error: line 3: unknown key '{key}' in section [link]"]
+
+    @pytest.mark.parametrize("data, line, byte", [
+        ("[link]\nname = café\n".encode("latin-1"), 2, "0xe9"),
+        ("[link]\nname = café\n".encode("utf-16"), 1, "0xff"),
+        # behind a byte-order mark the line still counts from the file's start
+        (b"\xef\xbb\xbf[link]\n\nname = caf\xe9\n", 3, "0xe9"),
+    ], ids=["latin-1", "utf-16", "bom-latin-1"])
+    def test_undecodable_scenario_names_its_line_exit_2(self, tmp_path, capsys, data,
+                                                        line, byte):
+        # these used to end in "error: 'utf-8' codec can't decode byte 0xe9 in
+        # position 17: ...", which named neither the file nor the line
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(data)
+        assert main(["simulate", "--preset", "green-125M", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert error_lines(captured.err) == [
+            f"error: {cfg}:{line}: not UTF-8 text (byte {byte})"]
+
+    def test_undecodable_samples_name_their_line_exit_2(self, tmp_path, capsys):
+        valid = pathlib.Path(__file__).parent.parent / "configs" / "calibration-example.txt"
+        lines = valid.read_bytes().splitlines()
+        samples = tmp_path / "cal.txt"
+        samples.write_bytes(b"\n".join([*lines[:5], b"1e-4 2.0 1e3 \xff", *lines[5:]]))
+        assert main(["calibrate", "--samples", str(samples)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert error_lines(captured.err) == [
+            f"error: {samples}:6: not UTF-8 text (byte 0xff)"]
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("geometry", "nlos_unfolded_distance_m", "-1",

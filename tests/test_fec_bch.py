@@ -228,10 +228,8 @@ class TestGeneratorPolynomials:
     def test_code_shape(self, codec):
         assert (codec.inner.n, codec.inner.k, codec.inner.t) == (2040, 1930, 10)
         assert codec.inner.parent_n == 2047
-        assert codec.inner.shortening == 7
         assert (codec.outer.n, codec.outer.k, codec.outer.t) == (3860, 3824, 3)
         assert codec.outer.parent_n == 4095
-        assert codec.outer.shortening == 235
 
     def test_mismatched_spec_rejected(self, gf16):
         with pytest.raises(ValueError):
