@@ -72,15 +72,33 @@ class TestGoodput:
             carried = min(ETHERNET_CAP_BPS, line * (1 - SYNC_OVERHEAD_FRACTION))
             assert goodput_for(spec) <= carried * payload / (payload + 38) + 1e-6
 
-    def test_python_spec_reports_the_preset_goodput(self, blue):
+    @pytest.mark.parametrize("preset, expected", [("green-125M", 97.5293e6),
+                                                  ("blue-6M25", 5.5017e6),
+                                                  ("blue-6M25-nlos", 5.5017e6)])
+    def test_python_spec_reports_the_preset_goodput(self, preset, expected):
         # the interface was once three LinkSpec fields, and their defaults (no
-        # sync share) gave a spec built here 5.713 Mb/s against the preset's 5.502
-        spec = LinkSpec(name=blue.name, tx_power_w=blue.tx_power_w,
-                        c_db_per_m=blue.c_db_per_m, geometry=blue.geometry,
-                        modulation=blue.modulation, budget_db=blue.budget_db,
-                        fading=blue.fading, snr_offset_db=blue.snr_offset_db)
-        assert goodput_for(spec) == goodput_for(blue) == pytest.approx(5.5017e6, abs=100)
-        assert spec == blue
+        # sync share) gave a blue spec built here 5.713 Mb/s against the preset's 5.502
+        link = load_preset(preset)
+        spec = LinkSpec(name=link.name, tx_power_w=link.tx_power_w,
+                        c_db_per_m=link.c_db_per_m, geometry=link.geometry,
+                        modulation=link.modulation, budget_db=link.budget_db,
+                        fading=link.fading, nlos=link.nlos,
+                        snr_offset_db=link.snr_offset_db)
+        assert goodput_for(spec) == goodput_for(link) == pytest.approx(expected, abs=100)
+        assert spec == link
+
+    def test_port_cap_holds_faster_links(self, green):
+        # 125 Mb/s after coding and sync is already past the 100 Mb/s port
+        faster = replace(green, modulation=replace(green.modulation, bit_rate_bps=250e6))
+        assert goodput_for(faster) == goodput_for(green)
+        assert goodput_for(green) == pytest.approx(
+            ETHERNET_CAP_BPS * ETHERNET_PAYLOAD_BYTES
+            / (ETHERNET_PAYLOAD_BYTES + ETHERNET_OVERHEAD_BYTES))
+
+    def test_links_under_the_cap_scale_with_line_rate(self, blue):
+        half = replace(blue, modulation=replace(blue.modulation, bit_rate_bps=3.125e6))
+        assert goodput_for(half) == pytest.approx(goodput_for(blue) / 2)
+        assert goodput_for(blue) < ETHERNET_CAP_BPS * (1 - SYNC_OVERHEAD_FRACTION)
 
 
 class TestRunScenario:
