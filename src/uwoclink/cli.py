@@ -1,4 +1,4 @@
-"""Command-line front end: plan, simulate, monitor, fec, calibrate.
+"""Command-line front end: plan, simulate, monitor, fec.
 
 Every emitted report embeds the seed and a hash of the canonical scenario
 text, so any run can be reproduced exactly. Validation problems, a
@@ -17,9 +17,8 @@ import sys
 
 import numpy as np
 
-from .agc import CalibrationError, fit_calibration
 from .channel import MAX_DISTANCE_M
-from .config import ConfigError, load_preset, parse_number, parse_scenario, preset_names
+from .config import ConfigError, load_preset, parse_scenario, preset_names
 from .engine import LinkSpec, SimReport, inject_errors_run, long_term_monitor, run_scenario
 from .fec import STATUS_OK, codec_for
 from .planner import (
@@ -32,13 +31,12 @@ from .planner import (
 )
 
 
-def _read_text(path: str) -> tuple[bytes, str]:
-    """The file's bytes and their text, decoded as ``utf-8-sig`` does."""
+def _read_text(path: str) -> str:
+    """The file's text, decoded as ``utf-8-sig`` does."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    body = data.removeprefix(codecs.BOM_UTF8)  # error offsets then index body
+        body = fh.read().removeprefix(codecs.BOM_UTF8)  # error offsets index body
     try:
-        return data, body.decode("utf-8")
+        return body.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = body.count(b"\n", 0, exc.start) + 1
         raise ConfigError(
@@ -47,7 +45,7 @@ def _read_text(path: str) -> tuple[bytes, str]:
 
 def _load_spec(args) -> LinkSpec:
     if args.config:
-        return parse_scenario(_read_text(args.config)[1], preset=args.preset)
+        return parse_scenario(_read_text(args.config), preset=args.preset)
     if args.preset:
         return load_preset(args.preset)
     raise ConfigError("provide --preset and/or --config")
@@ -206,39 +204,6 @@ def _cmd_fec(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_calibrate(args) -> int:
-    data, text = _read_text(args.samples)
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.replace(",", " ").split()
-        where = f"{args.samples}:{lineno}"
-        if len(parts) != 4:
-            raise ConfigError(f"{where}: expected 4 fields "
-                              f"(P_watts lc_volts gain measured_volts), got {len(parts)}")
-        try:
-            rows.append(tuple(parse_number(p) for p in parts))
-        except ValueError:
-            raise ConfigError(f"{where}: non-numeric field in {line!r}") from None
-    cal = fit_calibration(rows)
-    import hashlib  # here, not at the top: it costs milliseconds of import
-
-    payload = {
-        "samples_path": args.samples,
-        "samples_hash": hashlib.sha256(data).hexdigest()[:16],
-        "n_samples": cal.n_samples,
-        "responsivity_db": cal.responsivity_db,
-        "responsivity_v_per_w": 10.0 ** (cal.responsivity_db / 10.0),
-        "att_scale_db": cal.att_scale_db,
-        "residual_rms_db": cal.residual_rms_db,
-        "residual_max_db": cal.residual_max_db,
-    }
-    _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwoclink",
@@ -284,11 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="concat")
     p_fec.set_defaults(func=_cmd_fec)
 
-    p_cal = sub.add_parser("calibrate", help="fit the deployed receiver chain model")
-    p_cal.add_argument("--out", help="write output to this path")
-    p_cal.add_argument("--samples", required=True,
-                       help="file of P_watts lc_volts gain measured_volts rows")
-    p_cal.set_defaults(func=_cmd_calibrate)
     return parser
 
 
@@ -299,7 +259,7 @@ def main(argv=None) -> int:
         parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     try:
         return args.func(args)
-    except (ConfigError, CalibrationError, SolverError, ValueError, KeyError,
+    except (ConfigError, SolverError, ValueError, KeyError,
             OSError, MemoryError) as exc:
         # a bare MemoryError has no message; numpy's names the allocation
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

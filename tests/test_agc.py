@@ -4,16 +4,35 @@ import numpy as np
 import pytest
 
 from uwoclink import agc
-from uwoclink.agc import AgcState, CalibrationError, agc_step, attenuation_db_at, fit_calibration
+from uwoclink.agc import AgcState, agc_step
 from uwoclink.channel import sample_fading_db, total_loss_db
 from uwoclink.config import load_preset
 
 G_MIN_DB, G_MAX_DB = (10.0 * math.log10(g) for g in agc.PMT_GAIN_RANGE)
 WINDOW_DB = tuple(10.0 * math.log10(v) for v in agc.AGC_WINDOW_V)
+# the LC attenuator's voltage curve, the plant of the volt-domain reference
+# loop below; the loop under test works on the attenuation in dB alone
+LC_VOLTAGE_RANGE = (0.0, 5.0)
+LC_STEEPNESS = 1.5
 
 
 def db(x):
     return 10.0 * math.log10(x)
+
+
+def logistic(v):
+    v_min, v_max = LC_VOLTAGE_RANGE
+    return 1.0 / (1.0 + math.exp(-LC_STEEPNESS * (v - 0.5 * (v_min + v_max))))
+
+
+def attenuation_db_at(lc_voltage):
+    """The LC curve: a logistic ramp from 0 dB at the least LC voltage to
+    ``LC_ATTENUATION_RANGE_DB`` at the greatest, clamped to that range."""
+    v_min, v_max = LC_VOLTAGE_RANGE
+    v = min(max(lc_voltage, v_min), v_max)
+    f_min = logistic(v_min)
+    norm = (logistic(v) - f_min) / (logistic(v_max) - f_min)
+    return agc.LC_ATTENUATION_RANGE_DB * norm
 
 
 def amplitude_v(p_opt_w, lc_voltage, gain):
@@ -30,15 +49,6 @@ def level_db(state, p_rx_dbw):
 
 def in_window(level):
     return WINDOW_DB[0] <= level <= WINDOW_DB[1]
-
-
-def predict_amplitude(cal, p_opt_w, lc_voltage, gain):
-    """Volts the fitted model gives at these actuators: the fitted
-    responsivity times power and gain, less the fitted LC attenuation
-    scaled by the LC curve's shape."""
-    shape = attenuation_db_at(lc_voltage) / agc.LC_ATTENUATION_RANGE_DB
-    att_db = cal.att_scale_db * shape
-    return p_opt_w * gain * 10.0 ** ((cal.responsivity_db - att_db) / 10.0)
 
 
 def settle(state, p_rx_dbw, max_steps=10):
@@ -68,95 +78,6 @@ class TestLcCurve:
         assert AgcState() == AgcState(attenuation_db=0.0, gain_db=40.0, saturated=False)
         assert 10.0 ** (AgcState().gain_db / 10.0) == pytest.approx(
             math.sqrt(agc.PMT_GAIN_RANGE[0] * agc.PMT_GAIN_RANGE[1]))
-
-
-class TestPredict:
-    def _map(self):
-        rng = np.random.default_rng(0)
-        samples = self._grid(rng, noise=0.0)
-        return fit_calibration(samples)
-
-    @staticmethod
-    def _grid(rng, noise):
-        samples = []
-        for p in np.logspace(-6, -3, 4):
-            for v in np.linspace(0.0, 5.0, 4):
-                for g in np.logspace(2, 6, 3):
-                    measured = amplitude_v(p, v, g)
-                    if noise:
-                        measured *= 1.0 + noise * rng.standard_normal()
-                    samples.append((p, v, g, measured))
-        return samples
-
-    def test_linearity_in_power(self):
-        cal = self._map()
-        v1 = predict_amplitude(cal, 1e-4, 2.0, 1e3)
-        v2 = predict_amplitude(cal, 2e-4, 2.0, 1e3)
-        assert v2 == pytest.approx(2.0 * v1, rel=1e-9)
-
-    def test_unit_chain(self):
-        cal = self._map()
-        predicted = predict_amplitude(cal, 1e-3, 0.0, 1.0)
-        assert predicted == pytest.approx(agc.RESPONSIVITY_V_PER_W * 1e-3, rel=1e-6)
-
-    def test_heldout_prediction_error_below_1pct(self):
-        cal = self._map()
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            p = 10 ** rng.uniform(-6, -3)
-            v = rng.uniform(0.0, 5.0)
-            g = 10 ** rng.uniform(2, 6)
-            truth = amplitude_v(p, v, g)
-            assert predict_amplitude(cal, p, v, g) == pytest.approx(truth, rel=0.01)
-
-
-class TestFit:
-    def test_exact_recovery_noiseless(self):
-        rng = np.random.default_rng(1)
-        cal = fit_calibration(TestPredict._grid(rng, 0.0))
-        assert 10 ** (cal.responsivity_db / 10.0) == pytest.approx(50.0, rel=1e-9)
-        assert cal.att_scale_db == pytest.approx(20.0, rel=1e-9)
-        assert cal.residual_rms_db < 1e-9
-
-    def test_noisy_recovery_within_3pct(self):
-        rng = np.random.default_rng(2)
-        cal = fit_calibration(TestPredict._grid(rng, 0.01))
-        assert 10 ** (cal.responsivity_db / 10.0) == pytest.approx(50.0, rel=0.03)
-        assert cal.att_scale_db == pytest.approx(20.0, rel=0.03)
-
-    def test_single_voltage_rejected(self):
-        samples = [(1e-4, 2.0, g, amplitude_v(1e-4, 2.0, g))
-                   for g in np.logspace(2, 6, 10)]
-        with pytest.raises(CalibrationError):
-            fit_calibration(samples)
-
-    def test_single_gain_rejected(self):
-        samples = [(1e-4, v, 1e3, amplitude_v(1e-4, v, 1e3))
-                   for v in np.linspace(0, 5, 10)]
-        with pytest.raises(CalibrationError):
-            fit_calibration(samples)
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(CalibrationError):
-            fit_calibration([(1e-4, 0.0, 1e3, 1.0)] * 4)
-
-    def test_responsivity_beyond_float_range_rejected(self):
-        # finite samples whose fit is 8000 dB (10^800 V/W), which no float holds
-        samples = [(p, v, g, 1e300) for p in (1e-300, 1e-200)
-                   for v in (0.0, 2.0) for g in (1e-300, 1e-200)]
-        with pytest.raises(CalibrationError, match="overflows a float in V/W"):
-            fit_calibration(samples)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("column, field", [
-        (0, "p_watts"), (1, "lc_volts"), (2, "gain"), (3, "measured_volts"),
-    ])
-    def test_non_finite_field_rejected(self, column, field, bad):
-        # one bad row among valid ones used to fit to NaN or stop in the SVD
-        samples = [list(row) for row in TestPredict._grid(None, 0.0)]
-        samples[6][column] = bad
-        with pytest.raises(CalibrationError, match=f"^sample 7: {field} is "):
-            fit_calibration(samples)
 
 
 class TestStep:
@@ -234,14 +155,13 @@ class TestStep:
 
 def lc_voltage_for(att_db):
     """The LC curve's inverse, clamped to the voltage range."""
-    (v_min, v_max), full = agc.LC_VOLTAGE_RANGE, agc.LC_ATTENUATION_RANGE_DB
+    (v_min, v_max), full = LC_VOLTAGE_RANGE, agc.LC_ATTENUATION_RANGE_DB
     if att_db <= 0 or att_db >= full:
         return v_min if att_db <= 0 else v_max
     mid = 0.5 * (v_min + v_max)
-    f_min, f_max = (1.0 / (1.0 + math.exp(-agc.LC_STEEPNESS * (v - mid)))
-                    for v in (v_min, v_max))
+    f_min, f_max = (logistic(v) for v in (v_min, v_max))
     f = f_min + att_db / full * (f_max - f_min)
-    return min(max(mid - math.log(1.0 / f - 1.0) / agc.LC_STEEPNESS, v_min), v_max)
+    return min(max(mid - math.log(1.0 / f - 1.0) / LC_STEEPNESS, v_min), v_max)
 
 
 def volt_step(lc_v, gain, measured):
@@ -270,7 +190,7 @@ def volt_loop(p_rx_w):
     where the volts were 0 and the second went uncounted), and the LC
     attenuation and PMT gain in dB after it."""
     (g_min, g_max), (lo, hi) = agc.PMT_GAIN_RANGE, agc.AGC_WINDOW_V
-    lc_v, gain, trace = agc.LC_VOLTAGE_RANGE[0], math.sqrt(g_min * g_max), []
+    lc_v, gain, trace = LC_VOLTAGE_RANGE[0], math.sqrt(g_min * g_max), []
     for p in p_rx_w:
         measured = amplitude_v(p, lc_v, gain)
         if measured > 0 and not lo <= measured <= hi:

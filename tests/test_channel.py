@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import binom, chi2
 
 from uwoclink.channel import (
     MAX_DISTANCE_M,
@@ -300,6 +301,38 @@ class TestFading:
         s1 = [sample_fading_db(spec, rng1) for _ in range(50)]
         s2 = [sample_fading_db(spec, rng2) for _ in range(50)]
         assert s1 == s2
+
+    # the spread and the burst share of the law, each from N draws against
+    # a two-sided bound at false-alarm probability ALPHA, z(ALPHA/2) = 6.1
+    ALPHA = 1e-9
+    N = 10**5
+
+    @pytest.mark.parametrize("sigma_db", [1.0, 0.4])  # the blue and green presets
+    def test_sample_variance_is_chi_square(self, sigma_db):
+        # (N - 1) s^2 / sigma^2 is chi-square with N - 1 degrees of freedom,
+        # whose relative spread is sqrt(2 / N) = 0.45 %: the bound lies about
+        # 6.1 * 0.45 % = 2.7 % from sigma^2, and a 5 % sigma bias (10.25 % in
+        # the variance) about 23 spreads from it
+        rng = np.random.default_rng(19)
+        spec = FadingSpec(sigma_db=sigma_db)
+        draws = np.array([sample_fading_db(spec, rng) for _ in range(self.N)])
+        stat = (self.N - 1) * draws.var(ddof=1) / sigma_db**2
+        dof = self.N - 1
+        assert chi2.ppf(self.ALPHA / 2, dof) <= stat <= chi2.isf(self.ALPHA / 2, dof)
+
+    def test_burst_count_is_binomial(self):
+        # with no wobble a draw is the burst depth or 0, and the bursts are
+        # Bin(N, p): mean 3,000 and sd sqrt(N p (1 - p)) = 53.9, so the bound
+        # lies about 6.1 sd = 330 bursts from the mean, and a 0.8x burst
+        # probability (mean 2,400) about 11 sd from it
+        p = 0.03
+        rng = np.random.default_rng(23)
+        spec = FadingSpec(burst_probability=p, burst_depth_db=6.0)
+        draws = np.array([sample_fading_db(spec, rng) for _ in range(self.N)])
+        assert set(draws) <= {0.0, 6.0}
+        bursts = int(np.count_nonzero(draws))
+        lo, hi = binom.ppf(self.ALPHA / 2, self.N, p), binom.isf(self.ALPHA / 2, self.N, p)
+        assert lo <= bursts <= hi
 
     def test_burst_adds_depth(self):
         rng = np.random.default_rng(5)

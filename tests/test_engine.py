@@ -3,7 +3,6 @@ import io
 import itertools
 import json
 import math
-import pathlib
 import re
 import threading
 from dataclasses import replace
@@ -752,7 +751,6 @@ class TestGoldenDigests:
         "plan-json": "9a244bdeefacd72a",
         "plan-csv": "220c9a3bd07cec8e",
         "monitor": "fb389b0a0d3d83f5",
-        "calibrate": "0c7174e4aaba6cae",
         "fec-encode": "63be49d71ec4d217",
         "fec-decode": "0da6cb126d535763",
     }
@@ -761,7 +759,6 @@ class TestGoldenDigests:
         "plan-csv": ["plan", "--preset", "green-125M", "--format", "csv"],
         "monitor": ["monitor", "--preset", "blue-6M25-nlos", "--epochs", "3",
                     "--duration-s", "5", "--seed", "42"],
-        "calibrate": ["calibrate", "--samples", "configs/calibration-example.txt"],
         "fec-encode": ["fec", "encode", "--code", "concat"],
         "fec-decode": ["fec", "decode", "--code", "concat"],
     }
@@ -778,7 +775,6 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_command_digest(self, command, monkeypatch, capsys, codec):
-        monkeypatch.chdir(pathlib.Path(__file__).resolve().parents[1])
         argv = self.COMMANDS[command]
         if argv[0] == "fec":
             blocks = self.fec_blocks(codec, argv[1])
