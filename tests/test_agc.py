@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwoclink import agc
 from uwoclink.agc import AgcState, agc_step
@@ -10,6 +12,15 @@ from uwoclink.config import load_preset
 
 G_MIN_DB, G_MAX_DB = (10.0 * math.log10(g) for g in agc.PMT_GAIN_RANGE)
 WINDOW_DB = tuple(10.0 * math.log10(v) for v in agc.AGC_WINDOW_V)
+CENTER_DB = 0.5 * (WINDOW_DB[0] + WINDOW_DB[1])
+# the received powers, in dBW, that the loop can bring to the window center
+# (gain - attenuation from 0 to 60 dB) and into the window at all; at 50 V/W
+# and a 0.5..5 V window they come out as whole numbers
+CENTER_REACH_DBW = (-75.0, -15.0)
+WINDOW_REACH_DBW = (-80.0, -10.0)
+# actuator settings at the ends of both ranges, and one inside
+STARTS = [AgcState(), AgcState(20.0, G_MIN_DB), AgcState(0.0, G_MAX_DB),
+          AgcState(20.0, G_MAX_DB), AgcState(0.0, G_MIN_DB), AgcState(7.5, 33.0)]
 # the LC attenuator's voltage curve, the plant of the volt-domain reference
 # loop below; the loop under test works on the attenuation in dB alone
 LC_VOLTAGE_RANGE = (0.0, 5.0)
@@ -151,6 +162,85 @@ class TestStep:
             after = agc_step(state, db(p))
             assert (after.attenuation_db, after.gain_db) == \
                 (state.attenuation_db, state.gain_db)
+
+
+class TestReach:
+    def test_reach_follows_from_the_constants(self):
+        span = G_MAX_DB - G_MIN_DB + agc.LC_ATTENUATION_RANGE_DB  # 60 dB of gain - att
+        assert CENTER_REACH_DBW == pytest.approx(
+            (CENTER_DB - db(agc.RESPONSIVITY_V_PER_W) - G_MAX_DB,
+             CENTER_DB - db(agc.RESPONSIVITY_V_PER_W) - G_MAX_DB + span), abs=1e-12)
+        assert WINDOW_REACH_DBW == pytest.approx(
+            (WINDOW_DB[0] - db(agc.RESPONSIVITY_V_PER_W) - G_MAX_DB,
+             WINDOW_DB[1] - db(agc.RESPONSIVITY_V_PER_W) - G_MAX_DB + span), abs=1e-12)
+
+    @pytest.mark.parametrize("p_rx_dbw", [-74.5, -65.0, -55.0, -45.0, -35.0, -25.0, -15.5])
+    def test_one_step_reaches_the_center_within_reach(self, p_rx_dbw):
+        # the plant is a sum in dB, so one step absorbs the whole error
+        for start in STARTS:
+            stepped = agc_step(start, p_rx_dbw)
+            assert not stepped.saturated
+            if in_window(level_db(start, p_rx_dbw)):
+                assert stepped == start
+            else:
+                assert level_db(stepped, p_rx_dbw) == pytest.approx(CENTER_DB, abs=1e-9)
+
+    @pytest.mark.parametrize("p_rx_dbw", [-100.0, -76.0, -14.0, 0.0])
+    def test_past_reach_pins_the_actuators(self, p_rx_dbw):
+        # the step ends at the bounds, off center by how far the power lies
+        # past the reach, and says so
+        cold = p_rx_dbw < CENTER_REACH_DBW[0]
+        past_db = p_rx_dbw - CENTER_REACH_DBW[0 if cold else 1]
+        stepped = agc_step(AgcState(), p_rx_dbw)
+        assert stepped.saturated
+        assert (stepped.attenuation_db, stepped.gain_db) == (
+            (0.0, G_MAX_DB) if cold else (agc.LC_ATTENUATION_RANGE_DB, G_MIN_DB))
+        assert level_db(stepped, p_rx_dbw) - CENTER_DB == pytest.approx(past_db, abs=1e-9)
+
+    @pytest.mark.parametrize("p_rx_dbw, settles", [
+        (-81.0, False), (-77.5, True), (-12.5, True), (-9.0, False)])
+    def test_settles_in_window_iff_within_reach(self, p_rx_dbw, settles):
+        # between the two reaches the first step saturates short of the
+        # center, yet inside the window, and the next one holds still
+        assert (WINDOW_REACH_DBW[0] <= p_rx_dbw <= WINDOW_REACH_DBW[1]) == settles
+        state = agc_step(AgcState(), p_rx_dbw)
+        assert state.saturated
+        for _ in range(3):
+            state = agc_step(state, p_rx_dbw)
+            assert in_window(level_db(state, p_rx_dbw)) == settles
+            assert state.saturated != settles
+
+    @pytest.mark.parametrize("start, err_db, moved", [
+        (AgcState(5.0, 40.0), 10.0, (15.0, 40.0)),  # LC has room: gain holds
+        (AgcState(5.0, 40.0), 20.0, (20.0, 35.0)),  # LC full: gain sheds the rest
+        (AgcState(5.0, 40.0), -10.0, (5.0, 50.0)),  # gain has room: LC holds
+        (AgcState(5.0, 50.0), -14.0, (1.0, 60.0)),  # gain full: LC clears the rest
+    ], ids=["hot-lc", "hot-gain", "cold-gain", "cold-lc"])
+    def test_actuator_order(self, start, err_db, moved):
+        p_rx_dbw = CENTER_DB + err_db - level_db(start, 0.0)
+        stepped = agc_step(start, p_rx_dbw)
+        assert not stepped.saturated
+        np.testing.assert_allclose((stepped.attenuation_db, stepped.gain_db), moved,
+                                   rtol=0, atol=1e-9)
+
+    @given(att=st.floats(0.0, agc.LC_ATTENUATION_RANGE_DB),
+           gain_db=st.floats(G_MIN_DB, G_MAX_DB),
+           p_rx_dbw=st.floats(-400.0, 300.0))
+    @settings(max_examples=300, deadline=None)
+    def test_any_step_stays_in_bounds_and_flags_a_miss(self, att, gain_db, p_rx_dbw):
+        # an unflagged step leaves the level inside the window; a flagged one
+        # leaves both actuators at the bounds on the side of the miss
+        stepped = agc_step(AgcState(att, gain_db), p_rx_dbw)
+        assert 0.0 <= stepped.attenuation_db <= agc.LC_ATTENUATION_RANGE_DB
+        assert G_MIN_DB <= stepped.gain_db <= G_MAX_DB
+        level = level_db(stepped, p_rx_dbw)
+        if not stepped.saturated:
+            assert WINDOW_DB[0] - 1e-9 <= level <= WINDOW_DB[1] + 1e-9
+        elif level > CENTER_DB:
+            assert (stepped.attenuation_db, stepped.gain_db) == (
+                agc.LC_ATTENUATION_RANGE_DB, G_MIN_DB)
+        else:
+            assert (stepped.attenuation_db, stepped.gain_db) == (0.0, G_MAX_DB)
 
 
 def lc_voltage_for(att_db):

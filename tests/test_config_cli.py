@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import contextlib
 import hashlib
 import io
@@ -804,6 +805,84 @@ class TestCliCommands:
         assert "Traceback" not in captured.err
         assert error_lines(captured.err) == [
             f"error: {cfg}:{line}: not UTF-8 text (byte {byte})"]
+
+    @pytest.mark.parametrize("command", [
+        ["plan"], ["plan", "--format", "csv", "--points", "20"],
+        ["simulate", "--format", "csv", "--duration-s", "2"],
+        ["monitor", "--epochs", "2", "--duration-s", "2"],
+    ], ids=["plan-json", "plan-csv", "simulate-csv", "monitor"])
+    def test_bom_config_gives_the_same_output(self, tmp_path, command):
+        # every command reads --config through the same BOM-stripping reader
+        text = render_scenario(load_preset("green-125M"))
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        outputs = [run_cli([*command, "--config", str(path), "--seed", "3"])
+                   for path in (plain, bom)]
+        assert outputs[0][0] == 0 and outputs[0][1]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("data, line, byte", [
+        ("[link]\nname = café\n".encode("latin-1"), 2, "0xe9"),
+        ("[link]\nname = café\n".encode("utf-16"), 1, "0xff"),
+        (b"\xef\xbb\xbf[link]\n\nname = caf\xe9\n", 3, "0xe9"),
+    ], ids=["latin-1", "utf-16", "bom-latin-1"])
+    @pytest.mark.parametrize("command", [["plan"], ["monitor", "--epochs", "2"]],
+                             ids=["plan", "monitor"])
+    def test_undecodable_config_exit_2_on_every_command(self, tmp_path, capsys, command,
+                                                        data, line, byte):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(data)
+        assert main([*command, "--preset", "blue-6M25", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            f"error: {cfg}:{line}: not UTF-8 text (byte {byte})"]
+
+    def test_sequence_cut_at_the_end_names_the_last_line(self, tmp_path, capsys):
+        # a file cut inside a multi-byte character fails on its last line
+        text = render_scenario(load_preset("green-125M"))
+        cfg = tmp_path / "cut.cfg"
+        cfg.write_bytes(text.encode() + "# café".encode()[:-1])
+        assert main(["plan", "--config", str(cfg)]) == 2
+        assert error_lines(capsys.readouterr().err) == [
+            f"error: {cfg}:{text.count(chr(10)) + 1}: not UTF-8 text (byte 0xc3)"]
+
+    def test_only_one_bom_is_stripped(self, tmp_path, capsys):
+        # a second mark is text, and no config key starts with it
+        text = render_scenario(load_preset("green-125M"))
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_bytes(codecs.BOM_UTF8 * 2 + text.encode())
+        assert main(["plan", "--config", str(cfg)]) == 2
+        assert error_lines(capsys.readouterr().err) == [
+            "error: line 1: expected 'key = value', got '\\ufeff[link]'"]
+
+    def test_crlf_config_reads_as_lf(self, tmp_path):
+        text = render_scenario(load_preset("blue-6M25-nlos"))
+        lf, crlf = tmp_path / "lf.cfg", tmp_path / "crlf.cfg"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        outputs = [run_cli(["simulate", "--config", str(path), "--duration-s", "2"])
+                   for path in (lf, crlf)]
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", [["plan"], ["simulate", "--duration-s", "2"],
+                                         ["monitor", "--epochs", "2"]],
+                             ids=["plan", "simulate", "monitor"])
+    def test_missing_config_file_exit_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "absent.cfg"
+        assert main([*command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            f"error: [Errno 2] No such file or directory: '{cfg}'"]
+
+    def test_directory_as_config_exit_2(self, tmp_path, capsys):
+        assert main(["plan", "--config", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            f"error: [Errno 21] Is a directory: '{tmp_path}'"]
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("geometry", "nlos_unfolded_distance_m", "-1",
