@@ -45,8 +45,6 @@ class LinkGeometry:
             raise ValueError(f"pointing_offset_m must be in [0, {MAX_DISTANCE_M:g}] m")
         if self.k_override_m2 is not None and not 1e-12 <= self.k_override_m2 <= 1e6:
             raise ValueError("k_override_m2 must be in [1e-12, 1e6] m^2")
-        if self.k_override_m2 is not None and self.distance_m == 0:
-            raise ValueError("k_override_m2 needs distance_m > 0")
         if self.pointing_offset_m > 0 and spot_diameter_m(self) == 0:
             raise ValueError("pointing_offset_m > 0 needs a spot: tx_exit_diameter_m + "
                              "2 tan(half_angle_deg) distance_m is 0 (on a bounce, "

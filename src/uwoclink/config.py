@@ -26,7 +26,6 @@ class ConfigError(ValueError):
 
 
 _FLOAT = "float"
-_INT = "int"
 _STR = "str"
 
 # section -> key -> (value type, the LinkSpec attribute path it sets)
@@ -38,7 +37,6 @@ SCHEMA = {
         "bit_rate_bps": (_FLOAT, "modulation.bit_rate_bps"),
         "budget_db": (_FLOAT, "budget_db"),
         "snr_offset_db": (_FLOAT, "snr_offset_db"),
-        "sim_frames_per_second": (_INT, "sim_frames_per_second"),
     },
     "water": {
         "c_db_per_m": (_FLOAT, "c_db_per_m"),
@@ -73,16 +71,15 @@ _REQUIRED = (
 )
 
 
-def parse_number(text: str, convert=float):
-    """``convert(text)`` for plain ASCII numbers only.
+def _parse_float(text: str) -> float:
+    """``float(text)`` for plain ASCII numbers only.
 
-    ``float()`` and ``int()`` also read other scripts' digits ('\u0661\u0662'
-    is 12) and underscore digit separators ('1_0' is 10); both raise
-    ``ValueError`` here.
+    ``float()`` also reads other scripts' digits ('\u0661\u0662' is 12) and
+    underscore digit separators ('1_0' is 10); both raise ``ValueError`` here.
     """
     if not text.isascii() or "_" in text:
         raise ValueError(f"not a plain ASCII number: {text!r}")
-    return convert(text)
+    return float(text)
 
 
 def parse_mapping(text: str) -> dict:
@@ -116,12 +113,7 @@ def parse_mapping(text: str) -> dict:
             )
         kind, _ = SCHEMA[section][key]
         try:
-            if kind == _FLOAT:
-                parsed = parse_number(value, float)
-            elif kind == _INT:
-                parsed = parse_number(value, int)
-            else:
-                parsed = value
+            parsed = _parse_float(value) if kind == _FLOAT else value
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: key '{key}' expects {kind}, got {value!r}"

@@ -3,11 +3,14 @@
 Every run is one frame loop: source -> codec -> tally. Each simulated
 second, the channel hands the loop an error source; each frame is encoded,
 the source returns the ascending positions of the line bits it flipped, and
-the loop XORs them in and counts them as pre-FEC errors. Only the frames
-with a flip reach the FEC decoder, packed together, in one call per batch of
-at most ``DECODE_BATCH_FRAMES`` frames of a second. A frame with no flip is
-a codeword, and a bounded-distance decoder returns a codeword's own payload
-with no correction and no failure, so decoding it would change no count.
+the loop XORs them in and counts them as pre-FEC errors. A simulated second
+holds ``LinkSpec.sim_frames_per_second`` = 6 frames, 0.08 % of green's ~7,660
+frames/s and 1.6 % of blue's ~383; no config key sets it, and a file that
+still does exits 2. Only the frames with a flip reach the FEC decoder,
+packed together: one decode call per simulated second of six frames. A
+frame with no flip is a codeword, and a bounded-distance decoder returns a
+codeword's own payload with no correction and no failure, so decoding it
+would change no count.
 
 A scenario run's source draws one fading sample per second, steps the AGC
 at that second's received power in dBW, and hands each frame to the slot
@@ -30,6 +33,7 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,7 +55,6 @@ ETHERNET_CAP_BPS = 100e6
 ETHERNET_PAYLOAD_BYTES = 1500
 ETHERNET_OVERHEAD_BYTES = 38
 SYNC_OVERHEAD_FRACTION = 0.037
-DECODE_BATCH_FRAMES = 32  # most frames a batch holds, flipped or not; bounds its arrays
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,9 @@ class LinkSpec:
     fading: FadingSpec = field(default_factory=FadingSpec)
     nlos: NlosPath | None = None
     snr_offset_db: float = 0.0
-    sim_frames_per_second: int = 6
+    # frames simulated per second of link time: 6 of green's ~7,660 frames/s
+    # (0.08 %) and of blue's ~383 (1.6 %)
+    sim_frames_per_second: ClassVar[int] = 6
 
     def __post_init__(self):
         # the config format reads a name back stripped, one line to a key
@@ -101,8 +106,6 @@ class LinkSpec:
         if self.nlos is not None:  # total_loss_db's bounce path must be a geometry
             replace(self.geometry, distance_m=self.nlos.unfolded_distance_m,
                     k_override_m2=None)
-        if self.sim_frames_per_second < 1:
-            raise ValueError("sim_frames_per_second must be >= 1")
 
     @property
     def codec(self) -> ConcatCodecSpec:
@@ -225,22 +228,21 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
     error source: a function of the sent frame that returns the ascending,
     distinct positions of the line bits it flipped. A last partial second is
     tallied as its own entry. Payload bits are unpacked from uniform random
-    bytes. A second's frames are drawn, encoded and flipped one by one, in
-    batches of at most ``DECODE_BATCH_FRAMES``. A frame's pre-FEC errors are
-    its flip count. A frame with no flip is a codeword, which decodes to its
-    own payload with no correction and no failure, so it is not decoded: its
-    rows are overwritten by the next frame. The flipped frames of a batch
-    fill the leading ``dirty`` rows of ``payloads`` and ``received``, and one
-    ``codec.decode`` call on those rows, made even when there are none,
-    gives the batch's failures, post-FEC errors and losses.
+    bytes. A second's frames are drawn, encoded and flipped one by one. A
+    frame's pre-FEC errors are its flip count. A frame with no flip is a
+    codeword, which decodes to its own payload with no correction and no
+    failure, so it is not decoded: its rows are overwritten by the next
+    frame. The flipped frames of a second fill the leading ``dirty`` rows of
+    ``payloads`` and ``received``, and one ``codec.decode`` call on those
+    rows, made even when there are none, gives the second's failures,
+    post-FEC errors and losses.
     """
     rng = np.random.default_rng(seed)
     codec = spec.codec
     payload_bytes = -(-codec.frame_payload_bits // 8)
     fps = spec.sim_frames_per_second
-    batch = min(fps, DECODE_BATCH_FRAMES)
-    payloads = np.empty((batch, codec.frame_payload_bits), dtype=np.uint8)
-    received = np.empty((batch, codec.frame_bits), dtype=np.uint8)
+    payloads = np.empty((fps, codec.frame_payload_bits), dtype=np.uint8)
+    received = np.empty((fps, codec.frame_bits), dtype=np.uint8)
     log = _AnalogLog()
     seconds = channel(rng, log)
     beps = []
@@ -249,27 +251,23 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
     failures = 0
     for start in range(0, n_frames, fps):
         errors = next(seconds)
-        second_errors = second_losses = 0
-        second = min(fps, n_frames - start)
-        for first in range(0, second, batch):
-            dirty = 0
-            for _ in range(min(batch, second - first)):
-                payloads[dirty] = np.unpackbits(
-                    rng.integers(0, 256, payload_bytes, dtype=np.uint8),
-                    count=codec.frame_payload_bits)
-                received[dirty] = frame = codec.encode(payloads[dirty])
-                positions = errors(frame)
-                if len(positions):
-                    received[dirty, positions] ^= 1
-                    second_errors += len(positions)
-                    dirty += 1
-            outcome = codec.decode(received[:dirty])
-            wrong = np.count_nonzero(outcome.message_bits != payloads[:dirty], axis=1)
-            failures += int(np.count_nonzero(outcome.failed))
-            post_err_total += int(wrong.sum())
-            second_losses += int(np.count_nonzero(outcome.failed | (wrong > 0)))
+        second_errors = dirty = 0
+        for _ in range(min(fps, n_frames - start)):
+            payloads[dirty] = np.unpackbits(
+                rng.integers(0, 256, payload_bytes, dtype=np.uint8),
+                count=codec.frame_payload_bits)
+            received[dirty] = frame = codec.encode(payloads[dirty])
+            positions = errors(frame)
+            if len(positions):
+                received[dirty, positions] ^= 1
+                second_errors += len(positions)
+                dirty += 1
+        outcome = codec.decode(received[:dirty])
+        wrong = np.count_nonzero(outcome.message_bits != payloads[:dirty], axis=1)
+        failures += int(np.count_nonzero(outcome.failed))
+        post_err_total += int(wrong.sum())
         beps.append(second_errors)
-        loss_series.append(second_losses)
+        loss_series.append(int(np.count_nonzero(outcome.failed | (wrong > 0))))
 
     pre_err_total = sum(beps)
     bits_sim = n_frames * codec.frame_bits

@@ -132,9 +132,11 @@ class TestGeometricLoss:
         with pytest.raises(ValueError, match=r"distance_m must be in \[0, 10000\] m"):
             LinkGeometry(math.nextafter(MAX_DISTANCE_M, math.inf), 0.53, 0.0, 0.046)
 
-    def test_k_override_singular_at_zero(self):
-        with pytest.raises(ValueError, match="k_override_m2 needs distance_m > 0"):
-            LinkGeometry(0.0, 0.53, 0.0, 0.046, k_override_m2=1.198)
+    def test_k_override_at_zero_is_lossless(self):
+        # z^2 = 0 <= k: the aperture collects the whole spot
+        g = LinkGeometry(0.0, 0.53, 0.0, 0.046, k_override_m2=1.198)
+        assert collected_fraction(g) == 1.0
+        assert geometric_loss_db(g) == 0.0
 
     @pytest.mark.parametrize("z", [5e-324, 1e-200])
     def test_k_override_at_a_distance_whose_square_underflows(self, z):

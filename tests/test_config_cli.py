@@ -122,7 +122,7 @@ def config_specs(draw):
         half_angle_deg=in_box(draw, "geometry", "half_angle_deg"),
         tx_exit_diameter_m=in_box(draw, "geometry", "tx_exit_diameter_m"),
         rx_aperture_m=in_box(draw, "geometry", "rx_aperture_m"),
-        k_override_m2=draw(st.none() | f(1e-12, 1e6)) if distance else None,
+        k_override_m2=draw(st.none() | f(1e-12, 1e6)),
     )
     nlos = None
     if draw(st.booleans()):
@@ -147,7 +147,6 @@ def config_specs(draw):
                           in_box(draw, "fading", "burst_depth_db")),
         nlos=nlos,
         snr_offset_db=in_box(draw, "link", "snr_offset_db"),
-        sim_frames_per_second=draw(st.integers(1, 60)),
     )
 
 
@@ -262,24 +261,13 @@ class TestParsing:
     @pytest.mark.parametrize("section, key, kind", [
         ("geometry", "distance_m", "float"),
         ("link", "budget_db", "float"),
-        ("link", "sim_frames_per_second", "int"),
     ])
     def test_not_plain_number_rejected(self, section, key, kind, value):
-        # float() and int() read these as numbers
+        # float() reads these as numbers
         text = f"[{section}]\n{key} = {value}\n"
         with pytest.raises(ConfigError) as err:
             parse_mapping(text)
         assert str(err.value) == f"line 2: key '{key}' expects {kind}, got {value!r}"
-
-    @pytest.mark.parametrize("value", NOT_PLAIN_NUMBERS)
-    def test_not_plain_word_count_rejected(self, value):
-        # the same values as a frame rate (the test once took the frame's
-        # outer word count, then its payload bytes, keys since removed)
-        text = f"[link]\nsim_frames_per_second = {value}\n"
-        with pytest.raises(ConfigError) as err:
-            parse_mapping(text)
-        assert str(err.value) == (
-            f"line 2: key 'sim_frames_per_second' expects int, got {value!r}")
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -460,6 +448,16 @@ class TestCliCommands:
         assert len(rows) == 200
         assert all(math.isfinite(float(cell)) for row in rows for cell in row)
         assert float(rows[-1][0]) == 1e4
+
+    def test_plan_csv_from_zero_with_k_override(self, tmp_path, capsys):
+        # used to exit 2 with "k_override_m2 needs distance_m > 0", though the
+        # JSON plan took the same span; z^2 <= k collects the whole spot
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("[geometry]\nk_override_m2 = 1.198\n")
+        assert main(["plan", "--preset", "green-125M", "--config", str(cfg),
+                     "--format", "csv", "--z-min", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert rows[0] == "0.0,0.0,0.0,82.77"
 
     @pytest.mark.parametrize("z_max", ["10000.000000000002", "1e308"])
     def test_plan_z_max_past_the_box_exit_2(self, capsys, z_max):
@@ -736,12 +734,12 @@ class TestCliCommands:
     @pytest.mark.parametrize("section, key, kind, value, command", [
         ("geometry", "distance_m", "float", "\u0661\u0662", ["plan"]),
         ("geometry", "distance_m", "float", "1_0", ["simulate", "--duration-s", "2"]),
-        ("link", "sim_frames_per_second", "int", "1_0", ["simulate", "--duration-s", "2"]),
-        ("link", "sim_frames_per_second", "int", "\u0668", ["plan"]),
+        ("link", "budget_db", "float", "1_0", ["simulate", "--duration-s", "2"]),
+        ("link", "budget_db", "float", "\u0668", ["plan"]),
     ])
     def test_not_plain_number_config_exit_2(self, tmp_path, capsys, section, key,
                                             kind, value, command):
-        # each used to parse: distance_m = 12.0 or 10.0, sim_frames_per_second = 10 or 8
+        # each used to parse: distance_m = 12.0 or 10.0, budget_db = 10.0 or 8.0
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
         assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2
@@ -765,11 +763,13 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("key, value", [("sync_overhead_fraction", "0.037"),
                                             ("iface_cap_bps", "1e9"),
-                                            ("frame_payload_bytes", "1500")])
+                                            ("frame_payload_bytes", "1500"),
+                                            ("sim_frames_per_second", "6")])
     @pytest.mark.parametrize("command", [["simulate", "--duration-s", "2"], ["plan"]])
     def test_ethernet_keys_are_gone_exit_2(self, tmp_path, capsys, key, value, command):
         # one 100 Mb/s port with 1500-byte payloads and a 3.7 % sync share,
-        # fixed in code; a file that still sets one of them stops at the key
+        # and six frames to a simulated second, fixed in code; a file that
+        # still sets one of them stops at the key
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"[link]\nsnr_offset_db = -3.0\n{key} = {value}\n")
         assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2

@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.stats import binom, chisquare
+from scipy.stats import binom, chisquare, norm
 
 from uwoclink import engine
 from uwoclink.channel import FadingSpec, total_loss_db
@@ -430,13 +430,25 @@ class TestErrorDistribution:
     mean is 4/3 SER and the variance 2 SER - (16/9) SER^2. Bernstein's
     inequality for a sum of independent terms within 2 of their means bounds
     that sum. Each bound is two-sided at a false-alarm probability of 1e-9.
+
+    Each modem's run is sized so that a slot sigma off by ``SIGMA_BIAS``
+    either way fails it. Sigma is 1 / snr, so the biased law is the law at
+    snr / 1.01 or snr * 1.01. Its mean count must lie past the bound by
+    z(POWER) = 3.09 of its own standard deviations; a count of thousands of
+    errors is near normal, so such a bias passes with probability under
+    1 - POWER. With z(alpha / 2) = 6.11, a 1 % bias moves the OOK BER by
+    8.6 % up and 8.1 % down, and the count needs 43 s (4.2e6 line bits);
+    it moves the 4-PPM SER by 9.6 % up and 8.9 % down, and Bernstein's
+    wider bound needs 59 s.
     """
 
     ALPHA = 1e-9
+    POWER = 0.999
+    SIGMA_BIAS = 1.01
     TARGET_BER = 3e-3
-    SECONDS = 12  # 72 frames, 1,175,040 line bits
 
     def flat_spec(self, spec):
+        """``spec`` without fading, and the amplitude SNR it runs at."""
         spec = replace(spec, fading=FadingSpec())
         kind = spec.modulation.kind
         lo, hi = 1.0, 100.0  # amplitude SNRs bracketing TARGET_BER
@@ -445,45 +457,71 @@ class TestErrorDistribution:
             lo, hi = (mid, hi) if theoretical_ber(kind, mid) > self.TARGET_BER else (lo, mid)
         margin = spec.budget_db - total_loss_db(spec.geometry, spec.c_db_per_m,
                                                 spec.nlos).total_db
-        return replace(spec, snr_offset_db=20.0 * math.log10(lo) - margin)
+        return replace(spec, snr_offset_db=20.0 * math.log10(lo) - margin), lo
 
-    def run(self, spec):
-        spec = self.flat_spec(spec)
-        report = run_scenario(spec, self.SECONDS, seed=17)
-        assert report.bits_simulated >= 10**6
-        assert len(set(report.margin_trace_db)) == 1
-        snr = margin_to_snr(report.margin_trace_db[0], spec.snr_offset_db)
-        assert 1e-3 <= theoretical_ber(spec.modulation.kind, snr) <= 1e-2
-        return report, snr
-
-    def test_ook_errors_are_binomial(self, green):
-        assert green.modulation.kind == OOK
-        report, snr = self.run(green)
+    @staticmethod
+    def ook_law(snr, bits):
+        """Mean and variance of the OOK error count over ``bits`` line bits."""
         p = theoretical_ber(OOK, snr)
-        n = report.bits_simulated
-        low = binom.ppf(self.ALPHA / 2, n, p)
-        high = binom.isf(self.ALPHA / 2, n, p)
-        assert low <= report.pre_fec_bit_errors <= high
+        return bits * p, bits * p * (1.0 - p)
 
-    def test_ppm4_errors_follow_symbol_law(self, blue):
-        assert blue.modulation.kind == PPM4
-        report, snr = self.run(blue)
+    @staticmethod
+    def ppm4_law(snr, bits):
+        """Mean and variance of the 4-PPM error count over ``bits`` line bits."""
         ser = ppm4_symbol_error_rate(snr)
-        symbols = report.bits_simulated // 2
-        mean = symbols * 4.0 / 3.0 * ser
-        variance = symbols * (2.0 * ser - 16.0 / 9.0 * ser * ser)
+        symbols = bits // 2
+        return symbols * 4.0 / 3.0 * ser, symbols * (2.0 * ser - 16.0 / 9.0 * ser * ser)
+
+    def ook_bounds(self, snr, bits):
+        p = theoretical_ber(OOK, snr)
+        return binom.ppf(self.ALPHA / 2, bits, p), binom.isf(self.ALPHA / 2, bits, p)
+
+    def ppm4_bounds(self, snr, bits):
+        mean, variance = self.ppm4_law(snr, bits)
         # P(|S - mean| >= t) <= alpha when t^2 = 2 L (variance + 2 t / 3),
         # L = ln(2 / alpha): Bernstein with terms within 2 of their means
         log_term = math.log(2.0 / self.ALPHA)
         t = 2.0 * log_term / 3.0 + math.sqrt((2.0 * log_term / 3.0) ** 2
                                              + 2.0 * log_term * variance)
-        assert abs(report.pre_fec_bit_errors - mean) <= t
+        return mean - t, mean + t
+
+    def seconds_to_see_bias(self, spec, snr, law, bounds):
+        """The fewest seconds whose bound a biased sigma's mean count passes
+        by z(POWER) of its standard deviations, either way."""
+        z_power = norm.isf(1.0 - self.POWER)
+        bits_per_second = spec.sim_frames_per_second * spec.codec.frame_bits
+        for seconds in itertools.count(1):
+            bits = seconds * bits_per_second
+            low, high = bounds(snr, bits)
+            up_mean, up_var = law(snr / self.SIGMA_BIAS, bits)
+            down_mean, down_var = law(snr * self.SIGMA_BIAS, bits)
+            if (up_mean - z_power * math.sqrt(up_var) > high
+                    and down_mean + z_power * math.sqrt(down_var) < low):
+                return seconds
+
+    def errors_in_bounds(self, spec, law, bounds, seed=17):
+        spec, snr = self.flat_spec(spec)
+        seconds = self.seconds_to_see_bias(spec, snr, law, bounds)
+        assert seconds <= 60  # the sizes the docstring gives, well under a second each
+        report = run_scenario(spec, seconds, seed)
+        assert len(set(report.margin_trace_db)) == 1
+        snr = margin_to_snr(report.margin_trace_db[0], spec.snr_offset_db)
+        assert 1e-3 <= theoretical_ber(spec.modulation.kind, snr) <= 1e-2
+        low, high = bounds(snr, report.bits_simulated)
+        return low <= report.pre_fec_bit_errors <= high
+
+    def test_ook_errors_are_binomial(self, green):
+        assert green.modulation.kind == OOK
+        assert self.errors_in_bounds(green, self.ook_law, self.ook_bounds)
+
+    def test_ppm4_errors_follow_symbol_law(self, blue):
+        assert blue.modulation.kind == PPM4
+        assert self.errors_in_bounds(blue, self.ppm4_law, self.ppm4_bounds)
 
 
 class TestDecodeBatches:
-    """Each batch of at most ``DECODE_BATCH_FRAMES`` frames of a second makes
-    one ``decode`` call, on its flipped frames only (none, when none
-    flipped), and the batching changes no report."""
+    """Each simulated second makes one ``decode`` call, on its flipped frames
+    only (none, when none flipped)."""
 
     def test_only_flipped_frames_are_decoded(self, green, decode_rows):
         # one flip on frames 1 and 4 of each second
@@ -499,29 +537,6 @@ class TestDecodeBatches:
         # 50 frames at 6 per second: the last of the 9 seconds holds 2 frames
         inject_errors_run(green, 1e-3, 50 * 16320, seed=2)
         assert decode_rows == [6] * 8 + [2]
-
-    def test_a_long_second_is_sliced(self, green, decode_rows):
-        batch = engine.DECODE_BATCH_FRAMES
-        fps = batch + 8
-        engine._simulate(replace(green, sim_frames_per_second=fps), 0, 2 * fps,
-                         scripted_channel([[[0]] * fps] * 2))
-        assert decode_rows == [batch, 8] * 2
-
-    @pytest.mark.parametrize("case", ["green", "blue-nlos", "inject-4e-3", "long-second"])
-    def test_batches_of_one_give_the_same_report(self, case, green, blue_nlos,
-                                                 monkeypatch):
-        long_second = replace(green, sim_frames_per_second=engine.DECODE_BATCH_FRAMES + 8)
-        run = {
-            "green": lambda: run_scenario(green, 5, seed=7),
-            "blue-nlos": lambda: run_scenario(blue_nlos, 10, seed=4),
-            "inject-4e-3": lambda: inject_errors_run(green, 4e-3, 40 * 16320, seed=8),
-            "long-second": lambda: run_scenario(long_second, 2, seed=9),
-        }[case]
-        batched = run().to_dict()
-        if case == "inject-4e-3":
-            assert batched["decode_failures"] > 0
-        monkeypatch.setattr(engine, "DECODE_BATCH_FRAMES", 1)
-        assert run().to_dict() == batched
 
 
 class TestLossTally:
@@ -708,9 +723,9 @@ class TestGoldenDigests:
     # the message of each assert on a seeded stream
     NUMPY = f"pins made with numpy 2.4.6, running numpy {np.__version__}"
     CONFIG_HASHES = {
-        "green-125M": "5c00b5b1808ab9e6",
-        "blue-6M25": "8633684428c9b79f",
-        "blue-6M25-nlos": "1e125f26a66c2bf8",
+        "green-125M": "a26619d1719534bc",
+        "blue-6M25": "1b4fc2aa1bb6f393",
+        "blue-6M25-nlos": "bc29a80fa27650a3",
     }
     SCENARIO_DIGESTS = {
         "green-125M": "ee0c8e8124f291d9",
