@@ -261,6 +261,8 @@ class TestParsing:
     @pytest.mark.parametrize("section, key, kind", [
         ("geometry", "distance_m", "float"),
         ("link", "budget_db", "float"),
+        ("water", "c_db_per_m", "float"),
+        ("fading", "sigma_db", "float"),
     ])
     def test_not_plain_number_rejected(self, section, key, kind, value):
         # float() reads these as numbers

@@ -5,7 +5,7 @@ import json
 import math
 import re
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -537,6 +537,18 @@ class TestDecodeBatches:
         # 50 frames at 6 per second: the last of the 9 seconds holds 2 frames
         inject_errors_run(green, 1e-3, 50 * 16320, seed=2)
         assert decode_rows == [6] * 8 + [2]
+
+    @pytest.mark.parametrize("preset", ["green-125M", "blue-6M25", "blue-6M25-nlos"])
+    def test_one_call_per_simulated_second(self, preset, decode_rows):
+        run_scenario(load_preset(preset), 5, seed=3)
+        assert len(decode_rows) == 5
+        assert all(rows <= 6 for rows in decode_rows)
+
+    def test_the_frame_clock_is_not_a_field(self, green):
+        assert green.sim_frames_per_second == 6
+        assert "sim_frames_per_second" not in {f.name for f in fields(green)}
+        with pytest.raises(TypeError):
+            replace(green, sim_frames_per_second=7)
 
 
 class TestLossTally:
