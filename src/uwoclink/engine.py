@@ -228,14 +228,14 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
     error source: a function of the sent frame that returns the ascending,
     distinct positions of the line bits it flipped. A last partial second is
     tallied as its own entry. Payload bits are unpacked from uniform random
-    bytes. A second's frames are drawn, encoded and flipped one by one. A
+    bytes. A second's frames are drawn, encoded and flipped one by one; a
     frame's pre-FEC errors are its flip count. A frame with no flip is a
     codeword, which decodes to its own payload with no correction and no
-    failure, so it is not decoded: its rows are overwritten by the next
-    frame. The flipped frames of a second fill the leading ``dirty`` rows of
-    ``payloads`` and ``received``, and one ``codec.decode`` call on those
-    rows, made even when there are none, gives the second's failures,
-    post-FEC errors and losses.
+    failure, so it is not decoded and the next frame overwrites its rows.
+    The flipped frames fill the leading ``dirty`` rows of ``payloads`` and
+    ``received``. One ``codec.decode`` call on them, made even when there
+    are none, gives the failures; the set bits of each packed payload XOR
+    the sent one are post-FEC errors, and a failed or wrong frame is lost.
     """
     rng = np.random.default_rng(seed)
     codec = spec.codec
@@ -263,11 +263,11 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
                 second_errors += len(positions)
                 dirty += 1
         outcome = codec.decode(received[:dirty])
-        wrong = np.count_nonzero(outcome.message_bits != payloads[:dirty], axis=1)
+        wrong = np.packbits(outcome.message_bits ^ payloads[:dirty], axis=1)
         failures += int(np.count_nonzero(outcome.failed))
-        post_err_total += int(wrong.sum())
+        post_err_total += int(np.bitwise_count(wrong).sum())
         beps.append(second_errors)
-        loss_series.append(int(np.count_nonzero(outcome.failed | (wrong > 0))))
+        loss_series.append(int(np.count_nonzero(outcome.failed | wrong.any(axis=1))))
 
     pre_err_total = sum(beps)
     bits_sim = n_frames * codec.frame_bits

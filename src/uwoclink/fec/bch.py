@@ -6,7 +6,8 @@ parent code with the high-degree message coefficients fixed at zero.
 
 The decoder is bounded-distance: it corrects every pattern of at most t
 errors and either flags or miscorrects a heavier one. Syndromes that fit
-one, two or three errors are solved in closed form (Peterson 1960). Only
+one, two or three errors are solved in closed form (Peterson 1960), and
+checked against S_5 .. S_(2t-1) with one XOR of packed ints per error. Only
 other words run binary Berlekamp-Massey, in t steps, and a Chien search
 over the n transmitted degrees finds the roots of the locator, which then
 has degree 4 or more. A root in the shortened prefix fails the word.
@@ -82,6 +83,17 @@ def _byte_table(columns: np.ndarray) -> np.ndarray:
     return table.reshape(-1, *shape)
 
 
+def _pack(values: np.ndarray) -> list[int]:
+    """Each row of field elements as one int, 16 bits to an element, so that
+    the XOR of packed rows is the packed XOR of the rows."""
+    lanes = np.zeros((len(values), 4 * -(-values.shape[1] // 4) or 4), dtype=np.uint16)
+    lanes[:, : values.shape[1]] = values
+    words = lanes.view(np.uint64).astype(object)
+    for i in range(1, words.shape[1]):
+        words[:, 0] |= words[:, i] << 64 * i
+    return words[:, 0].tolist()
+
+
 class BchCodeSpec:
     """A (possibly shortened) t-error-correcting binary BCH code."""
 
@@ -139,6 +151,9 @@ class BchCodeSpec:
 
         # The exp table t + 1 times over, for the Chien search (_error_degrees)
         self._exp_run = np.tile(self.field.exp_np[:order], self.t + 1).astype(np.uint16)
+        # S_5, S_7, .., S_(2t-1) of one error at each degree, packed (the fit)
+        odd = np.outer(np.arange(order), np.arange(5, 2 * self.t, 2)) % order
+        self._odd_packed = _pack(self.field.exp_np[odd])
 
     # --- encoding -----------------------------------------------------
 
@@ -192,7 +207,7 @@ class BchCodeSpec:
                 f"received word must be {self.n} bits (or rows of them), "
                 f"got {words.shape}"
             )
-        wrong = self._parity_check(words)
+        wrong = self._parity_check(words) if words.size else words
         if not wrong.any():
             return np.zeros(words.shape[:-1] + (2 * self.t,), dtype=np.int64)
         terms = self._syndrome_lookup[wrong + self._byte_offsets[: self._parity_bytes]]
@@ -242,7 +257,7 @@ class BchCodeSpec:
             locator.pop()
         return locator if len(locator) - 1 == length else None
 
-    def _low_weight_degrees(self, s: list[int]) -> list[int] | None:
+    def _low_weight_degrees(self, s: list[int], packed=None) -> list[int] | None:
         """Degrees of the error pattern of weight 1, 2 or 3 with syndromes
         ``s``, over the whole 2^m - 1 cycle, or None when none fits.
 
@@ -251,40 +266,38 @@ class BchCodeSpec:
         (S_1^2 S_3 + S_5) / D and sigma3 = D + S_1 sigma2 (t = 2 has no S_5:
         sigma2 = D / S_1, sigma3 = 0), and sigma3 = 0 leaves weight 2. S_1 = 0
         with D != 0 can only be weight 3 with X_1 + X_2 + X_3 = 0. The pattern
-        found gives S_1, S_3 and any S_5 used; one loop checks every odd
-        syndrome from S_5 on. A pattern of weight <= t is the only one of
+        found gives S_1, S_3 and any S_5 used; the XOR of its degrees' rows of
+        ``_odd_packed`` must be ``packed``, the word's S_5 .. S_(2t-1) (packed
+        from ``s`` when not given). A pattern of weight <= t is the only one of
         weight <= t with its 2t syndromes, so Berlekamp-Massey would return
         its locator; the even syndromes follow from the odd ones.
         """
-        field = self.field
-        exp, log, order, mul = field.exp, field.log, field.order, field.mul
-        s1 = s[0]
-        d = mul(s1, mul(s1, s1)) ^ s[2] if self.t > 1 else 0
+        exp, log, order = self.field.exp, self.field.log, self.field.order
+        s1, l1 = s[0], log[s[0]]
+        d = (s1 and exp[3 * l1 % order]) ^ s[2] if self.t > 1 else 0
         if d == 0:
-            degrees = [log[s1]] if s1 else None
+            degrees = [l1] if s1 else None
         else:
             if self.t > 2:
-                num = mul(mul(s1, s1), s[2]) ^ s[4]
+                num = (s1 and s[2] and exp[(2 * l1 + log[s[2]]) % order]) ^ s[4]
                 sigma2 = num and exp[log[num] - log[d] + order]
             elif s1:
-                sigma2 = exp[log[d] - log[s1] + order]
+                sigma2 = exp[log[d] - l1 + order]
             else:
                 return None
-            sigma3 = d ^ mul(s1, sigma2)
+            sigma3 = d ^ (s1 and sigma2 and exp[l1 + log[sigma2]])
             if sigma3:
                 degrees = self._cubic_degrees(s1, sigma2, sigma3)
             else:  # X = S_1 y turns X^2 + S_1 X + sigma2 into y^2 + y = sigma2 / S_1^2
-                y = field.quadratic_root[exp[(log[sigma2] - 2 * log[s1]) % order]]
-                degrees = None if y < 0 else [(log[s1] + log[v]) % order for v in (y, y ^ 1)]
+                y = self.field.quadratic_root[exp[(log[sigma2] - 2 * l1) % order]]
+                degrees = None if y < 0 else [(l1 + log[v]) % order for v in (y, y ^ 1)]
         if degrees is None:
             return None
-        for i in range(4, 2 * self.t, 2):  # s[i] is S_(i+1)
-            v = 0
-            for e in degrees:
-                v ^= exp[(i + 1) * e % order]
-            if v != s[i]:
-                return None
-        return degrees
+        if packed is None:
+            packed = _pack(np.array([s[4::2]], dtype=np.int64))[0]
+        for e in degrees:
+            packed ^= self._odd_packed[e]
+        return None if packed else degrees
 
     def _cubic_degrees(self, s1: int, s2: int, s3: int) -> list[int] | None:
         """The three degrees d of the roots of 1 + s1 x + s2 x^2 + s3 x^3
@@ -297,23 +310,23 @@ class BchCodeSpec:
         p = 0 the roots are the cube roots of q, which are three only when
         3 divides 2^m - 1 (even m) and q is a cube.
         """
-        field = self.field
-        exp, log, order, mul = field.exp, field.log, field.order, field.mul
-        p = mul(s1, s1) ^ s2
-        q = mul(s1, s2) ^ s3
+        exp, log, order = self.field.exp, self.field.log, self.field.order
+        p = (s1 and exp[2 * log[s1]]) ^ s2
+        q = (s1 and s2 and exp[log[s1] + log[s2]]) ^ s3
         if q == 0:
             return None  # Y (Y^2 + p): a repeated root, or Y = 0 three times
         if p:
             half = (log[p] + (log[p] & 1) * order) // 2  # log sqrt(p)
-            z0 = field.cubic_root[exp[(log[q] - 3 * half) % order]]
+            z0 = self.field.cubic_root[exp[(log[q] - 3 * half) % order]]
             if z0 < 0:
                 return None
             # (Z + z0)(Z^2 + z0 Z + z0^2 + 1); Z = z0 w: w^2 + w = 1 + 1/z0^2.
-            # q != 0, so z0 is neither 0 nor 1 and the roots are distinct.
-            w = field.quadratic_root[exp[(log[mul(z0, z0) ^ 1] - 2 * log[z0]) % order]]
+            # q != 0, so z0 and w are neither 0 nor 1: the roots are distinct.
+            lz = log[z0]
+            w = self.field.quadratic_root[exp[(log[exp[2 * lz] ^ 1] - 2 * lz) % order]]
             if w < 0:
                 return None
-            ys = [exp[log[z] + half] for z in (z0, mul(z0, w), mul(z0, w ^ 1))]
+            ys = [exp[(lz + lw + half) % order] for lw in (0, log[w], log[w ^ 1])]
         else:
             if order % 3 or log[q] % 3:
                 return None  # one cube root (odd m) or none
@@ -371,18 +384,19 @@ class BchCodeSpec:
             row_failed, flips = failed.reshape(-1), []
             synd = synd.reshape(-1, 2 * self.t)
             dirty = np.flatnonzero(synd.any(axis=1))
-            for r, s in zip(dirty.tolist(), synd[dirty].tolist()):
-                degrees = self._low_weight_degrees(s)
+            rows, n, k, r_bits = synd[dirty], self.n, self.k, self.parity_bits
+            for r, s, packed in zip(dirty.tolist(), rows.tolist(), _pack(rows[:, 4::2])):
+                degrees = self._low_weight_degrees(s, packed)
                 if degrees is None:
                     locator = self._berlekamp_massey(s)
                     degrees = None if locator is None else self._error_degrees(locator)
-                elif max(degrees) >= self.n:
+                elif max(degrees) >= n:
                     degrees = None  # a root in the shortened prefix
                 if degrees is None:
                     row_failed[r] = True
                     continue
-                last = r * self.k + self.n - 1  # bit n-1-d of row r, if not parity
-                flips += [last - d for d in degrees if d >= self.parity_bits]
+                last = r * k + n - 1  # bit n-1-d of row r, if not parity
+                flips += [last - d for d in degrees if d >= r_bits]
                 corrected += len(degrees)
             message.reshape(-1)[flips] ^= 1
         return DecodeOutcome(message, corrected, failed)

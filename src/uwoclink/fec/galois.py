@@ -1,11 +1,12 @@
 """GF(2^m) arithmetic via log/antilog tables.
 
-Elements are ints in [0, 2^m); addition is XOR. The generator alpha is the
+Elements are ints in [0, 2^m); addition is XOR, and callers multiply two
+nonzero elements as exp[log a + log b]. The generator alpha is the
 polynomial x, so exp[i] = x^i mod primitive_poly. Construction verifies the
 polynomial is primitive by walking the full multiplicative cycle, and
-tabulates a root of y^2 + y = c and of z^3 + z = c for every c
-(Berlekamp, Rumsey & Solomon 1967), which solve any quadratic and any cubic
-after a change of variable. The BCH decoder fits an error pattern of
+tabulates a root of y^2 + y = c and of z^3 + z = c for every c (Berlekamp,
+Rumsey & Solomon 1967), which solve any quadratic and any cubic after a
+change of variable. The BCH decoder fits an error pattern of
 weight 1, 2 or 3 to its syndromes in closed form, with the first table at
 weight 2 and the second at weight 3; only a heavier word's error locator
 goes to the Chien search.
@@ -66,11 +67,6 @@ class FieldSpec:
         roots = np.full(self.order + 1, -1, dtype=np.int64)
         roots[cubes ^ y] = y
         self.cubic_root = roots.tolist()
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
 
     def __repr__(self):
         return f"FieldSpec(m={self.m}, primitive_poly={self.primitive_poly:#x})"

@@ -674,6 +674,77 @@ class TestInjectErrors:
         assert rng.bit_generator.state == state
 
 
+class TestFlipChannelLaw:
+    """``inject_errors_run`` flips line bits i.i.d. at its target rate, and
+    the flips fall evenly on the inner words.
+
+    Each frame draws Bin(16,320, p) flips, independently, so a run of N line
+    bits counts Bin(N, p). The bound is two-sided at a false-alarm
+    probability of 1e-9, z(alpha / 2) = 6.11. A rate off by ``RATE_BIAS``
+    either way must put its mean count past the bound by z(POWER) = 3.09 of
+    its own standard deviations, so such a bias passes with probability
+    under 1 - POWER. At p = 0.2 the bias moves the mean by 0.02 Np up and
+    0.0196 Np down, against about 6.11 sqrt(Np(1 - p)) + 3.09 sqrt(Np'(1 - p')):
+    the run needs N >= 8.77e5 line bits, 54 frames or 9 s, about 1.76e5 flips,
+    where the bound is +-1.3 % of the mean. ``TestInjectErrors`` allows +-10 %.
+
+    Channel bit j belongs to inner word j mod 8, and each word holds 2,040 of
+    a frame's 16,320 bits, so uniform positions give the 8 words equal
+    expected counts: a chi-square test at 7 degrees of freedom, same alpha.
+    """
+
+    ALPHA = 1e-9
+    POWER = 0.999
+    RATE_BIAS = 1.02
+    BER = 0.2
+
+    def bounds(self, bits):
+        return (binom.ppf(self.ALPHA / 2, bits, self.BER),
+                binom.isf(self.ALPHA / 2, bits, self.BER))
+
+    def seconds_to_see_bias(self, spec):
+        """The fewest seconds whose bound a biased rate's mean count passes
+        by z(POWER) of its standard deviations, either way."""
+        z_power = norm.isf(1.0 - self.POWER)
+        bits_per_second = spec.sim_frames_per_second * spec.codec.frame_bits
+        for seconds in itertools.count(1):
+            bits = seconds * bits_per_second
+            low, high = self.bounds(bits)
+            up, down = self.BER * self.RATE_BIAS, self.BER / self.RATE_BIAS
+            if (bits * up - z_power * math.sqrt(bits * up * (1.0 - up)) > high
+                    and bits * down + z_power * math.sqrt(bits * down * (1.0 - down)) < low):
+                return seconds
+
+    def run(self, spec, monkeypatch):
+        """A sized run at ``BER``, with the positions each frame flipped."""
+        seconds = self.seconds_to_see_bias(spec)
+        assert seconds == 9  # the size the docstring gives
+        positions, flip_channel = [], engine._flip_channel
+
+        def recording(ber, rng, log):
+            for flip in flip_channel(ber, rng, log):
+                yield lambda frame, flip=flip: positions.append(flip(frame)) or positions[-1]
+
+        monkeypatch.setattr(engine, "_flip_channel", recording)
+        bits = seconds * spec.sim_frames_per_second * spec.codec.frame_bits
+        report = inject_errors_run(spec, self.BER, bits, seed=29)
+        assert report.bits_simulated == bits and len(positions) == report.frames_sent
+        return report, np.concatenate(positions)
+
+    def test_error_count_is_binomial(self, green, monkeypatch):
+        report, positions = self.run(green, monkeypatch)
+        assert report.pre_fec_bit_errors == positions.size
+        low, high = self.bounds(report.bits_simulated)
+        assert low <= report.pre_fec_bit_errors <= high
+
+    def test_flips_spread_evenly_over_inner_words(self, green, monkeypatch):
+        _, positions = self.run(green, monkeypatch)
+        depth = green.codec.interleaver_depth
+        assert depth == green.codec.inner_words_per_frame == 8
+        per_word = np.bincount(positions % depth, minlength=depth)
+        assert chisquare(per_word).pvalue > self.ALPHA
+
+
 class TestLongTermMonitor:
     def test_single_epoch_reduces_to_run_scenario(self, green):
         reports = long_term_monitor(green, 1, 5, seed=21)

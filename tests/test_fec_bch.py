@@ -89,12 +89,17 @@ def reference_berlekamp_massey(code, synd):
     return locator, length
 
 
+def field_mul(field, a, b):
+    """Oracle helper: the product of two elements of ``field``."""
+    return 0 if a == 0 or b == 0 else field.exp[(field.log[a] + field.log[b]) % field.order]
+
+
 def reference_roots(code, locator):
     """Oracle: Chien search over every degree d of the 2^m - 1 cycle."""
     field = code.field
     return [d for d in range(field.order)
             if not np.bitwise_xor.reduce(
-                [field.mul(c, field.exp[(j * (field.order - d)) % field.order])
+                [field_mul(field, c, field.exp[(j * (field.order - d)) % field.order])
                  for j, c in enumerate(locator)])]
 
 
@@ -485,6 +490,34 @@ class TestRowDecode:
         assert out.ok is all(s.ok for s in singles)
         assert out.status == (STATUS_OK if out.ok else STATUS_FAILURE)
 
+    @pytest.mark.parametrize("name, rows, ber, seed, kinds", [
+        ("inner", 48, 1e-3, 31, {"clean", "weight 1", "weight 2", "weight 3", "chien"}),
+        ("inner", 48, 6e-3, 32, {"chien", "failed"}),
+        ("outer", 24, 5e-4, 33, {"clean", "weight 1", "weight 2", "weight 3", "failed"}),
+    ])
+    def test_batch_matches_reference_decode(self, codec, name, rows, ber, seed, kinds):
+        # one call on a batch of i.i.d. flips, as a simulated second sends
+        # it: light rows for the fit, heavy rows for the Chien search, rows
+        # past t. Each row must come out as the reference decoder, which
+        # does not use the fit, gives it, so a packed value read for the
+        # wrong row or a flip at the wrong offset fails here even where the
+        # one-word decode shares the slip
+        code = getattr(codec, name)
+        rng = np.random.default_rng(seed)
+        sent = code.encode(rng.integers(0, 2, (rows, code.k), dtype=np.uint8))
+        received = sent ^ (rng.random(sent.shape) < ber).view(np.uint8)
+        out = code.decode(received)
+        seen, corrected = set(), 0
+        for word, message, failed in zip(received, out.message_bits, out.failed):
+            status, count, expected = reference_decode(code, word)
+            assert (STATUS_FAILURE if failed else STATUS_OK) == status
+            assert np.array_equal(message, expected)
+            corrected += count
+            seen.add("failed" if failed else "clean" if count == 0
+                     else f"weight {count}" if count <= 3 else "chien")
+        assert out.corrected_count == corrected
+        assert kinds <= seen
+
     def test_one_word_has_one_flag(self, bch15_7):
         word = bch15_7.encode(np.ones(7, dtype=np.uint8))
         word[[0, 1, 5]] ^= 1  # beyond t = 2, and not miscorrected
@@ -658,7 +691,7 @@ class TestClosedFormCubic:
                 assert sorted_or_none(code._cubic_degrees(*locator[1:])) == expected
                 assert code._error_degrees(locator) is None
                 split += [expected] if expected else []
-                p_zero = field.mul(locator[1], locator[1]) == locator[2]
+                p_zero = field_mul(field, locator[1], locator[1]) == locator[2]
                 seen["p = 0, three roots" if p_zero and expected else
                      "p = 0, fails" if p_zero else
                      "root in prefix" if expected and roots[-1] >= code.n else
