@@ -98,9 +98,8 @@ def curve_csv(spec: LinkSpec, rows, seed: int) -> str:
 
 def _cmd_plan(args) -> int:
     spec = _load_spec(args)
-    without = max_distance_m(spec.budget_db, spec.c_db_per_m, mode=WITHOUT_GEOMETRY)
-    with_geo = max_distance_m(spec.budget_db, spec.c_db_per_m, spec.geometry,
-                              WITH_GEOMETRY)
+    without = max_distance_m(spec.budget_db, spec.c_db_per_m)
+    with_geo = max_distance_m(spec.budget_db, spec.c_db_per_m, spec.geometry)
     z_max = (args.z_max if args.z_max is not None
              else min(without.max_distance_m * 1.05, MAX_DISTANCE_M))
     if args.format == "csv":
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="range solutions and loss curve")
     add_common(p_plan)
     p_plan.add_argument("--format", choices=["json", "csv"], default="json")
-    p_plan.add_argument("--z-min", type=float, default=1.0)
+    p_plan.add_argument("--z-min", type=float, default=0.0)
     p_plan.add_argument("--z-max", type=float, default=None)
     p_plan.add_argument("--points", type=int, default=200)
     p_plan.set_defaults(func=_cmd_plan)

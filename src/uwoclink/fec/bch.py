@@ -257,7 +257,7 @@ class BchCodeSpec:
             locator.pop()
         return locator if len(locator) - 1 == length else None
 
-    def _low_weight_degrees(self, s: list[int], packed=None) -> list[int] | None:
+    def _low_weight_degrees(self, s: list[int], packed: int) -> list[int] | None:
         """Degrees of the error pattern of weight 1, 2 or 3 with syndromes
         ``s``, over the whole 2^m - 1 cycle, or None when none fits.
 
@@ -267,8 +267,8 @@ class BchCodeSpec:
         sigma2 = D / S_1, sigma3 = 0), and sigma3 = 0 leaves weight 2. S_1 = 0
         with D != 0 can only be weight 3 with X_1 + X_2 + X_3 = 0. The pattern
         found gives S_1, S_3 and any S_5 used; the XOR of its degrees' rows of
-        ``_odd_packed`` must be ``packed``, the word's S_5 .. S_(2t-1) (packed
-        from ``s`` when not given). A pattern of weight <= t is the only one of
+        ``_odd_packed`` must be ``packed``, the word's S_5 .. S_(2t-1) as
+        ``_pack`` packs them. A pattern of weight <= t is the only one of
         weight <= t with its 2t syndromes, so Berlekamp-Massey would return
         its locator; the even syndromes follow from the odd ones.
         """
@@ -293,8 +293,6 @@ class BchCodeSpec:
                 degrees = None if y < 0 else [(l1 + log[v]) % order for v in (y, y ^ 1)]
         if degrees is None:
             return None
-        if packed is None:
-            packed = _pack(np.array([s[4::2]], dtype=np.int64))[0]
         for e in degrees:
             packed ^= self._odd_packed[e]
         return None if packed else degrees

@@ -62,15 +62,6 @@ class SlotStream:
     touched: np.ndarray | None = None
 
 
-def ook_modulate(bits: np.ndarray) -> SlotStream:
-    """The bits themselves are the uint8 on/off amplitudes."""
-    return SlotStream(np.asarray(bits, dtype=np.uint8))
-
-
-def ook_demodulate(stream: SlotStream) -> np.ndarray:
-    return (stream.amplitudes > _OOK_THRESHOLD).view(np.uint8)
-
-
 @cache
 def _ppm4_byte_slots() -> np.ndarray:
     """Row v holds the 16 uint8 slot amplitudes of byte v's four dibits,
@@ -80,34 +71,6 @@ def _ppm4_byte_slots() -> np.ndarray:
     table = table.reshape(256, -1)
     table.flags.writeable = False
     return table
-
-
-def ppm4_modulate(bits: np.ndarray) -> SlotStream:
-    """One pulse per 4-slot symbol, from an even number of bits.
-
-    Each packed byte looks up its four symbols in one table row; the slots
-    of the dibits ``packbits`` zero-filled in the last byte are cut off.
-    """
-    b = np.asarray(bits, dtype=np.uint8)
-    if len(b) % _PPM4_BITS_PER_SYMBOL:
-        raise ValueError(f"4-PPM takes an even number of bits, got {len(b)}")
-    n_slots = len(b) // _PPM4_BITS_PER_SYMBOL * _PPM4_SLOTS_PER_SYMBOL
-    amps = _ppm4_byte_slots().take(np.packbits(b), axis=0).ravel()[:n_slots]
-    return SlotStream(amps)
-
-
-def ppm4_demodulate(stream: SlotStream) -> np.ndarray:
-    """Arg-max slot per symbol; ties resolve to the lowest slot index.
-
-    The first bit says whether the pulse is in the upper slot pair, the
-    second which slot of that pair; strict ``>`` keeps ties low.
-    """
-    a0, a1, a2, a3 = stream.amplitudes.reshape(-1, _PPM4_SLOTS_PER_SYMBOL).T
-    high = np.maximum(a2, a3) > np.maximum(a0, a1)
-    bits = np.empty((len(high), _PPM4_BITS_PER_SYMBOL), dtype=np.uint8)
-    bits[:, 0] = high
-    bits[:, 1] = np.where(high, a3 > a2, a1 > a0)
-    return bits.ravel()
 
 
 def add_noise(stream: SlotStream, sigma: float,
@@ -240,34 +203,36 @@ def theoretical_ber(kind: str, snr_amplitude: float) -> float:
 
 
 def modulate(kind: str, bits: np.ndarray) -> SlotStream:
+    """uint8 slot amplitudes: OOK sends the bits themselves; 4-PPM sends one
+    pulse per 4-slot symbol, from an even number of bits, each packed byte
+    looking up its four symbols in one table row (the slots of the dibits
+    ``packbits`` zero-filled in the last byte are cut off)."""
+    b = np.asarray(bits, dtype=np.uint8)
     if kind == OOK:
-        return ook_modulate(bits)
-    if kind == PPM4:
-        return ppm4_modulate(bits)
-    raise ValueError(f"unknown modulation kind {kind!r}")
+        return SlotStream(b)
+    if kind != PPM4:
+        raise ValueError(f"unknown modulation kind {kind!r}")
+    if len(b) % _PPM4_BITS_PER_SYMBOL:
+        raise ValueError(f"4-PPM takes an even number of bits, got {len(b)}")
+    n_slots = len(b) // _PPM4_BITS_PER_SYMBOL * _PPM4_SLOTS_PER_SYMBOL
+    return SlotStream(_ppm4_byte_slots().take(np.packbits(b), axis=0).ravel()[:n_slots])
 
 
 def demodulate(kind: str, stream: SlotStream) -> np.ndarray:
+    """OOK decides each slot at the threshold; 4-PPM takes the arg-max slot
+    per symbol, the first bit saying whether the pulse is in the upper slot
+    pair and the second which slot of that pair (strict ``>`` keeps ties at
+    the lowest slot)."""
     if kind == OOK:
-        return ook_demodulate(stream)
-    if kind == PPM4:
-        return ppm4_demodulate(stream)
-    raise ValueError(f"unknown modulation kind {kind!r}")
-
-
-def mc_bit_error_rate(kind: str, snr_amplitude: float, n_bits: int,
-                      seed: int) -> float:
-    """Monte-Carlo BER of the modem chain at unit amplitude, sigma = 1/snr."""
-    _check_snr(snr_amplitude)
-    if snr_amplitude <= 0:
-        raise ValueError("snr must be > 0 for a Monte-Carlo run")
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, n_bits).astype(np.uint8)
-    stream = modulate(kind, bits)
-    sigma = 1.0 / snr_amplitude
-    noisy = add_noise(stream, sigma, rng)
-    out = demodulate(kind, noisy)
-    return float(np.mean(out != bits))
+        return (stream.amplitudes > _OOK_THRESHOLD).view(np.uint8)
+    if kind != PPM4:
+        raise ValueError(f"unknown modulation kind {kind!r}")
+    a0, a1, a2, a3 = stream.amplitudes.reshape(-1, _PPM4_SLOTS_PER_SYMBOL).T
+    high = np.maximum(a2, a3) > np.maximum(a0, a1)
+    bits = np.empty((len(high), _PPM4_BITS_PER_SYMBOL), dtype=np.uint8)
+    bits[:, 0] = high
+    bits[:, 1] = np.where(high, a3 > a2, a1 > a0)
+    return bits.ravel()
 
 
 def flipped_bits(kind: str, sigma: float, rng: np.random.Generator,

@@ -1,7 +1,7 @@
 """Link-budget planning: margin vs distance and maximum-range solving.
 
 Ranges assume an aligned direct path (the seabed bounce and pointing offset
-are simulation concerns, not planning ones). The with-geometry mode uses
+are simulation concerns, not planning ones). A range with a geometry uses
 either the physical aperture/divergence spot model or a calibrated
 inverse-square constant k when the geometry carries an override.
 """
@@ -17,7 +17,6 @@ from .engine import LinkSpec
 WITH_GEOMETRY = "with_geometry"
 WITHOUT_GEOMETRY = "without_geometry"
 
-_BISECTION_STEPS = 120
 _RESIDUAL_LIMIT_DB = 1e-6
 
 
@@ -43,43 +42,43 @@ def path_loss_db(c_db_per_m: float, geometry: LinkGeometry, z: float) -> float:
 
 
 def _bisect_increasing(f, lo: float, hi: float) -> float:
+    """The root of an increasing ``f`` in [lo, hi], halving until the two
+    ends are neighbouring floats, so a root near 0 keeps its precision."""
     f_lo, f_hi = f(lo), f(hi)
     if f_lo > 0 or f_hi < 0:
         raise SolverError(
             f"no sign change in bracket [{lo:.3g}, {hi:.3g}] "
             f"(f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g})"
         )
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if f(mid) > 0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def max_distance_m(budget_db: float, c_db_per_m: float,
-                   geometry: LinkGeometry | None = None,
-                   mode: str = WITH_GEOMETRY) -> RangeSolution:
-    """Largest distance whose total loss still fits inside the budget."""
+                   geometry: LinkGeometry | None = None) -> RangeSolution:
+    """Largest distance whose total loss still fits inside the budget: the
+    attenuation-only range without a geometry, the aligned path's with one."""
     if budget_db <= 0:
         raise ValueError("budget_db must be > 0")
     if c_db_per_m < 0:
         raise ValueError("c_db_per_m must be >= 0")
+    mode = WITHOUT_GEOMETRY if geometry is None else WITH_GEOMETRY
     past_bound = SolverError(
         f"the {mode} range passes MAX_DISTANCE_M = {MAX_DISTANCE_M:g} m")
     # the range without spread; clear water (c = 0) has none
     z_attenuation = budget_db / c_db_per_m if c_db_per_m else math.inf
 
-    if mode == WITHOUT_GEOMETRY:
+    if geometry is None:
         if z_attenuation > MAX_DISTANCE_M:
             raise past_bound
         residual = budget_db - attenuation_db(c_db_per_m, z_attenuation)
         return RangeSolution(z_attenuation, residual, mode, None)
-    if mode != WITH_GEOMETRY:
-        raise ValueError(f"unknown mode {mode!r}")
-    if geometry is None:
-        raise ValueError("with_geometry mode requires a LinkGeometry")
 
     def f(z: float) -> float:
         return path_loss_db(c_db_per_m, geometry, z) - budget_db
@@ -87,7 +86,7 @@ def max_distance_m(budget_db: float, c_db_per_m: float,
     hi = min(z_attenuation + 1.0, MAX_DISTANCE_M)
     if f(hi) < 0:  # only a clamped bracket: c hi > budget_db otherwise
         raise past_bound
-    z = _bisect_increasing(f, 1e-3, hi)
+    z = _bisect_increasing(f, 0.0, hi)
     residual = -f(z)
     if abs(residual) > _RESIDUAL_LIMIT_DB:
         raise SolverError(f"bisection stalled with residual {residual:.3g} dB")

@@ -22,8 +22,8 @@ from uwoclink.engine import (
     run_scenario,
 )
 from uwoclink.fec import STATUS_OK
-from uwoclink.modem import OOK, mc_bit_error_rate, theoretical_ber
-from uwoclink.planner import WITH_GEOMETRY, WITHOUT_GEOMETRY, max_distance_m
+from uwoclink.modem import OOK, theoretical_ber
+from uwoclink.planner import max_distance_m
 
 SEED = 42
 
@@ -34,8 +34,8 @@ def report(line: str):
 
 def test_c01_range_without_geometry(green, blue, capsys):
     t0 = time.perf_counter()
-    sol_g = max_distance_m(green.budget_db, green.c_db_per_m, mode=WITHOUT_GEOMETRY)
-    sol_b = max_distance_m(blue.budget_db, blue.c_db_per_m, mode=WITHOUT_GEOMETRY)
+    sol_g = max_distance_m(green.budget_db, green.c_db_per_m)
+    sol_b = max_distance_m(blue.budget_db, blue.c_db_per_m)
     elapsed = time.perf_counter() - t0
     assert abs(sol_g.max_distance_m - 231.6) / 231.6 < 0.005
     assert abs(sol_b.max_distance_m - 337.5) / 337.5 < 0.005
@@ -53,8 +53,8 @@ def test_c01_range_without_geometry(green, blue, capsys):
 def test_c02_range_with_calibrated_k(green, blue):
     geo_g = LinkGeometry(30.0, 0.53, 0.0, 0.046, k_override_m2=1.198)
     geo_b = LinkGeometry(30.0, 3.83, 0.0, 0.008, k_override_m2=9.67e-3)
-    sol_g = max_distance_m(green.budget_db, green.c_db_per_m, geo_g, WITH_GEOMETRY)
-    sol_b = max_distance_m(blue.budget_db, blue.c_db_per_m, geo_b, WITH_GEOMETRY)
+    sol_g = max_distance_m(green.budget_db, green.c_db_per_m, geo_g)
+    sol_b = max_distance_m(blue.budget_db, blue.c_db_per_m, geo_b)
     assert abs(sol_g.max_distance_m - 117.7) / 117.7 < 0.001
     assert abs(sol_b.max_distance_m - 128.3) / 128.3 < 0.001
     report(f"C2 range-calibrated-k: green {sol_g.max_distance_m:.2f} m, "
@@ -195,12 +195,12 @@ def test_c11_determinism(green, blue_nlos):
     report("C11 determinism: byte-identical JSON for equal seeds PASS")
 
 
-def test_c12_modem_statistics():
+def test_c12_modem_statistics(chain_ber):
     checks = []
     for sigma in (1 / 3, 0.25, 0.2):
         snr = 1.0 / sigma
         n = 10**7
-        measured = mc_bit_error_rate(OOK, snr, n, seed=SEED)
+        measured = chain_ber(OOK, snr, n, seed=SEED)
         expected = theoretical_ber(OOK, snr)
         tol = 3.0 * math.sqrt(expected * (1 - expected) / n)
         assert abs(measured - expected) < tol

@@ -380,6 +380,11 @@ class TestRenderReport:
         parsed = json.loads(render_report(report))
         assert parsed == report.to_dict()
 
+    def test_unknown_format_rejected(self, green):
+        report = run_scenario(green, 1, seed=5)
+        with pytest.raises(ConfigError, match="unknown format 'xml'"):
+            render_report(report, "xml")
+
     def test_csv_row_count(self, green):
         report = run_scenario(green, 7, seed=5)
         lines = render_report(report, "csv").strip().splitlines()
@@ -423,6 +428,24 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         without = payload["solutions"]["without_geometry"]
         assert without["max_distance_m"] == pytest.approx(82.77 / 0.5)
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    @pytest.mark.parametrize("budget_db", ["1e-4", "0.3", "1e-300"])
+    def test_plan_short_range_link(self, tmp_path, capsys, budget_db, output_format):
+        # 0.3 dB used to end in "z_min must be < z_max", as the curve began
+        # at 1 m, and 1e-4 dB in "no sign change in bracket [0.001, 1]"
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(f"[link]\nbudget_db = {budget_db}\n")
+        assert main(["plan", "--preset", "green-125M", "--config", str(cfg),
+                     "--format", output_format]) == 0
+        out = capsys.readouterr().out
+        if output_format == "json":
+            solutions = json.loads(out)["solutions"].values()
+            assert all(s["max_distance_m"] > 0 for s in solutions)
+        else:
+            rows = [line.split(",") for line in out.splitlines()[2:]]
+            assert len(rows) == 200 and rows[0][0] == "0.0"
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
     def test_plan_non_finite_z_max_exit_2(self, capsys):
         # used to end in "error: math domain error"

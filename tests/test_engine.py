@@ -447,9 +447,9 @@ class TestErrorDistribution:
     SIGMA_BIAS = 1.01
     TARGET_BER = 3e-3
 
-    def flat_spec(self, spec):
-        """``spec`` without fading, and the amplitude SNR it runs at."""
-        spec = replace(spec, fading=FadingSpec())
+    def at_target(self, spec):
+        """``spec`` with the ``snr_offset_db`` that puts its unfaded line BER
+        at ``TARGET_BER``, and the amplitude SNR it runs at unfaded."""
         kind = spec.modulation.kind
         lo, hi = 1.0, 100.0  # amplitude SNRs bracketing TARGET_BER
         for _ in range(100):
@@ -458,6 +458,10 @@ class TestErrorDistribution:
         margin = spec.budget_db - total_loss_db(spec.geometry, spec.c_db_per_m,
                                                 spec.nlos).total_db
         return replace(spec, snr_offset_db=20.0 * math.log10(lo) - margin), lo
+
+    def flat_spec(self, spec):
+        """``spec`` without fading, and the amplitude SNR it runs at."""
+        return self.at_target(replace(spec, fading=FadingSpec()))
 
     @staticmethod
     def ook_law(snr, bits):
@@ -476,14 +480,16 @@ class TestErrorDistribution:
         p = theoretical_ber(OOK, snr)
         return binom.ppf(self.ALPHA / 2, bits, p), binom.isf(self.ALPHA / 2, bits, p)
 
-    def ppm4_bounds(self, snr, bits):
-        mean, variance = self.ppm4_law(snr, bits)
+    def bernstein_bounds(self, mean, variance):
         # P(|S - mean| >= t) <= alpha when t^2 = 2 L (variance + 2 t / 3),
         # L = ln(2 / alpha): Bernstein with terms within 2 of their means
         log_term = math.log(2.0 / self.ALPHA)
         t = 2.0 * log_term / 3.0 + math.sqrt((2.0 * log_term / 3.0) ** 2
                                              + 2.0 * log_term * variance)
         return mean - t, mean + t
+
+    def ppm4_bounds(self, snr, bits):
+        return self.bernstein_bounds(*self.ppm4_law(snr, bits))
 
     def seconds_to_see_bias(self, spec, snr, law, bounds):
         """The fewest seconds whose bound a biased sigma's mean count passes
@@ -517,6 +523,36 @@ class TestErrorDistribution:
     def test_ppm4_errors_follow_symbol_law(self, blue):
         assert blue.modulation.kind == PPM4
         assert self.errors_in_bounds(blue, self.ppm4_law, self.ppm4_bounds)
+
+    @pytest.mark.parametrize("preset, seconds", [("green-125M", 60),
+                                                 ("blue-6M25-nlos", 120)])
+    def test_errors_follow_the_fading_trace(self, preset, seconds):
+        """The margin path with the preset's own fading: given the run's
+        ``margin_trace_db``, second i runs at amplitude SNR
+        10^((m_i + snr_offset_db) / 20), and the errors of the seconds are
+        independent, so their count has the summed per-second means and
+        variances. Its Bernstein bound is two-sided at ``ALPHA``; the run is
+        long enough that a slot sigma off by ``SIGMA_BIAS`` either way moves
+        the mean past it by z(POWER) of its standard deviations."""
+        spec, _ = self.at_target(load_preset(preset))
+        assert spec.fading.sigma_db > 0
+        law = self.ook_law if spec.modulation.kind == OOK else self.ppm4_law
+        report = run_scenario(spec, seconds, seed=17)
+        assert len(set(report.margin_trace_db)) == seconds
+        bits = spec.sim_frames_per_second * spec.codec.frame_bits
+
+        def summed_law(bias):
+            laws = [law(10.0 ** ((m + spec.snr_offset_db) / 20.0) / bias, bits)
+                    for m in report.margin_trace_db]
+            return sum(mean for mean, _ in laws), sum(var for _, var in laws)
+
+        low, high = self.bernstein_bounds(*summed_law(1.0))
+        z_power = norm.isf(1.0 - self.POWER)
+        up_mean, up_var = summed_law(self.SIGMA_BIAS)
+        down_mean, down_var = summed_law(1.0 / self.SIGMA_BIAS)
+        assert up_mean - z_power * math.sqrt(up_var) > high
+        assert down_mean + z_power * math.sqrt(down_var) < low
+        assert low <= report.pre_fec_bit_errors <= high
 
 
 class TestDecodeBatches:
@@ -605,6 +641,11 @@ class TestLossTally:
 
 
 class TestInjectErrors:
+    @pytest.mark.parametrize("n_bits", [0, -1])
+    def test_no_line_bits_rejected(self, green, n_bits):
+        with pytest.raises(ValueError, match="n_bits must be > 0"):
+            inject_errors_run(green, 1e-3, n_bits, seed=0)
+
     def test_zero_target_is_error_free(self, green):
         report = inject_errors_run(green, 0.0, 10 * 16320, seed=0)
         assert report.pre_fec_bit_errors == 0
@@ -847,7 +888,7 @@ class TestGoldenDigests:
     # code corrects, and one with 2 % flips, which fails
     COMMAND_DIGESTS = {
         "plan-json": "9a244bdeefacd72a",
-        "plan-csv": "220c9a3bd07cec8e",
+        "plan-csv": "cbb2769086ff50a4",
         "monitor": "fb389b0a0d3d83f5",
         "fec-encode": "63be49d71ec4d217",
         "fec-decode": "0da6cb126d535763",

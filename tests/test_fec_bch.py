@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwoclink.fec.bch import STATUS_FAILURE, STATUS_OK, BchCodeSpec, generator_polynomial
+from uwoclink.fec.bch import (
+    STATUS_FAILURE,
+    STATUS_OK,
+    BchCodeSpec,
+    _pack,
+    generator_polynomial,
+)
 
 
 def bits_to_poly(bits):
@@ -26,6 +32,12 @@ def reference_syndromes(code, word):
         np.bitwise_xor.reduce(code.field.exp_np[(j * degrees) % order], initial=0)
         for j in range(1, 2 * code.t + 1)
     ])
+
+
+def low_weight_fit(code, s):
+    """``code._low_weight_degrees`` on syndromes ``s``, with their S_5 ..
+    S_(2t-1) packed as ``decode`` packs them."""
+    return code._low_weight_degrees(s, _pack(np.array([s[4::2]], dtype=np.int64))[0])
 
 
 def named_code(request, codec, name):
@@ -235,6 +247,11 @@ class TestGeneratorPolynomials:
         assert codec.inner.parent_n == 2047
         assert (codec.outer.n, codec.outer.k, codec.outer.t) == (3860, 3824, 3)
         assert codec.outer.parent_n == 4095
+
+    @pytest.mark.parametrize("n", [0, -1, 16])
+    def test_length_outside_the_cycle_rejected(self, gf16, n):
+        with pytest.raises(ValueError, match=rf"n={n} must be in \(0, 15\]"):
+            BchCodeSpec(n, 7, 2, gf16)
 
     def test_mismatched_spec_rejected(self, gf16):
         with pytest.raises(ValueError):
@@ -594,7 +611,7 @@ class TestDecodeAgainstReference:
             word = np.array([(value >> (11 - i)) & 1 for i in range(12)], dtype=np.uint8)
             assert_decodes_like_reference(bch12_4, word)
             synd = bch12_4.syndromes(word).tolist()
-            if any(synd) and bch12_4._low_weight_degrees(synd) is None:
+            if any(synd) and low_weight_fit(bch12_4, synd) is None:
                 locator = bch12_4._berlekamp_massey(synd)
                 low_degree += locator is not None and len(locator) <= 3
         assert low_degree > 0
@@ -671,7 +688,7 @@ class TestClosedFormCubic:
             assert code._error_degrees([1, s1, s2, s3]) is None
             if expected is not None:
                 synd = pattern_syndromes(code, expected).tolist()
-                assert sorted(code._low_weight_degrees(synd)) == expected
+                assert sorted(low_weight_fit(code, synd)) == expected
                 solved += 1
         assert solved > 0
 
@@ -702,7 +719,7 @@ class TestClosedFormCubic:
         assert min(seen["p = 0, fails"], seen["root in prefix"], seen["repeated root"],
                    seen["three roots"], seen["no root"]) > 0
         for roots, synd in zip(split, pattern_syndromes(code, split).tolist()):
-            assert sorted(code._low_weight_degrees(synd)) == roots
+            assert sorted(low_weight_fit(code, synd)) == roots
         # the fit works over the whole cycle; a root in the shortened
         # prefix still fails the word
         prefix = [roots for roots in split if roots[-1] >= code.n]
@@ -733,7 +750,7 @@ class TestLowWeightSolve:
                 assert synd[2] == field.exp[3 * field.log[synd[0]] % field.order]
             # the fit reads S_5 into a weight-3 pattern, so on the t = 3
             # outer code it may find one; it must then give every syndrome
-            fit = code._low_weight_degrees(synd.tolist())
+            fit = low_weight_fit(code, synd.tolist())
             if fit is not None:
                 assert len(fit) == 3
                 assert np.array_equal(pattern_syndromes(code, fit), synd)
@@ -788,7 +805,7 @@ class TestLowWeightSolve:
                 word[list(pos)] ^= 1
                 degrees = sorted(14 - p for p in pos)
                 synd = bch15_5.syndromes(word)
-                assert sorted(bch15_5._low_weight_degrees(synd.tolist())) == degrees
+                assert sorted(low_weight_fit(bch15_5, synd.tolist())) == degrees
                 out = bch15_5.decode(word)
                 assert (out.status, out.corrected_count) == (STATUS_OK, weight)
                 assert np.array_equal(out.message_bits, sent[:5])

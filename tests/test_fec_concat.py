@@ -126,6 +126,11 @@ class TestFraming:
         # the interleave depth is always the inner word count
         assert codec.interleaver_depth == 8
 
+    @pytest.mark.parametrize("words", [0, -1])
+    def test_no_outer_word_rejected(self, mini, words):
+        with pytest.raises(ValueError, match="outer_words_per_frame must be >= 1"):
+            ConcatCodecSpec(mini.outer, mini.inner, outer_words_per_frame=words)
+
     def test_frame_length_matches_rate(self, codec):
         expected = codec.frame_payload_bits / codec.code_rate()
         assert codec.frame_bits == pytest.approx(expected, abs=1.0)

@@ -34,6 +34,18 @@ def test_gf16_alpha_powers(gf16):
     assert gf16.exp[4] == 0b0011
     assert gf16.exp[5] == 0b0110
 
+@pytest.mark.parametrize("m, poly", [(1, 0b11), (17, (1 << 17) | 0b1001)])
+def test_degree_outside_2_to_16_rejected(m, poly):
+    with pytest.raises(ValueError, match=r"field degree m must be in \[2, 16\]"):
+        FieldSpec(m, poly)
+
+
+@pytest.mark.parametrize("poly", [0b1011, 0b100101])
+def test_polynomial_of_another_degree_rejected(poly):
+    with pytest.raises(ValueError, match="primitive_poly must have degree 4"):
+        FieldSpec(4, poly)
+
+
 def test_reducible_polynomial_rejected():
     # x^4 + x^2 + 1 = (x^2 + x + 1)^2
     with pytest.raises(ValueError):
