@@ -1,7 +1,7 @@
 """Optical channel model for underwater laser links.
 
-Deterministic losses (water attenuation, beam-spread geometry, pointing
-offset, seabed-bounce excess) plus a log-normal/burst fading abstraction.
+Deterministic losses (water attenuation, beam spread onto an aligned
+aperture, seabed-bounce excess) plus a log-normal/burst fading abstraction.
 All losses are positive dB; received power follows from transmitted power
 minus the total. Everything here is a pure function of its inputs; the
 fading sampler takes an explicit numpy generator.
@@ -19,7 +19,7 @@ MAX_DISTANCE_M = 1e4  # longest path, bounce or planned range the model takes
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """One directed beam path: length, divergence, apertures, lateral offset.
+    """One directed, aligned beam path: length, divergence, apertures.
 
     ``k_override_m2`` replaces the physical aperture/divergence model with a
     calibrated inverse-square constant (collected fraction = k / Z^2).
@@ -29,7 +29,6 @@ class LinkGeometry:
     half_angle_deg: float
     tx_exit_diameter_m: float = 0.0
     rx_aperture_m: float = 0.01
-    pointing_offset_m: float = 0.0
     k_override_m2: float | None = None
 
     def __post_init__(self):
@@ -41,14 +40,8 @@ class LinkGeometry:
             raise ValueError("rx_aperture_m must be in [1e-4, 10] m")
         if not 0.0 <= self.tx_exit_diameter_m <= 10.0:
             raise ValueError("tx_exit_diameter_m must be in [0, 10] m")
-        if not 0.0 <= self.pointing_offset_m <= MAX_DISTANCE_M:
-            raise ValueError(f"pointing_offset_m must be in [0, {MAX_DISTANCE_M:g}] m")
         if self.k_override_m2 is not None and not 1e-12 <= self.k_override_m2 <= 1e6:
             raise ValueError("k_override_m2 must be in [1e-12, 1e6] m^2")
-        if self.pointing_offset_m > 0 and spot_diameter_m(self) == 0:
-            raise ValueError("pointing_offset_m > 0 needs a spot: tx_exit_diameter_m + "
-                             "2 tan(half_angle_deg) distance_m is 0 (on a bounce, "
-                             "nlos_unfolded_distance_m)")
 
 
 @dataclass(frozen=True)
@@ -59,8 +52,8 @@ class NlosPath:
     unfolded_distance_m: float
 
     def __post_init__(self):
-        if not 0.0 <= self.reflectance <= 1.0:
-            raise ValueError("reflectance must be in [0, 1]")
+        if not 0.0 < self.reflectance <= 1.0:
+            raise ValueError("reflectance must be in (0, 1]")
         if not 0.0 <= self.unfolded_distance_m <= MAX_DISTANCE_M:
             raise ValueError(f"unfolded_distance_m must be in [0, {MAX_DISTANCE_M:g}] m")
 
@@ -84,27 +77,15 @@ class FadingSpec:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-mechanism dB losses; ``link_dark`` marks a geometrically dead link.
-
-    When ``link_dark`` is set (disjoint spot/aperture discs or zero
-    reflectance) the dB fields exclude the dark mechanism and must not be
-    used as a finite link loss.
-    """
+    """Per-mechanism dB losses."""
 
     attenuation_db: float
     geometric_db: float
-    pointing_db: float = 0.0
     nlos_excess_db: float = 0.0
-    link_dark: bool = False
 
     @property
     def total_db(self) -> float:
-        return (
-            self.attenuation_db
-            + self.geometric_db
-            + self.pointing_db
-            + self.nlos_excess_db
-        )
+        return self.attenuation_db + self.geometric_db + self.nlos_excess_db
 
 
 def attenuation_db(c_db_per_m: float, distance_m: float) -> float:
@@ -138,73 +119,21 @@ def geometric_loss_db(geometry: LinkGeometry) -> float:
     return -10.0 * math.log10(collected_fraction(geometry))
 
 
-def disc_overlap_fraction(spot_diameter: float, aperture_diameter: float,
-                          offset: float) -> float:
-    """Fraction of the aperture disc covered by the spot disc, both of
-    diameter > 0 (``LinkGeometry`` gives an offset spot one).
-
-    Standard circle-circle intersection area divided by the aperture area.
-    """
-    big_r = spot_diameter / 2.0
-    small_r = aperture_diameter / 2.0
-    if offset >= big_r + small_r:
-        return 0.0
-    if offset <= abs(big_r - small_r):
-        return 1.0 if small_r <= big_r else (big_r / small_r) ** 2
-    d2 = offset * offset
-    a1 = small_r**2 * math.acos((d2 + small_r**2 - big_r**2)
-                                / (2.0 * offset * small_r))
-    a2 = big_r**2 * math.acos((d2 + big_r**2 - small_r**2)
-                              / (2.0 * offset * big_r))
-    a3 = 0.5 * math.sqrt(max(0.0, (-offset + small_r + big_r)
-                             * (offset + small_r - big_r)
-                             * (offset - small_r + big_r)
-                             * (offset + small_r + big_r)))
-    return (a1 + a2 - a3) / (math.pi * small_r**2)
-
-
-def pointing_overlap_fraction(geometry: LinkGeometry) -> float:
-    if geometry.pointing_offset_m == 0:
-        return 1.0
-    spot = spot_diameter_m(geometry)
-    return disc_overlap_fraction(spot, geometry.rx_aperture_m,
-                                 geometry.pointing_offset_m)
-
-
-def pointing_loss_db(geometry: LinkGeometry) -> tuple[float, bool]:
-    """Offset loss as ``(loss_db, link_dark)``; dark when discs are disjoint."""
-    frac = pointing_overlap_fraction(geometry)
-    if frac == 0.0:
-        return 0.0, True
-    return -10.0 * math.log10(frac), False
-
-
 def total_loss_db(geometry: LinkGeometry, c_db_per_m: float,
                   nlos: NlosPath | None = None) -> LossBreakdown:
     """Component-wise link loss; the NLOS bounce replaces the direct path.
 
     For an NLOS link the light physically travels the unfolded path: the
     direct path's optics over ``nlos.unfolded_distance_m``, without its k
-    override. Attenuation, spread, and pointing are evaluated on it and the
-    reflection penalty is reported as the excess term.
+    override. Attenuation and spread are evaluated on it and the reflection
+    penalty is reported as the excess term.
     """
     path = geometry if nlos is None else replace(
         geometry, distance_m=nlos.unfolded_distance_m, k_override_m2=None)
-    atten = attenuation_db(c_db_per_m, path.distance_m)
-    geo = geometric_loss_db(path)
-    point, dark = pointing_loss_db(path)
-    excess = 0.0
-    if nlos is not None:
-        if nlos.reflectance == 0.0:
-            dark = True
-        else:
-            excess = -10.0 * math.log10(nlos.reflectance)
     return LossBreakdown(
-        attenuation_db=atten,
-        geometric_db=geo,
-        pointing_db=point,
-        nlos_excess_db=excess,
-        link_dark=dark,
+        attenuation_db=attenuation_db(c_db_per_m, path.distance_m),
+        geometric_db=geometric_loss_db(path),
+        nlos_excess_db=0.0 if nlos is None else -10.0 * math.log10(nlos.reflectance),
     )
 
 

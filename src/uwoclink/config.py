@@ -46,7 +46,6 @@ SCHEMA = {
         "half_angle_deg": (_FLOAT, "geometry.half_angle_deg"),
         "tx_exit_diameter_m": (_FLOAT, "geometry.tx_exit_diameter_m"),
         "rx_aperture_m": (_FLOAT, "geometry.rx_aperture_m"),
-        "pointing_offset_m": (_FLOAT, "geometry.pointing_offset_m"),
         "k_override_m2": (_FLOAT, "geometry.k_override_m2"),
         "nlos_reflectance": (_FLOAT, "nlos.reflectance"),
         "nlos_unfolded_distance_m": (_FLOAT, "nlos.unfolded_distance_m"),

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import ClassVar
 
@@ -69,8 +69,8 @@ class LinkSpec:
     - the static loss is under 1.1e5 dB: attenuation is at most 10 dB/m
       over 1e4 m; the spot is under 3.5e4 m wide (a half angle of at most
       60 degrees has tan under 1.74), so spread costs under
-      20 log10(3.5e4 / 1e-4) = 171 dB; pointing and reflectance cost at
-      most 3,240 dB each, -10 log10 of the least subnormal;
+      20 log10(3.5e4 / 1e-4) = 171 dB; reflectance costs at most
+      3,240 dB, -10 log10 of the least subnormal;
     - a fading draw lies within 2,800 dB of 0: sigma is at most 30 dB, a
       numpy normal's |z| is far below 90, a burst is at most 100 dB;
     - so the amplitude SNR is at most 10^((300 + 2,800 + 100) / 20) =
@@ -103,9 +103,6 @@ class LinkSpec:
             raise ValueError("budget_db must be in (0, 300] dB")
         if not -100.0 <= self.snr_offset_db <= 100.0:
             raise ValueError("snr_offset_db must be in [-100, 100] dB")
-        if self.nlos is not None:  # total_loss_db's bounce path must be a geometry
-            replace(self.geometry, distance_m=self.nlos.unfolded_distance_m,
-                    k_override_m2=None)
 
     @property
     def codec(self) -> ConcatCodecSpec:
@@ -139,7 +136,6 @@ class SimReport:
     decode_failures: int
     goodput_bps: float
     agc_saturated_seconds: int
-    link_dark_seconds: int
     beps_series: tuple[int, ...]
     loss_series: tuple[int, ...]
     margin_trace_db: tuple[float, ...]
@@ -171,14 +167,13 @@ class _AnalogLog:
 
     margins: list[float] = field(default_factory=list)
     saturated_seconds: int = 0
-    dark_seconds: int = 0
 
 
 def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
                   log: _AnalogLog) -> Iterator[Callable]:
-    """Per simulated second: one fading draw and, unless the link is dark,
-    an AGC step at the received power in dBW, then the slot chain at the
-    noise level the resulting margin sets.
+    """Per simulated second: one fading draw, an AGC step at the received
+    power in dBW, then the slot chain at the noise level the resulting
+    margin sets.
 
     Slot noise comes from a child of ``rng``, so the fading draws do not
     depend on how many normals a frame needed.
@@ -193,13 +188,9 @@ def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
         total = static.total_db + fading
         margin = spec.budget_db - total
         log.margins.append(margin)
-        if static.link_dark:
-            log.dark_seconds += 1
-            snr = 0.0
-        else:
-            snr = margin_to_snr(margin, spec.snr_offset_db)
-            agc = agc_step(agc, tx_dbw - total)
-            log.saturated_seconds += int(agc.saturated)
+        snr = margin_to_snr(margin, spec.snr_offset_db)
+        agc = agc_step(agc, tx_dbw - total)
+        log.saturated_seconds += int(agc.saturated)
         sigma = 1.0 / max(snr, 1e-9)
         yield partial(modem.flipped_bits, kind, sigma, noise)
 
@@ -288,7 +279,6 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
         decode_failures=failures,
         goodput_bps=goodput_for(spec),
         agc_saturated_seconds=log.saturated_seconds,
-        link_dark_seconds=log.dark_seconds,
         beps_series=tuple(beps),
         loss_series=tuple(loss_series),
         margin_trace_db=tuple(log.margins),

@@ -88,7 +88,7 @@ def add_noise(stream: SlotStream, sigma: float,
     truncated to (-tau, tau). Every other slot keeps its noiseless amplitude,
     so demodulated bits have exactly the law of one normal per slot, and the
     groups drawn for are recorded as ``touched``. Where q exceeds
-    ``_SPARSE_MAX_SHARE`` (dark seconds among them) every slot gets a normal
+    ``_SPARSE_MAX_SHARE`` (deep fades among them) every slot gets a normal
     and ``touched`` is ``None``. With no slot past tau, ``stream`` itself is
     returned. The input is never written: a moved stream is a float64 copy.
     """

@@ -1,9 +1,9 @@
 """Link-budget planning: margin vs distance and maximum-range solving.
 
-Ranges assume an aligned direct path (the seabed bounce and pointing offset
-are simulation concerns, not planning ones). A range with a geometry uses
-either the physical aperture/divergence spot model or a calibrated
-inverse-square constant k when the geometry carries an override.
+Ranges are those of the direct path (the seabed bounce is a simulation
+concern, not a planning one). A range with a geometry uses either the
+physical aperture/divergence spot model or a calibrated inverse-square
+constant k when the geometry carries an override.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ class RangeSolution:
 
 
 def path_loss_db(c_db_per_m: float, geometry: LinkGeometry, z: float) -> float:
-    """Aligned direct-path loss at distance z."""
-    aligned = replace(geometry, distance_m=z, pointing_offset_m=0.0)
-    return attenuation_db(c_db_per_m, z) + geometric_loss_db(aligned)
+    """Direct-path loss at distance z."""
+    return (attenuation_db(c_db_per_m, z)
+            + geometric_loss_db(replace(geometry, distance_m=z)))
 
 
 def _bisect_increasing(f, lo: float, hi: float) -> float:
@@ -83,6 +83,10 @@ def max_distance_m(budget_db: float, c_db_per_m: float,
     def f(z: float) -> float:
         return path_loss_db(c_db_per_m, geometry, z) - budget_db
 
+    loss_at_0 = path_loss_db(c_db_per_m, geometry, 0.0)
+    if loss_at_0 > budget_db:  # a spot wider than the aperture at the exit
+        raise SolverError(f"the {mode} path already loses {loss_at_0:.3g} dB at 0 m, "
+                          f"over the {budget_db:g} dB budget")
     hi = min(z_attenuation + 1.0, MAX_DISTANCE_M)
     if f(hi) < 0:  # only a clamped bracket: c hi > budget_db otherwise
         raise past_bound

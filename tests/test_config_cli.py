@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import uwoclink
 from uwoclink import cli
-from uwoclink.channel import FadingSpec, LinkGeometry, NlosPath, spot_diameter_m
+from uwoclink.channel import FadingSpec, LinkGeometry, NlosPath
 from uwoclink.cli import _bits_to_hex, _hex_to_bits, build_parser, main, render_report
 from uwoclink.config import (
     SCHEMA,
@@ -98,8 +98,8 @@ BOX = {
     ("geometry", "half_angle_deg"): (0.01, 60.0, False),
     ("geometry", "tx_exit_diameter_m"): (0.0, 10.0, False),
     ("geometry", "rx_aperture_m"): (1e-4, 10.0, False),
-    ("geometry", "pointing_offset_m"): (0.0, 1e4, False),
     ("geometry", "k_override_m2"): (1e-12, 1e6, False),
+    ("geometry", "nlos_reflectance"): (0.0, 1.0, True),
     ("geometry", "nlos_unfolded_distance_m"): (0.0, 1e4, False),
     ("fading", "sigma_db"): (0.0, 30.0, False),
     ("fading", "burst_depth_db"): (0.0, 100.0, False),
@@ -116,9 +116,8 @@ def config_specs(draw):
     """Any LinkSpec the config format can express, over each number's whole
     box, its corners included, and an NLOS path beside a k override."""
     f = st.floats
-    distance = in_box(draw, "geometry", "distance_m")
     geometry = LinkGeometry(
-        distance_m=distance,
+        distance_m=in_box(draw, "geometry", "distance_m"),
         half_angle_deg=in_box(draw, "geometry", "half_angle_deg"),
         tx_exit_diameter_m=in_box(draw, "geometry", "tx_exit_diameter_m"),
         rx_aperture_m=in_box(draw, "geometry", "rx_aperture_m"),
@@ -126,14 +125,8 @@ def config_specs(draw):
     )
     nlos = None
     if draw(st.booleans()):
-        nlos = NlosPath(draw(f(0.0, 1.0)),
+        nlos = NlosPath(in_box(draw, "geometry", "nlos_reflectance"),
                         in_box(draw, "geometry", "nlos_unfolded_distance_m"))
-    # an offset needs a spot, on the bounce path too
-    bounce = nlos.unfolded_distance_m if nlos else distance
-    if spot_diameter_m(geometry) and spot_diameter_m(
-            replace(geometry, distance_m=bounce, k_override_m2=None)):
-        geometry = replace(geometry,
-                           pointing_offset_m=in_box(draw, "geometry", "pointing_offset_m"))
     return LinkSpec(
         name=draw(st.text(string.ascii_letters + string.digits + "-_.",
                           min_size=1, max_size=20)),
@@ -446,6 +439,21 @@ class TestCliCommands:
             rows = [line.split(",") for line in out.splitlines()[2:]]
             assert len(rows) == 200 and rows[0][0] == "0.0"
             assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_plan_loss_over_budget_at_zero_range_exit_2(self, tmp_path, capsys,
+                                                         output_format):
+        # used to end in "no sign change in bracket [0, 28.9] (f(lo)=16.7,
+        # f(hi)=30.8)", which names the solver, not the cause
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("[link]\nbudget_db = 10\n[geometry]\ntx_exit_diameter_m = 1\n")
+        assert main(["plan", "--preset", "green-125M", "--config", str(cfg),
+                     "--format", output_format]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            "error: the with_geometry path already loses 26.7 dB at 0 m, "
+            "over the 10 dB budget"]
 
     def test_plan_non_finite_z_max_exit_2(self, capsys):
         # used to end in "error: math domain error"
@@ -802,6 +810,18 @@ class TestCliCommands:
         assert captured.out == ""
         assert error_lines(captured.err) == [
             f"error: line 3: unknown key '{key}' in section [link]"]
+
+    @pytest.mark.parametrize("command", [["simulate", "--duration-s", "2"], ["plan"]])
+    def test_pointing_offset_key_is_gone_exit_2(self, tmp_path, capsys, command):
+        # links are aligned; a file that still sets a static offset stops at
+        # the key
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("[link]\nsnr_offset_db = -3.0\n[geometry]\npointing_offset_m = 0.0\n")
+        assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            "error: line 4: unknown key 'pointing_offset_m' in section [geometry]"]
 
     def test_calibrate_is_gone_exit_2(self, capsys):
         # its fit of the receiver in volts fed nothing the simulator reads

@@ -357,8 +357,7 @@ def reference_simulate(spec, seed, n_frames, channel):
         pre_fec_ber=sum(beps) / bits, post_fec_bit_errors=post_errors,
         post_fec_ber=post_errors / payload_bits, packet_loss_count=sum(losses),
         decode_failures=failures, goodput_bps=goodput_for(spec),
-        agc_saturated_seconds=log.saturated_seconds,
-        link_dark_seconds=log.dark_seconds, beps_series=tuple(beps),
+        agc_saturated_seconds=log.saturated_seconds, beps_series=tuple(beps),
         loss_series=tuple(losses), margin_trace_db=tuple(log.margins))
 
 
@@ -847,19 +846,19 @@ class TestGoldenDigests:
     # the message of each assert on a seeded stream
     NUMPY = f"pins made with numpy 2.4.6, running numpy {np.__version__}"
     CONFIG_HASHES = {
-        "green-125M": "a26619d1719534bc",
-        "blue-6M25": "1b4fc2aa1bb6f393",
-        "blue-6M25-nlos": "bc29a80fa27650a3",
+        "green-125M": "cac91e10fd22302b",
+        "blue-6M25": "fe0ab1cdb33bf1d9",
+        "blue-6M25-nlos": "1f30cc514da0107d",
     }
     SCENARIO_DIGESTS = {
-        "green-125M": "ee0c8e8124f291d9",
-        "blue-6M25": "b7a555da7919a49a",
-        "blue-6M25-nlos": "4a532625e71c9b07",
+        "green-125M": "3d3cc14de6d904c0",
+        "blue-6M25": "07e2a0fce129a03d",
+        "blue-6M25-nlos": "5163ea0f04b4aa39",
     }
     INJECTION_DIGESTS = {
-        "green-125M": "1daaca94b8d8f41d",
-        "blue-6M25": "bf4051d5f50340e1",
-        "blue-6M25-nlos": "ff01ca164887918b",
+        "green-125M": "a7efbf40c5411461",
+        "blue-6M25": "54722aa5b750977f",
+        "blue-6M25-nlos": "3d539aea92895e7d",
     }
 
     def digest(self, preset, report):
@@ -889,7 +888,7 @@ class TestGoldenDigests:
     COMMAND_DIGESTS = {
         "plan-json": "9a244bdeefacd72a",
         "plan-csv": "cbb2769086ff50a4",
-        "monitor": "fb389b0a0d3d83f5",
+        "monitor": "9fea8af4d77c73e6",
         "fec-encode": "63be49d71ec4d217",
         "fec-decode": "0da6cb126d535763",
     }

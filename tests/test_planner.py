@@ -146,6 +146,17 @@ class TestMaxDistanceWithGeometry:
         with pytest.raises(ValueError, match="c_db_per_m must be >= 0"):
             max_distance_m(82.77, -0.1)
 
+    def test_loss_over_budget_at_zero_range(self):
+        # a 1-m exit beam on a 46-mm aperture loses 26.7 dB at 0 m; this
+        # used to end in "no sign change in bracket [0, 28.9]"
+        wide = LinkGeometry(30.0, 0.53, 1.0, 0.046)
+        loss_at_0 = path_loss_db(GREEN_C_DB_PER_M, wide, 0.0)
+        assert loss_at_0 == pytest.approx(26.7, abs=0.05)
+        with pytest.raises(SolverError, match=r"^the with_geometry path already loses "
+                           r"26\.7 dB at 0 m, over the 10 dB budget$"):
+            max_distance_m(10.0, GREEN_C_DB_PER_M, wide)
+        assert max_distance_m(loss_at_0, GREEN_C_DB_PER_M, wide).max_distance_m >= 0
+
     def test_solver_error_diagnostic(self):
         with pytest.raises(SolverError, match="no sign change"):
             _bisect_increasing(lambda z: z + 1.0, 0.0, 1.0)
@@ -236,8 +247,3 @@ class TestPathLoss:
         [row] = [r for r in distance_curve(green, 50.0, 100.0, 2) if r["z_m"] == 100.0]
         assert row["loss_db_without"] == attenuation_db(green.c_db_per_m, 100.0)
         assert attenuation_db(GREEN_C_DB_PER_M, 100.0) == pytest.approx(35.8)
-
-    def test_planner_ignores_pointing_offset(self):
-        offset_geo = LinkGeometry(30.0, 0.53, 0.0, 0.046, pointing_offset_m=5.0)
-        assert path_loss_db(GREEN_C_DB_PER_M, offset_geo, 30.0) == pytest.approx(
-            path_loss_db(GREEN_C_DB_PER_M, GREEN_GEO, 30.0))
