@@ -170,6 +170,20 @@ class TestNlosExcess:
         assert bd.geometric_db - geometric_loss_db(BLUE_GEO) == \
             pytest.approx(1.085, abs=0.01)
 
+    @pytest.mark.parametrize("reflectance", [
+        0.0, -0.0, -1e-300, math.nextafter(1.0, math.inf), 2.0, math.nan])
+    def test_reflectance_outside_open_unit_interval_rejected(self, reflectance):
+        # a bounce that reflects nothing is no link; 0 used to pass as a
+        # "dark" path whose margin still looked healthy
+        with pytest.raises(ValueError, match=r"^reflectance must be in \(0, 1\]$"):
+            NlosPath(reflectance, 30.0)
+
+    def test_least_reflectance_costs_a_finite_excess(self):
+        # the smallest positive float costs about 3,233 dB, a finite loss
+        bd = total_loss_db(BLUE_GEO, BLUE_C_DB_PER_M, NlosPath(5e-324, 30.0))
+        assert bd.nlos_excess_db == pytest.approx(3233.06, abs=0.01)
+        assert math.isfinite(bd.total_db)
+
 
 class TestTotalLoss:
     def test_green_aligned_at_30m(self):

@@ -823,6 +823,19 @@ class TestCliCommands:
         assert error_lines(captured.err) == [
             "error: line 4: unknown key 'pointing_offset_m' in section [geometry]"]
 
+    @pytest.mark.parametrize("command", [["simulate", "--duration-s", "2"], ["plan"],
+                                         ["monitor", "--epochs", "1"]])
+    def test_zero_reflectance_exit_2(self, tmp_path, capsys, command):
+        # a bounce that reflects nothing used to simulate as a "dark" link
+        # whose margin trace still read 35 dB
+        cfg = tmp_path / "dark.cfg"
+        cfg.write_text("[geometry]\nnlos_reflectance = 0\n")
+        assert main([*command, "--preset", "blue-6M25-nlos", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            "error: invalid configuration: reflectance must be in (0, 1]"]
+
     def test_calibrate_is_gone_exit_2(self, capsys):
         # its fit of the receiver in volts fed nothing the simulator reads
         with pytest.raises(SystemExit) as exit_info:

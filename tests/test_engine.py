@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import binom, chisquare, norm
 
 from uwoclink import engine
-from uwoclink.channel import FadingSpec, total_loss_db
+from uwoclink.channel import MAX_DISTANCE_M, FadingSpec, NlosPath, total_loss_db
 from uwoclink.cli import _bits_to_hex, main, render_report
 from uwoclink.config import load_preset
 from uwoclink.fec.concat import ConcatCodecSpec, deinterleave, interleave
@@ -135,6 +135,34 @@ class TestRunScenario:
         a = run_scenario(green, 5, seed=1)
         b = run_scenario(green, 5, seed=2)
         assert a.margin_trace_db != b.margin_trace_db
+
+    @pytest.mark.parametrize("reflectance", [1e-6, 0.05, 0.5])
+    def test_reflectance_shifts_every_margin(self, blue_nlos, reflectance):
+        # the bounce penalty is a constant in each second's margin; the
+        # fading draws do not depend on it
+        def margins(r):
+            spec = replace(blue_nlos, nlos=replace(blue_nlos.nlos, reflectance=r))
+            return run_scenario(spec, 4, seed=2).margin_trace_db
+        shift = -10.0 * math.log10(reflectance)
+        assert margins(reflectance) == pytest.approx(
+            [m - shift for m in margins(1.0)], abs=1e-9)
+
+    def test_faint_bounce_margin_and_losses_agree(self, blue_nlos):
+        # 1e-6 costs 60 dB, past the preset's 35 dB of margin: every second
+        # reads a negative margin and loses its frames. A zero reflectance
+        # once lost all 12 frames under a margin trace of [35.18, 34.56] dB.
+        faint = replace(blue_nlos, nlos=replace(blue_nlos.nlos, reflectance=1e-6))
+        report = run_scenario(faint, 2, seed=1)
+        assert all(m < -20.0 for m in report.margin_trace_db)
+        assert report.packet_loss_count == report.frames_sent == 12
+
+    @pytest.mark.parametrize("unfolded_m", [0.0, MAX_DISTANCE_M])
+    def test_bounce_path_at_the_interval_ends_runs(self, blue_nlos, unfolded_m):
+        # the bounce path drops the direct path's k override, so any
+        # unfolded distance NlosPath accepts makes a valid spec
+        spec = replace(blue_nlos, nlos=NlosPath(1.0, unfolded_m))
+        report = run_scenario(spec, 1, seed=1)
+        assert all(math.isfinite(m) for m in report.margin_trace_db)
 
     def test_beps_sums_to_total(self, blue_nlos):
         report = run_scenario(blue_nlos, 30, seed=5)
