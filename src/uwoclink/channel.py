@@ -19,16 +19,16 @@ MAX_DISTANCE_M = 1e4  # longest path, bounce or planned range the model takes
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """One directed, aligned beam path: length, divergence, apertures.
+    """One directed, aligned beam path: length, divergence, receive aperture.
 
+    The beam leaves from a point, so its spot is 2 z tan(half_angle) wide.
     ``k_override_m2`` replaces the physical aperture/divergence model with a
     calibrated inverse-square constant (collected fraction = k / Z^2).
     """
 
     distance_m: float
     half_angle_deg: float
-    tx_exit_diameter_m: float = 0.0
-    rx_aperture_m: float = 0.01
+    rx_aperture_m: float
     k_override_m2: float | None = None
 
     def __post_init__(self):
@@ -38,8 +38,6 @@ class LinkGeometry:
             raise ValueError("half_angle_deg must be in [0.01, 60] degrees")
         if not 1e-4 <= self.rx_aperture_m <= 10.0:
             raise ValueError("rx_aperture_m must be in [1e-4, 10] m")
-        if not 0.0 <= self.tx_exit_diameter_m <= 10.0:
-            raise ValueError("tx_exit_diameter_m must be in [0, 10] m")
         if self.k_override_m2 is not None and not 1e-12 <= self.k_override_m2 <= 1e6:
             raise ValueError("k_override_m2 must be in [1e-12, 1e6] m^2")
 
@@ -97,9 +95,9 @@ def attenuation_db(c_db_per_m: float, distance_m: float) -> float:
 
 
 def spot_diameter_m(geometry: LinkGeometry) -> float:
-    """Beam spot diameter at the receiver plane (top-hat spot)."""
+    """Top-hat spot diameter at the receiver plane: 2 z tan(half_angle)."""
     phi = math.radians(geometry.half_angle_deg)
-    return geometry.tx_exit_diameter_m + 2.0 * geometry.distance_m * math.tan(phi)
+    return 2.0 * geometry.distance_m * math.tan(phi)
 
 
 def collected_fraction(geometry: LinkGeometry) -> float:

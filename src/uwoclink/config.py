@@ -4,19 +4,19 @@ Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments, blank
 lines ignored. Unknown sections or keys are hard errors that name the
 offender and its line. A preset, one of the ``presets/<name>.cfg`` files
 shipped in the package, supplies base values; file keys override. A key
-that neither gives takes its dataclass default. render/parse round-trip
-exactly for any config-expressible spec.
+is required when its dataclass field has no default, and takes the default
+otherwise. render/parse round-trip exactly for any config-expressible spec.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
+from dataclasses import MISSING, fields
 from importlib import resources
-from typing import get_type_hints
 
-from .channel import NlosPath
+from .channel import FadingSpec, LinkGeometry, NlosPath
 from .engine import LinkSpec
+from .modem import ModulationScheme
 
 _PRESET_DIR = resources.files(__package__) / "presets"
 
@@ -44,7 +44,6 @@ SCHEMA = {
     "geometry": {
         "distance_m": (_FLOAT, "geometry.distance_m"),
         "half_angle_deg": (_FLOAT, "geometry.half_angle_deg"),
-        "tx_exit_diameter_m": (_FLOAT, "geometry.tx_exit_diameter_m"),
         "rx_aperture_m": (_FLOAT, "geometry.rx_aperture_m"),
         "k_override_m2": (_FLOAT, "geometry.k_override_m2"),
         "nlos_reflectance": (_FLOAT, "nlos.reflectance"),
@@ -57,17 +56,22 @@ SCHEMA = {
     },
 }
 
-_REQUIRED = (
-    ("link", "name"),
-    ("link", "tx_power_w"),
-    ("link", "modulation"),
-    ("link", "bit_rate_bps"),
-    ("link", "budget_db"),
-    ("water", "c_db_per_m"),
-    ("geometry", "distance_m"),
-    ("geometry", "half_angle_deg"),
-    ("geometry", "rx_aperture_m"),
-)
+# the dataclass that a path's first name builds under LinkSpec
+_PARTS = {"geometry": LinkGeometry, "modulation": ModulationScheme,
+          "fading": FadingSpec, "nlos": NlosPath}
+
+
+def _required(path: str) -> bool:
+    """Whether no field along a SCHEMA path, from LinkSpec down, has a default."""
+    names = path.split(".")
+    owners = [LinkSpec, *(_PARTS[name] for name in names[:-1])]
+    return all(field.default is MISSING and field.default_factory is MISSING
+               for owner, name in zip(owners, names)
+               for field in fields(owner) if field.name == name)
+
+
+_REQUIRED = tuple((section, key) for section, keys in SCHEMA.items()
+                  for key, (_, path) in keys.items() if _required(path))
 
 
 def _parse_float(text: str) -> float:
@@ -146,20 +150,8 @@ def _by_path(mapping: dict) -> dict:
     return nested
 
 
-@cache
-def _field_types(cls) -> dict:
-    return get_type_hints(cls)
-
-
-def _build(cls, values: dict):
-    """``cls(**values)``; a nested dict first becomes its field's dataclass."""
-    types = _field_types(cls)
-    return cls(**{name: _build(types[name], part) if isinstance(part, dict) else part
-                  for name, part in values.items()})
-
-
 def build_spec(mapping: dict) -> LinkSpec:
-    """Validate a merged mapping and materialize the LinkSpec.
+    """Validate a merged mapping and build the LinkSpec and its ``_PARTS``.
 
     Keys that the mapping leaves out take their dataclass defaults.
     """
@@ -175,12 +167,9 @@ def build_spec(mapping: dict) -> LinkSpec:
         raise ConfigError(
             "NLOS needs both nlos_reflectance and nlos_unfolded_distance_m")
 
-    values = _by_path(mapping)
     try:
-        if "nlos" in values:
-            # the field's type is NlosPath | None, which _build does not unwrap
-            values["nlos"] = NlosPath(**values["nlos"])
-        return _build(LinkSpec, values)
+        return LinkSpec(**{name: _PARTS[name](**part) if name in _PARTS else part
+                           for name, part in _by_path(mapping).items()})
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 

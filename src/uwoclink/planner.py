@@ -3,7 +3,8 @@
 Ranges are those of the direct path (the seabed bounce is a simulation
 concern, not a planning one). A range with a geometry uses either the
 physical aperture/divergence spot model or a calibrated inverse-square
-constant k when the geometry carries an override.
+constant k when the geometry carries an override. Either way the loss at 0 m
+is 0 dB: a point source's spot is 0 wide, and k / z^2 caps at all of it.
 """
 
 from __future__ import annotations
@@ -83,10 +84,6 @@ def max_distance_m(budget_db: float, c_db_per_m: float,
     def f(z: float) -> float:
         return path_loss_db(c_db_per_m, geometry, z) - budget_db
 
-    loss_at_0 = path_loss_db(c_db_per_m, geometry, 0.0)
-    if loss_at_0 > budget_db:  # a spot wider than the aperture at the exit
-        raise SolverError(f"the {mode} path already loses {loss_at_0:.3g} dB at 0 m, "
-                          f"over the {budget_db:g} dB budget")
     hi = min(z_attenuation + 1.0, MAX_DISTANCE_M)
     if f(hi) < 0:  # only a clamped bracket: c hi > budget_db otherwise
         raise past_bound

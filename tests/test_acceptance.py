@@ -51,8 +51,8 @@ def test_c01_range_without_geometry(green, blue, capsys):
 
 
 def test_c02_range_with_calibrated_k(green, blue):
-    geo_g = LinkGeometry(30.0, 0.53, 0.0, 0.046, k_override_m2=1.198)
-    geo_b = LinkGeometry(30.0, 3.83, 0.0, 0.008, k_override_m2=9.67e-3)
+    geo_g = LinkGeometry(30.0, 0.53, 0.046, k_override_m2=1.198)
+    geo_b = LinkGeometry(30.0, 3.83, 0.008, k_override_m2=9.67e-3)
     sol_g = max_distance_m(green.budget_db, green.c_db_per_m, geo_g)
     sol_b = max_distance_m(blue.budget_db, blue.c_db_per_m, geo_b)
     assert abs(sol_g.max_distance_m - 117.7) / 117.7 < 0.001

@@ -21,10 +21,8 @@ from uwoclink.engine import run_scenario
 
 GREEN_C_DB_PER_M = 0.358
 BLUE_C_DB_PER_M = 0.298
-GREEN_GEO = LinkGeometry(distance_m=30.0, half_angle_deg=0.53,
-                         tx_exit_diameter_m=0.0, rx_aperture_m=0.046)
-BLUE_GEO = LinkGeometry(distance_m=30.0, half_angle_deg=3.83,
-                        tx_exit_diameter_m=0.0, rx_aperture_m=0.008)
+GREEN_GEO = LinkGeometry(distance_m=30.0, half_angle_deg=0.53, rx_aperture_m=0.046)
+BLUE_GEO = LinkGeometry(distance_m=30.0, half_angle_deg=3.83, rx_aperture_m=0.008)
 
 
 class TestWaterOptics:
@@ -60,10 +58,6 @@ class TestAttenuation:
 
 
 class TestSpotDiameter:
-    def test_zero_propagation_returns_exit_diameter(self):
-        g = LinkGeometry(0.0, 5.0, tx_exit_diameter_m=0.004, rx_aperture_m=0.01)
-        assert spot_diameter_m(g) == 0.004
-
     def test_green_spot_at_30m(self):
         assert spot_diameter_m(GREEN_GEO) == pytest.approx(0.555, abs=1e-3)
 
@@ -74,7 +68,7 @@ class TestSpotDiameter:
 
 class TestGeometricLoss:
     def test_spot_inside_aperture_is_lossless(self):
-        g = LinkGeometry(2.0, 0.5, tx_exit_diameter_m=0.005, rx_aperture_m=0.046)
+        g = LinkGeometry(2.0, 0.5, rx_aperture_m=0.046)
         assert spot_diameter_m(g) < g.rx_aperture_m
         assert geometric_loss_db(g) == 0.0
 
@@ -86,27 +80,28 @@ class TestGeometricLoss:
 
     def test_monotone_in_distance(self):
         losses = [
-            geometric_loss_db(LinkGeometry(z, 0.53, 0.0, 0.046))
+            geometric_loss_db(LinkGeometry(z, 0.53, 0.046))
             for z in np.linspace(0.0, 300.0, 50)
         ]
         assert all(b >= a for a, b in zip(losses, losses[1:]))
 
     def test_far_field_matches_inverse_square(self):
-        # collected fraction ~ k/Z^2 with k = (aperture / (2 tan phi))^2
+        # once the spot is wider than the aperture, the collected fraction
+        # is k/Z^2 with k = (aperture / (2 tan phi))^2
         phi = math.radians(0.53)
         k = (0.046 / (2.0 * math.tan(phi))) ** 2
         for z in np.linspace(50.0, 500.0, 10):
-            g = LinkGeometry(z, 0.53, 1e-3, 0.046)
+            g = LinkGeometry(z, 0.53, 0.046)
             expected = 10.0 * math.log10(z * z / k)
-            assert geometric_loss_db(g) == pytest.approx(expected, abs=0.1)
+            assert geometric_loss_db(g) == pytest.approx(expected, rel=1e-12)
 
     def test_k_override(self):
-        g = LinkGeometry(100.0, 0.53, 0.0, 0.046, k_override_m2=1.198)
+        g = LinkGeometry(100.0, 0.53, 0.046, k_override_m2=1.198)
         assert geometric_loss_db(g) == pytest.approx(
             10.0 * math.log10(100.0**2 / 1.198))
 
     def test_k_override_clamps_nonnegative(self):
-        g = LinkGeometry(0.5, 0.53, 0.0, 0.046, k_override_m2=1.198)
+        g = LinkGeometry(0.5, 0.53, 0.046, k_override_m2=1.198)
         assert geometric_loss_db(g) == 0.0
 
     @pytest.mark.parametrize("k_override", [None, 1e-12])
@@ -114,7 +109,7 @@ class TestGeometricLoss:
         # the widest spot on the least aperture over the longest path: under
         # the 171 dB that LinkSpec's docstring derives, or the 200 dB of the
         # least k override there
-        g = LinkGeometry(MAX_DISTANCE_M, 60.0, 10.0, 1e-4, k_override_m2=k_override)
+        g = LinkGeometry(MAX_DISTANCE_M, 60.0, 1e-4, k_override_m2=k_override)
         if k_override is None:
             assert 0.0 < geometric_loss_db(g) < 171.0
         else:
@@ -124,22 +119,22 @@ class TestGeometricLoss:
                                             math.nextafter(60.0, 90.0), 89.99999999999999])
     def test_half_angle_past_its_interval_rejected(self, half_angle):
         with pytest.raises(ValueError, match=r"half_angle_deg must be in \[0.01, 60\] degrees"):
-            LinkGeometry(30.0, half_angle, 0.0, 0.046)
+            LinkGeometry(30.0, half_angle, 0.046)
 
     def test_past_the_longest_path_rejected(self):
         with pytest.raises(ValueError, match=r"distance_m must be in \[0, 10000\] m"):
-            LinkGeometry(math.nextafter(MAX_DISTANCE_M, math.inf), 0.53, 0.0, 0.046)
+            LinkGeometry(math.nextafter(MAX_DISTANCE_M, math.inf), 0.53, 0.046)
 
     def test_k_override_at_zero_is_lossless(self):
         # z^2 = 0 <= k: the aperture collects the whole spot
-        g = LinkGeometry(0.0, 0.53, 0.0, 0.046, k_override_m2=1.198)
+        g = LinkGeometry(0.0, 0.53, 0.046, k_override_m2=1.198)
         assert collected_fraction(g) == 1.0
         assert geometric_loss_db(g) == 0.0
 
     @pytest.mark.parametrize("z", [5e-324, 1e-200])
     def test_k_override_at_a_distance_whose_square_underflows(self, z):
         # Z^2 rounds to 0; k / Z^2 was a ZeroDivisionError
-        g = LinkGeometry(z, 0.53, 0.0, 0.046, k_override_m2=1e-12)
+        g = LinkGeometry(z, 0.53, 0.046, k_override_m2=1e-12)
         assert collected_fraction(g) == 1.0
         assert geometric_loss_db(g) == 0.0
 
@@ -156,7 +151,7 @@ class TestNlosExcess:
     def test_reflectance_penalty_is_log10(self):
         # the unfolded path has the direct path's optics but not its k
         direct = replace(BLUE_GEO, k_override_m2=1.198)
-        unfolded = LinkGeometry(34.0, 3.83, 0.0, 0.008)
+        unfolded = LinkGeometry(34.0, 3.83, 0.008)
         bd = total_loss_db(direct, BLUE_C_DB_PER_M, NlosPath(0.1, 34.0))
         assert bd.nlos_excess_db == pytest.approx(10.0)
         assert bd.geometric_db == geometric_loss_db(unfolded)
@@ -194,7 +189,7 @@ class TestTotalLoss:
         assert 82.77 - bd.total_db == pytest.approx(50.40, abs=0.01)
 
     def test_zero_distance_covering_spot(self):
-        g = LinkGeometry(0.0, 0.53, 0.005, 0.046)
+        g = LinkGeometry(0.0, 0.53, 0.046)
         bd = total_loss_db(g, GREEN_C_DB_PER_M)
         assert bd.total_db == 0.0
 
@@ -215,7 +210,7 @@ class TestTotalLoss:
     def test_strictly_increasing_with_distance(self):
         prev = -1.0
         for z in np.linspace(1.0, 200.0, 40):
-            g = LinkGeometry(z, 0.53, 0.0, 0.046)
+            g = LinkGeometry(z, 0.53, 0.046)
             total = total_loss_db(g, GREEN_C_DB_PER_M).total_db
             assert total > prev
             prev = total

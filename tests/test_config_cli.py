@@ -96,7 +96,6 @@ BOX = {
     ("water", "c_db_per_m"): (0.0, 10.0, False),
     ("geometry", "distance_m"): (0.0, 1e4, False),
     ("geometry", "half_angle_deg"): (0.01, 60.0, False),
-    ("geometry", "tx_exit_diameter_m"): (0.0, 10.0, False),
     ("geometry", "rx_aperture_m"): (1e-4, 10.0, False),
     ("geometry", "k_override_m2"): (1e-12, 1e6, False),
     ("geometry", "nlos_reflectance"): (0.0, 1.0, True),
@@ -119,7 +118,6 @@ def config_specs(draw):
     geometry = LinkGeometry(
         distance_m=in_box(draw, "geometry", "distance_m"),
         half_angle_deg=in_box(draw, "geometry", "half_angle_deg"),
-        tx_exit_diameter_m=in_box(draw, "geometry", "tx_exit_diameter_m"),
         rx_aperture_m=in_box(draw, "geometry", "rx_aperture_m"),
         k_override_m2=draw(st.none() | f(1e-12, 1e6)),
     )
@@ -439,21 +437,6 @@ class TestCliCommands:
             rows = [line.split(",") for line in out.splitlines()[2:]]
             assert len(rows) == 200 and rows[0][0] == "0.0"
             assert all(math.isfinite(float(cell)) for row in rows for cell in row)
-
-    @pytest.mark.parametrize("output_format", ["json", "csv"])
-    def test_plan_loss_over_budget_at_zero_range_exit_2(self, tmp_path, capsys,
-                                                         output_format):
-        # used to end in "no sign change in bracket [0, 28.9] (f(lo)=16.7,
-        # f(hi)=30.8)", which names the solver, not the cause
-        cfg = tmp_path / "wide.cfg"
-        cfg.write_text("[link]\nbudget_db = 10\n[geometry]\ntx_exit_diameter_m = 1\n")
-        assert main(["plan", "--preset", "green-125M", "--config", str(cfg),
-                     "--format", output_format]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert error_lines(captured.err) == [
-            "error: the with_geometry path already loses 26.7 dB at 0 m, "
-            "over the 10 dB budget"]
 
     def test_plan_non_finite_z_max_exit_2(self, capsys):
         # used to end in "error: math domain error"
@@ -822,6 +805,32 @@ class TestCliCommands:
         assert captured.out == ""
         assert error_lines(captured.err) == [
             "error: line 4: unknown key 'pointing_offset_m' in section [geometry]"]
+
+    @pytest.mark.parametrize("command", [["simulate", "--duration-s", "2"], ["plan"]])
+    def test_exit_diameter_key_is_gone_exit_2(self, tmp_path, capsys, command):
+        # the beam leaves from a point; a file that still sets an exit
+        # diameter stops at the key
+        cfg = tmp_path / "exit.cfg"
+        cfg.write_text("[geometry]\ntx_exit_diameter_m = 0.0\n")
+        assert main([*command, "--preset", "green-125M", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            "error: line 2: unknown key 'tx_exit_diameter_m' in section [geometry]"]
+
+    @pytest.mark.parametrize("command", [["simulate", "--duration-s", "2"], ["plan"]])
+    def test_no_keys_names_every_required_key_exit_2(self, tmp_path, capsys, command):
+        # the keys whose LinkSpec field has no default, in SCHEMA order
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        assert main([*command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [
+            "error: missing required keys: [link] name, [link] tx_power_w, "
+            "[link] modulation, [link] bit_rate_bps, [link] budget_db, "
+            "[water] c_db_per_m, [geometry] distance_m, [geometry] half_angle_deg, "
+            "[geometry] rx_aperture_m"]
 
     @pytest.mark.parametrize("command", [["simulate", "--duration-s", "2"], ["plan"],
                                          ["monitor", "--epochs", "1"]])

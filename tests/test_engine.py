@@ -874,9 +874,9 @@ class TestGoldenDigests:
     # the message of each assert on a seeded stream
     NUMPY = f"pins made with numpy 2.4.6, running numpy {np.__version__}"
     CONFIG_HASHES = {
-        "green-125M": "cac91e10fd22302b",
-        "blue-6M25": "fe0ab1cdb33bf1d9",
-        "blue-6M25-nlos": "1f30cc514da0107d",
+        "green-125M": "66d979538a9caf4c",
+        "blue-6M25": "3ef4eef65ecd90d6",
+        "blue-6M25-nlos": "3c347c3ed70f3dc1",
     }
     SCENARIO_DIGESTS = {
         "green-125M": "3d3cc14de6d904c0",

@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 from collections import Counter
 
@@ -7,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwoclink.fec.bch import STATUS_FAILURE, STATUS_OK, BchCodeSpec
-from uwoclink.fec.concat import ConcatCodecSpec, codec_for, deinterleave, interleave
+from uwoclink.fec.concat import (
+    ConcatCodecSpec,
+    _code,
+    codec_for,
+    deinterleave,
+    interleave,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +35,25 @@ def small(gf16):
     return ConcatCodecSpec(outer=BchCodeSpec(14, 4, 3, gf16),
                            inner=BchCodeSpec(15, 7, 2, gf16),
                            outer_words_per_frame=4)
+
+
+@pytest.fixture(scope="module")
+def toy():
+    """A 10-bit payload in one shortened (14, 10) t = 1 outer word over two
+    (15, 7) t = 2 inner words: a 30-bit frame whose error patterns can all
+    be listed."""
+    return ConcatCodecSpec(outer=_code(14, 10, 1, 4, 0b10011),
+                           inner=_code(15, 7, 2, 4, 0b10011), outer_words_per_frame=1)
+
+
+def error_patterns(n, weight):
+    """Every n-bit row with exactly ``weight`` ones, one row each."""
+    count = math.comb(n, weight)
+    ones = np.array(list(itertools.combinations(range(n), weight)),
+                    dtype=np.intp).reshape(count, weight)
+    rows = np.zeros((count, n), dtype=np.uint8)
+    rows[np.arange(count)[:, None], ones] = 1
+    return rows
 
 
 def reference_decode(codec, frame):
@@ -377,3 +404,35 @@ class TestScreenedDecode:
         assert np.array_equal(batch.message_bits, messages)
         assert batch.corrected_count == sum(corrected)
         assert batch.failed.tolist() == list(failed)
+
+
+class TestToyFrameEnumeration:
+    """Every error pattern of weight 0-5 on the toy codec's zero frame, one
+    decode call per weight: the exact number of frames flagged failed and of
+    frames called clean with a wrong payload (undetected)."""
+
+    @pytest.mark.parametrize("weights, patterns, failed, undetected", [
+        ((0, 1, 2), 466, 0, 0),
+        ((3,), 4_060, 550, 260),
+        ((4,), 27_405, 9_960, 4_810),
+        ((5,), 142_506, 86_646, 43_176),
+    ], ids=["weight-0-2", "weight-3", "weight-4", "weight-5"])
+    def test_counts_per_weight(self, toy, weights, patterns, failed, undetected):
+        counts = Counter()
+        for weight in weights:
+            frames = error_patterns(toy.frame_bits, weight)
+            out = toy.decode(frames)
+            wrong = out.message_bits.any(axis=1)
+            counts.update(patterns=len(frames), failed=int(out.failed.sum()),
+                          undetected=int((wrong & ~out.failed).sum()))
+        assert counts == Counter(patterns=patterns, failed=failed,
+                                 undetected=undetected)
+
+    def test_rows_match_the_reference_up_to_weight_3(self, toy):
+        assert toy.frame_bits == 30
+        frames = np.concatenate([error_patterns(toy.frame_bits, w) for w in range(4)])
+        out = toy.decode(frames)
+        for frame, message, failed in zip(frames, out.message_bits, out.failed):
+            reference, _, status, _ = reference_decode(toy, frame)
+            assert np.array_equal(message, reference)
+            assert failed == (status == STATUS_FAILURE)

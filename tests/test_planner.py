@@ -17,8 +17,8 @@ from uwoclink.planner import (
 
 GREEN_C_DB_PER_M = 0.358
 BLUE_C_DB_PER_M = 0.298
-GREEN_GEO = LinkGeometry(30.0, 0.53, 0.0, 0.046)
-BLUE_GEO = LinkGeometry(30.0, 3.83, 0.0, 0.008)
+GREEN_GEO = LinkGeometry(30.0, 0.53, 0.046)
+BLUE_GEO = LinkGeometry(30.0, 3.83, 0.008)
 
 # calibrated inverse-square constants recovered from the published ranges
 K_GREEN = 1.198
@@ -65,7 +65,7 @@ class TestMaxDistanceWithoutGeometry:
 
 class TestMaxDistanceWithGeometry:
     def test_green_calibrated_k(self):
-        geo = LinkGeometry(30.0, 0.53, 0.0, 0.046, k_override_m2=K_GREEN)
+        geo = LinkGeometry(30.0, 0.53, 0.046, k_override_m2=K_GREEN)
         sol = max_distance_m(82.77, GREEN_C_DB_PER_M, geo)
         assert sol.mode == WITH_GEOMETRY
         assert abs(sol.max_distance_m - 117.7) / 117.7 < 0.001
@@ -73,7 +73,7 @@ class TestMaxDistanceWithGeometry:
         assert sol.k_used_m2 == K_GREEN
 
     def test_blue_calibrated_k(self):
-        geo = LinkGeometry(30.0, 3.83, 0.0, 0.008, k_override_m2=K_BLUE)
+        geo = LinkGeometry(30.0, 3.83, 0.008, k_override_m2=K_BLUE)
         sol = max_distance_m(100.54, BLUE_C_DB_PER_M, geo)
         assert abs(sol.max_distance_m - 128.3) / 128.3 < 0.001
         assert abs(sol.residual_db) < 1e-6
@@ -84,7 +84,7 @@ class TestMaxDistanceWithGeometry:
         assert 0 < sol.max_distance_m < 231.2
 
     def test_monotone_in_budget_and_attenuation(self):
-        geo = LinkGeometry(30.0, 0.53, 0.0, 0.046, k_override_m2=K_GREEN)
+        geo = LinkGeometry(30.0, 0.53, 0.046, k_override_m2=K_GREEN)
         prev = 0.0
         for budget in (60.0, 70.0, 80.0, 90.0):
             d = max_distance_m(budget, GREEN_C_DB_PER_M, geo)
@@ -146,17 +146,6 @@ class TestMaxDistanceWithGeometry:
         with pytest.raises(ValueError, match="c_db_per_m must be >= 0"):
             max_distance_m(82.77, -0.1)
 
-    def test_loss_over_budget_at_zero_range(self):
-        # a 1-m exit beam on a 46-mm aperture loses 26.7 dB at 0 m; this
-        # used to end in "no sign change in bracket [0, 28.9]"
-        wide = LinkGeometry(30.0, 0.53, 1.0, 0.046)
-        loss_at_0 = path_loss_db(GREEN_C_DB_PER_M, wide, 0.0)
-        assert loss_at_0 == pytest.approx(26.7, abs=0.05)
-        with pytest.raises(SolverError, match=r"^the with_geometry path already loses "
-                           r"26\.7 dB at 0 m, over the 10 dB budget$"):
-            max_distance_m(10.0, GREEN_C_DB_PER_M, wide)
-        assert max_distance_m(loss_at_0, GREEN_C_DB_PER_M, wide).max_distance_m >= 0
-
     def test_solver_error_diagnostic(self):
         with pytest.raises(SolverError, match="no sign change"):
             _bisect_increasing(lambda z: z + 1.0, 0.0, 1.0)
@@ -177,7 +166,7 @@ class TestBackSolveK:
         for budget, c_db, target in ((82.77, GREEN_C_DB_PER_M, 117.7),
                                      (100.54, BLUE_C_DB_PER_M, 128.3)):
             k = back_solve_k(budget, c_db, target)
-            geo = LinkGeometry(30.0, 1.0, 0.0, 0.05, k_override_m2=k)
+            geo = LinkGeometry(30.0, 1.0, 0.05, k_override_m2=k)
             sol = max_distance_m(budget, c_db, geo)
             assert sol.max_distance_m == pytest.approx(target, abs=1e-3)
 
