@@ -20,7 +20,7 @@ import numpy as np
 from .channel import MAX_DISTANCE_M
 from .config import ConfigError, load_preset, parse_scenario, preset_names
 from .engine import LinkSpec, SimReport, inject_errors_run, long_term_monitor, run_scenario
-from .fec import STATUS_OK, codec_for
+from .fec import codec_for
 from .planner import (
     WITH_GEOMETRY,
     WITHOUT_GEOMETRY,
@@ -123,11 +123,16 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = _load_spec(args)
-    if args.inject_ber is not None:
-        report = inject_errors_run(spec, args.inject_ber, args.n_bits, args.seed)
+    if args.inject_ber is None:
+        if args.n_bits is not None:
+            raise ConfigError("--n-bits applies only with --inject-ber")
+        duration_s = 60 if args.duration_s is None else args.duration_s
+        report = run_scenario(_load_spec(args), duration_s, args.seed)
     else:
-        report = run_scenario(spec, args.duration_s, args.seed)
+        if args.duration_s is not None:
+            raise ConfigError("--duration-s does not apply with --inject-ber")
+        n_bits = 10_000_000 if args.n_bits is None else args.n_bits
+        report = inject_errors_run(_load_spec(args), args.inject_ber, n_bits, args.seed)
     _emit(render_report(report, args.format), args.out)
     return 0
 
@@ -183,23 +188,23 @@ def _cmd_fec(args) -> int:
         n_in, n_out = code.k, code.n
     n_bits = n_in if args.action == "encode" else n_out
     failures = 0
-    for lineno, raw in enumerate(sys.stdin, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
+    for lineno, raw in enumerate(sys.stdin.buffer, start=1):
+        try:  # decoded here, so that an undecodable line names its number too
+            line = raw.decode("utf-8").strip()
+            if not line or line.startswith("#"):
+                continue
             bits = _hex_to_bits(line, n_bits)
-        except ConfigError as exc:
+        except (UnicodeDecodeError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
         if args.action == "encode":
             print(_bits_to_hex(code.encode(bits)))
         else:
             outcome = code.decode(bits)
             print(_bits_to_hex(outcome.message_bits))
-            status = outcome.status
+            status = "ok" if outcome.ok else "decode_failure"
             print(f"line {lineno}: status={status} "
                   f"corrected={outcome.corrected_count}", file=sys.stderr)
-            failures += int(status != STATUS_OK)
+            failures += not outcome.ok
     return 1 if failures else 0
 
 
@@ -229,11 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="seeded end-to-end scenario run")
     add_common(p_sim)
     p_sim.add_argument("--format", choices=["json", "csv"], default="json")
-    p_sim.add_argument("--duration-s", type=int, default=60)
+    p_sim.add_argument("--duration-s", type=int,
+                       help="simulated seconds (default 60)")
     p_sim.add_argument("--inject-ber", type=float, default=None,
                        help="bypass the analog chain, flip bits i.i.d.")
-    p_sim.add_argument("--n-bits", type=int, default=10_000_000,
-                       help="line bits for --inject-ber runs")
+    p_sim.add_argument("--n-bits", type=int,
+                       help="line bits for --inject-ber runs (default 10,000,000)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_mon = sub.add_parser("monitor", help="independent seeded epochs")

@@ -1,4 +1,4 @@
 """Forward error correction: GF(2^m) fields, BCH codes, concatenated framing."""
 
-from .bch import STATUS_OK, BchCodeSpec
+from .bch import BchCodeSpec
 from .concat import ConcatCodecSpec, codec_for, interleave

@@ -2,7 +2,8 @@
 
 Bit convention: arrays of 0/1 uint8, index 0 transmitted first. Bit i of an
 n-bit word is the coefficient of x^(n-1-i), so a shortened code is the
-parent code with the high-degree message coefficients fixed at zero.
+parent code with the high-degree message coefficients fixed at zero. A
+code is given by n, t and its field; k is n less the generator's degree.
 
 The decoder is bounded-distance: it corrects every pattern of at most t
 errors and either flags or miscorrects a heavier one. Syndromes that fit
@@ -27,9 +28,6 @@ import numpy as np
 
 from .galois import FieldSpec
 
-STATUS_OK = "ok"
-STATUS_FAILURE = "decode_failure"
-
 
 @dataclass(frozen=True)
 class DecodeOutcome:
@@ -40,10 +38,6 @@ class DecodeOutcome:
     @property
     def ok(self) -> bool:
         return not self.failed.any()
-
-    @property
-    def status(self) -> str:
-        return STATUS_OK if self.ok else STATUS_FAILURE
 
 
 def generator_polynomial(field: FieldSpec, t: int) -> int:
@@ -95,25 +89,17 @@ def _pack(values: np.ndarray) -> list[int]:
 
 
 class BchCodeSpec:
-    """A (possibly shortened) t-error-correcting binary BCH code."""
+    """A (possibly shortened) t-error-correcting binary BCH code: k = n - r
+    for a generator of degree r (Lin & Costello, 6.1), and r < n <= 2^m - 1."""
 
-    def __init__(self, n: int, k: int, t: int, field: FieldSpec):
+    def __init__(self, n: int, t: int, field: FieldSpec):
         self.field = field
         self.parent_n = field.order
-        if not 0 < n <= self.parent_n:
-            raise ValueError(f"n={n} must be in (0, {self.parent_n}]")
-        self.n = n
-        self.k = k
-        self.t = t
-
         self.generator = generator_polynomial(field, t)
-        degree = self.generator.bit_length() - 1
-        if degree != n - k:
-            raise ValueError(
-                f"generator degree {degree} does not match n-k={n - k} "
-                f"for BCH({n},{k}) with t={t}"
-            )
-        self.parity_bits = degree
+        self.parity_bits = r = self.generator.bit_length() - 1
+        if not r < n <= field.order:
+            raise ValueError(f"n={n} must be in ({r}, {field.order}] for t={t}")
+        self.n, self.k, self.t = n, n - r, t
         self._build_tables()
 
     def _build_tables(self):
@@ -400,5 +386,4 @@ class BchCodeSpec:
         return DecodeOutcome(message, corrected, failed)
 
     def __repr__(self):
-        return (f"BchCodeSpec(n={self.n}, k={self.k}, t={self.t}, "
-                f"parent_n={self.parent_n})")
+        return f"BchCodeSpec(n={self.n}, t={self.t}, field={self.field!r})"

@@ -4,7 +4,8 @@ Frame pipeline: payload -> 4 outer codewords -> serialized stream -> chop
 into inner payloads, two whole ones to an outer word (3860 = 2 x 1930) -> W
 inner codewords -> interleave: channel bit j belongs to inner word j mod W.
 Any burst of up to W*t channel bits then puts at most t errors in each inner
-word.
+word. The receiver undoes it with an interleave of depth n. Each code is
+named by n, t and its field's primitive polynomial; k follows from them.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ PRIMITIVE_POLY_M12 = 0b1_0000_0101_0011
 
 def interleave(bits: np.ndarray, depth: int) -> np.ndarray:
     """Channel order of ``depth`` equal rows: channel bit j is bit j // depth
-    of row j % depth. Works along the last axis; ``depth`` must divide it.
-    Shapes are explicit, so an array with no rows passes through."""
+    of row j % depth. Works along the last axis; ``depth`` must divide its
+    length L, and depth L / depth is the inverse. Shapes are explicit, so
+    an array with no rows passes through."""
     bits = np.asarray(bits)
     if depth < 1 or bits.shape[-1] % depth:
         raise ValueError(f"depth {depth} does not divide length {bits.shape[-1]}")
@@ -32,18 +34,9 @@ def interleave(bits: np.ndarray, depth: int) -> np.ndarray:
     return rows.swapaxes(-1, -2).reshape(bits.shape)
 
 
-def deinterleave(bits: np.ndarray, depth: int) -> np.ndarray:
-    """The inverse of ``interleave``, along the last axis."""
-    bits = np.asarray(bits)
-    if depth < 1 or bits.shape[-1] % depth:
-        raise ValueError(f"depth {depth} does not divide length {bits.shape[-1]}")
-    columns = bits.reshape(*bits.shape[:-1], bits.shape[-1] // depth, depth)
-    return columns.swapaxes(-1, -2).reshape(bits.shape)
-
-
 @lru_cache(maxsize=None)
-def _code(n: int, k: int, t: int, m: int, poly: int) -> BchCodeSpec:
-    return BchCodeSpec(n, k, t, FieldSpec(m, poly))
+def _code(n: int, t: int, poly: int) -> BchCodeSpec:
+    return BchCodeSpec(n, t, FieldSpec(poly))
 
 
 class ConcatCodecSpec:
@@ -52,8 +45,8 @@ class ConcatCodecSpec:
     def __init__(self, outer: BchCodeSpec | None = None,
                  inner: BchCodeSpec | None = None,
                  outer_words_per_frame: int = 4):
-        self.outer = outer or _code(3860, 3824, 3, 12, PRIMITIVE_POLY_M12)
-        self.inner = inner or _code(2040, 1930, 10, 11, PRIMITIVE_POLY_M11)
+        self.outer = outer or _code(3860, 3, PRIMITIVE_POLY_M12)
+        self.inner = inner or _code(2040, 10, PRIMITIVE_POLY_M11)
         if outer_words_per_frame < 1:
             raise ValueError("outer_words_per_frame must be >= 1")
         if self.outer.n % self.inner.k:
@@ -103,8 +96,7 @@ class ConcatCodecSpec:
         inner, outer = self.inner, self.outer
         n_frames = frames.size // self.frame_bits
         n_outer = n_frames * self.outer_words_per_frame
-        raw = deinterleave(frames.reshape(n_frames, self.frame_bits),
-                           self.interleaver_depth)
+        raw = interleave(frames.reshape(n_frames, self.frame_bits), inner.n)
         inner_out = inner.decode(raw.reshape(n_frames * self.inner_words_per_frame,
                                              inner.n))
         corrected = inner_out.corrected_count

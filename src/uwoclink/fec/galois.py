@@ -1,5 +1,6 @@
 """GF(2^m) arithmetic via log/antilog tables.
 
+A field is named by its primitive polynomial alone: m is its degree.
 Elements are ints in [0, 2^m); addition is XOR, and callers multiply two
 nonzero elements as exp[log a + log b]. The generator alpha is the
 polynomial x, so exp[i] = x^i mod primitive_poly. Construction verifies the
@@ -18,16 +19,12 @@ import numpy as np
 
 
 class FieldSpec:
-    """Tables for one binary extension field GF(2^m)."""
+    """Tables for GF(2^m), where m, in [2, 16], is the degree of ``primitive_poly``."""
 
-    def __init__(self, m: int, primitive_poly: int):
+    def __init__(self, primitive_poly: int):
+        m = primitive_poly.bit_length() - 1
         if not 2 <= m <= 16:
-            raise ValueError("field degree m must be in [2, 16]")
-        if primitive_poly.bit_length() != m + 1:
-            raise ValueError(
-                f"primitive_poly must have degree {m} "
-                f"(got degree {primitive_poly.bit_length() - 1})"
-            )
+            raise ValueError(f"field degree m must be in [2, 16] (got {m})")
         self.m = m
         self.primitive_poly = primitive_poly
         self.order = (1 << m) - 1
@@ -69,5 +66,5 @@ class FieldSpec:
         self.cubic_root = roots.tolist()
 
     def __repr__(self):
-        return f"FieldSpec(m={self.m}, primitive_poly={self.primitive_poly:#x})"
+        return f"FieldSpec({self.primitive_poly:#x})"
 

@@ -12,17 +12,17 @@ GF16_POLY = 0b10011
 
 @pytest.fixture(scope="session")
 def gf16():
-    return FieldSpec(4, GF16_POLY)
+    return FieldSpec(GF16_POLY)
 
 
 @pytest.fixture(scope="session")
 def bch15_7(gf16):
-    return BchCodeSpec(15, 7, 2, gf16)
+    return BchCodeSpec(15, 2, gf16)
 
 
 @pytest.fixture(scope="session")
 def bch15_5(gf16):
-    return BchCodeSpec(15, 5, 3, gf16)
+    return BchCodeSpec(15, 3, gf16)
 
 
 @pytest.fixture(scope="session")

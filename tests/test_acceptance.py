@@ -21,7 +21,6 @@ from uwoclink.engine import (
     long_term_monitor,
     run_scenario,
 )
-from uwoclink.fec import STATUS_OK
 from uwoclink.modem import OOK, theoretical_ber
 from uwoclink.planner import max_distance_m
 
@@ -80,7 +79,7 @@ def test_c04_fec_corrects_up_to_t(codec, bch15_7):
                 pos = rng.choice(code.n, n_err, replace=False)
                 word[pos] ^= 1
             out = code.decode(word)
-            assert out.status == STATUS_OK
+            assert out.ok
             assert out.corrected_count == n_err
             assert np.array_equal(out.message_bits, msg)
 
@@ -98,7 +97,7 @@ def test_c04_fec_corrects_up_to_t(codec, bch15_7):
         if pattern:
             word[list(pattern)] ^= 1
         out = bch15_7.decode(word)
-        assert out.status == STATUS_OK
+        assert out.ok
         assert np.array_equal(out.message_bits, msg)
         n_patterns += 1
     assert n_patterns == 1 + 15 + 105

@@ -48,6 +48,12 @@ def error_lines(err):
     return [line for line in err.splitlines() if "error:" in line]
 
 
+def stdin_of(data: str | bytes) -> io.TextIOWrapper:
+    """A strict UTF-8 text stdin over ``data``, with the byte ``buffer`` under it."""
+    raw = data.encode() if isinstance(data, str) else data
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="strict")
+
+
 def reject_constant(name):
     raise AssertionError(f"{name} is not JSON")
 
@@ -535,6 +541,40 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["post_fec_bit_errors"] == 0
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n-bits", "1000"], "--n-bits applies only with --inject-ber"),
+        (["--n-bits", "10000000", "--duration-s", "2"],
+         "--n-bits applies only with --inject-ber"),
+        (["--inject-ber", "1e-3", "--duration-s", "60"],
+         "--duration-s does not apply with --inject-ber"),
+    ], ids=["n-bits-alone", "n-bits-default-value", "duration-with-inject"])
+    def test_length_flag_the_run_ignores_exit_2(self, capsys, flags, message):
+        # a length the run would not read is an error, even at its default
+        assert main(["simulate", "--preset", "green-125M", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error_lines(captured.err) == [f"error: {message}"]
+
+    def test_run_lengths_default_to_60_s_and_10m_bits(self, monkeypatch, capsys):
+        seen = []
+
+        def record(name):
+            def run(spec, *args):
+                seen.append((name, *args))
+                raise ConfigError("recorded")
+            return run
+
+        monkeypatch.setattr(cli, "run_scenario", record("scenario"))
+        monkeypatch.setattr(cli, "inject_errors_run", record("inject"))
+        assert main(["simulate", "--preset", "green-125M"]) == 2
+        assert main(["simulate", "--preset", "green-125M", "--inject-ber", "1e-3"]) == 2
+        assert main(["simulate", "--preset", "green-125M", "--duration-s", "0"]) == 2
+        assert main(["simulate", "--preset", "green-125M", "--inject-ber", "1e-3",
+                     "--n-bits", "0"]) == 2
+        assert seen == [("scenario", 60, 0), ("inject", 1e-3, 10_000_000, 0),
+                        ("scenario", 0, 0), ("inject", 1e-3, 0, 0)]
+        assert capsys.readouterr().err == "error: recorded\n" * 4
+
     def test_monitor(self, capsys):
         assert main(["monitor", "--preset", "green-125M", "--epochs", "3",
                      "--duration-s", "2", "--seed", "5"]) == 0
@@ -1015,7 +1055,7 @@ class TestFecCli:
 
     def test_non_ascii_hex_cli_exit_2(self, monkeypatch, capsys):
         block = "\u0663" * 965  # 3860 bits, one outer word
-        monkeypatch.setattr("sys.stdin", io.StringIO(block + "\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of(block + "\n"))
         assert main(["fec", "decode", "--code", "outer"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1035,24 +1075,38 @@ class TestFecCli:
         # a valid block, a blank line, then the bad one; every code's n is a
         # multiple of 4, so only encode blocks can have pad bits
         good = _bits_to_hex(np.zeros(n_bits, dtype=np.uint8))
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"{good}\n\n{bad}\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of(f"{good}\n\n{bad}\n"))
         assert main(["fec", action, "--code", code]) == 2
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == 1  # the valid block's output
         [error] = error_lines(captured.err)
         assert error.startswith("error: line 3: ") and message in error
 
+    @pytest.mark.parametrize("bad", [b"\xff", b"0" * 508 + b"\xff", b"\xef\xbb"],
+                             ids=["lone-ff", "ff-after-digits", "truncated-sequence"])
+    def test_undecodable_line_names_its_line(self, monkeypatch, capsys, bad):
+        # under strict decoding a bad byte used to stop the run before line 1
+        # was decoded, with an error that named no line
+        good = _bits_to_hex(np.zeros(2040, dtype=np.uint8))
+        monkeypatch.setattr("sys.stdin", stdin_of(f"{good}\n".encode() + bad + b"\n"))
+        assert main(["fec", "decode", "--code", "inner"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == _bits_to_hex(np.zeros(1930, dtype=np.uint8)) + "\n"
+        [error] = error_lines(captured.err)
+        assert error.startswith("error: line 2: 'utf-8' codec can't decode byte")
+        assert captured.err.splitlines()[-1] == error
+
     def test_encode_decode_pipeline(self, monkeypatch, capsys, codec):
         rng = np.random.default_rng(7)
         msg = rng.integers(0, 2, codec.outer.k).astype(np.uint8)
-        monkeypatch.setattr("sys.stdin", io.StringIO(_bits_to_hex(msg) + "\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of(_bits_to_hex(msg) + "\n"))
         assert main(["fec", "encode", "--code", "outer"]) == 0
         cw_hex = capsys.readouterr().out.strip()
 
         # corrupt two bits, decode, expect recovery and exit 0
         cw = _hex_to_bits(cw_hex, codec.outer.n)
         cw[[10, 500]] ^= 1
-        monkeypatch.setattr("sys.stdin", io.StringIO(_bits_to_hex(cw) + "\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of(_bits_to_hex(cw) + "\n"))
         assert main(["fec", "decode", "--code", "outer"]) == 0
         captured = capsys.readouterr()
         assert captured.out.strip() == _bits_to_hex(msg)
@@ -1062,6 +1116,6 @@ class TestFecCli:
         rng = np.random.default_rng(8)
         cw = codec.inner.encode(rng.integers(0, 2, 1930).astype(np.uint8))
         cw[rng.choice(2040, 60, replace=False)] ^= 1
-        monkeypatch.setattr("sys.stdin", io.StringIO(_bits_to_hex(cw) + "\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of(_bits_to_hex(cw) + "\n"))
         assert main(["fec", "decode", "--code", "inner"]) == 1
         assert "decode_failure" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from uwoclink import engine
 from uwoclink.channel import MAX_DISTANCE_M, FadingSpec, NlosPath, total_loss_db
 from uwoclink.cli import _bits_to_hex, main, render_report
 from uwoclink.config import load_preset
-from uwoclink.fec.concat import ConcatCodecSpec, deinterleave, interleave
+from uwoclink.fec.concat import ConcatCodecSpec, interleave
 from uwoclink.engine import (
     ETHERNET_CAP_BPS,
     ETHERNET_OVERHEAD_BYTES,
@@ -720,7 +720,7 @@ class TestInjectErrors:
             assert positions.size == 0 or 0 <= positions[0] <= positions[-1] < codec.frame_bits
             row[positions] = 1
         counts = np.concatenate([
-            deinterleave(f, codec.interleaver_depth)
+            interleave(f, codec.inner.n)
             .reshape(codec.inner_words_per_frame, codec.inner.n).sum(axis=1)
             for f in flips])
         # cells 0..5 and 6 or more, each expecting at least 5 of 1,600 words
@@ -945,7 +945,7 @@ class TestGoldenDigests:
         if argv[0] == "fec":
             blocks = self.fec_blocks(codec, argv[1])
             stdin = "".join(_bits_to_hex(b) + "\n" for b in blocks)
-            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode()), "utf-8"))
         status = main(argv)
         captured = capsys.readouterr()
         text = f"{status}\n{captured.out}\n{captured.err}"

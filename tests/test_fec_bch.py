@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwoclink.fec.bch import (
-    STATUS_FAILURE,
-    STATUS_OK,
-    BchCodeSpec,
-    _pack,
-    generator_polynomial,
-)
+from uwoclink.fec.bch import BchCodeSpec, _pack, generator_polynomial
+from uwoclink.fec.galois import FieldSpec
 
 
 def bits_to_poly(bits):
@@ -57,11 +52,14 @@ def poly_long_division(dividend, divisor):
 
 CODE_NAMES = st.sampled_from(["bch15_7", "bch15_5", "inner", "outer"])
 
+# GF(32) with x^5 + x^2 + 1
+GF32 = FieldSpec(0b100101)
+
 
 @pytest.fixture(scope="module")
 def bch12_4(gf16):
     """(15,7) shortened by 3: degrees 12 .. 14 are never transmitted."""
-    return BchCodeSpec(12, 4, 2, gf16)
+    return BchCodeSpec(12, 2, gf16)
 
 
 def reference_berlekamp_massey(code, synd):
@@ -181,18 +179,17 @@ def sorted_or_none(degrees):
 def near_codeword(code, t_fit, rng):
     """A codeword of the t_fit-error BCH code on the same field and length:
     S_1 .. S_2t_fit are zero, the later syndromes almost surely are not."""
-    degree = generator_polynomial(code.field, t_fit).bit_length() - 1
-    near = BchCodeSpec(code.n, code.n - degree, t_fit, code.field)
+    near = BchCodeSpec(code.n, t_fit, code.field)
     return near.encode(rng.integers(0, 2, near.k).astype(np.uint8))
 
 
 def reference_decode(code, word):
-    """Oracle decoder: (status, corrected_count, message_bits)."""
+    """Oracle decoder: (ok, corrected_count, message_bits)."""
     synd = reference_syndromes(code, word)
     if not synd.any():
-        return STATUS_OK, 0, word[: code.k]
+        return True, 0, word[: code.k]
     locator, length = reference_berlekamp_massey(code, synd)
-    failed = (STATUS_FAILURE, 0, word[: code.k])
+    failed = (False, 0, word[: code.k])
     if length > code.t or len(locator) - 1 != length:
         return failed
     roots = reference_roots(code, locator)
@@ -200,13 +197,13 @@ def reference_decode(code, word):
         return failed
     corrected = word.copy()
     corrected[code.n - 1 - np.array(roots)] ^= 1
-    return STATUS_OK, len(roots), corrected[: code.k]
+    return True, len(roots), corrected[: code.k]
 
 
 def assert_decodes_like_reference(code, word):
     out = code.decode(word)
-    status, count, message = reference_decode(code, word)
-    assert (out.status, out.corrected_count) == (status, count)
+    ok, count, message = reference_decode(code, word)
+    assert (out.ok, out.corrected_count) == (ok, count)
     assert np.array_equal(out.message_bits, message)
     return out
 
@@ -250,12 +247,36 @@ class TestGeneratorPolynomials:
 
     @pytest.mark.parametrize("n", [0, -1, 16])
     def test_length_outside_the_cycle_rejected(self, gf16, n):
-        with pytest.raises(ValueError, match=rf"n={n} must be in \(0, 15\]"):
-            BchCodeSpec(n, 7, 2, gf16)
+        with pytest.raises(ValueError, match=rf"n={n} must be in \(8, 15\] for t=2"):
+            BchCodeSpec(n, 2, gf16)
 
-    def test_mismatched_spec_rejected(self, gf16):
-        with pytest.raises(ValueError):
-            BchCodeSpec(15, 8, 2, gf16)  # n-k=7 but generator degree is 8
+    @pytest.mark.parametrize("n", [1, 5, 8])
+    def test_no_message_bit_rejected(self, gf16, n):
+        # t = 2 on GF(16) has r = 8 parity bits, so n <= 8 leaves k <= 0
+        with pytest.raises(ValueError, match=rf"n={n} must be in \(8, 15\] for t=2"):
+            BchCodeSpec(n, 2, gf16)
+        assert BchCodeSpec(9, 2, gf16).k == 1
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_k_follows_from_n_and_t(self, gf16, data):
+        # k = n - r, r the number of conjugates of alpha, alpha^3, ..,
+        # alpha^(2t-1), for every t up to (2^m - 2) / 2; each such code
+        # corrects any t flips
+        field = data.draw(st.sampled_from([gf16, GF32]))
+        t = data.draw(st.integers(1, field.order // 2), label="t")
+        r = len({i * 2**j % field.order for i in range(1, 2 * t, 2) for j in range(field.m)})
+        n = data.draw(st.integers(r + 1, field.order), label="n")
+        code = BchCodeSpec(n, t, field)
+        assert (code.n, code.k, code.parity_bits) == (n, n - r, r)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        msg = rng.integers(0, 2, code.k, dtype=np.uint8)
+        word = code.encode(msg)
+        flips = data.draw(st.integers(0, min(t, n)), label="flips")
+        word[rng.choice(n, flips, replace=False)] ^= 1
+        out = code.decode(word)
+        assert out.ok and out.corrected_count == flips
+        assert np.array_equal(out.message_bits, msg)
 
     @pytest.mark.parametrize("name", ["inner", "outer", "bch15_7", "bch15_5",
                                       "bch12_4", "inner_t6"])
@@ -264,7 +285,7 @@ class TestGeneratorPolynomials:
         # conjugate alpha^(i 2^j) of an odd i < 2t, and no other
         if name == "inner_t6":  # the t = 6 code of test_length_past_t_stops_early
             inner = codec.inner
-            code = BchCodeSpec(inner.n, inner.n - 66, 6, inner.field)
+            code = BchCodeSpec(inner.n, 6, inner.field)
         else:
             code = named_code(request, codec, name)
         field, g = code.field, code.generator
@@ -399,7 +420,7 @@ class TestDecode:
         rng = np.random.default_rng(4)
         msg = rng.integers(0, 2, 7).astype(np.uint8)
         out = bch15_7.decode(bch15_7.encode(msg))
-        assert out.status == STATUS_OK
+        assert out.ok
         assert out.corrected_count == 0
         assert np.array_equal(out.message_bits, msg)
 
@@ -413,7 +434,7 @@ class TestDecode:
             rx = cw.copy()
             rx[pos] ^= 1
             out = bch15_7.decode(rx)
-            assert out.status == STATUS_OK
+            assert out.ok
             assert out.corrected_count == n_err
             assert np.array_equal(out.message_bits, msg)
 
@@ -429,7 +450,7 @@ class TestDecode:
                     pos = rng.choice(code.n, n_err, replace=False)
                     rx[pos] ^= 1
                 out = code.decode(rx)
-                assert out.status == STATUS_OK
+                assert out.ok
                 assert out.corrected_count == n_err
                 assert np.array_equal(out.message_bits, msg)
 
@@ -444,7 +465,7 @@ class TestDecode:
             rx = cw.copy()
             rx[list(pos)] ^= 1
             out = bch15_7.decode(rx)
-            if out.status == STATUS_FAILURE:
+            if not out.ok:
                 outcomes["failure"] += 1
                 continue
             if np.array_equal(out.message_bits, msg):
@@ -467,9 +488,9 @@ class TestDecode:
             rx = code.encode(msg)
             rx[rng.choice(code.n, n_err, replace=False)] ^= 1
             out = code.decode(rx)
-            if out.status == STATUS_FAILURE:
+            if not out.ok:
                 continue
-            assert out.status == STATUS_OK
+            assert out.ok
             assert not np.array_equal(out.message_bits, msg)
             assert 1 <= out.corrected_count <= code.t
             miscorrections += 1
@@ -505,7 +526,6 @@ class TestRowDecode:
             assert failed == single.failed
         assert out.corrected_count == sum(s.corrected_count for s in singles)
         assert out.ok is all(s.ok for s in singles)
-        assert out.status == (STATUS_OK if out.ok else STATUS_FAILURE)
 
     @pytest.mark.parametrize("name, rows, ber, seed, kinds", [
         ("inner", 48, 1e-3, 31, {"clean", "weight 1", "weight 2", "weight 3", "chien"}),
@@ -526,8 +546,8 @@ class TestRowDecode:
         out = code.decode(received)
         seen, corrected = set(), 0
         for word, message, failed in zip(received, out.message_bits, out.failed):
-            status, count, expected = reference_decode(code, word)
-            assert (STATUS_FAILURE if failed else STATUS_OK) == status
+            ok, count, expected = reference_decode(code, word)
+            assert failed == (not ok)
             assert np.array_equal(message, expected)
             corrected += count
             seen.add("failed" if failed else "clean" if count == 0
@@ -540,7 +560,7 @@ class TestRowDecode:
         word[[0, 1, 5]] ^= 1  # beyond t = 2, and not miscorrected
         out = bch15_7.decode(word)
         assert out.message_bits.shape == (7,) and out.failed.shape == ()
-        assert out.failed and out.ok is False and out.status == STATUS_FAILURE
+        assert out.failed and out.ok is False
 
     @pytest.mark.parametrize("name", ["bch15_7", "inner", "outer"])
     def test_no_rows(self, request, codec, name):
@@ -578,8 +598,8 @@ class TestDecodeAgainstReference:
             for pos in itertools.combinations(range(12), weight):
                 word = bch12_4.encode(np.array([1, 0, 1, 1], dtype=np.uint8))
                 word[list(pos)] ^= 1
-                outcomes.add(assert_decodes_like_reference(bch12_4, word).status)
-        assert outcomes == {STATUS_OK, STATUS_FAILURE}
+                outcomes.add(assert_decodes_like_reference(bch12_4, word).ok)
+        assert outcomes == {True, False}
 
     def test_every_pattern_up_to_weight_4_on_bch15_5(self, bch15_5):
         # t = 3 and n = 15 is the whole cycle: 1,941 words, weight 3 solved
@@ -590,12 +610,12 @@ class TestDecodeAgainstReference:
             for pos in itertools.combinations(range(15), weight):
                 word = sent.copy()
                 word[list(pos)] ^= 1
-                outcomes.add(assert_decodes_like_reference(bch15_5, word).status)
-        assert outcomes == {STATUS_OK, STATUS_FAILURE}
+                outcomes.add(assert_decodes_like_reference(bch15_5, word).ok)
+        assert outcomes == {True, False}
 
     def test_t1_code_corrects_every_single_error(self, gf16):
         # a t = 1 code has S_1 and S_2 only: the fit reads no S_3
-        code = BchCodeSpec(15, 11, 1, gf16)
+        code = BchCodeSpec(15, 1, gf16)
         sent = code.encode(np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1], dtype=np.uint8))
         for pos in range(15):
             word = sent.copy()
@@ -637,7 +657,7 @@ class TestDecodeAgainstReference:
             if field.quadratic_root[c] < 0:
                 irreducible += 1
                 assert reference_roots(bch15_7, locator) == []
-                assert assert_decodes_like_reference(bch15_7, word).status == STATUS_FAILURE
+                assert not assert_decodes_like_reference(bch15_7, word).ok
         assert irreducible > 0
 
     @pytest.mark.parametrize("name, sent", [
@@ -654,20 +674,20 @@ class TestDecodeAgainstReference:
             word[list(sent)] ^= 1
             locator = code._berlekamp_massey(code.syndromes(word))
             assert len(locator) - 1 == len(sent) + 1
-            assert assert_decodes_like_reference(code, word).status == STATUS_FAILURE
+            assert not assert_decodes_like_reference(code, word).ok
 
     def test_length_past_t_stops_early(self, codec):
         # a codeword of the t = 6 code on the same field has S_1 .. S_12 = 0
         # and S_13 != 0: L jumps to 13 > t = 10 on the 7th of 10 steps
         code = codec.inner
-        t6 = BchCodeSpec(code.n, code.n - 66, 6, code.field)
+        t6 = BchCodeSpec(code.n, 6, code.field)
         rng = np.random.default_rng(9)
         for _ in range(10):
             word = t6.encode(rng.integers(0, 2, t6.k).astype(np.uint8))
             synd = code.syndromes(word)
             assert not synd[:12].any() and synd[12]
             assert reference_berlekamp_massey(code, synd)[1] > code.t
-            assert assert_decodes_like_reference(code, word).status == STATUS_FAILURE
+            assert not assert_decodes_like_reference(code, word).ok
             # S_14 .. S_20 are never read: values outside the field there
             # would raise IndexError in the log table
             synd[13:] = 1 << 20
@@ -725,7 +745,7 @@ class TestClosedFormCubic:
         prefix = [roots for roots in split if roots[-1] >= code.n]
         for roots in prefix[:10]:
             word = word_with_pattern(code, roots)
-            assert assert_decodes_like_reference(code, word).status == STATUS_FAILURE
+            assert not assert_decodes_like_reference(code, word).ok
 
 
 class TestLowWeightSolve:
@@ -762,7 +782,7 @@ class TestLowWeightSolve:
         # fit misses. A word fails after the Chien search only past t = 10
         # errors, which takes a higher BER; its locator then has degree <= t
         # but too few roots
-        code = BchCodeSpec(codec.inner.n, codec.inner.k, codec.inner.t, codec.inner.field)
+        code = BchCodeSpec(codec.inner.n, codec.inner.t, codec.inner.field)
         seen = Counter()
 
         def spy(name, kind):
@@ -807,7 +827,7 @@ class TestLowWeightSolve:
                 synd = bch15_5.syndromes(word)
                 assert sorted(low_weight_fit(bch15_5, synd.tolist())) == degrees
                 out = bch15_5.decode(word)
-                assert (out.status, out.corrected_count) == (STATUS_OK, weight)
+                assert (out.ok, out.corrected_count) == (True, weight)
                 assert np.array_equal(out.message_bits, sent[:5])
                 s1_zero += synd[0] == 0
         # X_1 != X_2 of the 15 nonzero elements and X_3 = X_1 + X_2, each
@@ -830,7 +850,7 @@ class TestLowWeightSolve:
             word[[code.n - 1 - d for d in (d1, d2, d3)]] ^= 1
             assert code.syndromes(word)[0] == 0
             out = code.decode(word)
-            assert (out.status, out.corrected_count) == (STATUS_OK, 3)
+            assert (out.ok, out.corrected_count) == (True, 3)
             assert np.array_equal(out.message_bits, sent[: code.k])
             done += 1
 
@@ -847,8 +867,8 @@ class TestTables:
 
 class TestShortening:
     def test_shortened_matches_zero_prefixed_parent(self, gf16):
-        parent = BchCodeSpec(15, 7, 2, gf16)
-        short = BchCodeSpec(12, 4, 2, gf16)
+        parent = BchCodeSpec(15, 2, gf16)
+        short = BchCodeSpec(12, 2, gf16)
         rng = np.random.default_rng(8)
         for _ in range(100):
             msg4 = rng.integers(0, 2, 4).astype(np.uint8)
@@ -867,7 +887,7 @@ class TestShortening:
             out_short = short.decode(rx)
             out_parent = parent.decode(
                 np.concatenate([np.zeros(3, dtype=np.uint8), rx]))
-            assert out_short.status == out_parent.status == STATUS_OK
+            assert out_short.ok and out_parent.ok
             assert np.array_equal(out_short.message_bits,
                                   out_parent.message_bits[3:])
             assert np.array_equal(out_short.message_bits, msg4)

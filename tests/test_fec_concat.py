@@ -8,22 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwoclink.fec.bch import STATUS_FAILURE, STATUS_OK, BchCodeSpec
-from uwoclink.fec.concat import (
-    ConcatCodecSpec,
-    _code,
-    codec_for,
-    deinterleave,
-    interleave,
-)
+from uwoclink.fec.bch import BchCodeSpec
+from uwoclink.fec.concat import ConcatCodecSpec, _code, codec_for, interleave
 
 
 @pytest.fixture(scope="module")
 def mini(gf16):
     """Tiny concat codec: one 14-bit outer word over two 7-bit inner
     payloads, as each production outer word fills two inner payloads."""
-    outer = BchCodeSpec(14, 4, 3, gf16)
-    inner = BchCodeSpec(15, 7, 2, gf16)
+    outer = BchCodeSpec(14, 3, gf16)
+    inner = BchCodeSpec(15, 2, gf16)
     return ConcatCodecSpec(outer=outer, inner=inner, outer_words_per_frame=1)
 
 
@@ -32,8 +26,8 @@ def small(gf16):
     """Four 14-bit outer words over eight 7-bit inner payloads, the
     production shape: t = 2 inner words miscorrect often enough to hand the
     outer code errors to correct."""
-    return ConcatCodecSpec(outer=BchCodeSpec(14, 4, 3, gf16),
-                           inner=BchCodeSpec(15, 7, 2, gf16),
+    return ConcatCodecSpec(outer=BchCodeSpec(14, 3, gf16),
+                           inner=BchCodeSpec(15, 2, gf16),
                            outer_words_per_frame=4)
 
 
@@ -42,8 +36,8 @@ def toy():
     """A 10-bit payload in one shortened (14, 10) t = 1 outer word over two
     (15, 7) t = 2 inner words: a 30-bit frame whose error patterns can all
     be listed."""
-    return ConcatCodecSpec(outer=_code(14, 10, 1, 4, 0b10011),
-                           inner=_code(15, 7, 2, 4, 0b10011), outer_words_per_frame=1)
+    return ConcatCodecSpec(outer=_code(14, 1, 0b10011), inner=_code(15, 2, 0b10011),
+                           outer_words_per_frame=1)
 
 
 def error_patterns(n, weight):
@@ -61,7 +55,7 @@ def reference_decode(codec, frame):
     failed inner word passed through, every other outer word through
     ``outer.decode``. Also returns what happened, by kind."""
     inner, outer = codec.inner, codec.outer
-    raw = deinterleave(frame, codec.interleaver_depth)
+    raw = interleave(frame, codec.inner.n)  # undoes depth W
     inner_outcomes = [inner.decode(word) for word in raw.reshape(-1, inner.n)]
     stream = np.concatenate([o.message_bits for o in inner_outcomes])
     corrected = sum(o.corrected_count for o in inner_outcomes)
@@ -81,14 +75,13 @@ def reference_decode(codec, frame):
         ok &= outcome.ok
         seen["outer_corrected"] += outcome.corrected_count > 0
         messages.append(outcome.message_bits)
-    status = STATUS_OK if ok else STATUS_FAILURE
-    return np.concatenate(messages), corrected, status, seen
+    return np.concatenate(messages), corrected, ok, seen
 
 
 def frame_with_inner_errors(codec, rng, errors_per_word):
     """A random frame with the given number of flips in each inner word."""
     payload = rng.integers(0, 2, codec.frame_payload_bits).astype(np.uint8)
-    raw = deinterleave(codec.encode(payload), codec.interleaver_depth)
+    raw = interleave(codec.encode(payload), codec.inner.n)
     words = raw.reshape(-1, codec.inner.n)
     for word, n_err in zip(words, errors_per_word):
         word[rng.choice(codec.inner.n, n_err, replace=False)] ^= 1
@@ -104,7 +97,8 @@ class TestInterleaver:
         rng = np.random.default_rng(seed)
         shape = (rows, depth * width) if rows else (depth * width,)
         data = rng.integers(0, 2, shape).astype(np.uint8)
-        assert np.array_equal(deinterleave(interleave(data, depth), depth), data)
+        # depth width undoes depth depth
+        assert np.array_equal(interleave(interleave(data, depth), width), data)
         # channel bit j is bit j // depth of row j % depth
         j = np.arange(depth * width)
         rows_first = data.reshape(*shape[:-1], depth, width)
@@ -115,9 +109,8 @@ class TestInterleaver:
                                                (10, 0), (10, -2)])
     def test_depth_must_divide_the_length(self, length, depth):
         data = np.zeros((2, length), dtype=np.uint8)
-        for permute in (interleave, deinterleave):
-            with pytest.raises(ValueError, match=f"depth {depth} does not divide"):
-                permute(data, depth)
+        with pytest.raises(ValueError, match=f"depth {depth} does not divide"):
+            interleave(data, depth)
 
     def test_consecutive_outputs_stride_apart(self):
         # depth-8 interleave of 16320 bits: adjacent channel bits come from
@@ -134,8 +127,8 @@ class TestInterleaver:
     @pytest.mark.parametrize("depth", [1, 8])
     def test_no_rows(self, depth):
         data = np.zeros((0, 16320), dtype=np.uint8)
-        for permute in (interleave, deinterleave):
-            assert permute(data, depth).shape == (0, 16320)
+        for d in (depth, 16320 // depth):  # the permutation and its inverse
+            assert interleave(data, d).shape == (0, 16320)
 
 
 class TestCodecCache:
@@ -175,8 +168,8 @@ class TestFraming:
     def test_non_dividing_codes_rejected(self, gf16):
         # a 15-bit outer word would straddle 7-bit inner payloads
         with pytest.raises(ValueError, match="inner k=7 does not divide outer n=15"):
-            ConcatCodecSpec(outer=BchCodeSpec(15, 5, 3, gf16),
-                            inner=BchCodeSpec(15, 7, 2, gf16))
+            ConcatCodecSpec(outer=BchCodeSpec(15, 3, gf16),
+                            inner=BchCodeSpec(15, 2, gf16))
 
 
 class TestCodeRate:
@@ -216,7 +209,7 @@ class TestRoundtrip:
         for _ in range(1000):
             payload = rng.integers(0, 2, codec.frame_payload_bits).astype(np.uint8)
             out = codec.decode(codec.encode(payload))
-            assert out.status == STATUS_OK
+            assert out.ok
             assert out.corrected_count == 0
             assert np.array_equal(out.message_bits, payload)
 
@@ -225,7 +218,7 @@ class TestRoundtrip:
         for _ in range(1000):
             payload = rng.integers(0, 2, mini.frame_payload_bits).astype(np.uint8)
             out = mini.decode(mini.encode(payload))
-            assert out.status == STATUS_OK
+            assert out.ok
             assert np.array_equal(out.message_bits, payload)
 
 
@@ -238,7 +231,7 @@ class TestErrorHandling:
             frame = codec.encode(payload)
             flips = rng.random(codec.frame_bits) < 1e-4
             out = codec.decode(frame ^ flips.astype(np.uint8))
-            assert out.status == STATUS_OK
+            assert out.ok
             assert np.array_equal(out.message_bits, payload)
 
     def test_burst_of_40_is_corrected(self, codec):
@@ -251,7 +244,7 @@ class TestErrorHandling:
             rx = frame.copy()
             rx[start:start + 40] ^= 1
             out = codec.decode(rx)
-            assert out.status == STATUS_OK
+            assert out.ok
             assert out.corrected_count == 40
             assert np.array_equal(out.message_bits, payload)
 
@@ -298,7 +291,7 @@ class TestErrorHandling:
         frame = codec.encode(payload)
         flips = rng.random(codec.frame_bits) < 0.02
         out = codec.decode(frame ^ flips.astype(np.uint8))
-        assert out.status == STATUS_FAILURE
+        assert not out.ok
 
     def test_single_dead_inner_word_fails_frame(self, codec):
         # 40 errors concentrated in one inner word (channel bits 2 mod 8)
@@ -310,7 +303,7 @@ class TestErrorHandling:
         rx = frame.copy()
         rx[word_positions] ^= 1
         out = codec.decode(rx)
-        assert out.status == STATUS_FAILURE
+        assert not out.ok
 
 
 class TestScreenedDecode:
@@ -327,10 +320,10 @@ class TestScreenedDecode:
                                     max_size=codec.inner_words_per_frame))
         frame = frame_with_inner_errors(codec, rng, errors)
         out = codec.decode(frame)
-        message, corrected, status, _ = reference_decode(codec, frame)
+        message, corrected, ok, _ = reference_decode(codec, frame)
         assert np.array_equal(out.message_bits, message)
         assert out.corrected_count == corrected
-        assert out.status == status
+        assert out.ok == ok
 
     @pytest.mark.parametrize("name", ["codec", "small"])
     @given(data=st.data())
@@ -390,13 +383,13 @@ class TestScreenedDecode:
         for _ in range(200):
             errors = rng.integers(0, small.inner.t + 3, small.inner_words_per_frame)
             frame = frame_with_inner_errors(small, rng, errors)
-            message, corrected, status, kinds = reference_decode(small, frame)
+            message, corrected, ok, kinds = reference_decode(small, frame)
             out = small.decode(frame)
             assert np.array_equal(out.message_bits, message)
-            assert (out.corrected_count, out.status) == (corrected, status)
+            assert (out.corrected_count, out.ok) == (corrected, ok)
             seen += kinds
             frames.append(frame)
-            expected.append((message, corrected, status == STATUS_FAILURE))
+            expected.append((message, corrected, not ok))
         assert min(seen["inner_failed"], seen["outer_tainted"],
                    seen["outer_corrected"]) > 0
         messages, corrected, failed = zip(*expected)
@@ -433,6 +426,6 @@ class TestToyFrameEnumeration:
         frames = np.concatenate([error_patterns(toy.frame_bits, w) for w in range(4)])
         out = toy.decode(frames)
         for frame, message, failed in zip(frames, out.message_bits, out.failed):
-            reference, _, status, _ = reference_decode(toy, frame)
+            reference, _, ok, _ = reference_decode(toy, frame)
             assert np.array_equal(message, reference)
-            assert failed == (status == STATUS_FAILURE)
+            assert failed == (not ok)
