@@ -93,6 +93,8 @@ class BchCodeSpec:
     for a generator of degree r (Lin & Costello, 6.1), and r < n <= 2^m - 1."""
 
     def __init__(self, n: int, t: int, field: FieldSpec):
+        if t < 1:
+            raise ValueError(f"t={t} must be at least 1")
         self.field = field
         self.parent_n = field.order
         self.generator = generator_polynomial(field, t)

@@ -157,11 +157,12 @@ def test_c09_long_term_ber_decades(green, blue):
 def test_c10_agc_convergence_sweep():
     # the deployed receiver every link uses, as a dB plant
     g_min_db, g_max_db = (10 * math.log10(g) for g in agc.PMT_GAIN_RANGE)
+    net_min_db = g_min_db - agc.LC_ATTENUATION_RANGE_DB  # PMT gain - LC attenuation
     lo_db, hi_db = (10 * math.log10(v) for v in agc.AGC_WINDOW_V)
     responsivity_db = 10 * math.log10(agc.RESPONSIVITY_V_PER_W)
 
     def level_db(state, p_dbw):
-        return responsivity_db + p_dbw - state.attenuation_db + state.gain_db
+        return responsivity_db + p_dbw + state.net_gain_db
 
     worst = 0
     for p_opt in np.logspace(-6, -3, 41):  # 30 dB sweep, 41 points
@@ -173,15 +174,13 @@ def test_c10_agc_convergence_sweep():
                 break
             state = agc.agc_step(state, p_dbw)
             steps += 1
-            assert g_min_db <= state.gain_db <= g_max_db
-            assert 0.0 <= state.attenuation_db <= agc.LC_ATTENUATION_RANGE_DB
+            assert net_min_db <= state.net_gain_db <= g_max_db
         assert lo_db <= level_db(state, p_dbw) <= hi_db, f"no convergence at {p_opt} W"
         assert steps <= 10
         worst = max(worst, steps)
         # stays put once inside
         after = agc.agc_step(state, p_dbw)
-        assert (after.attenuation_db, after.gain_db) == \
-            (state.attenuation_db, state.gain_db)
+        assert after.net_gain_db == state.net_gain_db
     report(f"C10 agc: 41-point 30 dB sweep converges in <= {worst} steps PASS")
 
 

@@ -200,6 +200,15 @@ class TestRunScenario:
         report = run_scenario(spec, 5, seed=1)
         assert report.agc_saturated_seconds == report.duration_s == 5
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_link_far_over_its_reach_saturates_every_second(self, green, seed):
+        # 1 kW puts about -2.4 dBW on the receiver, past the -15 dBW the net
+        # gain's 0 dB floor can bring to the window center; the preset's
+        # 2.36 W sits inside the reach
+        assert run_scenario(green, 5, seed=seed).agc_saturated_seconds == 0
+        report = run_scenario(replace(green, tx_power_w=1000.0), 5, seed=seed)
+        assert report.agc_saturated_seconds == report.duration_s == 5
+
 
 class TestNoWorkerOutlivesARun:
     """A run starts no thread: every slot-chain step runs on the caller's."""

@@ -250,6 +250,11 @@ class TestGeneratorPolynomials:
         with pytest.raises(ValueError, match=rf"n={n} must be in \(8, 15\] for t=2"):
             BchCodeSpec(n, 2, gf16)
 
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_t_below_1_rejected(self, gf16, t):
+        with pytest.raises(ValueError, match=rf"t={t} must be at least 1"):
+            BchCodeSpec(15, t, gf16)
+
     @pytest.mark.parametrize("n", [1, 5, 8])
     def test_no_message_bit_rejected(self, gf16, n):
         # t = 2 on GF(16) has r = 8 parity bits, so n <= 8 leaves k <= 0
