@@ -6,11 +6,12 @@ the source returns the ascending positions of the line bits it flipped, and
 the loop XORs them in and counts them as pre-FEC errors. A simulated second
 holds ``LinkSpec.sim_frames_per_second`` = 6 frames, 0.08 % of green's ~7,660
 frames/s and 1.6 % of blue's ~383; no config key sets it, and a file that
-still does exits 2. Only the frames with a flip reach the FEC decoder,
-packed together: one decode call per simulated second of six frames. A
-frame with no flip is a codeword, and a bounded-distance decoder returns a
-codeword's own payload with no correction and no failure, so decoding it
-would change no count.
+still does exits 2. A second's payloads come from one draw. Only the
+frames with a flip reach the FEC decoder: they wait, packed together and
+across seconds, until a second's worth can go to one decode call, and one
+more call at the end of the run takes the rest. A frame with no flip is a
+codeword, and a bounded-distance decoder returns a codeword's own payload
+with no correction and no failure, so decoding it would change no count.
 
 A scenario run's source draws one fading sample per second, steps the AGC
 at that second's received power in dBW, and hands each frame to the slot
@@ -18,7 +19,7 @@ chain, ``modem.flipped_bits``: modulation -> additive noise ->
 demodulation. Slot noise comes from the link margin through a single
 calibrated offset (margin_db + snr_offset_db -> amplitude SNR), the one
 free constant the field system never published. An injection run's source
-flips line bits i.i.d. at a fixed rate.
+flips line bits i.i.d. at a fixed rate, in one draw per second.
 
 Everything runs on the caller's thread. Each scenario run draws its slot
 noise, when a frame needs it, from a stream spawned from the run's seed;
@@ -195,19 +196,24 @@ def _slot_channel(spec: LinkSpec, rng: np.random.Generator,
         yield partial(modem.flipped_bits, kind, sigma, noise)
 
 
-def _flip_channel(ber: float, rng: np.random.Generator,
+def _flip_channel(spec: LinkSpec, ber: float, rng: np.random.Generator,
                   log: _AnalogLog) -> Iterator[Callable]:
     """Every second, flip each line bit i.i.d. with probability ``ber``; the
-    analog chain is bypassed. A frame's flip count is drawn as Bin(n, ber)
-    and the flipped positions uniformly without replacement, the same law,
-    then sorted; at ``ber == 0`` nothing is drawn and nothing flipped."""
-    def flip(frame: np.ndarray) -> np.ndarray:
-        if ber == 0:
-            return np.empty(0, dtype=np.intp)
-        n = len(frame)
-        return np.sort(rng.choice(n, rng.binomial(n, ber), replace=False))
-
-    yield from itertools.repeat(flip)
+    analog chain is bypassed. One draw per second covers the n line bits of
+    ``sim_frames_per_second`` frames: a flip count of Bin(n, ber) and that
+    many positions uniformly without replacement, the same law, sorted. The
+    i-th frame of the second takes the flips in
+    [i * frame_bits, (i + 1) * frame_bits); a last partial second draws for
+    a whole one and uses the slices of the frames it has. At ``ber == 0``
+    nothing is drawn and nothing flipped."""
+    frame_bits = spec.codec.frame_bits
+    n = spec.sim_frames_per_second * frame_bits
+    starts = np.arange(frame_bits, n, frame_bits)
+    while True:
+        count = rng.binomial(n, ber) if ber else 0
+        flips = np.sort(rng.choice(n, count, replace=False, shuffle=False))
+        frames = iter(np.split(flips, np.searchsorted(flips, starts)))
+        yield lambda frame, frames=frames: next(frames) % frame_bits
 
 
 def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
@@ -218,47 +224,62 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
     simulated second of ``sim_frames_per_second`` frames, that second's
     error source: a function of the sent frame that returns the ascending,
     distinct positions of the line bits it flipped. A last partial second is
-    tallied as its own entry. Payload bits are unpacked from uniform random
-    bytes. A second's frames are drawn, encoded and flipped one by one; a
-    frame's pre-FEC errors are its flip count. A frame with no flip is a
-    codeword, which decodes to its own payload with no correction and no
-    failure, so it is not decoded and the next frame overwrites its rows.
-    The flipped frames fill the leading ``dirty`` rows of ``payloads`` and
-    ``received``. One ``codec.decode`` call on them, made even when there
-    are none, gives the failures; the set bits of each packed payload XOR
-    the sent one are post-FEC errors, and a failed or wrong frame is lost.
+    tallied as its own entry. A second's payload bits are unpacked from one
+    draw of uniform random bytes; its frames are encoded and flipped one by
+    one, and a frame's pre-FEC errors are its flip count. A frame with no
+    flip is a codeword, which decodes to its own payload with no correction
+    and no failure, so it is not decoded. A flipped frame waits in the
+    leading rows of ``payloads`` and ``received``, tagged with the second it
+    was sent in. One ``codec.decode`` call takes every waiting frame once
+    ``sim_frames_per_second`` of them wait, and one more at the end of the
+    run, made even when none wait. The set bits of each packed payload XOR
+    the sent one are post-FEC errors, and a failed or wrong frame is lost,
+    in the second it was sent in.
     """
     rng = np.random.default_rng(seed)
     codec = spec.codec
     payload_bytes = -(-codec.frame_payload_bits // 8)
     fps = spec.sim_frames_per_second
-    payloads = np.empty((fps, codec.frame_payload_bits), dtype=np.uint8)
-    received = np.empty((fps, codec.frame_bits), dtype=np.uint8)
+    # fewer than fps frames wait from earlier seconds, and a second adds fps
+    payloads = np.empty((2 * fps, codec.frame_payload_bits), dtype=np.uint8)
+    received = np.empty((2 * fps, codec.frame_bits), dtype=np.uint8)
+    sent_in = []
     log = _AnalogLog()
     seconds = channel(rng, log)
     beps = []
-    loss_series = []
-    post_err_total = 0
-    failures = 0
-    for start in range(0, n_frames, fps):
-        errors = next(seconds)
-        second_errors = dirty = 0
-        for _ in range(min(fps, n_frames - start)):
-            payloads[dirty] = np.unpackbits(
-                rng.integers(0, 256, payload_bytes, dtype=np.uint8),
-                count=codec.frame_payload_bits)
-            received[dirty] = frame = codec.encode(payloads[dirty])
-            positions = errors(frame)
-            if len(positions):
-                received[dirty, positions] ^= 1
-                second_errors += len(positions)
-                dirty += 1
-        outcome = codec.decode(received[:dirty])
-        wrong = np.packbits(outcome.message_bits ^ payloads[:dirty], axis=1)
+    loss_series = [0] * -(-n_frames // fps)
+    post_err_total = failures = 0
+
+    def decode_waiting():
+        nonlocal post_err_total, failures
+        rows = len(sent_in)
+        outcome = codec.decode(received[:rows])
+        wrong = np.packbits(outcome.message_bits ^ payloads[:rows], axis=1)
         failures += int(np.count_nonzero(outcome.failed))
         post_err_total += int(np.bitwise_count(wrong).sum())
+        for sent in itertools.compress(sent_in, outcome.failed | wrong.any(axis=1)):
+            loss_series[sent] += 1
+        sent_in.clear()
+
+    for second, start in enumerate(range(0, n_frames, fps)):
+        errors = next(seconds)
+        drawn = rng.integers(0, 256, (min(fps, n_frames - start), payload_bytes),
+                             dtype=np.uint8)
+        second_errors = 0
+        for payload in np.unpackbits(drawn, axis=1, count=codec.frame_payload_bits):
+            frame = codec.encode(payload)
+            positions = errors(frame)
+            if len(positions):
+                row = len(sent_in)
+                received[row] = frame
+                received[row, positions] ^= 1
+                payloads[row] = payload
+                sent_in.append(second)
+                second_errors += len(positions)
         beps.append(second_errors)
-        loss_series.append(int(np.count_nonzero(outcome.failed | wrong.any(axis=1))))
+        if len(sent_in) >= fps:
+            decode_waiting()
+    decode_waiting()
 
     pre_err_total = sum(beps)
     bits_sim = n_frames * codec.frame_bits
@@ -302,7 +323,7 @@ def inject_errors_run(spec: LinkSpec, pre_fec_ber_target: float, n_bits: int,
         raise ValueError("n_bits must be > 0")
     n_frames = -(-n_bits // spec.codec.frame_bits)
     return _simulate(spec, seed, n_frames,
-                     partial(_flip_channel, pre_fec_ber_target))
+                     partial(_flip_channel, spec, pre_fec_ber_target))
 
 
 def epoch_seed(master_seed: int, epoch_index: int) -> int:

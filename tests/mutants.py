@@ -59,8 +59,12 @@ MUTANTS = [
     ("sparse hit share x 0.99", MODEM,
      "q = 2.0 * qfunc(tau)", "q = 1.98 * qfunc(tau)"),
     ("miscorrected frame not lost", ENGINE,
-     "np.count_nonzero(outcome.failed | wrong.any(axis=1))",
-     "np.count_nonzero(outcome.failed)"),
+     "itertools.compress(sent_in, outcome.failed | wrong.any(axis=1))",
+     "itertools.compress(sent_in, outcome.failed)"),
+    ("batched loss charged to the second that decoded it", ENGINE,
+     "loss_series[sent] += 1", "loss_series[second] += 1"),
+    ("a second's flips confined to its first three frames", ENGINE,
+     "rng.choice(n, count", "rng.choice(n // 2, count"),
 ]
 
 

@@ -344,25 +344,28 @@ def full_slot_channel(spec):
     return channel
 
 
-def full_flip_channel(ber):
-    """Each line bit flipped i.i.d. on a copy of the frame."""
+def full_flip_channel(spec, ber):
+    """Each second, an error mask over the line bits of
+    ``sim_frames_per_second`` frames with each bit set i.i.d.; the i-th frame
+    of the second is XORed with the mask's i-th row."""
     def channel(rng, log):
-        def flip(frame):
-            flipped = frame.copy()
+        while True:
+            mask = np.zeros((spec.sim_frames_per_second, spec.codec.frame_bits),
+                            dtype=np.uint8)
             if ber:
-                flipped[rng.choice(len(frame), rng.binomial(len(frame), ber),
-                                   replace=False)] ^= 1
-            return flipped
-
-        yield from itertools.repeat(flip)
+                mask.reshape(-1)[rng.choice(mask.size, rng.binomial(mask.size, ber),
+                                            replace=False, shuffle=False)] = 1
+            rows = iter(mask)
+            yield lambda frame, rows=rows: frame ^ next(rows)
 
     return channel
 
 
 def reference_simulate(spec, seed, n_frames, channel):
     """The frame loop as it was before error sources returned positions:
-    each received frame is compared whole with the sent one, and each
-    decoded payload with the sent payload."""
+    each frame's payload is drawn on its own, each received frame is
+    compared whole with the sent one and decoded on its own, and each
+    decoded payload is compared with the sent payload."""
     rng = np.random.default_rng(seed)
     codec = spec.codec
     payload_bytes = -(-codec.frame_payload_bits // 8)
@@ -444,14 +447,14 @@ class TestFullChainOracle:
     def test_inject_errors_run(self, green):
         report = inject_errors_run(green, 3e-3, 40 * green.codec.frame_bits, seed=5)
         assert report.decode_failures > 0 and report.packet_loss_count < report.frames_sent
-        assert report == reference_simulate(green, 5, 40, full_flip_channel(3e-3))
+        assert report == reference_simulate(green, 5, 40, full_flip_channel(green, 3e-3))
 
     def test_inject_errors_run_with_clean_frames(self, green, decode_rows):
         # at 1e-4 a frame holds Poisson(1.6) flips: about a fifth are clean,
         # so the decoder sees only some of the frames
         report = inject_errors_run(green, 1e-4, 60 * green.codec.frame_bits, seed=6)
         assert 0 < sum(decode_rows) < report.frames_sent
-        assert report == reference_simulate(green, 6, 60, full_flip_channel(1e-4))
+        assert report == reference_simulate(green, 6, 60, full_flip_channel(green, 1e-4))
 
 
 class TestErrorDistribution:
@@ -592,29 +595,39 @@ class TestErrorDistribution:
 
 
 class TestDecodeBatches:
-    """Each simulated second makes one ``decode`` call, on its flipped frames
-    only (none, when none flipped)."""
+    """Only flipped frames are decoded. They wait, across seconds, until
+    ``sim_frames_per_second`` of them can go to one ``decode`` call; one more
+    call at the end of the run takes what still waits, even nothing."""
 
     def test_only_flipped_frames_are_decoded(self, green, decode_rows):
-        # one flip on frames 1 and 4 of each second
+        # one flip on frames 1 and 4 of each second: six wait after the third
         flips = [[0] if i in (1, 4) else [] for i in range(6)]
         engine._simulate(green, 0, 18, scripted_channel([flips] * 3))
-        assert decode_rows == [2, 2, 2]
+        assert decode_rows == [6, 0]
 
     def test_a_clean_second_decodes_no_frame(self, green, decode_rows):
         report = run_scenario(green, 3, seed=1)
         assert report.pre_fec_bit_errors == 0
-        assert decode_rows == [0, 0, 0]
+        assert decode_rows == [0]
         decode_rows.clear()
-        # 50 frames at 6 per second: the last of the 9 seconds holds 2 frames
+        # 50 frames at 6 per second, each flipped: the last of the 9 seconds
+        # holds 2 frames, which wait for the end of the run
         inject_errors_run(green, 1e-3, 50 * 16320, seed=2)
         assert decode_rows == [6] * 8 + [2]
 
     @pytest.mark.parametrize("preset", ["green-125M", "blue-6M25", "blue-6M25-nlos"])
-    def test_one_call_per_simulated_second(self, preset, decode_rows):
-        run_scenario(load_preset(preset), 5, seed=3)
-        assert len(decode_rows) == 5
-        assert all(rows <= 6 for rows in decode_rows)
+    def test_calls_take_a_second_of_frames_or_the_rest(self, preset, decode_rows):
+        # fewer than 6 frames wait from earlier seconds, and a second adds 6
+        report = run_scenario(load_preset(preset), 20, seed=3)
+        *full, rest = decode_rows
+        assert all(6 <= rows < 12 for rows in full) and rest < 6
+        assert sum(decode_rows) <= report.frames_sent
+
+    def test_every_run_makes_a_decode_call(self, blue_nlos, decode_rows):
+        # the run of bench/test_bench.py's span test, whose BCH spans come
+        # from this call
+        run_scenario(blue_nlos, 2, seed=5)
+        assert len(decode_rows) >= 1
 
     def test_the_frame_clock_is_not_a_field(self, green):
         assert green.sim_frames_per_second == 6
@@ -659,10 +672,23 @@ class TestLossTally:
         assert report.packet_loss_count == 12
         assert report.post_fec_bit_errors == 0
 
-    def test_mixed_second_is_tallied_frame_by_frame(self, green):
+    def test_loss_is_charged_to_the_second_it_was_sent_in(self, green, decode_rows):
+        # a failing frame in second 0 and a miscorrecting one in second 1
+        # wait until second 2 brings the waiting frames to 8; the last,
+        # clean second ends in a call on no frame
+        clean = []
+        mis, fail = self.miscorrecting_flips(green.codec), self.failing_flips(green.codec)
+        seconds = [[fail] + [clean] * 5, [clean, mis] + [clean] * 4, [[7]] * 6, [clean] * 6]
+        report = engine._simulate(green, 0, 24, scripted_channel(seconds))
+        assert decode_rows == [8, 0]
+        assert report.loss_series == (1, 1, 0, 0)
+        assert report.decode_failures == 1
+        assert report.post_fec_bit_errors == 3
+
+    def test_mixed_second_is_tallied_frame_by_frame(self, green, decode_rows):
         # clean, corrected, miscorrecting and failing frames interleaved in
         # each second: the flipped ones are packed into the leading rows of
-        # the batch, and each clean one is overwritten by the next frame
+        # the waiting batch, and the first two seconds' 7 go to one call
         clean, one = [], [7]
         mis, fail = self.miscorrecting_flips(green.codec), self.failing_flips(green.codec)
         seconds = [[clean, mis, fail, clean, one, mis],
@@ -670,6 +696,7 @@ class TestLossTally:
                    [clean] * 6,
                    [mis, mis, one, fail, fail, clean]]
         report = engine._simulate(green, 0, 24, scripted_channel(seconds))
+        assert decode_rows == [7, 5]
         assert report.beps_series == tuple(sum(len(f) for f in s) for s in seconds)
         assert report.loss_series == (3, 2, 0, 4)
         assert report.decode_failures == 4
@@ -719,9 +746,9 @@ class TestInjectErrors:
         # after deinterleaving, each inner word's flip count is Bin(n, p),
         # and along the line frame the flips spread evenly
         codec, p = green.codec, 1e-3
-        flip = next(engine._flip_channel(p, np.random.default_rng(19), engine._AnalogLog()))
+        seconds = engine._flip_channel(green, p, np.random.default_rng(19), engine._AnalogLog())
         frame = np.zeros(codec.frame_bits, dtype=np.uint8)
-        draws = [flip(frame) for _ in range(200)]
+        draws = [flip(frame) for flip in itertools.islice(seconds, 34) for _ in range(6)]
         flips = np.zeros((len(draws), codec.frame_bits), dtype=np.uint8)
         for row, positions in zip(flips, draws):
             # ascending, hence distinct, and inside the frame
@@ -732,7 +759,7 @@ class TestInjectErrors:
             interleave(f, codec.inner.n)
             .reshape(codec.inner_words_per_frame, codec.inner.n).sum(axis=1)
             for f in flips])
-        # cells 0..5 and 6 or more, each expecting at least 5 of 1,600 words
+        # cells 0..5 and 6 or more, each expecting at least 5 of 1,632 words
         observed = np.bincount(np.minimum(counts, 6), minlength=7)
         expected = binom.pmf(np.arange(7), codec.inner.n, p)
         expected[6] = binom.sf(5, codec.inner.n, p)
@@ -744,19 +771,21 @@ class TestInjectErrors:
     def test_zero_rate_draws_nothing(self, green):
         rng = np.random.default_rng(23)
         state = rng.bit_generator.state
-        flip = next(engine._flip_channel(0.0, rng, engine._AnalogLog()))
+        seconds = engine._flip_channel(green, 0.0, rng, engine._AnalogLog())
         frame = green.codec.encode(np.ones(green.codec.frame_payload_bits, dtype=np.uint8))
-        positions = flip(frame)
-        assert positions.size == 0 and positions.dtype.kind == "i"
+        for flip in itertools.islice(seconds, 2):
+            for _ in range(green.sim_frames_per_second):
+                positions = flip(frame)
+                assert positions.size == 0 and positions.dtype.kind == "i"
         assert rng.bit_generator.state == state
 
 
 class TestFlipChannelLaw:
     """``inject_errors_run`` flips line bits i.i.d. at its target rate, and
-    the flips fall evenly on the inner words.
+    the flips fall evenly on the inner words and on the frames of a second.
 
-    Each frame draws Bin(16,320, p) flips, independently, so a run of N line
-    bits counts Bin(N, p). The bound is two-sided at a false-alarm
+    Each second draws Bin(6 * 16,320, p) flips, independently, so a run of N
+    line bits in whole seconds counts Bin(N, p). The bound is two-sided at a false-alarm
     probability of 1e-9, z(alpha / 2) = 6.11. A rate off by ``RATE_BIAS``
     either way must put its mean count past the bound by z(POWER) = 3.09 of
     its own standard deviations, so such a bias passes with probability
@@ -768,6 +797,12 @@ class TestFlipChannelLaw:
     Channel bit j belongs to inner word j mod 8, and each word holds 2,040 of
     a frame's 16,320 bits, so uniform positions give the 8 words equal
     expected counts: a chi-square test at 7 degrees of freedom, same alpha.
+
+    The i-th frame of a second takes the flips that fall in its 16,320 of
+    the second's line bits, so each frame index has an expected count in
+    proportion to the frames sent at that index: a chi-square test at 5
+    degrees of freedom, same alpha, on the sized run and on a 50-frame run,
+    whose last second holds only frames 0 and 1.
     """
 
     ALPHA = 1e-9
@@ -792,30 +827,45 @@ class TestFlipChannelLaw:
                     and bits * down + z_power * math.sqrt(bits * down * (1.0 - down)) < low):
                 return seconds
 
-    def run(self, spec, monkeypatch):
-        """A sized run at ``BER``, with the positions each frame flipped."""
-        seconds = self.seconds_to_see_bias(spec)
-        assert seconds == 9  # the size the docstring gives
+    def run(self, spec, monkeypatch, frames=None):
+        """A run at ``BER`` of ``frames`` frames, or of the sized length,
+        with the positions each frame flipped."""
+        if frames is None:
+            seconds = self.seconds_to_see_bias(spec)
+            assert seconds == 9  # the size the docstring gives
+            frames = seconds * spec.sim_frames_per_second
         positions, flip_channel = [], engine._flip_channel
 
-        def recording(ber, rng, log):
-            for flip in flip_channel(ber, rng, log):
+        def recording(*args):
+            for flip in flip_channel(*args):
                 yield lambda frame, flip=flip: positions.append(flip(frame)) or positions[-1]
 
         monkeypatch.setattr(engine, "_flip_channel", recording)
-        bits = seconds * spec.sim_frames_per_second * spec.codec.frame_bits
+        bits = frames * spec.codec.frame_bits
         report = inject_errors_run(spec, self.BER, bits, seed=29)
         assert report.bits_simulated == bits and len(positions) == report.frames_sent
-        return report, np.concatenate(positions)
+        return report, positions
 
     def test_error_count_is_binomial(self, green, monkeypatch):
         report, positions = self.run(green, monkeypatch)
-        assert report.pre_fec_bit_errors == positions.size
+        assert report.pre_fec_bit_errors == sum(p.size for p in positions)
         low, high = self.bounds(report.bits_simulated)
         assert low <= report.pre_fec_bit_errors <= high
 
+    @pytest.mark.parametrize("frames", [None, 50], ids=["sized", "50-frames"])
+    def test_flips_spread_evenly_over_the_frames_of_a_second(self, green, monkeypatch,
+                                                             frames):
+        report, positions = self.run(green, monkeypatch, frames)
+        fps = green.sim_frames_per_second
+        index = np.arange(report.frames_sent) % fps
+        per_index = np.bincount(index, weights=[p.size for p in positions], minlength=fps)
+        sent = np.bincount(index, minlength=fps)
+        assert frames is None or list(sent) == [9, 9, 8, 8, 8, 8]
+        assert chisquare(per_index, sent / sent.sum() * per_index.sum()).pvalue > self.ALPHA
+
     def test_flips_spread_evenly_over_inner_words(self, green, monkeypatch):
         _, positions = self.run(green, monkeypatch)
+        positions = np.concatenate(positions)
         depth = green.codec.interleaver_depth
         assert depth == green.codec.inner_words_per_frame == 8
         per_word = np.bincount(positions % depth, minlength=depth)
@@ -893,9 +943,9 @@ class TestGoldenDigests:
         "blue-6M25-nlos": "5163ea0f04b4aa39",
     }
     INJECTION_DIGESTS = {
-        "green-125M": "a7efbf40c5411461",
-        "blue-6M25": "54722aa5b750977f",
-        "blue-6M25-nlos": "3d539aea92895e7d",
+        "green-125M": "4d52f4e0d1759290",
+        "blue-6M25": "2efb9db2bbd1f8f1",
+        "blue-6M25-nlos": "f4f6700b32bb6c15",
     }
 
     def digest(self, preset, report):
