@@ -3,15 +3,19 @@
 Every run is one frame loop: source -> codec -> tally. Each simulated
 second, the channel hands the loop an error source; each frame is encoded,
 the source returns the ascending positions of the line bits it flipped, and
-the loop XORs them in and counts them as pre-FEC errors. A simulated second
-holds ``LinkSpec.sim_frames_per_second`` = 6 frames, 0.08 % of green's ~7,660
+the loop counts them as pre-FEC errors. A simulated second holds
+``LinkSpec.sim_frames_per_second`` = 6 frames, 0.08 % of green's ~7,660
 frames/s and 1.6 % of blue's ~383; no config key sets it, and a file that
-still does exits 2. A second's payloads come from one draw. Only the
-frames with a flip reach the FEC decoder: they wait, packed together and
-across seconds, until a second's worth can go to one decode call, and one
-more call at the end of the run takes the rest. A frame with no flip is a
-codeword, and a bounded-distance decoder returns a codeword's own payload
-with no correction and no failure, so decoding it would change no count.
+still does exits 2. A second's payloads come from one draw. Only the frames
+with a flip reach the FEC decoder, each as its error pattern alone, ones at
+the flipped positions: both BCH codes are linear and each decoder reads
+only syndromes, so a pattern fails and is corrected as the received frame
+would be, and the set bits of its decoded payload are the frame's post-FEC
+errors. The patterns wait, packed together and across seconds, until a
+second's worth can go to one decode call, and one more call at the end of
+the run takes the rest. A frame with no flip is a codeword, and a
+bounded-distance decoder returns a codeword's own payload with no
+correction and no failure, so decoding it would change no count.
 
 A scenario run's source draws one fading sample per second, steps the AGC
 at that second's received power in dBW, and hands each frame to the slot
@@ -217,8 +221,8 @@ def _flip_channel(spec: LinkSpec, ber: float, rng: np.random.Generator,
 
 
 def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
-    """The frame loop: random payload -> encode -> error source -> decode ->
-    tally.
+    """The frame loop: random payload -> encode -> error source -> decode of
+    the error pattern -> tally.
 
     ``channel(rng, log)`` is a generator that yields, at the start of each
     simulated second of ``sim_frames_per_second`` frames, that second's
@@ -228,21 +232,21 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
     draw of uniform random bytes; its frames are encoded and flipped one by
     one, and a frame's pre-FEC errors are its flip count. A frame with no
     flip is a codeword, which decodes to its own payload with no correction
-    and no failure, so it is not decoded. A flipped frame waits in the
-    leading rows of ``payloads`` and ``received``, tagged with the second it
-    was sent in. One ``codec.decode`` call takes every waiting frame once
+    and no failure, so it is not decoded. A flipped frame's error pattern
+    waits in the next zero row of ``patterns``, tagged with the second it
+    was sent in. One ``codec.decode`` call takes every waiting row once
     ``sim_frames_per_second`` of them wait, and one more at the end of the
-    run, made even when none wait. The set bits of each packed payload XOR
-    the sent one are post-FEC errors, and a failed or wrong frame is lost,
-    in the second it was sent in.
+    run, made even when none wait; the rows it took are zeroed after it.
+    The set bits of each decoded pattern are post-FEC errors (the module
+    docstring says why), and a failed or wrong frame is lost, in the second
+    it was sent in.
     """
     rng = np.random.default_rng(seed)
     codec = spec.codec
     payload_bytes = -(-codec.frame_payload_bits // 8)
     fps = spec.sim_frames_per_second
     # fewer than fps frames wait from earlier seconds, and a second adds fps
-    payloads = np.empty((2 * fps, codec.frame_payload_bits), dtype=np.uint8)
-    received = np.empty((2 * fps, codec.frame_bits), dtype=np.uint8)
+    patterns = np.zeros((2 * fps, codec.frame_bits), dtype=np.uint8)
     sent_in = []
     log = _AnalogLog()
     seconds = channel(rng, log)
@@ -253,12 +257,13 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
     def decode_waiting():
         nonlocal post_err_total, failures
         rows = len(sent_in)
-        outcome = codec.decode(received[:rows])
-        wrong = np.packbits(outcome.message_bits ^ payloads[:rows], axis=1)
+        outcome = codec.decode(patterns[:rows])
+        wrong = np.packbits(outcome.message_bits, axis=1)
         failures += int(np.count_nonzero(outcome.failed))
         post_err_total += int(np.bitwise_count(wrong).sum())
         for sent in itertools.compress(sent_in, outcome.failed | wrong.any(axis=1)):
             loss_series[sent] += 1
+        patterns[:rows] = 0
         sent_in.clear()
 
     for second, start in enumerate(range(0, n_frames, fps)):
@@ -267,13 +272,9 @@ def _simulate(spec: LinkSpec, seed: int, n_frames: int, channel) -> SimReport:
                              dtype=np.uint8)
         second_errors = 0
         for payload in np.unpackbits(drawn, axis=1, count=codec.frame_payload_bits):
-            frame = codec.encode(payload)
-            positions = errors(frame)
+            positions = errors(codec.encode(payload))
             if len(positions):
-                row = len(sent_in)
-                received[row] = frame
-                received[row, positions] ^= 1
-                payloads[row] = payload
+                patterns[len(sent_in), positions] = 1
                 sent_in.append(second)
                 second_errors += len(positions)
         beps.append(second_errors)
@@ -326,18 +327,14 @@ def inject_errors_run(spec: LinkSpec, pre_fec_ber_target: float, n_bits: int,
                      partial(_flip_channel, spec, pre_fec_ber_target))
 
 
-def epoch_seed(master_seed: int, epoch_index: int) -> int:
-    """Derived per-epoch seed, independent of evaluation order."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(epoch_index,))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def long_term_monitor(spec: LinkSpec, epochs: int, epoch_duration_s: int,
                       seed: int) -> list[SimReport]:
-    """Independent seeded epochs standing in for day-by-day monitoring."""
+    """Independent seeded epochs standing in for day-by-day monitoring; epoch
+    i runs on the first 64-bit word of the i-th child of ``seed``'s seed
+    sequence, whatever the evaluation order."""
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     return [
-        run_scenario(spec, epoch_duration_s, epoch_seed(seed, i))
-        for i in range(epochs)
+        run_scenario(spec, epoch_duration_s, int(child.generate_state(1, np.uint64)[0]))
+        for child in np.random.SeedSequence(seed).spawn(epochs)
     ]

@@ -5,8 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import string
+import subprocess
+import sys
 import tempfile
 import types
 from dataclasses import fields, is_dataclass, replace
@@ -1019,6 +1022,30 @@ class TestCliCommands:
         assert captured.out == ""
         assert error_lines(captured.err) == [
             "error: Unable to allocate 18.6 GiB for an array"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "blue-6M25-nlos", "--duration-s", "5", "--seed", "3"],
+        ["plan", "--preset", "green-125M"],
+        # 100 frames of i.i.d. flips through the packed BCH decode
+        ["simulate", "--preset", "green-125M", "--inject-ber", "1e-3",
+         "--n-bits", "1632000", "--seed", "3"],
+        ["monitor", "--preset", "blue-6M25-nlos", "--epochs", "2", "--duration-s", "3",
+         "--seed", "3"],
+    ], ids=["simulate", "plan", "inject", "monitor"])
+    def test_byte_identical_across_hash_seeds(self, argv):
+        # the other tests check determinism inside one interpreter, whose
+        # string hashes, and so set order, PYTHONHASHSEED fixes; the two
+        # processes run side by side
+        src = str(pathlib.Path(uwoclink.__file__).resolve().parent.parent)
+        runs = [subprocess.Popen([sys.executable, "-m", "uwoclink.cli", *argv],
+                                 env={**os.environ, "PYTHONPATH": src,
+                                      "PYTHONHASHSEED": hashseed},
+                                 stdout=subprocess.PIPE)
+                for hashseed in ("0", "123")]
+        outs = [run.communicate(timeout=120)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert outs[0] and outs[0] == outs[1]
+
 
 class TestFecCli:
     def test_hex_roundtrip_helpers(self):

@@ -23,7 +23,6 @@ from uwoclink.engine import (
     ETHERNET_PAYLOAD_BYTES,
     SYNC_OVERHEAD_FRACTION,
     LinkSpec,
-    epoch_seed,
     goodput_for,
     inject_errors_run,
     long_term_monitor,
@@ -872,25 +871,34 @@ class TestFlipChannelLaw:
         assert chisquare(per_word).pvalue > self.ALPHA
 
 
+def spawned_seed(master_seed: int, epoch_index: int) -> int:
+    """Epoch ``epoch_index``'s seed, from the seed sequence that has the
+    master seed's entropy and the epoch's spawn key, with no spawn call."""
+    ss = np.random.SeedSequence(master_seed, spawn_key=(epoch_index,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 class TestLongTermMonitor:
     def test_single_epoch_reduces_to_run_scenario(self, green):
         reports = long_term_monitor(green, 1, 5, seed=21)
-        direct = run_scenario(green, 5, epoch_seed(21, 0))
+        direct = run_scenario(green, 5, spawned_seed(21, 0))
         assert render_report(reports[0]) == render_report(direct)
 
     def test_epochs_independent_of_ordering(self, green):
         reports = long_term_monitor(green, 4, 3, seed=33)
         for i in (2, 0, 3, 1):
-            again = run_scenario(green, 3, epoch_seed(33, i))
+            again = run_scenario(green, 3, spawned_seed(33, i))
             assert render_report(again) == render_report(reports[i])
 
     def test_green_epochs_stay_below_1e5(self, green):
         reports = long_term_monitor(green, 10, 10, seed=42)
         assert all(r.pre_fec_ber < 1e-5 for r in reports)
 
-    def test_epoch_seeds_unique(self):
-        seeds = {epoch_seed(7, i) for i in range(100)}
-        assert len(seeds) == 100
+    def test_epoch_seeds_unique(self, green):
+        # the seeds of one spawn(epochs) call are those keyed one at a time
+        seeds = [report.seed for report in long_term_monitor(green, 100, 1, seed=7)]
+        assert seeds == [spawned_seed(7, i) for i in range(100)]
+        assert len(set(seeds)) == 100
 
     def test_invalid_epochs(self, green):
         with pytest.raises(ValueError):

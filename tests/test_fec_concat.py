@@ -429,3 +429,37 @@ class TestToyFrameEnumeration:
             reference, _, ok, _ = reference_decode(toy, frame)
             assert np.array_equal(message, reference)
             assert failed == (not ok)
+
+
+class TestLinearity:
+    """Both codes are linear and each decoder reads only syndromes, so a
+    received frame decodes as its error pattern alone does: the same
+    failure flags and correction count, and message bits that differ by the
+    sent payload. The frame loop relies on this: it decodes error patterns
+    only."""
+
+    @staticmethod
+    def decode_alike(codec, patterns, rng):
+        """Decode ``patterns`` alone, then XOR-ed onto each of three random
+        codewords; returns the patterns' own outcome."""
+        alone = codec.decode(patterns)
+        for _ in range(3):
+            payload = rng.integers(0, 2, codec.frame_payload_bits, dtype=np.uint8)
+            out = codec.decode(patterns ^ codec.encode(payload))
+            assert np.array_equal(out.failed, alone.failed)
+            assert out.corrected_count == alone.corrected_count
+            assert np.array_equal(out.message_bits ^ payload, alone.message_bits)
+        return alone
+
+    def test_every_toy_pattern_up_to_weight_3(self, toy):
+        # weight 3 reaches failed and undetected frames
+        patterns = np.concatenate([error_patterns(toy.frame_bits, w) for w in range(4)])
+        alone = self.decode_alike(toy, patterns, np.random.default_rng(23))
+        undetected = alone.message_bits.any(axis=1) & ~alone.failed
+        assert (len(patterns), alone.failed.sum(), undetected.sum()) == (4_526, 550, 260)
+
+    def test_production_frames_at_ber_3e_3(self, codec):
+        rng = np.random.default_rng(29)
+        patterns = (rng.random((100, codec.frame_bits)) < 3e-3).view(np.uint8)
+        alone = self.decode_alike(codec, patterns, rng)
+        assert 0 < alone.failed.sum() < 100

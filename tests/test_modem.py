@@ -383,6 +383,29 @@ class TestSparseNoise:
         assert np.array_equal(noisy.amplitudes, stream.amplitudes)
 
 
+class TestDrawsIgnoreTheFrame:
+    """The slot chain draws the same numbers whatever frame it carries, on
+    both sides of the switch to the dense draw: 0.1, 0.15 and 0.2 fall on
+    the sparse side, 0.25 and 1.0 on the dense one. So a frame's noise is a
+    function of the generator alone, and a loop could send the zero frame,
+    or encode only the frames the noise hits, without moving a draw."""
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.15, 0.2, 0.25, 1.0])
+    @pytest.mark.parametrize("kind", [OOK, PPM4])
+    def test_generator_state_is_the_same_for_any_frame(self, codec, kind, sigma):
+        assert (2.0 * qfunc(0.5 / sigma) > modem._SPARSE_MAX_SHARE) == (sigma >= 0.25)
+        rng = np.random.default_rng(89)
+        frames = [codec.encode(rng.integers(0, 2, codec.frame_payload_bits, dtype=np.uint8))
+                  for _ in range(2)]
+        frames.append(np.zeros(codec.frame_bits, dtype=np.uint8))
+        states = []
+        for frame in frames:
+            noise = np.random.default_rng(97)
+            flipped_bits(kind, sigma, noise, frame)
+            states.append(noise.bit_generator.state)
+        assert states[0] == states[1] == states[2]
+
+
 class TestDispatch:
     def test_modulate_demodulate_roundtrip(self):
         rng = np.random.default_rng(3)
